@@ -3,8 +3,8 @@
 A `Var` wraps a numpy array and remembers how it was produced; `backward`
 walks the recorded graph once in reverse topological order. The operator
 set is exactly what the encoders and the spatial loss need (linear algebra,
-activations, pooling, concatenation, softmax, log-gamma/digamma); there is
-no general graph capture beyond it.
+activations, pooling, concatenation, softmax, log-sum-exp,
+log-gamma/digamma); there is no general graph capture beyond it.
 
 Gradients flow only through nodes marked as needing them: tape leaves set
 `needs_grad`, constants do not, and each operator records one callback per
@@ -275,17 +275,18 @@ def softmax(a: Var, axis: int = -1) -> Var:
     return _result(y, (a, vjp))
 
 
-_lgamma_vec = np.vectorize(special_math.log_gamma, otypes=[float])
-_digamma_vec = np.vectorize(special_math.digamma, otypes=[float])
-_trigamma_vec = np.vectorize(special_math.trigamma, otypes=[float])
+def logsumexp(a: Var) -> Var:
+    """log sum exp over every entry; the vjp is the softmax of `a`."""
+    out = special_math.log_sum_exp(a.value)
+    return _result(np.asarray(out), (a, lambda g: g * np.exp(a.value - out)))
 
 
 def lgamma(a: Var) -> Var:
-    return _result(_lgamma_vec(a.value), (a, lambda g: g * _digamma_vec(a.value)))
+    return _result(special_math.log_gamma(a.value), (a, lambda g: g * special_math.digamma(a.value)))
 
 
 def digamma(a: Var) -> Var:
-    return _result(_digamma_vec(a.value), (a, lambda g: g * _trigamma_vec(a.value)))
+    return _result(special_math.digamma(a.value), (a, lambda g: g * special_math.trigamma(a.value)))
 
 
 def linear(x: Var, w: Var, b: Var) -> Var:

@@ -201,13 +201,6 @@ def load_scenario(path) -> Scenario:
     return scenario.validate()
 
 
-def load_scenario_dir(path) -> list[Scenario]:
-    files = sorted(Path(path).glob("*.json"))
-    if not files:
-        raise ValidationError(f"no scenario files found in {path}")
-    return [load_scenario(f) for f in files]
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation by `angle` about the origin followed by translation."""

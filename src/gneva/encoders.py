@@ -379,6 +379,8 @@ def _restore_into(template: ParamTape, stored: dict, path) -> ParamTape:
                 f"model {path}: parameter {name!r} has {values.size} values, "
                 f"expected {expected.size}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"model {path}: parameter {name!r} has non-finite values")
         expected[...] = values.reshape(expected.shape)
     return template
 

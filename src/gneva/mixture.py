@@ -5,6 +5,11 @@ coefficients. This module evaluates the optimal z-posterior
 (responsibilities), the evidence lower bound for a single observed goal,
 the Student-t posterior predictive mixture, and the exact log evidence
 under the shared prior (the upper bound the ELBO is checked against).
+
+`elbo_terms` is the one implementation of the responsibilities and the
+bound, with tape operators over `distributions.NormalWishartArrays`. The
+spatial training loss calls it on forward-pass nodes; `z_posterior` and
+`elbo` call it on a `MixturePosterior` stacked into constant nodes.
 """
 
 from __future__ import annotations
@@ -14,18 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Var
 from .distributions import (
-    D,
+    NormalWishartArrays,
     NormalWishartParams,
-    expected_stats,
-    kl_mean_given_precision,
-    kl_wishart,
     posterior_predictive_params,
-    student_t_log_densities,
+    predictive_student_t,
     student_t_log_density,
+    student_t_log_density_table,
 )
 from .errors import ValidationError
-from .special_math import LOG_2PI, log_sum_exp
+from .special_math import log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -74,76 +79,65 @@ class Responsibilities:
             raise ValidationError(f"responsibilities must form a simplex, got {q_z}")
 
 
-def z_posterior_log_weights(g, mix: MixturePosterior) -> np.ndarray:
-    """Unnormalized log q(z = c): the expected log emission plus log pi_c."""
-    g = np.asarray(g, dtype=float).reshape(2)
-    out = np.empty(mix.n_components)
-    for c, comp in enumerate(mix.components):
-        s = expected_stats(g, comp)
-        out[c] = (
-            mix.log_pi[c] + 0.5 * s.e_log_det - 0.5 * D * LOG_2PI - 0.5 * s.e_mahalanobis
-        )
-    return out
-
-def z_posterior(g, mix: MixturePosterior) -> Responsibilities:
-    """Optimal variational assignment posterior, normalized in log space."""
-    log_w = z_posterior_log_weights(g, mix)
-    log_norm = log_sum_exp(log_w)
-    return Responsibilities(q_z=np.exp(log_w - log_norm))
+def responsibilities(g, q: NormalWishartArrays, log_pi) -> tuple[Var, Var, Var]:
+    """Expected log emissions, the log weights log pi + emission, and q(z), their softmax."""
+    emission = q.expected_emission(g)
+    log_w = emission + log_pi
+    return emission, log_w, ad.softmax(log_w)
 
 
-def elbo(g, mix: MixturePosterior, prior: NormalWishartParams, prior_pi) -> float:
-    """Evidence lower bound on log p(g) for a single observed goal.
+def elbo_terms(
+    g, q: NormalWishartArrays, prior: NormalWishartArrays, log_pi, log_prior_pi
+) -> tuple[Var, Var]:
+    """Evidence lower bound on log p(g) for one goal, and the responsibilities.
 
     sum_c q(z=c) E_q[log p(g | mu_c, Lambda_c)]
     - sum_c E_q KL(q(mu_c | Lambda_c) || p(mu | Lambda))
     - sum_c KL(q(Lambda_c) || p(Lambda)) - KL(q(z) || prior_pi),
-    with q(z) the optimal responsibilities for this mixture.
+    with q(z) the optimal responsibilities under mixing coefficients pi.
     """
-    g = np.asarray(g, dtype=float).reshape(2)
+    emission, log_w, resp = responsibilities(g, q, log_pi)
+    log_prior_pi = np.where(resp.value > 0.0, log_prior_pi, 0.0)  # 0 log(0 / pi_c) = 0 at pi_c = 0
+    kl_z = ad.vsum(ad.mul(resp, log_w - ad.logsumexp(log_w) - log_prior_pi))
+    bound = (
+        ad.vsum(ad.mul(resp, emission))
+        - ad.vsum(q.kl_mean_given_precision(prior))
+        - ad.vsum(q.kl_wishart(prior))
+        - kl_z
+    )
+    return bound, resp
+
+
+def z_posterior(g, mix: MixturePosterior) -> Responsibilities:
+    """Optimal variational assignment posterior."""
+    q = NormalWishartArrays.stack(mix.components)
+    _, _, resp = responsibilities(np.reshape(g, 2), q, mix.log_pi)
+    return Responsibilities(q_z=resp.value)
+
+
+def elbo(g, mix: MixturePosterior, prior: NormalWishartParams, prior_pi) -> float:
+    """Evidence lower bound on log p(g) for a single observed goal (see `elbo_terms`)."""
     prior_pi = np.asarray(prior_pi, dtype=float).reshape(-1)
     if prior_pi.shape[0] != mix.n_components:
         raise ValidationError("prior_pi length must match the component count")
-    q_z = z_posterior(g, mix).q_z
-
-    bound = 0.0
-    for c, comp in enumerate(mix.components):
-        s = expected_stats(g, comp)
-        emission = 0.5 * s.e_log_det - 0.5 * D * LOG_2PI - 0.5 * s.e_mahalanobis
-        bound += q_z[c] * emission
-        bound -= kl_mean_given_precision(comp, prior)
-        bound -= kl_wishart(comp.wishart, prior.wishart)
-    for c in range(mix.n_components):
-        if q_z[c] > 0.0:
-            bound -= q_z[c] * (math.log(q_z[c]) - math.log(prior_pi[c]))
-    return bound
+    q, p = NormalWishartArrays.stack(mix.components), NormalWishartArrays.stack([prior])
+    with np.errstate(divide="ignore"):
+        bound, _ = elbo_terms(np.reshape(g, 2), q, p, mix.log_pi, np.log(prior_pi))
+    return float(bound.value)
 
 
 def predictive_log_density(g_star, mix: MixturePosterior, weights) -> float:
     """log sum_c w_c tau(g*; predictive of component c)."""
-    weights = _check_weights(weights, mix.n_components)
-    terms = []
-    for c, comp in enumerate(mix.components):
-        if weights[c] == 0.0:
-            continue
-        t = posterior_predictive_params(comp)
-        terms.append(math.log(weights[c]) + student_t_log_density(g_star, t))
-    return log_sum_exp(terms)
+    return float(predictive_log_densities(g_star, mix, weights)[0])
 
 
 def predictive_log_densities(points, mix: MixturePosterior, weights) -> np.ndarray:
-    """Vectorized predictive mixture log density over points of shape (n, 2)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    """Predictive mixture log density over points (n, 2); zero-weight components may have any nu."""
     weights = _check_weights(weights, mix.n_components)
-    logs = np.full((mix.n_components, points.shape[0]), -np.inf)
-    for c, comp in enumerate(mix.components):
-        if weights[c] == 0.0:
-            continue
-        t = posterior_predictive_params(comp)
-        logs[c] = math.log(weights[c]) + student_t_log_densities(points, t)
-    m = logs.max(axis=0)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return m + np.log(np.exp(logs - m).sum(axis=0))
+    live = np.flatnonzero(weights)
+    loc, shape, df = predictive_student_t(NormalWishartArrays.stack(mix.components).take(live))
+    logs = np.log(weights[live])[:, None] + student_t_log_density_table(points, loc, shape, df)
+    return log_sum_exp(logs, axis=0)
 
 
 def prior_log_evidence(g, prior: NormalWishartParams, prior_pi) -> float:

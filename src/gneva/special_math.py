@@ -1,9 +1,10 @@
-"""Scalar special functions and 2x2 SPD linear algebra.
+"""Special functions and 2x2 SPD linear algebra.
 
 Everything here is self-contained: log-gamma uses the Lanczos approximation
 (g=7, 9 coefficients) and digamma/trigamma use recurrence shifts into the
 asymptotic regime, all accurate to ~1e-13. Matrices are fixed-size 2x2; the
 closed-form Cholesky/determinant/adjugate replaces general linear algebra.
+The special functions take floats or arrays, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
 
@@ -52,56 +55,67 @@ _TRIGAMMA_SERIES = (
 )
 
 
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)| for real x, poles excluded."""
-    if x != x:
-        return x
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"log_gamma pole at non-positive integer {x}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-        return LOG_PI - math.log(abs(math.sin(math.pi * x))) - log_gamma(1.0 - x)
-    z = x
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z - 1.0 + i)
+def _result(values: np.ndarray):
+    """A float for a scalar argument, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def log_gamma(x):
+    """log |Gamma(x)| for real x (a float or an array), poles excluded."""
+    x = np.asarray(x, dtype=float)
+    if ((x <= 0.0) & (x == np.floor(x))).any():
+        raise DomainError(f"log_gamma pole at non-positive integer in {x}")
+    # Reflection for x < 0.5: Gamma(x) Gamma(1-x) = pi / sin(pi x).
+    reflect = x < 0.5
+    z = np.where(reflect, 1.0 - x, x)
+    # acc = c_0 + sum_i c_i / (z - 1 + i), summed in i order like a scalar loop.
+    terms = np.divide(_LANCZOS_COEF[1:], (z - 1.0)[..., None] + np.arange(1.0, len(_LANCZOS_COEF)))
+    terms[..., 0] += _LANCZOS_COEF[0]
+    acc = np.add.accumulate(terms, axis=-1)[..., -1]
     t = z + _LANCZOS_G - 0.5
-    return 0.5 * LOG_2PI + (z - 0.5) * math.log(t) - t + math.log(acc)
+    out = np.asarray(0.5 * LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(acc))
+    if reflect.any():
+        out[reflect] = LOG_PI - np.log(np.abs(np.sin(math.pi * x[reflect]))) - out[reflect]
+    return _result(out)
 
 
-def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x) for x > 0."""
-    if x <= 0.0:
+def _shift_up(x: np.ndarray, term) -> tuple[np.ndarray, np.ndarray]:
+    """`while x < shift: acc += term(x); x += 1` for every entry at once, in that order."""
+    # Any x > 0 reaches the shift within ceil(shift) steps.
+    steps = np.ones((int(math.ceil(_DIGAMMA_SHIFT)) + 1,) + x.shape)
+    steps[0] = x
+    np.add.accumulate(steps, axis=0, out=steps)
+    low = steps < _DIGAMMA_SHIFT
+    acc = np.add.accumulate(np.where(low, term(steps), 0.0), axis=0)[-1]
+    return np.where(low, np.inf, steps).min(axis=0), acc
+
+
+def _series(first, ratio, coefs) -> np.ndarray:
+    """sum_k coefs[k] first ratio^k, each power one product after the last, summed in k order."""
+    factors = np.repeat(np.asarray(ratio)[..., None], len(coefs), axis=-1)
+    factors[..., 0] = first
+    return np.add.accumulate(np.multiply.accumulate(factors, axis=-1) * coefs, axis=-1)[..., -1]
+
+
+def digamma(x):
+    """psi(x) = d/dx log Gamma(x) for x > 0 (a float or an array)."""
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
         raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
+    x, acc = _shift_up(x, lambda v: -1.0 / v)
     inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for c in _DIGAMMA_SERIES:
-        series += c * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - series
+    return _result(acc + np.log(x) - 0.5 / x - _series(inv2, inv2, _DIGAMMA_SERIES))
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0; the derivative of digamma."""
-    if x <= 0.0:
+def trigamma(x):
+    """psi'(x) for x > 0 (a float or an array); the derivative of digamma."""
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
         raise DomainError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
+    x, acc = _shift_up(x, lambda v: 1.0 / (v * v))
     inv = 1.0 / x
     inv2 = inv * inv
-    series = 0.0
-    power = inv * inv2
-    for c in _TRIGAMMA_SERIES:
-        series += c * power
-        power *= inv2
-    return acc + inv + 0.5 * inv2 + series
+    return _result(acc + inv + 0.5 * inv2 + _series(inv * inv2, inv2, _TRIGAMMA_SERIES))
 
 
 def log_multivariate_gamma(a: float, d: int) -> float:
@@ -119,12 +133,6 @@ def multivariate_digamma(a: float, d: int) -> float:
     return sum(digamma(a + 0.5 * (1 - j)) for j in range(1, d + 1))
 
 
-def multivariate_trigamma(a: float, d: int) -> float:
-    """Second derivative of log Gamma_d; needed for gradients through psi_d."""
-    _check_mv_domain(a, d, "multivariate_trigamma")
-    return sum(trigamma(a + 0.5 * (1 - j)) for j in range(1, d + 1))
-
-
 def _check_mv_domain(a: float, d: int, name: str) -> None:
     if d < 1:
         raise DomainError(f"{name} requires a positive dimension, got {d}")
@@ -132,17 +140,15 @@ def _check_mv_domain(a: float, d: int, name: str) -> None:
         raise DomainError(f"{name} requires a > (d-1)/2 = {0.5 * (d - 1)}, got {a}")
 
 
-def log_sum_exp(values) -> float:
-    """log sum_i exp(v_i), computed with max subtraction; exact for one element."""
-    vals = list(values)
-    if not vals:
+def log_sum_exp(values, axis=None):
+    """log sum exp(values) over `axis` (default all), max-shifted; exact for one element."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise DomainError("log_sum_exp of an empty sequence")
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    if len(vals) == 1:
-        return float(vals[0])
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    m = values.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return _result(np.log(np.exp(values - m).sum(axis=axis)) + np.squeeze(m, axis))
 
 
 # Relative tolerances of the positive-definiteness guard; values below these
@@ -222,32 +228,8 @@ class SPDMatrix2:
         """trace(self @ other) for symmetric other."""
         return self.a11 * other.a11 + 2.0 * self.a12 * other.a12 + self.a22 * other.a22
 
-    def matvec(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a11 * x + self.a12 * y, self.a12 * x + self.a22 * y)
-
     def scaled(self, s: float) -> "SPDMatrix2":
         return SPDMatrix2(self.a11 * s, self.a12 * s, self.a22 * s)
 
-    def to_array(self):
-        import numpy as np
-
+    def to_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]], dtype=float)
-
-
-@dataclass(frozen=True)
-class SPDFactorization:
-    """Cholesky factor, log determinant and inverse of a 2x2 SPD matrix."""
-
-    chol: tuple[tuple[float, float], tuple[float, float]]
-    log_det: float
-    inverse: SPDMatrix2
-
-
-def spd_factorize(m: SPDMatrix2) -> SPDFactorization:
-    """Factor an SPD 2x2 matrix: lower Cholesky, log det, exact inverse."""
-    l11, l21, l22 = m.cholesky
-    return SPDFactorization(
-        chol=((l11, 0.0), (l21, l22)),
-        log_det=m.log_det,
-        inverse=m.inverse(),
-    )

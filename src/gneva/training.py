@@ -2,9 +2,12 @@
 
 The spatial model minimizes -ELBO plus a cross-entropy that teaches the
 proxy head to imitate the variational responsibilities (which enter the
-cross-entropy as constants). The trajectory network is trained afterwards
-with the spatial tape frozen, minimizing a Huber loss against ground-truth
-waypoints with the ground-truth goal teacher-forced.
+cross-entropy as constants). The ELBO and the responsibilities come from
+`mixture.elbo_terms`, the single implementation of the mixture's closed
+forms, run here on the forward pass's tape nodes. The trajectory network
+is trained afterwards with the spatial tape frozen, minimizing a Huber
+loss against ground-truth waypoints with the ground-truth goal
+teacher-forced.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var, backward
 from .dataio import Scenario, VectorizedScene, vectorize
+from .distributions import NormalWishartArrays
 from .encoders import EncoderConfig, SpatialForward, forward_spatial
 from .errors import NonFiniteLoss, ValidationError
-from .special_math import LOG_2, LOG_2PI, LOG_PI
+from .mixture import elbo_terms
 from .trajectory import trajectory_forward
 
 
@@ -98,19 +102,6 @@ def adamw_step(tape: ParamTape, opt: OptimizerState, lr: float, cfg: TrainConfig
             param -= lr * cfg.weight_decay * param
 
 
-def ad_logsumexp(x: Var) -> Var:
-    shift = float(x.value.max())
-    return ad.vlog(ad.vsum(ad.vexp(x - shift))) + shift
-
-
-def _log_multigamma2(a: Var) -> Var:
-    return ad.lgamma(a) + ad.lgamma(a - 0.5) + 0.5 * LOG_PI
-
-
-def _col(x: Var, j: int) -> Var:
-    return ad.reshape(ad.narrow(x, 1, j, 1), (x.value.shape[0],))
-
-
 @dataclass
 class SceneLossTerms:
     loss: Var
@@ -132,69 +123,14 @@ def spatial_scene_loss(
     target (pass `q_target` to pin the constant explicitly, e.g. when
     cross-checking gradients against finite differences of this loss).
     """
+    q = NormalWishartArrays(fw.eta, fw.beta, fw.chol, fw.nu)
+    prior = NormalWishartArrays(fw.prior_eta, fw.prior_beta, fw.prior_chol, fw.prior_nu)
     c = fw.eta.value.shape[0]
-    gx, gy = float(goal[0]), float(goal[1])
+    log_uniform = np.full(c, -math.log(c))  # mixing coefficients and their prior
+    elbo, resp = elbo_terms(goal, q, prior, log_uniform, log_uniform)
 
-    eta_x, eta_y = _col(fw.eta, 0), _col(fw.eta, 1)
-    l11, l21, l22 = _col(fw.chol, 0), _col(fw.chol, 1), _col(fw.chol, 2)
-    v11 = ad.square(l11)
-    v12 = ad.mul(l11, l21)
-    v22 = ad.square(l21) + ad.square(l22)
-    log_det_v = 2.0 * (ad.vlog(l11) + ad.vlog(l22))
-    half_nu = fw.nu * 0.5
-    psi2 = ad.digamma(half_nu) + ad.digamma(half_nu - 0.5)
-    e_log_det = log_det_v + psi2 + 2.0 * LOG_2
-
-    dx = gx - eta_x
-    dy = gy - eta_y
-    quad = ad.mul(v11, ad.square(dx)) + 2.0 * ad.mul(v12, ad.mul(dx, dy)) + ad.mul(v22, ad.square(dy))
-    e_maha = ad.mul(fw.nu, quad) + 2.0 / fw.beta
-    emission = 0.5 * e_log_det - LOG_2PI - 0.5 * e_maha
-
-    log_w = emission  # uniform mixing coefficients shift log_w by a constant only
-    q = ad.softmax(log_w, axis=-1)
-    log_q = log_w - ad_logsumexp(log_w)
-    kl_z = ad.vsum(ad.mul(q, log_q)) + math.log(c)
-
-    # Shared trainable prior, constrained.
-    pl11 = ad.narrow(fw.prior_chol, 0, 0, 1)
-    pl21 = ad.narrow(fw.prior_chol, 0, 1, 1)
-    pl22 = ad.narrow(fw.prior_chol, 0, 2, 1)
-    v0_11 = ad.square(pl11)
-    v0_12 = ad.mul(pl11, pl21)
-    v0_22 = ad.square(pl21) + ad.square(pl22)
-    det0 = ad.square(ad.mul(pl11, pl22))
-    log_det_v0 = 2.0 * (ad.vlog(pl11) + ad.vlog(pl22))
-    inv0_11 = ad.div(v0_22, det0)
-    inv0_12 = ad.div(v0_12, det0) * -1.0
-    inv0_22 = ad.div(v0_11, det0)
-
-    de_x = eta_x - ad.narrow(fw.prior_eta, 0, 0, 1)
-    de_y = eta_y - ad.narrow(fw.prior_eta, 0, 1, 1)
-    quad0 = (
-        ad.mul(v11, ad.square(de_x))
-        + 2.0 * ad.mul(v12, ad.mul(de_x, de_y))
-        + ad.mul(v22, ad.square(de_y))
-    )
-    beta0 = fw.prior_beta
-    kl_mean = 0.5 * ad.mul(ad.mul(beta0, fw.nu), quad0) + (
-        ad.div(beta0, fw.beta) - (ad.vlog(beta0) - ad.vlog(fw.beta)) - 1.0
-    )
-
-    trace0 = ad.mul(inv0_11, v11) + 2.0 * ad.mul(inv0_12, v12) + ad.mul(inv0_22, v22)
-    nu0 = fw.prior_nu
-    kl_wishart = (
-        0.5 * ad.mul(fw.nu, trace0 - 2.0)
-        - 0.5 * ad.mul(nu0, log_det_v - log_det_v0)
-        + _log_multigamma2(nu0 * 0.5)
-        - _log_multigamma2(half_nu)
-        + 0.5 * ad.mul(fw.nu - nu0, psi2)
-    )
-
-    elbo = ad.vsum(ad.mul(q, emission)) - ad.vsum(kl_mean) - ad.vsum(kl_wishart) - kl_z
-
-    target = Var(q.value.copy() if q_target is None else np.asarray(q_target, dtype=float))
-    log_weights = fw.weights_logits - ad_logsumexp(fw.weights_logits)
+    target = Var(resp.value.copy() if q_target is None else np.asarray(q_target, dtype=float))
+    log_weights = fw.weights_logits - ad.logsumexp(fw.weights_logits)
     cross_entropy = -ad.vsum(ad.mul(target, log_weights))
 
     loss = -elbo + lambda_z * cross_entropy
@@ -202,7 +138,7 @@ def spatial_scene_loss(
         loss=loss,
         elbo=float(elbo.value),
         cross_entropy=float(cross_entropy.value),
-        responsibilities=q.value.copy(),
+        responsibilities=resp.value.copy(),
     )
 
 

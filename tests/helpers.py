@@ -8,7 +8,7 @@ against these routes.
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaln, multigammaln, psi
+from scipy.special import gammaln, logsumexp, multigammaln, psi
 
 from gneva.distributions import NormalWishartParams
 from gneva.special_math import SPDMatrix2
@@ -77,6 +77,67 @@ def gaussian_logpdf(xs, mean, cov):
 
 def student_t_logpdf_scipy(xs, loc, shape, df):
     return stats.multivariate_t.logpdf(xs, loc=loc, shape=shape, df=df)
+
+
+def student_t_mixture_logpdf_scipy(xs, comps, weights):
+    """log sum_c w_c t(x; predictive of component c), from scipy's multivariate t.
+
+    Each Normal-Wishart posterior's predictive has loc eta, df nu - 1 and
+    shape (beta + 1) / (beta (nu - 1)) V^-1, inverted with np.linalg.
+    """
+    terms = []
+    for comp, w in zip(comps, weights):
+        if w == 0.0:
+            continue
+        df = comp.nu - 1.0
+        v = np.array([[comp.v.a11, comp.v.a12], [comp.v.a12, comp.v.a22]])
+        shape = (comp.beta + 1.0) / (comp.beta * df) * np.linalg.inv(v)
+        terms.append(np.log(w) + np.atleast_1d(student_t_logpdf_scipy(xs, comp.eta, shape, df)))
+    return logsumexp(np.stack(terms), axis=0)
+
+
+def elbo_oracle(g, comps, log_pi, prior, prior_pi):
+    """ELBO of one goal under a variational Normal-Wishart mixture (Bishop, PRML 10.2).
+
+    Written from the textbook expectations with scipy's psi and multigammaln
+    and explicit 2x2 matrices, sharing no code with the package:
+    E[log det L] = psi_2(nu/2) + 2 log 2 + log det V,
+    E[(g - mu)^T L (g - mu)] = nu (g - eta)^T V (g - eta) + 2 / beta,
+    q(z) the softmax of log pi + E[log N(g | mu, L^-1)], and the two KLs
+    and KL(q(z) || prior_pi) subtracted from the expected emission.
+    """
+    d = 2
+    g = np.asarray(g, dtype=float)
+
+    def mat(spd):
+        return np.array([[spd.a11, spd.a12], [spd.a12, spd.a22]])
+
+    v0 = mat(prior.v)
+    v0_inv = np.linalg.inv(v0)
+    emission, kl_mean, kl_wishart = [], [], []
+    for q in comps:
+        v = mat(q.v)
+        logdet_v = np.linalg.slogdet(v)[1]
+        e_logdet = psi_d(0.5 * q.nu, d) + d * np.log(2.0) + logdet_v
+        dev = g - q.eta
+        e_quad = q.nu * dev @ v @ dev + d / q.beta
+        emission.append(0.5 * e_logdet - 0.5 * d * np.log(2.0 * np.pi) - 0.5 * e_quad)
+        de = q.eta - prior.eta
+        ratio = prior.beta / q.beta
+        kl_mean.append(0.5 * prior.beta * q.nu * de @ v @ de + 0.5 * d * (ratio - np.log(ratio) - 1.0))
+        kl_wishart.append(
+            0.5 * q.nu * (np.trace(v0_inv @ v) - d)
+            - 0.5 * prior.nu * np.linalg.slogdet(v0_inv @ v)[1]
+            + multigammaln(0.5 * prior.nu, d)
+            - multigammaln(0.5 * q.nu, d)
+            + 0.5 * (q.nu - prior.nu) * psi_d(0.5 * q.nu, d)
+        )
+    emission = np.array(emission)
+    log_w = np.asarray(log_pi, dtype=float) + emission
+    log_q = log_w - logsumexp(log_w)
+    q_z = np.exp(log_q)
+    kl_z = float(np.sum(q_z * (log_q - np.log(prior_pi))))
+    return float(q_z @ emission - np.sum(kl_mean) - np.sum(kl_wishart) - kl_z)
 
 
 def mc_mean_and_se(samples):

@@ -34,6 +34,7 @@ OPS = {
     "log": (ad.vlog, lambda rng: rng.uniform(0.2, 4.0, size=6)),
     "sqrt": (ad.vsqrt, lambda rng: rng.uniform(0.2, 4.0, size=6)),
     "softmax": (ad.softmax, lambda rng: rng.normal(size=(3, 5))),
+    "logsumexp": (ad.logsumexp, lambda rng: rng.normal(size=6, scale=3.0)),
     "lgamma": (ad.lgamma, lambda rng: rng.uniform(0.7, 9.0, size=5)),
     "digamma": (ad.digamma, lambda rng: rng.uniform(0.7, 9.0, size=5)),
 }

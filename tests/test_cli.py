@@ -166,6 +166,33 @@ class TestPipeline:
         assert report["k"] == 3 and report["n_scenarios"] == 16
         assert report["made_k"] >= 0.0
 
+    def test_non_finite_model_parameter_is_validation_error(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        doc = json.loads(spatial.read_text())
+        doc["params"]["prior.eta"][0] = float("nan")
+        bad = tmp_path / "nan_spatial.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "preds"
+        code = run_command(
+            [
+                "predict",
+                "--spatial-model",
+                str(bad),
+                "--traj-model",
+                str(traj),
+                "--scenario",
+                str(sorted(data.glob("*.json"))[0]),
+                "--spacing",
+                "1.0",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "prior.eta" in err
+        assert not out.exists()
+
     def test_predict_single_file_output(self, workspace):
         root, config, data, spatial, traj = workspace
         scenario_file = sorted(data.glob("*.json"))[0]

@@ -17,12 +17,14 @@ from gneva.mixture import (
 from gneva.special_math import SPDMatrix2
 
 from helpers import (
+    elbo_oracle,
     exact_conjugate_posterior,
     grid_quadrature_mass,
     random_nw,
     random_spd,
     sample_nw_scipy,
     stable_log_mean_exp,
+    student_t_mixture_logpdf_scipy,
 )
 
 
@@ -72,10 +74,25 @@ class TestZPosterior:
     def test_against_mc_expected_log_density(self):
         # Oracle: responsibilities from Monte-Carlo estimates of
         # E_q[log N(g | mu_c, Lambda_c)], normalized in probability space.
+        # The components sit within 1 m of g so that no responsibility is
+        # near zero; a near one-hot q would match almost any emission term.
         rng = np.random.default_rng(3)
-        mix = random_mixture(rng, c=3)
         g = rng.normal(size=2)
-        log_w = np.array(np.log(np.exp(mix.log_pi)))
+        comps = []
+        for _ in range(3):
+            angle = rng.uniform(0.0, math.pi)
+            rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+            v = rot @ np.diag(rng.uniform(0.1, 0.3, size=2)) @ rot.T
+            comps.append(
+                NormalWishartParams(
+                    eta=g + rng.uniform(-1.0, 1.0, size=2),
+                    beta=rng.uniform(1.0, 3.0),
+                    v=SPDMatrix2.from_array(v),
+                    nu=rng.uniform(3.5, 6.0),
+                )
+            )
+        mix = MixturePosterior(components=comps, log_pi=np.log([0.25, 0.35, 0.4]))
+        log_w = mix.log_pi.copy()
         for c, comp in enumerate(mix.components):
             mus, lams = sample_nw_scipy(comp, rng, 1_000_000)
             dev = g - mus
@@ -85,6 +102,7 @@ class TestZPosterior:
             log_w[c] += log_dens.mean()
         oracle = np.exp(log_w - log_w.max())
         oracle /= oracle.sum()
+        assert oracle.min() >= 0.05, oracle
         mine = z_posterior(g, mix).q_z
         assert 0.5 * np.abs(mine - oracle).sum() < 1e-2
 
@@ -100,6 +118,18 @@ class TestZPosterior:
 
 
 class TestElbo:
+    def test_matches_independent_oracle(self):
+        rng = np.random.default_rng(15)
+        for c in range(1, 7):
+            for _ in range(10):
+                comps = [random_nw(rng) for _ in range(c)]
+                mix = MixturePosterior(components=comps, log_pi=np.log(rng.dirichlet(np.ones(c))))
+                prior = random_nw(rng)
+                prior_pi = rng.dirichlet(np.full(c, 2.0))
+                g = rng.normal(scale=2.5, size=2)
+                expected = elbo_oracle(g, comps, mix.log_pi, prior, prior_pi)
+                assert elbo(g, mix, prior, prior_pi) == pytest.approx(expected, rel=1e-9)
+
     def test_bounded_by_log_evidence(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -120,6 +150,18 @@ class TestElbo:
             lhs = elbo(g, mix, prior, [1.0])
             rhs = prior_log_evidence(g, prior, [1.0])
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+    def test_zero_prior_weight_on_an_empty_component(self):
+        # The far component's responsibility underflows to exactly 0, so
+        # its zero prior weight adds 0 log(0 / 0) = 0 to KL(q(z) || pi).
+        v = SPDMatrix2.identity()
+        near = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=v, nu=5.0)
+        far = NormalWishartParams(eta=[50.0, 0.0], beta=1.0, v=v, nu=5.0)
+        mix = MixturePosterior.uniform([near, far])
+        g = [0.1, 0.0]
+        assert z_posterior(g, mix).q_z[1] == 0.0
+        expected = elbo(g, mix, near, [0.5, 0.5]) + math.log(2.0)
+        assert elbo(g, mix, near, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -186,9 +228,11 @@ class TestPredictive:
         mix = random_mixture(rng, c=4)
         w = rng.dirichlet(np.ones(4))
         pts = rng.normal(size=(7, 2), scale=3.0)
+        expected = student_t_mixture_logpdf_scipy(pts, mix.components, w)
         vec = predictive_log_densities(pts, mix, w)
+        assert vec == pytest.approx(expected, rel=1e-10)
         for i, p in enumerate(pts):
-            assert vec[i] == pytest.approx(predictive_log_density(p, mix, w), rel=1e-12)
+            assert predictive_log_density(p, mix, w) == pytest.approx(expected[i], rel=1e-10)
 
     def test_continuity_in_g(self):
         rng = np.random.default_rng(11)
