@@ -19,13 +19,14 @@ from .distributions import (
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params
 from .metrics import MetricReport, displacement_metrics
 from .mixture import MixturePosterior, Responsibilities, elbo, predictive_log_density, z_posterior
-from .sampling import NmsConfig, ScoredCandidate, circle_iou, generate_candidates, nms_select
+from .sampling import CandidatePool, NmsConfig, ScoredCandidate, circle_iou, generate_candidates, nms_select
 from .trajectory import PredictedTrajectory, complete_trajectory, predict_topk
 from .training import TrainConfig, train_spatial, train_trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CandidatePool",
     "EncoderConfig",
     "Gaussian2",
     "MetricReport",

@@ -12,8 +12,9 @@ differentiable input, so constant branches cost nothing in the backward
 pass.
 
 Trainable parameters live in a `ParamTape`: named flat float64 arrays with
-matching gradient accumulators. A forward pass starts from `tape.leaves()`
-and `accumulate_grads` folds leaf gradients back into the tape.
+matching gradient accumulators, which `zero_grads` starts afresh for each
+step. A forward pass starts from `tape.leaves()` and `accumulate_grads`
+folds leaf gradients back into the tape.
 """
 
 from __future__ import annotations
@@ -372,8 +373,8 @@ class ParamTape:
         self.grads[name] = np.zeros_like(arr)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
+        """Start an accumulation: one zero gradient array per parameter."""
+        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
 
     def leaves(self) -> dict[str, Var]:
         """Fresh leaf nodes viewing the current parameter values."""

@@ -215,14 +215,13 @@ def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path)
     projected, transform = to_target_frame(scenario)
     fw = forward_spatial(vectorize(projected, enc_cfg), spatial_tape, enc_cfg)
     region = scene_region(projected)
-    candidates = generate_candidates(fw.mixture(), fw.weights.value, region, spacing)
-    inverse = transform.inverse()
+    pool = generate_candidates(fw.mixture(), fw.weights.value, region, spacing)
+    world = transform.inverse().apply_points(pool.locations)
     lines = ["x,y,log_density"]
-    for c in candidates:
-        wx, wy = inverse.apply_points(c.location.reshape(1, 2))[0]
-        lines.append(f"{wx:.17g},{wy:.17g},{c.log_prob:.17g}")
+    for (wx, wy), lp in zip(world.tolist(), pool.log_probs.tolist()):
+        lines.append(f"{wx:.17g},{wy:.17g},{lp:.17g}")
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return len(candidates)
+    return len(pool)
 
 
 def cmd_density(args, config) -> int:

@@ -362,9 +362,19 @@ def _load_document(path) -> tuple[dict, EncoderConfig]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot load model {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model {path} is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format_version {doc.get('format_version')!r}")
-    cfg = EncoderConfig(**doc["config"])
+        raise ValidationError(
+            f"model {path}: unsupported format_version {doc.get('format_version')!r}"
+        )
+    for key in ("config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ValidationError(f"model {path}: {key!r} must be a JSON object")
+    try:
+        cfg = EncoderConfig(**doc["config"])
+    except TypeError as exc:
+        raise ValidationError(f"model {path}: bad 'config': {exc}") from exc
     return doc, cfg
 
 

@@ -117,9 +117,7 @@ def z_posterior(g, mix: MixturePosterior) -> Responsibilities:
 
 def elbo(g, mix: MixturePosterior, prior: NormalWishartParams, prior_pi) -> float:
     """Evidence lower bound on log p(g) for a single observed goal (see `elbo_terms`)."""
-    prior_pi = np.asarray(prior_pi, dtype=float).reshape(-1)
-    if prior_pi.shape[0] != mix.n_components:
-        raise ValidationError("prior_pi length must match the component count")
+    prior_pi = _check_weights(prior_pi, mix.n_components)
     q, p = NormalWishartArrays.stack(mix.components), NormalWishartArrays.stack([prior])
     with np.errstate(divide="ignore"):
         bound, _ = elbo_terms(np.reshape(g, 2), q, p, mix.log_pi, np.log(prior_pi))

@@ -1,10 +1,10 @@
 """Goal candidate generation and non-maximum suppression selection.
 
 Candidates are a deterministic grid over the scene scored by the posterior
-predictive density (a seeded sampling generator is available as an
-alternative source). Selection is greedy: repeatedly keep the most
-probable remaining candidate and drop every candidate whose circle IoU
-with it exceeds the threshold.
+predictive density, held as a `CandidatePool` of two arrays. Selection is
+greedy: repeatedly keep the most probable remaining candidate and drop
+every candidate whose circle IoU with it exceeds the threshold, until k
+goals are kept or none remain.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .dataio import Scenario
 from .errors import EmptyCandidatePool, RegionTooLarge, ValidationError
 from .mixture import MixturePosterior, predictive_log_densities
-from .distributions import posterior_predictive_params, sample_student_t
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,33 @@ class ScoredCandidate:
         object.__setattr__(self, "log_prob", float(self.log_prob))
         if not (np.all(np.isfinite(loc)) and math.isfinite(self.log_prob)):
             raise ValidationError(f"candidate must be finite, got {loc}, {self.log_prob}")
+
+
+@dataclass(frozen=True)
+class CandidatePool:
+    """Candidate goals as arrays: locations (n, 2) and predictive log densities (n,)."""
+
+    locations: np.ndarray
+    log_probs: np.ndarray
+
+    def __post_init__(self):
+        locs = np.asarray(self.locations, dtype=float)
+        log_probs = np.asarray(self.log_probs, dtype=float)
+        if locs.ndim != 2 or locs.shape[1] != 2 or log_probs.shape != locs.shape[:1]:
+            raise ValidationError(
+                f"pool needs locations (n, 2) and log_probs (n,), "
+                f"got {locs.shape} and {log_probs.shape}"
+            )
+        if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(log_probs))):
+            raise ValidationError("pool candidates must be finite")
+        object.__setattr__(self, "locations", locs)
+        object.__setattr__(self, "log_probs", log_probs)
+
+    def __len__(self) -> int:
+        return self.log_probs.shape[0]
+
+    def __getitem__(self, i) -> ScoredCandidate:
+        return ScoredCandidate(location=self.locations[i], log_prob=self.log_probs[i])
 
 
 @dataclass(frozen=True)
@@ -75,32 +101,29 @@ def circle_iou(p1, p2, r: float) -> float:
     return float(circle_iou_from_distance(np.array([d]), r)[0])
 
 
-def nms_select(candidates: list[ScoredCandidate], cfg: NmsConfig) -> list[ScoredCandidate]:
-    """Greedy suppression over the whole pool, most probable first.
+def nms_select(
+    candidates: CandidatePool | list[ScoredCandidate], cfg: NmsConfig, k: int | None = None
+) -> list[ScoredCandidate]:
+    """Greedy suppression, most probable first, stopping after k selections.
 
-    Runs until the pool is empty; truncation to the top k is left to the
-    caller. A candidate is suppressed when its circle IoU with an already
-    selected candidate strictly exceeds the threshold.
+    With k None it runs until the pool is empty. A candidate is suppressed
+    when its circle IoU with an already selected candidate strictly exceeds
+    the threshold. Goals come back in non-increasing log density, ties in
+    input order; from a list, they are the caller's own objects.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise EmptyCandidatePool("no candidates to select from")
-    locs = np.stack([c.location for c in candidates])
-    log_probs = np.array([c.log_prob for c in candidates])
+    pool = candidates
+    if not isinstance(pool, CandidatePool):
+        pool = CandidatePool(np.stack([c.location for c in pool]), [c.log_prob for c in pool])
     # Stable sort keeps input order among equal probabilities.
-    order = np.argsort(-log_probs, kind="stable")
-    alive = np.ones(len(candidates), dtype=bool)
+    rest = np.argsort(-pool.log_probs, kind="stable")
     selected: list[int] = []
-    for idx in order:
-        if not alive[idx]:
-            continue
-        selected.append(idx)
-        alive[idx] = False
-        rest = np.flatnonzero(alive)
-        if rest.size == 0:
-            break
-        d = np.hypot(*(locs[rest] - locs[idx]).T)
-        suppress = circle_iou_from_distance(d, cfg.radius) > cfg.iou_threshold
-        alive[rest[suppress]] = False
+    while rest.size and (k is None or len(selected) < k):
+        best, rest = rest[0], rest[1:]
+        selected.append(best)
+        d = np.hypot(*(pool.locations[rest] - pool.locations[best]).T)
+        rest = rest[circle_iou_from_distance(d, cfg.radius) <= cfg.iou_threshold]
     return [candidates[i] for i in selected]
 
 
@@ -148,7 +171,7 @@ def generate_candidates(
     region: Region,
     spacing: float,
     cell_cap: int = 1_000_000,
-) -> list[ScoredCandidate]:
+) -> CandidatePool:
     """Regular grid over the region scored by the predictive log density.
 
     Row-major ordering with ties broken by grid index; endpoints included.
@@ -163,22 +186,4 @@ def generate_candidates(
     ys = region.y_min + spacing * np.arange(ny)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    log_probs = predictive_log_densities(pts, mix, weights)
-    return [ScoredCandidate(location=p, log_prob=lp) for p, lp in zip(pts, log_probs)]
-
-
-def sample_candidates(
-    mix: MixturePosterior, weights, n: int, rng: np.random.Generator
-) -> list[ScoredCandidate]:
-    """Seeded draws from the Student-t mixture, scored by its own density."""
-    weights = np.asarray(weights, dtype=float)
-    counts = rng.multinomial(n, weights / weights.sum())
-    points = []
-    for comp, count in zip(mix.components, counts):
-        if count == 0:
-            continue
-        t = posterior_predictive_params(comp)
-        points.append(sample_student_t(t, rng, count))
-    pts = np.concatenate(points, axis=0)
-    log_probs = predictive_log_densities(pts, mix, weights)
-    return [ScoredCandidate(location=p, log_prob=lp) for p, lp in zip(pts, log_probs)]
+    return CandidatePool(pts, predictive_log_densities(pts, mix, weights))

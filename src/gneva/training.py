@@ -290,6 +290,7 @@ def train_spatial(
             elbo=elbo_sum / len(batch),
             ce=ce_sum / len(batch),
         )
+    tape.grads.clear()  # a trained model needs no accumulators; they would double its memory
     return tape, history
 
 
@@ -345,4 +346,5 @@ def train_trajectory(
         lr = lr_schedule(step, total_steps, cfg)
         adamw_step(traj_tape, opt, lr, cfg)
         history.add(step, lr, float(batch_loss.value))
+    traj_tape.grads.clear()
     return traj_tape, history

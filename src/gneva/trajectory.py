@@ -68,8 +68,8 @@ def predict_topk(
     """Full pipeline on a target-frame scenario.
 
     Encoders emit the mixture posterior and proxy weights, a scored grid of
-    candidates is suppressed by NMS, the top k goals are completed into
-    trajectories, and results come back sorted by goal log density.
+    candidates is suppressed by NMS until it has k goals, and those are
+    completed into trajectories, in NMS order: non-increasing goal log density.
     """
     vs = vectorize(scenario, enc_cfg)
     fw = forward_spatial(vs, spatial_tape, enc_cfg)
@@ -77,17 +77,15 @@ def predict_topk(
     weights = fw.weights.value
     region = scene_region(scenario)
     candidates = generate_candidates(mix, weights, region, spacing)
-    selected = nms_select(candidates, nms_cfg)[: nms_cfg.k]
+    selected = nms_select(candidates, nms_cfg, nms_cfg.k)
     context = fw.context_feature.value
-    out = [
+    return [
         PredictedTrajectory(
             waypoints=complete_trajectory(context, c.location, traj_tape, enc_cfg, scenario.T),
             goal_log_prob=c.log_prob,
         )
         for c in selected
     ]
-    out.sort(key=lambda p: -p.goal_log_prob)
-    return out
 
 
 def predictions_to_world(

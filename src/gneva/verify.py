@@ -264,11 +264,17 @@ def check_nms_equivalence(n_pools: int, rng) -> tuple[bool, str]:
             not np.array_equal(a.location, b.location) for a, b in zip(fast, slow)
         ):
             return False, f"pool {trial}: selection differs from brute force"
+        k = 1 + trial % 8
+        stopped = nms_select(cands, cfg, k)
+        if len(stopped) != len(slow[:k]) or any(a is not b for a, b in zip(stopped, slow)):
+            return False, f"pool {trial}: selection stopped at k={k} differs from brute force"
         for i in range(len(fast)):
             for j in range(i + 1, len(fast)):
                 if circle_iou(fast[i].location, fast[j].location, cfg.radius) > cfg.iou_threshold:
                     return False, f"pool {trial}: pairwise IoU bound violated"
-    return True, f"{n_pools} random pools match the brute-force reference exactly"
+    return True, (
+        f"{n_pools} random pools match the brute-force reference exactly, in full and stopped at k"
+    )
 
 
 def check_circle_iou_geometry(n_mc: int, rng) -> tuple[bool, str]:

@@ -193,6 +193,41 @@ class TestPipeline:
         assert str(bad) in err and "prior.eta" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda doc: {**doc, "config": {**doc["config"], "bogus": 1}}, "'config'"),
+            (lambda doc: {**doc, "config": [1]}, "'config'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "config"}, "'config'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "'params'"),
+            (lambda doc: {**doc, "params": [1]}, "'params'"),
+            (lambda doc: [1], "JSON object"),
+        ],
+        ids=[
+            "unknown-config-key",
+            "config-not-object",
+            "no-config",
+            "no-params",
+            "params-not-object",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_model_is_validation_error(
+        self, workspace, tmp_path, capsys, corrupt, named
+    ):
+        root, config, data, spatial, traj = workspace
+        bad = tmp_path / "bad_spatial.json"
+        bad.write_text(json.dumps(corrupt(json.loads(spatial.read_text()))))
+        out = tmp_path / "density.csv"
+        scenario = str(sorted(data.glob("*.json"))[0])
+        code = run_command(
+            ["density", "--spatial-model", str(bad), "--scenario", scenario, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err
+        assert not out.exists()
+
     def test_predict_single_file_output(self, workspace):
         root, config, data, spatial, traj = workspace
         scenario_file = sorted(data.glob("*.json"))[0]

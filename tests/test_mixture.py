@@ -163,6 +163,14 @@ class TestElbo:
         expected = elbo(g, mix, near, [0.5, 0.5]) + math.log(2.0)
         assert elbo(g, mix, near, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "prior_pi", [[0.7, 0.7], [1.2, -0.2], [1.0]], ids=["sum-above-1", "negative", "length"]
+    )
+    def test_prior_pi_must_be_a_probability_vector(self, prior_pi):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValidationError):
+            elbo(rng.normal(size=2), random_mixture(rng, c=2), random_nw(rng), prior_pi)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         mix = random_mixture(rng, c=3)

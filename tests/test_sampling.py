@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from gneva.distributions import NormalWishartParams
 from gneva.errors import EmptyCandidatePool, RegionTooLarge, ValidationError
-from gneva.mixture import MixturePosterior, predictive_log_densities
+from gneva.mixture import MixturePosterior
 from gneva.sampling import (
+    CandidatePool,
     NmsConfig,
     Region,
     ScoredCandidate,
     circle_iou,
     generate_candidates,
     nms_select,
-    sample_candidates,
 )
 from gneva.special_math import SPDMatrix2
 
@@ -126,6 +126,11 @@ class TestNmsSelect:
             assert len(fast) == len(slow)
             for a, b in zip(fast, slow):
                 assert np.array_equal(a.location, b.location) and a.log_prob == b.log_prob
+            for k in range(1, 9):
+                # Stopped at k: the brute force's first k, the caller's own objects.
+                stopped = nms_select(cands, cfg, k)
+                assert len(stopped) == min(k, len(slow))
+                assert all(a is b for a, b in zip(stopped, slow))
 
     def test_first_selected_is_global_argmax(self):
         rng = np.random.default_rng(2)
@@ -196,11 +201,47 @@ def small_mixture(rng, c=2):
     return MixturePosterior.uniform(comps)
 
 
+class TestCandidatePool:
+    def test_indexing_gives_scored_candidates(self):
+        pool = CandidatePool(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([-1.0, -2.0]))
+        assert len(pool) == 2
+        c = pool[1]
+        assert isinstance(c, ScoredCandidate)
+        assert np.array_equal(c.location, [2.0, 3.0]) and c.log_prob == -2.0
+
+    @pytest.mark.parametrize(
+        "locations, log_probs",
+        [
+            ([[0.0, 0.0], [math.nan, 1.0]], [-1.0, -2.0]),
+            ([[0.0, 0.0], [1.0, 1.0]], [-1.0, -math.inf]),
+            ([[0.0, 0.0], [1.0, 1.0]], [-1.0]),
+            ([[0.0, 0.0, 0.0]], [-1.0]),
+        ],
+        ids=["nan-location", "infinite-log-density", "mismatched-lengths", "not-2d-points"],
+    )
+    def test_rejects_malformed_pools(self, locations, log_probs):
+        with pytest.raises(ValidationError):
+            CandidatePool(np.array(locations), np.array(log_probs))
+
+    def test_stopped_selection_is_prefix_of_full_run(self):
+        mix = small_mixture(np.random.default_rng(12))
+        pool = generate_candidates(mix, [0.6, 0.4], Region(-15.0, -15.0, 15.0, 15.0), spacing=0.5)
+        cfg = NmsConfig(radius=2.0, iou_threshold=0.0)
+        full = nms_select(pool, cfg)
+        assert len(full) > 8
+        for k in range(1, 9):
+            stopped = nms_select(pool, cfg, k)
+            assert len(stopped) == k
+            for a, b in zip(stopped, full):
+                assert np.array_equal(a.location, b.location) and a.log_prob == b.log_prob
+
+
 class TestGenerateCandidates:
     def test_grid_arithmetic(self):
         mix = small_mixture(np.random.default_rng(6))
         out = generate_candidates(mix, [0.5, 0.5], Region(0.0, 0.0, 10.0, 10.0), spacing=1.0)
         assert len(out) == 11 * 11
+        assert out.locations.shape == (121, 2) and out.log_probs.shape == (121,)
 
     def test_cell_cap(self):
         mix = small_mixture(np.random.default_rng(7))
@@ -215,8 +256,8 @@ class TestGenerateCandidates:
         eta = mix.components[0].eta
         region = Region(eta[0] - 10, eta[1] - 10, eta[0] + 10, eta[1] + 10)
         out = generate_candidates(mix, [1.0], region, spacing=0.1)
-        best = max(out, key=lambda c: c.log_prob)
-        assert np.linalg.norm(best.location - eta) <= 0.1 * math.sqrt(2.0) + 1e-9
+        best = out.locations[np.argmax(out.log_probs)]
+        assert np.linalg.norm(best - eta) <= 0.1 * math.sqrt(2.0) + 1e-9
 
     def test_quadrature_consistency(self):
         rng = np.random.default_rng(9)
@@ -224,31 +265,16 @@ class TestGenerateCandidates:
         region = Region(-60.0, -60.0, 60.0, 60.0)
         spacing = 0.25
         out = generate_candidates(mix, [0.5, 0.5], region, spacing=spacing)
-        mass = sum(math.exp(c.log_prob) for c in out) * spacing**2
+        mass = np.exp(out.log_probs).sum() * spacing**2
         assert mass == pytest.approx(1.0, abs=1e-2)
 
     def test_deterministic_row_major_order(self):
         mix = small_mixture(np.random.default_rng(10))
         a = generate_candidates(mix, [0.5, 0.5], Region(0, 0, 3, 3), spacing=1.0)
         b = generate_candidates(mix, [0.5, 0.5], Region(0, 0, 3, 3), spacing=1.0)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.location, cb.location)
+        assert np.array_equal(a.locations, b.locations)
         assert a[0].location == pytest.approx([0.0, 0.0])
         assert a[1].location == pytest.approx([0.0, 1.0])  # row-major: y varies fastest
-
-
-class TestSampleCandidates:
-    def test_seeded_and_scored(self):
-        rng_mix = np.random.default_rng(11)
-        mix = small_mixture(rng_mix)
-        a = sample_candidates(mix, [0.5, 0.5], 100, np.random.default_rng(42))
-        b = sample_candidates(mix, [0.5, 0.5], 100, np.random.default_rng(42))
-        assert len(a) == 100
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.location, cb.location)
-        pts = np.stack([c.location for c in a])
-        expected = predictive_log_densities(pts, mix, [0.5, 0.5])
-        assert np.allclose([c.log_prob for c in a], expected)
 
 
 class TestConfigValidation:

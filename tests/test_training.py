@@ -242,6 +242,8 @@ class TestTrainingLoops:
         traj = init_trajectory_params(ENC, horizon=scenes[0].T, seed=3)
         traj, hist = train_trajectory(scenes, spatial, traj, cfg, ENC)
         assert hist.losses[-1] < hist.losses[0]
+        # Trained tapes keep their parameters only, not the last step's gradients.
+        assert not spatial.grads and not traj.grads
 
     def test_dataset_smaller_than_batch_rejected(self):
         scenes = target_frame_scenes("straight", 3, 43)
