@@ -2,9 +2,10 @@
 
 A `Var` wraps a numpy array and remembers how it was produced; `backward`
 walks the recorded graph once in reverse topological order. The operator
-set is exactly what the encoders and the spatial loss need (linear algebra,
-activations, pooling, concatenation, softmax, log-sum-exp,
-log-gamma/digamma); there is no general graph capture beyond it.
+set is exactly what the encoders and the spatial loss need (linear algebra
+over leading batch axes, activations, segment max-pooling, row gathers,
+concatenation, masked softmax, log-sum-exp, log-gamma/digamma); there is
+no general graph capture beyond it.
 
 Gradients flow only through nodes marked as needing them: tape leaves set
 `needs_grad`, constants do not, and each operator records one callback per
@@ -33,6 +34,7 @@ class Var:
     """Array-valued node of the gradient graph."""
 
     __slots__ = ("value", "grad", "parents", "vjps", "needs_grad")
+    __array_ufunc__ = None  # `array - var` defers to Var.__rsub__ instead of looping over the array
 
     def __init__(self, value, needs_grad: bool = False):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=float)
@@ -91,11 +93,13 @@ def as_var(x) -> Var:
 def _result(value, *edges) -> Var:
     """Build an op output from (parent, vjp) pairs, keeping only live edges."""
     out = Var(value)
-    live = tuple((p, fn) for p, fn in edges if p.needs_grad)
-    if live:
-        out.parents = tuple(p for p, _ in live)
-        out.vjps = tuple(fn for _, fn in live)
-        out.needs_grad = True
+    parents, vjps = [], []
+    for p, fn in edges:
+        if p.needs_grad:
+            parents.append(p)
+            vjps.append(fn)
+    if parents:
+        out.parents, out.vjps, out.needs_grad = tuple(parents), tuple(vjps), True
     return out
 
 
@@ -149,15 +153,31 @@ def neg(a: Var) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
+    """a @ b over leading batch axes: a (..., n, k) with a shared b (k, m), or batched b (..., k, m).
+
+    A shared 2-D b runs as one (rows, k) @ (k, m) product over every
+    leading axis of a, and its gradient sums over all of them.
+    """
+    av, bv = a.value, b.value
+    if bv.ndim == 2:
+        k, m = bv.shape
+        rows = av.reshape(-1, k)
+        return _result(
+            (rows @ bv).reshape(av.shape[:-1] + (m,)),
+            (a, lambda g: (g.reshape(-1, m) @ bv.T).reshape(av.shape)),
+            (b, lambda g: rows.T @ g.reshape(-1, m)),
+        )
     return _result(
-        a.value @ b.value,
-        (a, lambda g: g @ b.value.T),
-        (b, lambda g: a.value.T @ g),
+        av @ bv,
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)),
     )
 
 
-def transpose(a: Var) -> Var:
-    return _result(a.value.T, (a, lambda g: g.T))
+def swapaxes(a: Var, axis1: int, axis2: int) -> Var:
+    return _result(
+        np.swapaxes(a.value, axis1, axis2), (a, lambda g: np.swapaxes(g, axis1, axis2))
+    )
 
 
 def reshape(a: Var, shape) -> Var:
@@ -193,6 +213,7 @@ def narrow(a: Var, axis: int, start: int, length: int) -> Var:
 
 
 def take_rows(a: Var, indices) -> Var:
+    """Rows of `a` gathered by an integer array of any shape; repeated rows accumulate."""
     indices = np.asarray(indices, dtype=int)
 
     def vjp(g):
@@ -218,15 +239,24 @@ def vmean(a: Var, axis=None, keepdims: bool = False) -> Var:
     return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def max_along(a: Var, axis: int, keepdims: bool = False) -> Var:
-    """Max over one axis; the gradient flows to the first argmax only."""
-    out_val = a.value.max(axis=axis, keepdims=keepdims)
-    argmax = a.value.argmax(axis=axis)
+def segment_max(a: Var, starts) -> Var:
+    """Column-wise max over the row segments [starts[i], starts[i + 1]) of a 2-D node.
+
+    Segments must be non-empty and `starts` increasing from 0. The gradient
+    of each output entry flows to the first row that attains the max.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    x = a.value
+    n, width = x.shape
+    out_val = np.maximum.reduceat(x, starts, axis=0)
+    segment = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+    rows = np.where(x == out_val[segment], np.arange(n)[:, None], n)
+    first = np.minimum.reduceat(rows, starts, axis=0)
+    cols = np.arange(width)
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        full = np.zeros_like(a.value)
-        np.put_along_axis(full, np.expand_dims(argmax, axis), gg, axis=axis)
+        full = np.zeros_like(x)
+        full[first, cols] = g
         return full
 
     return _result(out_val, (a, vjp))
@@ -264,8 +294,13 @@ def square(a: Var) -> Var:
     return mul(a, a)
 
 
-def softmax(a: Var, axis: int = -1) -> Var:
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
+def softmax(a: Var, axis: int = -1, mask=None) -> Var:
+    """Softmax along `axis`; where a boolean `mask` (broadcast to `a`) is False the probability is 0.
+
+    Every softmax slice needs at least one unmasked entry.
+    """
+    x = a.value if mask is None else np.where(mask, a.value, -np.inf)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
@@ -277,9 +312,9 @@ def softmax(a: Var, axis: int = -1) -> Var:
 
 
 def logsumexp(a: Var) -> Var:
-    """log sum exp over every entry; the vjp is the softmax of `a`."""
-    out = special_math.log_sum_exp(a.value)
-    return _result(np.asarray(out), (a, lambda g: g * np.exp(a.value - out)))
+    """log sum exp along the last axis, kept as a length-1 axis; the vjp is the softmax of `a`."""
+    out = np.asarray(special_math.log_sum_exp(a.value, axis=-1))[..., None]
+    return _result(out, (a, lambda g: g * np.exp(a.value - out)))
 
 
 def lgamma(a: Var) -> Var:
@@ -323,7 +358,13 @@ def layer_norm(x: Var, gain: Var, offset: Var, eps: float = 1e-5) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Fill `.grad` on every needs-grad node reachable from the scalar root."""
+    """Fill `.grad` on every needs-grad leaf reachable from the scalar root.
+
+    An interior node's gradient is released once its vjps have run, so
+    only leaves (nodes without parents) hold a gradient afterwards.
+    Gradients may share memory with each other and with node values; read
+    them, do not write to them.
+    """
     if root.value.size != 1:
         raise ShapeMismatch(f"backward needs a scalar root, got shape {root.value.shape}")
     if not root.needs_grad:
@@ -350,11 +391,10 @@ def backward(root: Var) -> None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             contribution = vjp(g)
-            if parent.grad is None:
-                # Copy: vjp outputs may alias g or internal buffers.
-                parent.grad = np.array(contribution, dtype=float)
-            else:
-                parent.grad += contribution
+            # Never in place: vjp outputs may alias g, other gradients or values.
+            parent.grad = contribution if parent.grad is None else parent.grad + contribution
+        if node.parents:
+            node.grad = None
 
 
 class ParamTape:
@@ -379,6 +419,10 @@ class ParamTape:
     def leaves(self) -> dict[str, Var]:
         """Fresh leaf nodes viewing the current parameter values."""
         return {name: leaf(value) for name, value in self.params.items()}
+
+    def constants(self) -> dict[str, Var]:
+        """Constant nodes viewing the current parameter values; a forward on them records no graph."""
+        return {name: Var(value) for name, value in self.params.items()}
 
     def accumulate_grads(self, leaves: Mapping[str, Var]) -> None:
         for name, leaf_var in leaves.items():

@@ -191,10 +191,10 @@ def sample_normal_wishart(
 
 
 def _entries(x: Var) -> list[Var]:
-    """Entries of the last axis: (C,) nodes of a (C, k) node, (1,) nodes of a (k,) node."""
+    """Entries of the last axis: (..., C) nodes of a (..., C, k) node, (1,) nodes of a (k,) node."""
     if x.value.ndim == 1:
         return [ad.narrow(x, 0, j, 1) for j in range(x.value.shape[0])]
-    return [ad.reshape(ad.narrow(x, 1, j, 1), x.value.shape[:1]) for j in range(x.value.shape[1])]
+    return [ad.reshape(ad.narrow(x, -1, j, 1), x.value.shape[:-1]) for j in range(x.value.shape[-1])]
 
 
 def _quad_form(m: tuple[Var, Var, Var], dx: Var, dy: Var) -> Var:
@@ -207,7 +207,8 @@ class NormalWishartArrays:
     """C Normal-Wishart components as tape nodes, and the closed forms over them.
 
     eta (C, 2), beta (C,), chol (C, 3) with the rows (l11, l21, l22) of
-    each V's lower Cholesky factor, and nu (C,); a shared prior has shapes
+    each V's lower Cholesky factor, and nu (C,); a batch of B mixtures has
+    shapes (B, C, 2), (B, C), (B, C, 3), (B, C). A shared prior has shapes
     (2,), (1,), (3,), (1,) and broadcasts. Nodes from `stack` are
     constants, which record no graph. A Wishart alone has no eta or beta.
     """
@@ -247,9 +248,13 @@ class NormalWishartArrays:
         return self.log_det_v + self.psi2 + D * LOG_2
 
     def expected_mahalanobis(self, g) -> Var:
-        """E[(g - mu)^T Lambda (g - mu)] = nu (g - eta)^T V (g - eta) + D / beta."""
+        """E[(g - mu)^T Lambda (g - mu)] = nu (g - eta)^T V (g - eta) + D / beta.
+
+        g is one goal (2,), or one goal per mixture (B, 2) for a batch.
+        """
+        g = np.asarray(g, dtype=float)
         eta_x, eta_y = self.eta_xy
-        quad = _quad_form(self.v, float(g[0]) - eta_x, float(g[1]) - eta_y)
+        quad = _quad_form(self.v, g[..., 0:1] - eta_x, g[..., 1:2] - eta_y)
         return ad.mul(self.nu, quad) + D / self.beta
 
     def expected_emission(self, g) -> Var:

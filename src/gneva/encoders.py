@@ -6,9 +6,11 @@ shared per-vector MLP and max-pooling. A context attention stack over
 per component; an interaction attention stack over [target; surrounding
 observed at the horizon] emits the precision-posterior parameters (V via a
 Cholesky head, nu). A proxy head maps the context feature to mixture
-weights. All forwards run on the gradient tape; constraint layers keep
-every emitted parameter inside the distribution family for any tape
-values.
+weights. All forwards run on the gradient tape, once per batch of scenes:
+the per-vector MLPs see every vector of the batch at once, and attention
+runs on the scenes' tokens padded to a common length, with padding masked
+out of the keys. Constraint layers keep every emitted parameter inside the
+distribution family for any tape values.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -117,7 +119,8 @@ def init_spatial_params(cfg: EncoderConfig, seed: int = 0) -> ParamTape:
 
 
 def _as_leaves(params) -> Mapping[str, Var]:
-    return params.leaves() if isinstance(params, ParamTape) else params
+    """Leaf nodes as given; a `ParamTape` runs on constants, so inference records no graph."""
+    return params.constants() if isinstance(params, ParamTape) else params
 
 
 def _mlp(leaves, name: str, x: Var) -> Var:
@@ -126,18 +129,29 @@ def _mlp(leaves, name: str, x: Var) -> Var:
     return ad.linear(h, leaves[f"{name}.l2.w"], leaves[f"{name}.l2.b"])
 
 
+def _slot(x: Var, i: int) -> Var:
+    """Token i of every scene: (..., N, hidden) -> (..., hidden)."""
+    shape = x.value.shape
+    return ad.reshape(ad.narrow(x, -2, i, 1), shape[:-2] + shape[-1:])
+
+
 @dataclass
-class EncodedScene:
-    """Pooled per-polyline features: map rows, target row, surrounding rows."""
+class EncodedScenes:
+    """Pooled polyline features of a batch of scenes, padded into one token tensor.
 
-    m: Var  # (n_map, hidden)
-    e: Var  # (1, hidden)
-    o: Var  # (n_surr, hidden)
+    Each scene's slots hold its map polylines in the first `n_map`, its
+    target in slot `n_map` and its surrounding agents after that. Padding
+    slots hold zeros and are False in `valid`; `observed` marks the
+    surrounding slots whose agent has a state at step H.
+    """
+
+    tokens: Var  # (B, n_map + 1 + n_surr, hidden)
+    valid: np.ndarray  # (B, n_map + 1 + n_surr) bool
+    observed: np.ndarray  # (B, n_surr) bool
+    n_map: int
 
 
-def encode_polylines(scene: VectorizedScene, params, cfg: EncoderConfig) -> EncodedScene:
-    """Per-vector MLP followed by max-pooling over each polyline's vectors."""
-    leaves = _as_leaves(params)
+def _check_scene(scene: VectorizedScene) -> None:
     for vs in scene.map_polylines:
         if vs.shape[1] != MAP_VECTOR_WIDTH:
             raise ShapeMismatch(f"map vectors have width {vs.shape[1]}, expected {MAP_VECTOR_WIDTH}")
@@ -148,48 +162,82 @@ def encode_polylines(scene: VectorizedScene, params, cfg: EncoderConfig) -> Enco
             raise ShapeMismatch(
                 f"agent vectors have width {vs.shape[1]}, expected {AGENT_VECTOR_WIDTH}"
             )
+    if np.shape(scene.surrounding_observed) != (len(scene.surrounding),):
+        raise ShapeMismatch(
+            f"surrounding_observed has shape {np.shape(scene.surrounding_observed)} "
+            f"for {len(scene.surrounding)} surrounding agents"
+        )
 
-    m = _encode_group(leaves, "map_enc", scene.map_polylines, MAP_VECTOR_WIDTH, cfg)
-    e = _encode_group(leaves, "agent_enc", [scene.target], AGENT_VECTOR_WIDTH, cfg)
-    o = _encode_group(leaves, "agent_enc", scene.surrounding, AGENT_VECTOR_WIDTH, cfg)
-    return EncodedScene(m=m, e=e, o=o)
+
+def encode_polylines(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig) -> EncodedScenes:
+    """Per-vector MLP over every vector of the batch, then a max-pool per polyline."""
+    leaves = _as_leaves(params)
+    if not scenes:
+        raise ShapeMismatch("need at least one scene")
+    for scene in scenes:
+        _check_scene(scene)
+    map_sets = [vs for s in scenes for vs in s.map_polylines]
+    agent_sets = [vs for s in scenes for vs in (s.target, *s.surrounding)]
+    pooled = ad.concat(
+        [
+            _encode_group(leaves, "map_enc", map_sets, cfg),
+            _encode_group(leaves, "agent_enc", agent_sets, cfg),
+            Var(np.zeros((1, cfg.hidden))),
+        ],
+        axis=0,
+    )
+    pad = len(map_sets) + len(agent_sets)  # the zero row
+    n_map = max(len(s.map_polylines) for s in scenes)
+    n_surr = max(len(s.surrounding) for s in scenes)
+    slots = np.full((len(scenes), n_map + 1 + n_surr), pad)
+    observed = np.zeros((len(scenes), n_surr), dtype=bool)
+    map_row, agent_row = 0, len(map_sets)
+    for b, s in enumerate(scenes):
+        n_b, m_b = len(s.map_polylines), 1 + len(s.surrounding)
+        slots[b, :n_b] = map_row + np.arange(n_b)
+        slots[b, n_map : n_map + m_b] = agent_row + np.arange(m_b)
+        observed[b, : m_b - 1] = s.surrounding_observed
+        map_row += n_b
+        agent_row += m_b
+    return EncodedScenes(ad.take_rows(pooled, slots), slots != pad, observed, n_map)
 
 
-def _encode_group(leaves, enc_name: str, vector_sets, width: int, cfg: EncoderConfig) -> Var:
+def _encode_group(leaves, enc_name: str, vector_sets, cfg: EncoderConfig) -> Var:
+    """One pooled row per vector set: one MLP pass over all their vectors, one segment max."""
     if not vector_sets:
         return Var(np.empty((0, cfg.hidden)))
-    stacked = ad.concat([Var(vs) for vs in vector_sets], axis=0)
-    features = _mlp(leaves, enc_name, stacked)
-    pooled = []
-    offset = 0
-    for vs in vector_sets:
-        rows = ad.narrow(features, 0, offset, len(vs))
-        pooled.append(ad.max_along(rows, axis=0, keepdims=True))
-        offset += len(vs)
-    return ad.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0]
+    lengths = [len(vs) for vs in vector_sets]
+    if min(lengths) == 0:
+        raise ShapeMismatch("a polyline has no vectors")
+    features = _mlp(leaves, enc_name, Var(np.concatenate(vector_sets, axis=0)))
+    return ad.segment_max(features, np.cumsum([0] + lengths[:-1]))
 
 
-def multi_head_attention(x: Var, leaves, prefix: str, cfg: EncoderConfig) -> Var:
-    """Scaled dot-product attention with a row-wise softmax, multi-head."""
-    q = ad.matmul(x, leaves[f"{prefix}.wq"])
-    k = ad.matmul(x, leaves[f"{prefix}.wk"])
-    v = ad.matmul(x, leaves[f"{prefix}.wv"])
+def multi_head_attention(x: Var, leaves, prefix: str, cfg: EncoderConfig, key_mask=None) -> Var:
+    """Scaled dot-product attention with a row-wise softmax, all heads in one batched product.
+
+    x is (..., N, hidden); `key_mask` (..., N) marks the tokens that may be
+    attended to (all when None), so masked tokens have no influence.
+    """
     d_k = cfg.hidden // cfg.n_heads
+    split = x.value.shape[:-1] + (cfg.n_heads, d_k)
+
+    def heads(proj: str) -> Var:  # (..., N, hidden) -> (..., n_heads, N, d_k)
+        return ad.swapaxes(ad.reshape(ad.matmul(x, leaves[f"{prefix}.{proj}"]), split), -3, -2)
+
+    q, k, v = heads("wq"), heads("wk"), heads("wv")
     scale = 1.0 / math.sqrt(d_k)
-    outputs = []
-    for h in range(cfg.n_heads):
-        qh = ad.narrow(q, 1, h * d_k, d_k)
-        kh = ad.narrow(k, 1, h * d_k, d_k)
-        vh = ad.narrow(v, 1, h * d_k, d_k)
-        scores = ad.softmax(ad.matmul(qh, ad.transpose(kh)) * scale, axis=-1)
-        outputs.append(ad.matmul(scores, vh))
-    return ad.concat(outputs, axis=1) if len(outputs) > 1 else outputs[0]
+    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[..., None, None, :]
+    scores = ad.softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale, axis=-1, mask=mask)
+    return ad.reshape(ad.swapaxes(ad.matmul(scores, v), -3, -2), x.value.shape)
 
 
-def self_attention_block(x: Var, params, cfg: EncoderConfig, prefix: str = "ctx.block0") -> Var:
+def self_attention_block(
+    x: Var, params, cfg: EncoderConfig, prefix: str = "ctx.block0", key_mask=None
+) -> Var:
     """LayerNorm(X + ReLU(MHA(X)))."""
     leaves = _as_leaves(params)
-    attended = ad.relu(multi_head_attention(x, leaves, prefix, cfg))
+    attended = ad.relu(multi_head_attention(x, leaves, prefix, cfg, key_mask))
     return ad.layer_norm(
         ad.add(x, attended), leaves[f"{prefix}.ln.g"], leaves[f"{prefix}.ln.b"]
     )
@@ -197,74 +245,63 @@ def self_attention_block(x: Var, params, cfg: EncoderConfig, prefix: str = "ctx.
 
 @dataclass
 class ContextOutputs:
-    """Target-row context feature and the mean-posterior parameters."""
+    """Target-token context features and the mean-posterior parameters."""
 
-    feature: Var  # (1, hidden)
-    eta: Var  # (C, 2), unconstrained target-frame meters
-    beta: Var  # (C,), strictly positive
+    feature: Var  # (B, hidden)
+    eta: Var  # (B, C, 2), unconstrained target-frame meters
+    beta: Var  # (B, C), strictly positive
 
 
-def context_attention(m: Var, e: Var, o: Var, params, cfg: EncoderConfig) -> ContextOutputs:
+def context_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> ContextOutputs:
     """Attend over [map; target; surrounding]; emit eta and beta per component."""
     leaves = _as_leaves(params)
-    x = ad.concat([m, e, o], axis=0)
+    x = enc.tokens
     for i in range(cfg.L_c):
-        x = self_attention_block(x, leaves, cfg, prefix=f"ctx.block{i}")
-    target_row = ad.narrow(x, 0, m.value.shape[0], 1)  # e's position in the concat
+        x = self_attention_block(x, leaves, cfg, f"ctx.block{i}", enc.valid)
+    target_row = _slot(x, enc.n_map)
     head = _mlp(leaves, "ctx_head", target_row)
-    eta = ad.reshape(ad.narrow(head, 1, 0, 2 * cfg.C), (cfg.C, 2))
-    beta_raw = ad.reshape(ad.narrow(head, 1, 2 * cfg.C, cfg.C), (cfg.C,))
-    beta = ad.softplus(beta_raw) + MIN_POSITIVE
+    batch = head.value.shape[:-1]
+    eta = ad.reshape(ad.narrow(head, -1, 0, 2 * cfg.C), batch + (cfg.C, 2))
+    beta = ad.softplus(ad.narrow(head, -1, 2 * cfg.C, cfg.C)) + MIN_POSITIVE
     return ContextOutputs(feature=target_row, eta=eta, beta=beta)
 
 
 @dataclass
 class InteractionOutputs:
-    """Target-row interaction feature and the precision-posterior parameters."""
+    """Target-token interaction features and the precision-posterior parameters."""
 
-    feature: Var  # (1, hidden)
-    chol: Var  # (C, 3) rows (l11, l21, l22) with positive diagonal
-    nu: Var  # (C,), always > 3
+    feature: Var  # (B, hidden)
+    chol: Var  # (B, C, 3) rows (l11, l21, l22) with positive diagonal
+    nu: Var  # (B, C), always > 3
 
 
-def interaction_attention(
-    e: Var, o: Var, mask: np.ndarray, params, cfg: EncoderConfig
-) -> InteractionOutputs:
+def interaction_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> InteractionOutputs:
     """Attend over [target; surrounding observed at the horizon].
 
-    `mask` marks which surrounding agents have a state at step H; the rest
-    are removed before attention and cannot influence the output.
+    Surrounding agents without a state at step H (False in `enc.observed`)
+    and padding are masked out of the keys and cannot influence the output.
     """
     leaves = _as_leaves(params)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.shape[0] != o.value.shape[0]:
-        raise ShapeMismatch(
-            f"mask covers {mask.shape[0]} agents but o has {o.value.shape[0]} rows"
-        )
-    kept = np.flatnonzero(mask)
-    o_masked = ad.take_rows(o, kept) if kept.size else Var(np.empty((0, cfg.hidden)))
-    x = ad.concat([e, o_masked], axis=0)
+    x = ad.narrow(enc.tokens, -2, enc.n_map, enc.tokens.value.shape[-2] - enc.n_map)
+    target = np.ones(enc.observed.shape[:-1] + (1,), dtype=bool)
+    key_mask = np.concatenate([target, enc.observed], axis=-1)
     for i in range(cfg.L_i):
-        x = self_attention_block(x, leaves, cfg, prefix=f"inter.block{i}")
-    target_row = ad.narrow(x, 0, 0, 1)
+        x = self_attention_block(x, leaves, cfg, f"inter.block{i}", key_mask)
+    target_row = _slot(x, 0)
     head = _mlp(leaves, "inter_head", target_row)
-    raw = ad.reshape(ad.narrow(head, 1, 0, 3 * cfg.C), (cfg.C, 3))
-    diag = ad.softplus(ad.narrow(raw, 1, 0, 1)) + MIN_POSITIVE  # l11
-    off = ad.narrow(raw, 1, 1, 1)  # l21, unconstrained
-    diag2 = ad.softplus(ad.narrow(raw, 1, 2, 1)) + MIN_POSITIVE  # l22
-    chol = ad.concat([diag, off, diag2], axis=1)
-    nu_raw = ad.reshape(ad.narrow(head, 1, 3 * cfg.C, cfg.C), (cfg.C,))
-    nu = ad.softplus(nu_raw) + NU_FLOOR
+    batch = head.value.shape[:-1]
+    raw = ad.reshape(ad.narrow(head, -1, 0, 3 * cfg.C), batch + (cfg.C, 3))
+    diag = ad.softplus(ad.narrow(raw, -1, 0, 1)) + MIN_POSITIVE  # l11
+    off = ad.narrow(raw, -1, 1, 1)  # l21, unconstrained
+    diag2 = ad.softplus(ad.narrow(raw, -1, 2, 1)) + MIN_POSITIVE  # l22
+    chol = ad.concat([diag, off, diag2], axis=-1)
+    nu = ad.softplus(ad.narrow(head, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR
     return InteractionOutputs(feature=target_row, chol=chol, nu=nu)
 
 
 def z_proxy_logits(context_feature: Var, params, cfg: EncoderConfig) -> Var:
-    """Pre-softmax assignment logits of the proxy head, shape (C,)."""
-    leaves = _as_leaves(params)
-    feature = context_feature
-    if feature.value.ndim == 1:
-        feature = ad.reshape(feature, (1, -1))
-    return ad.reshape(_mlp(leaves, "zproxy", feature), (cfg.C,))
+    """Pre-softmax assignment logits of the proxy head: (..., hidden) -> (..., C)."""
+    return _mlp(_as_leaves(params), "zproxy", context_feature)
 
 
 def z_proxy_forward(context_feature: Var, params, cfg: EncoderConfig) -> Var:
@@ -274,21 +311,26 @@ def z_proxy_forward(context_feature: Var, params, cfg: EncoderConfig) -> Var:
 
 @dataclass
 class SpatialForward:
-    """Everything one forward pass of the spatial model produces."""
+    """Everything one forward pass of the spatial model produces.
 
-    eta: Var  # (C, 2)
-    beta: Var  # (C,)
-    chol: Var  # (C, 3) Cholesky rows of V_c
-    nu: Var  # (C,)
+    Shapes are for a batch of B scenes; a forward of one `VectorizedScene`
+    drops the batch axis, except from `context_feature`, which is (1, hidden).
+    """
+
+    eta: Var  # (B, C, 2)
+    beta: Var  # (B, C)
+    chol: Var  # (B, C, 3) Cholesky rows of V_c
+    nu: Var  # (B, C)
     prior_eta: Var  # (2,)
     prior_beta: Var  # scalar, shape (1,)
     prior_chol: Var  # (3,)
     prior_nu: Var  # scalar, shape (1,)
-    context_feature: Var  # (1, hidden): context + interaction target rows
-    weights_logits: Var  # (C,) pre-softmax proxy logits
-    weights: Var  # (C,) z-proxy simplex
+    context_feature: Var  # (B, hidden): context + interaction target rows
+    weights_logits: Var  # (B, C) pre-softmax proxy logits
+    weights: Var  # (B, C) z-proxy simplex
 
     def mixture(self) -> MixturePosterior:
+        """The mixture posterior of a one-scene forward."""
         comps = []
         eta = self.eta.value
         beta = self.beta.value
@@ -321,30 +363,37 @@ def prior_vars(leaves) -> tuple[Var, Var, Var, Var]:
     return leaves["prior.eta"], beta, chol, nu
 
 
-def forward_spatial(scene: VectorizedScene, params, cfg: EncoderConfig) -> SpatialForward:
-    """Full spatial pass: encoders, both attention modules, proxy, prior."""
+def forward_spatial(
+    scenes: VectorizedScene | Sequence[VectorizedScene], params, cfg: EncoderConfig
+) -> SpatialForward:
+    """Full spatial pass over a batch of scenes: encoders, both attention modules, proxy, prior.
+
+    One `VectorizedScene` is a batch of one whose outputs drop the batch
+    axis. A `ParamTape` runs on constants; a leaves mapping records the graph.
+    """
+    single = isinstance(scenes, VectorizedScene)
     leaves = _as_leaves(params)
-    encoded = encode_polylines(scene, leaves, cfg)
-    ctx = context_attention(encoded.m, encoded.e, encoded.o, leaves, cfg)
-    inter = interaction_attention(
-        encoded.e, encoded.o, scene.surrounding_observed, leaves, cfg
-    )
+    encoded = encode_polylines([scenes] if single else scenes, leaves, cfg)
+    ctx = context_attention(encoded, leaves, cfg)
+    inter = interaction_attention(encoded, leaves, cfg)
     combined = ad.add(ctx.feature, inter.feature)
-    logits = z_proxy_logits(combined, leaves, cfg)
-    weights = ad.softmax(logits, axis=-1)
+    per_scene = (ctx.eta, ctx.beta, inter.chol, inter.nu, z_proxy_logits(combined, leaves, cfg))
+    if single:
+        per_scene = tuple(ad.reshape(x, x.value.shape[1:]) for x in per_scene)
+    eta, beta, chol, nu, logits = per_scene
     p_eta, p_beta, p_chol, p_nu = prior_vars(leaves)
     return SpatialForward(
-        eta=ctx.eta,
-        beta=ctx.beta,
-        chol=inter.chol,
-        nu=inter.nu,
+        eta=eta,
+        beta=beta,
+        chol=chol,
+        nu=nu,
         prior_eta=p_eta,
         prior_beta=p_beta,
         prior_chol=p_chol,
         prior_nu=p_nu,
         context_feature=combined,
         weights_logits=logits,
-        weights=weights,
+        weights=ad.softmax(logits, axis=-1),
     )
 
 

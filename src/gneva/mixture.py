@@ -95,14 +95,16 @@ def elbo_terms(
     - sum_c E_q KL(q(mu_c | Lambda_c) || p(mu | Lambda))
     - sum_c KL(q(Lambda_c) || p(Lambda)) - KL(q(z) || prior_pi),
     with q(z) the optimal responsibilities under mixing coefficients pi.
+    Sums run over the last (component) axis, so a batch of B mixtures with
+    goals (B, 2) gives B bounds and responsibilities (B, C).
     """
     emission, log_w, resp = responsibilities(g, q, log_pi)
     log_prior_pi = np.where(resp.value > 0.0, log_prior_pi, 0.0)  # 0 log(0 / pi_c) = 0 at pi_c = 0
-    kl_z = ad.vsum(ad.mul(resp, log_w - ad.logsumexp(log_w) - log_prior_pi))
+    kl_z = ad.vsum(ad.mul(resp, log_w - ad.logsumexp(log_w) - log_prior_pi), axis=-1)
     bound = (
-        ad.vsum(ad.mul(resp, emission))
-        - ad.vsum(q.kl_mean_given_precision(prior))
-        - ad.vsum(q.kl_wishart(prior))
+        ad.vsum(ad.mul(resp, emission), axis=-1)
+        - ad.vsum(q.kl_mean_given_precision(prior), axis=-1)
+        - ad.vsum(q.kl_wishart(prior), axis=-1)
         - kl_z
     )
     return bound, resp

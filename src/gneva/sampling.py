@@ -101,6 +101,16 @@ def circle_iou(p1, p2, r: float) -> float:
     return float(circle_iou_from_distance(np.array([d]), r)[0])
 
 
+_NMS_BLOCK = 256  # candidates per block of the lazy scan in `nms_select`
+
+
+def _clear_of(points: np.ndarray, goals: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """True for each point (n, 2) whose circle IoU with every goal (m, 2) is at most the threshold."""
+    diff = points[:, None, :] - goals[None, :, :]
+    iou = circle_iou_from_distance(np.hypot(diff[..., 0], diff[..., 1]), cfg.radius)
+    return (iou <= cfg.iou_threshold).all(axis=1)
+
+
 def nms_select(
     candidates: CandidatePool | list[ScoredCandidate], cfg: NmsConfig, k: int | None = None
 ) -> list[ScoredCandidate]:
@@ -110,20 +120,31 @@ def nms_select(
     when its circle IoU with an already selected candidate strictly exceeds
     the threshold. Goals come back in non-increasing log density, ties in
     input order; from a list, they are the caller's own objects.
+
+    The sorted pool is scanned lazily in blocks of `_NMS_BLOCK`: a block is
+    tested only against the goals selected so far, then selected from in
+    order, so a scan that reaches k goals never touches the rest.
     """
     if len(candidates) == 0:
         raise EmptyCandidatePool("no candidates to select from")
     pool = candidates
     if not isinstance(pool, CandidatePool):
         pool = CandidatePool(np.stack([c.location for c in pool]), [c.log_prob for c in pool])
+    locations = pool.locations
     # Stable sort keeps input order among equal probabilities.
-    rest = np.argsort(-pool.log_probs, kind="stable")
+    order = np.argsort(-pool.log_probs, kind="stable")
+    limit = len(order) if k is None else k
     selected: list[int] = []
-    while rest.size and (k is None or len(selected) < k):
-        best, rest = rest[0], rest[1:]
-        selected.append(best)
-        d = np.hypot(*(pool.locations[rest] - pool.locations[best]).T)
-        rest = rest[circle_iou_from_distance(d, cfg.radius) <= cfg.iou_threshold]
+    for start in range(0, len(order), _NMS_BLOCK):
+        if len(selected) >= limit:
+            break
+        block = order[start : start + _NMS_BLOCK]
+        if selected:
+            block = block[_clear_of(locations[block], locations[selected], cfg)]
+        while block.size and len(selected) < limit:
+            best, block = block[0], block[1:]
+            selected.append(best)
+            block = block[_clear_of(locations[block], locations[best][None], cfg)]
     return [candidates[i] for i in selected]
 
 

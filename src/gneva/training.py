@@ -104,10 +104,12 @@ def adamw_step(tape: ParamTape, opt: OptimizerState, lr: float, cfg: TrainConfig
 
 @dataclass
 class SceneLossTerms:
+    """Per-scene loss terms: shape (B,) for a batched forward, scalars for one scene."""
+
     loss: Var
-    elbo: float
-    cross_entropy: float
-    responsibilities: np.ndarray
+    elbo: float | np.ndarray
+    cross_entropy: float | np.ndarray
+    responsibilities: np.ndarray  # (B, C), or (C,) for one scene
 
 
 def spatial_scene_loss(
@@ -116,28 +118,29 @@ def spatial_scene_loss(
     lambda_z: float,
     q_target: np.ndarray | None = None,
 ) -> SceneLossTerms:
-    """-ELBO + lambda_z * CE for one scene, built on the gradient tape.
+    """-ELBO + lambda_z * CE per scene, built on the gradient tape.
 
-    The ELBO uses the optimal softmax responsibilities; the cross-entropy
-    trains the proxy head against those responsibilities as a constant
-    target (pass `q_target` to pin the constant explicitly, e.g. when
-    cross-checking gradients against finite differences of this loss).
+    `goal` is (B, 2) for a batched forward and (2,) for one scene. The ELBO
+    uses the optimal softmax responsibilities; the cross-entropy trains the
+    proxy head against those responsibilities as a constant target (pass
+    `q_target` to pin the constant explicitly, e.g. when cross-checking
+    gradients against finite differences of this loss).
     """
     q = NormalWishartArrays(fw.eta, fw.beta, fw.chol, fw.nu)
     prior = NormalWishartArrays(fw.prior_eta, fw.prior_beta, fw.prior_chol, fw.prior_nu)
-    c = fw.eta.value.shape[0]
+    c = fw.eta.value.shape[-2]
     log_uniform = np.full(c, -math.log(c))  # mixing coefficients and their prior
     elbo, resp = elbo_terms(goal, q, prior, log_uniform, log_uniform)
 
     target = Var(resp.value.copy() if q_target is None else np.asarray(q_target, dtype=float))
     log_weights = fw.weights_logits - ad.logsumexp(fw.weights_logits)
-    cross_entropy = -ad.vsum(ad.mul(target, log_weights))
+    cross_entropy = -ad.vsum(ad.mul(target, log_weights), axis=-1)
 
     loss = -elbo + lambda_z * cross_entropy
     return SceneLossTerms(
         loss=loss,
-        elbo=float(elbo.value),
-        cross_entropy=float(cross_entropy.value),
+        elbo=elbo.value[()],  # a float for one scene, the (B,) array for a batch
+        cross_entropy=cross_entropy.value[()],
         responsibilities=resp.value.copy(),
     )
 
@@ -157,31 +160,45 @@ def huber(residual: Var, delta: float = 1.0) -> Var:
 
 @dataclass
 class TrainHistory:
-    """Per-step loss records; spatial runs also log the ELBO and CE means."""
+    """Per-step records: loss and the global gradient norm; spatial runs also
+    log the ELBO and CE means and each component's mean responsibility."""
 
     rows: list[dict] = field(default_factory=list)
 
-    def add(self, step: int, lr: float, loss: float, elbo=None, ce=None):
-        self.rows.append({"step": step, "lr": lr, "loss": loss, "elbo": elbo, "ce": ce})
+    def add(self, step: int, lr: float, loss: float, elbo=None, ce=None, grad_norm=None, usage=None):
+        self.rows.append(
+            {"step": step, "lr": lr, "loss": loss, "elbo": elbo, "ce": ce,
+             "grad_norm": grad_norm, "usage": usage}
+        )
 
     @property
     def losses(self) -> list[float]:
         return [r["loss"] for r in self.rows]
 
     def write_csv(self, path) -> None:
+        n_usage = max((len(r["usage"]) for r in self.rows if r["usage"] is not None), default=0)
+
+        def fmt(x):
+            return "" if x is None else f"{x:.10g}"
+
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "lr", "loss", "elbo", "ce"])
+            writer.writerow(
+                ["step", "lr", "loss", "elbo", "ce", "grad_norm"]
+                + [f"usage_{c}" for c in range(n_usage)]
+            )
             for r in self.rows:
+                usage = [None] * n_usage if r["usage"] is None else list(r["usage"])
                 writer.writerow(
-                    [
-                        r["step"],
-                        f"{r['lr']:.10g}",
-                        f"{r['loss']:.10g}",
-                        "" if r["elbo"] is None else f"{r['elbo']:.10g}",
-                        "" if r["ce"] is None else f"{r['ce']:.10g}",
-                    ]
+                    [r["step"]]
+                    + [fmt(r[key]) for key in ("lr", "loss", "elbo", "ce", "grad_norm")]
+                    + [fmt(u) for u in usage]
                 )
+
+
+def grad_norm(tape: ParamTape) -> float:
+    """Global L2 norm of the tape's accumulated gradients."""
+    return math.sqrt(sum(float(np.vdot(g, g)) for g in tape.grads.values()))
 
 
 def _plan_steps(n_scenes: int, cfg: TrainConfig) -> tuple[int, int]:
@@ -250,60 +267,66 @@ def train_spatial(
     goals, so the component means start spread over the goals rather than
     all at one point, where one component would take every goal.
     """
-    scenes = [(s.scenario_id, vectorize(s, enc_cfg), s.goal()) for s in dataset]
-    total_steps, _ = _plan_steps(len(scenes), cfg)
-    goals = np.stack([goal for _, _, goal in scenes])
+    ids = [s.scenario_id for s in dataset]
+    vectors = [vectorize(s, enc_cfg) for s in dataset]
+    goals = np.stack([s.goal() for s in dataset])
+    total_steps, _ = _plan_steps(len(dataset), cfg)
     centres = kmeans_centres(goals, enc_cfg.C, np.random.default_rng(cfg.seed))
     tape.params["ctx_head.l2.b"][: 2 * enc_cfg.C] = centres.reshape(-1)
     opt = OptimizerState.for_tape(tape)
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
-    batch_iter = _batches(len(scenes), cfg.batch_size, rng)
+    batch_iter = _batches(len(dataset), cfg.batch_size, rng)
     for step in range(1, total_steps + 1):
         batch = next(batch_iter)
         tape.zero_grads()
         leaves = tape.leaves()
-        loss_nodes = []
-        elbo_sum = 0.0
-        ce_sum = 0.0
-        for idx in batch:
-            scenario_id, vs, goal = scenes[idx]
-            fw = forward_spatial(vs, leaves, enc_cfg)
-            terms = spatial_scene_loss(goal, fw, cfg.lambda_z)
-            if not math.isfinite(float(terms.loss.value)):
-                raise NonFiniteLoss(
-                    f"non-finite spatial loss at step {step}", scenario_id=scenario_id
-                )
-            loss_nodes.append(terms.loss)
-            elbo_sum += terms.elbo
-            ce_sum += terms.cross_entropy
-        batch_loss = ad.concat([ad.reshape(n, (1,)) for n in loss_nodes], axis=0)
-        batch_loss = ad.vmean(batch_loss)
+        fw = forward_spatial([vectors[i] for i in batch], leaves, enc_cfg)
+        terms = spatial_scene_loss(goals[batch], fw, cfg.lambda_z)
+        _check_finite(terms.loss.value, [ids[i] for i in batch], f"spatial loss at step {step}")
+        batch_loss = ad.vmean(terms.loss)
         backward(batch_loss)
         tape.accumulate_grads(leaves)
         lr = lr_schedule(step, total_steps, cfg)
+        norm = grad_norm(tape)
         adamw_step(tape, opt, lr, cfg)
         history.add(
             step,
             lr,
             float(batch_loss.value),
-            elbo=elbo_sum / len(batch),
-            ce=ce_sum / len(batch),
+            elbo=float(terms.elbo.mean()),
+            ce=float(terms.cross_entropy.mean()),
+            grad_norm=norm,
+            usage=terms.responsibilities.mean(axis=0),
         )
     tape.grads.clear()  # a trained model needs no accumulators; they would double its memory
     return tape, history
 
 
+def _check_finite(values: np.ndarray, scenario_ids: list[str], what: str) -> None:
+    """Raise NonFiniteLoss naming the first scene whose row of `values` is not finite."""
+    finite = np.isfinite(values.reshape(len(scenario_ids), -1)).all(axis=1)
+    if not finite.all():
+        raise NonFiniteLoss(f"non-finite {what}", scenario_id=scenario_ids[int(np.argmin(finite))])
+
+
+_CONTEXT_CHUNK = 16  # scenes per batched forward: as fast as larger chunks, a fraction of the memory
+
+
 def spatial_context_features(
     dataset: list[Scenario], spatial_tape: ParamTape, enc_cfg: EncoderConfig
-) -> list[np.ndarray]:
-    """Frozen-tape context features for trajectory training and inference."""
-    leaves = spatial_tape.leaves()
-    out = []
-    for s in dataset:
-        fw = forward_spatial(vectorize(s, enc_cfg), leaves, enc_cfg)
-        out.append(fw.context_feature.value.copy())
-    return out
+) -> np.ndarray:
+    """Frozen-tape context features (n, hidden) for trajectory training.
+
+    One batched forward per `_CONTEXT_CHUNK` scenes: a single forward over
+    500 scenes would hold the intermediates of 40k map vectors at once
+    (over 200 MiB).
+    """
+    vectors = [vectorize(s, enc_cfg) for s in dataset]
+    return np.concatenate([
+        forward_spatial(vectors[i : i + _CONTEXT_CHUNK], spatial_tape, enc_cfg).context_feature.value
+        for i in range(0, len(vectors), _CONTEXT_CHUNK)
+    ])
 
 
 def train_trajectory(
@@ -316,35 +339,29 @@ def train_trajectory(
     """Train the trajectory head, teacher-forced on ground-truth goals."""
     contexts = spatial_context_features(dataset, spatial_tape, enc_cfg)
     horizon = dataset[0].T
-    scenes = []
-    for s, ctx in zip(dataset, contexts):
-        if s.T != horizon:
-            raise ValidationError("trajectory training needs a homogeneous prediction horizon")
-        scenes.append((s.scenario_id, ctx, s.goal(), s.future_waypoints()))
-    total_steps, _ = _plan_steps(len(scenes), cfg)
+    if any(s.T != horizon for s in dataset):
+        raise ValidationError("trajectory training needs a homogeneous prediction horizon")
+    ids = [s.scenario_id for s in dataset]
+    goals = np.stack([s.goal() for s in dataset])
+    futures = np.stack([s.future_waypoints() for s in dataset])
+    total_steps, _ = _plan_steps(len(dataset), cfg)
     opt = OptimizerState.for_tape(traj_tape)
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
-    batch_iter = _batches(len(scenes), cfg.batch_size, rng)
+    batch_iter = _batches(len(dataset), cfg.batch_size, rng)
     for step in range(1, total_steps + 1):
         batch = next(batch_iter)
         traj_tape.zero_grads()
         leaves = traj_tape.leaves()
-        loss_nodes = []
-        for idx in batch:
-            scenario_id, ctx, goal, future = scenes[idx]
-            pred = trajectory_forward(Var(ctx), goal, leaves, enc_cfg, horizon)
-            node = huber(ad.sub(pred, Var(future)), delta=1.0)
-            if not math.isfinite(float(node.value)):
-                raise NonFiniteLoss(
-                    f"non-finite trajectory loss at step {step}", scenario_id=scenario_id
-                )
-            loss_nodes.append(node)
-        batch_loss = ad.vmean(ad.concat([ad.reshape(n, (1,)) for n in loss_nodes], axis=0))
+        pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves, enc_cfg, horizon)
+        residual = ad.sub(pred, Var(futures[batch]))
+        _check_finite(residual.value, [ids[i] for i in batch], f"trajectory loss at step {step}")
+        batch_loss = huber(residual, delta=1.0)
         backward(batch_loss)
         traj_tape.accumulate_grads(leaves)
         lr = lr_schedule(step, total_steps, cfg)
+        norm = grad_norm(traj_tape)
         adamw_step(traj_tape, opt, lr, cfg)
-        history.add(step, lr, float(batch_loss.value))
+        history.add(step, lr, float(batch_loss.value), grad_norm=norm)
     traj_tape.grads.clear()
     return traj_tape, history

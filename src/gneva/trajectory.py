@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import RigidTransform, Scenario, vectorize
-from .encoders import EncoderConfig, _mlp, forward_spatial
+from .encoders import EncoderConfig, _as_leaves, _mlp, forward_spatial
 from .errors import ValidationError
 from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
 
@@ -19,23 +19,30 @@ from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
 def trajectory_forward(
     context_feature: Var, goal, params, cfg: EncoderConfig, horizon: int
 ) -> Var:
-    """Waypoints from [context; goal] through two MLPs; endpoint pinned to goal."""
-    leaves = params.leaves() if isinstance(params, ParamTape) else params
-    goal = np.asarray(goal, dtype=float).reshape(2)
+    """Waypoints from [context; goal] through two MLPs; endpoint pinned to goal.
+
+    Contexts (B, hidden) and goals (B, 2) give waypoints (B, T, 2); one goal
+    (2,) with a context (hidden,) or (1, hidden) gives (T, 2). A `ParamTape`
+    runs on constants, so inference records no graph.
+    """
+    leaves = _as_leaves(params)
+    goal = np.asarray(goal, dtype=float)
+    goals = goal.reshape(-1, 2)
     feature = context_feature
     if feature.value.ndim == 1:
         feature = ad.reshape(feature, (1, -1))
-    x = ad.concat([feature, Var(goal.reshape(1, 2))], axis=1)
+    x = ad.concat([feature, Var(goals)], axis=1)
     h = _mlp(leaves, "traj.m1", x)
-    out = ad.reshape(_mlp(leaves, "traj.m2", h), (horizon, 2))
+    out = ad.reshape(_mlp(leaves, "traj.m2", h), (len(goals), horizon, 2))
     # Hard endpoint constraint: the last waypoint is the conditioning goal.
-    return ad.concat([ad.narrow(out, 0, 0, horizon - 1), Var(goal.reshape(1, 2))], axis=0)
+    out = ad.concat([ad.narrow(out, 1, 0, horizon - 1), Var(goals[:, None, :])], axis=1)
+    return out if goal.ndim == 2 else ad.reshape(out, (horizon, 2))
 
 
 def complete_trajectory(
     context_feature: np.ndarray, goal, tape: ParamTape, cfg: EncoderConfig, horizon: int
 ) -> np.ndarray:
-    """Inference-time completion; returns a (T, 2) array in the target frame."""
+    """Inference-time completion in the target frame: (T, 2) for one goal, (B, T, 2) for goals (B, 2)."""
     node = trajectory_forward(Var(np.asarray(context_feature, dtype=float)), goal, tape, cfg, horizon)
     return node.value.copy()
 
@@ -78,13 +85,12 @@ def predict_topk(
     region = scene_region(scenario)
     candidates = generate_candidates(mix, weights, region, spacing)
     selected = nms_select(candidates, nms_cfg, nms_cfg.k)
-    context = fw.context_feature.value
+    contexts = np.repeat(fw.context_feature.value, len(selected), axis=0)
+    goals = np.stack([c.location for c in selected])
+    waypoints = complete_trajectory(contexts, goals, traj_tape, enc_cfg, scenario.T)
     return [
-        PredictedTrajectory(
-            waypoints=complete_trajectory(context, c.location, traj_tape, enc_cfg, scenario.T),
-            goal_log_prob=c.log_prob,
-        )
-        for c in selected
+        PredictedTrajectory(waypoints=wp, goal_log_prob=c.log_prob)
+        for wp, c in zip(waypoints, selected)
     ]
 
 

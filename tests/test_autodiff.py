@@ -27,7 +27,23 @@ def analytic_grad(op, x):
     return v.grad
 
 
+_CONST = np.random.default_rng(100)
+_W = _CONST.normal(size=(4, 5))  # a weight shared by every batch entry
+_X = _CONST.normal(size=(2, 3, 4))
+_B = _CONST.normal(size=(2, 3, 5, 2))  # a batched right operand
+_ROWS = np.array([[0, 2, 2], [1, 0, 2]])  # a 2-D gather that repeats rows
+_MASK = np.array([[True, False, True, True, False]] * 2 + [[False, False, False, True, False]])
+
 OPS = {
+    "matmul_shared_weight_lhs": (lambda v: ad.matmul(v, Var(_W)), lambda rng: rng.normal(size=(2, 3, 4))),
+    "matmul_shared_weight_rhs": (lambda v: ad.matmul(Var(_X), v), lambda rng: rng.normal(size=(4, 5))),
+    "matmul_batched_lhs": (lambda v: ad.matmul(v, Var(_B)), lambda rng: rng.normal(size=(2, 3, 4, 5))),
+    "matmul_batched_rhs": (lambda v: ad.matmul(Var(_X[:, None]), v), lambda rng: rng.normal(size=(2, 3, 4, 6))),
+    "swapaxes": (lambda v: ad.swapaxes(v, -3, -1), lambda rng: rng.normal(size=(2, 3, 4))),
+    "take_rows_2d": (lambda v: ad.take_rows(v, _ROWS), lambda rng: rng.normal(size=(3, 4))),
+    "segment_max": (lambda v: ad.segment_max(v, [0, 2, 3]), lambda rng: rng.normal(size=(6, 4))),
+    "masked_softmax": (lambda v: ad.softmax(v, mask=_MASK), lambda rng: rng.normal(size=(3, 5))),
+    "logsumexp_rows": (ad.logsumexp, lambda rng: rng.normal(size=(3, 5), scale=3.0)),
     "relu": (ad.relu, lambda rng: rng.normal(size=(4, 5)) + 0.05),
     "softplus": (ad.softplus, lambda rng: rng.normal(size=(3, 4), scale=3.0)),
     "exp": (ad.vexp, lambda rng: rng.normal(size=7)),
@@ -46,7 +62,7 @@ class TestElementwiseOps:
         op, make = OPS[name]
         rng = np.random.default_rng(hash(name) % 2**32)
         x = make(rng)
-        weights = rng.normal(size=x.shape)
+        weights = rng.normal(size=op(Var(x)).value.shape)
 
         def scalar_op(v):
             return ad.vsum(ad.mul(op(v), Var(weights)))
@@ -98,10 +114,28 @@ class TestStructuralOps:
         backward(ad.vsum(out))
         assert x.grad == pytest.approx(np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]))
 
-    def test_max_along_routes_to_argmax(self):
-        x = leaf(np.array([[1.0, 5.0, 3.0], [2.0, 2.0, 7.0]]))
-        backward(ad.vsum(ad.max_along(x, axis=1)))
-        assert x.grad == pytest.approx(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    def test_segment_max_routes_to_first_argmax(self):
+        x = leaf(np.array([[1.0, 5.0], [3.0, 5.0], [2.0, 0.0], [4.0, -1.0]]))
+        out = ad.segment_max(x, [0, 2, 3])
+        assert np.array_equal(out.value, [[3.0, 5.0], [2.0, 0.0], [4.0, -1.0]])
+        backward(ad.vsum(out))
+        assert x.grad == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
+
+    def test_masked_softmax_gives_masked_entries_no_mass(self):
+        x = leaf(np.array([[1.0, 50.0, 2.0], [0.5, 3.0, -1.0]]))
+        mask = np.array([True, False, True])
+        y = ad.softmax(x, mask=mask)
+        assert np.array_equal(y.value[:, 1], [0.0, 0.0])
+        assert np.allclose(y.value[:, [0, 2]], ad.softmax(Var(x.value[:, [0, 2]])).value, atol=1e-15)
+        backward(ad.vsum(ad.mul(y, Var(np.arange(6.0).reshape(2, 3)))))
+        assert np.array_equal(x.grad[:, 1], [0.0, 0.0])
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        x = leaf(np.array([1.0, 2.0]))
+        hidden = ad.mul(x, x)
+        backward(ad.vsum(hidden))
+        assert hidden.grad is None
+        assert x.grad == pytest.approx(np.array([2.0, 4.0]))
 
     def test_mean_and_reshape(self):
         x = leaf(np.arange(12.0).reshape(3, 4))

@@ -38,6 +38,14 @@ def scene():
     return vectorize(proj, CFG)
 
 
+def split_tokens(enc, b=0):
+    """Map, target and surrounding rows of scene b's valid token slots."""
+    tokens = enc.tokens.value[b]
+    n_surr = int(enc.valid[b, enc.n_map + 1 :].sum())
+    n_map = int(enc.valid[b, : enc.n_map].sum())
+    return tokens[:n_map], tokens[enc.n_map : enc.n_map + 1], tokens[enc.n_map + 1 : enc.n_map + 1 + n_surr]
+
+
 class TestConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValidationError):
@@ -46,18 +54,25 @@ class TestConfig:
 
 class TestEncodePolylines:
     def test_shapes(self, tape, scene):
-        enc = encode_polylines(scene, tape, CFG)
-        assert enc.m.value.shape == (len(scene.map_polylines), CFG.hidden)
-        assert enc.e.value.shape == (1, CFG.hidden)
-        assert enc.o.value.shape == (len(scene.surrounding), CFG.hidden)
+        enc = encode_polylines([scene], tape, CFG)
+        n_map, n_surr = len(scene.map_polylines), len(scene.surrounding)
+        assert enc.n_map == n_map
+        assert enc.tokens.value.shape == (1, n_map + 1 + n_surr, CFG.hidden)
+        m, e, o = split_tokens(enc)
+        assert m.shape == (n_map, CFG.hidden)
+        assert e.shape == (1, CFG.hidden)
+        assert o.shape == (n_surr, CFG.hidden)
+        assert enc.valid.all()
+        assert np.array_equal(enc.observed[0], scene.surrounding_observed)
 
     def test_empty_surrounding(self, tape):
         s = synth_generate(SynthConfig(n=1, seed=22), "straight")[0]
         proj, _ = to_target_frame(s)
         vs = vectorize(proj, CFG)
         assert len(vs.surrounding) == 0
-        enc = encode_polylines(vs, tape, CFG)
-        assert enc.o.value.shape == (0, CFG.hidden)
+        enc = encode_polylines([vs], tape, CFG)
+        assert split_tokens(enc)[2].shape == (0, CFG.hidden)
+        assert enc.observed.shape == (1, 0)
 
     def test_duplicated_polyline_duplicates_row(self, tape, scene):
         import dataclasses
@@ -65,8 +80,8 @@ class TestEncodePolylines:
         doubled = dataclasses.replace(
             scene, map_polylines=scene.map_polylines + [scene.map_polylines[0]]
         )
-        enc = encode_polylines(doubled, tape, CFG)
-        assert np.allclose(enc.m.value[0], enc.m.value[-1])
+        m = split_tokens(encode_polylines([doubled], tape, CFG))[0]
+        assert np.allclose(m[0], m[-1])
 
     def test_vector_permutation_invariance(self, tape, scene):
         import dataclasses
@@ -77,16 +92,27 @@ class TestEncodePolylines:
             scene,
             map_polylines=[scene.map_polylines[0][perm]] + scene.map_polylines[1:],
         )
-        a = encode_polylines(scene, tape, CFG)
-        b = encode_polylines(shuffled, tape, CFG)
-        assert np.allclose(a.m.value, b.m.value, atol=1e-12)
+        a = encode_polylines([scene], tape, CFG)
+        b = encode_polylines([shuffled], tape, CFG)
+        assert np.allclose(a.tokens.value, b.tokens.value, atol=1e-12)
 
     def test_wrong_width_rejected(self, tape, scene):
         import dataclasses
 
         bad = dataclasses.replace(scene, map_polylines=[np.zeros((3, 5))])
         with pytest.raises(ShapeMismatch):
-            encode_polylines(bad, tape, CFG)
+            encode_polylines([scene, bad], tape, CFG)
+
+    def test_padding_slots_are_zero_and_invalid(self, tape, scene):
+        straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
+        enc = encode_polylines([straight, scene], tape, CFG)
+        n_map, n_surr = len(scene.map_polylines), len(scene.surrounding)
+        assert enc.tokens.value.shape == (2, enc.n_map + 1 + n_surr, CFG.hidden)
+        assert enc.n_map == max(n_map, len(straight.map_polylines))
+        padding = ~enc.valid[0]
+        assert padding.sum() == enc.n_map - len(straight.map_polylines) + n_surr
+        assert np.all(enc.tokens.value[0][padding] == 0.0)
+        assert not enc.observed[0].any()
 
 
 class TestSelfAttentionBlock:
@@ -125,10 +151,10 @@ class TestSelfAttentionBlock:
 
 class TestContextAttention:
     def test_output_shapes_and_positivity(self, tape, scene):
-        enc = encode_polylines(scene, tape, CFG)
-        out = context_attention(enc.m, enc.e, enc.o, tape, CFG)
-        assert out.eta.value.shape == (CFG.C, 2)
-        assert out.beta.value.shape == (CFG.C,)
+        enc = encode_polylines([scene], tape, CFG)
+        out = context_attention(enc, tape, CFG)
+        assert out.eta.value.shape == (1, CFG.C, 2)
+        assert out.beta.value.shape == (1, CFG.C)
         assert np.all(out.beta.value > 0.0)
         assert out.feature.value.shape == (1, CFG.hidden)
 
@@ -137,44 +163,49 @@ class TestContextAttention:
         for name in t.params:
             if name.startswith("ctx_head"):
                 t.params[name][...] = -50.0
-        enc = encode_polylines(scene, t, CFG)
-        out = context_attention(enc.m, enc.e, enc.o, t, CFG)
+        enc = encode_polylines([scene], t, CFG)
+        out = context_attention(enc, t, CFG)
         assert np.all(out.beta.value > 0.0)
 
     def test_deterministic(self, tape, scene):
-        enc = encode_polylines(scene, tape, CFG)
-        a = context_attention(enc.m, enc.e, enc.o, tape, CFG).eta.value
-        enc2 = encode_polylines(scene, tape, CFG)
-        b = context_attention(enc2.m, enc2.e, enc2.o, tape, CFG).eta.value
+        enc = encode_polylines([scene], tape, CFG)
+        a = context_attention(enc, tape, CFG).eta.value
+        enc2 = encode_polylines([scene], tape, CFG)
+        b = context_attention(enc2, tape, CFG).eta.value
         assert np.array_equal(a, b)
 
 
 class TestInteractionAttention:
     def test_masked_agents_have_no_influence(self, tape, scene):
-        enc = encode_polylines(scene, tape, CFG)
-        n = enc.o.value.shape[0]
+        import dataclasses
+
+        enc = encode_polylines([scene], tape, CFG)
+        n = enc.observed.shape[1]
         assert n >= 1
-        mask = np.zeros(n, dtype=bool)  # mask out everything
-        base = interaction_attention(enc.e, enc.o, mask, tape, CFG)
-        poisoned = Var(enc.o.value + 1000.0)
-        alt = interaction_attention(enc.e, poisoned, mask, tape, CFG)
+        masked = dataclasses.replace(enc, observed=np.zeros_like(enc.observed))  # mask out everything
+        base = interaction_attention(masked, tape, CFG)
+        poisoned = enc.tokens.value.copy()
+        poisoned[:, enc.n_map + 1 :] += 1000.0
+        alt = interaction_attention(dataclasses.replace(masked, tokens=Var(poisoned)), tape, CFG)
         assert np.array_equal(base.chol.value, alt.chol.value)
         assert np.array_equal(base.nu.value, alt.nu.value)
 
     def test_spd_and_nu_floor_for_any_tape(self, scene):
+        import dataclasses
+
         t = init_spatial_params(CFG, seed=9)
         for name in t.params:
             if name.startswith("inter_head"):
                 t.params[name][...] = np.random.default_rng(10).normal(
                     scale=30.0, size=t.params[name].shape
                 )
-        enc = encode_polylines(scene, t, CFG)
+        enc = encode_polylines([scene], t, CFG)
         out = interaction_attention(
-            enc.e, enc.o, np.ones(enc.o.value.shape[0], bool), t, CFG
+            dataclasses.replace(enc, observed=np.ones_like(enc.observed)), t, CFG
         )
         chol = out.chol.value
-        assert np.all(chol[:, 0] > 0.0) and np.all(chol[:, 2] > 0.0)
-        dets = (chol[:, 0] * chol[:, 2]) ** 2
+        assert np.all(chol[..., 0] > 0.0) and np.all(chol[..., 2] > 0.0)
+        dets = (chol[..., 0] * chol[..., 2]) ** 2
         assert np.all(dets > 0.0)
         assert np.all(out.nu.value > 3.0)
 
@@ -246,6 +277,44 @@ class TestForwardSpatial:
         b = forward_spatial(scene, tape, CFG)
         assert np.array_equal(a.eta.value, b.eta.value)
         assert np.array_equal(a.weights.value, b.weights.value)
+
+    def test_padding_invariance(self, tape, scene):
+        # A scene's emitted parameters do not change when it is batched with
+        # scenes that have more polylines or more agents.
+        import dataclasses
+
+        straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
+        busier = dataclasses.replace(
+            scene,
+            map_polylines=scene.map_polylines + [p + 1.0 for p in scene.map_polylines],
+            surrounding=scene.surrounding + [scene.target + 2.0, scene.target - 3.0],
+            surrounding_observed=np.append(scene.surrounding_observed, [True, False]),
+        )
+        batch = [straight, busier, scene]
+        fw = forward_spatial(batch, tape, CFG)
+        assert fw.eta.value.shape == (3, CFG.C, 2)
+        assert fw.context_feature.value.shape == (3, CFG.hidden)
+        for b, vs in enumerate(batch):
+            one = forward_spatial(vs, tape, CFG)
+            for name in ("eta", "beta", "chol", "nu", "weights", "weights_logits"):
+                assert np.allclose(getattr(fw, name).value[b], getattr(one, name).value, rtol=0, atol=1e-12), name
+            assert np.allclose(fw.context_feature.value[b], one.context_feature.value[0], rtol=0, atol=1e-12)
+
+    def test_masked_agents_have_no_influence_in_a_batch(self, tape, scene):
+        import dataclasses
+
+        assert len(scene.surrounding) >= 1
+        straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
+        unseen = dataclasses.replace(scene, surrounding_observed=np.zeros(len(scene.surrounding), bool))
+        poisoned = dataclasses.replace(unseen, surrounding=[vs + 1000.0 for vs in unseen.surrounding])
+        base = forward_spatial([unseen, straight], tape, CFG)
+        alt = forward_spatial([poisoned, straight], tape, CFG)
+        # The interaction head only sees agents observed at step H.
+        assert np.array_equal(base.chol.value, alt.chol.value)
+        assert np.array_equal(base.nu.value, alt.nu.value)
+        # The other scene of the batch sees nothing of either.
+        for name in ("eta", "beta", "chol", "nu", "weights"):
+            assert np.array_equal(getattr(base, name).value[1], getattr(alt, name).value[1]), name
 
 
 class TestSerialization:

@@ -17,6 +17,7 @@ from gneva.training import (
     OptimizerState,
     TrainConfig,
     adamw_step,
+    grad_norm,
     huber,
     kmeans_centres,
     lr_schedule,
@@ -201,6 +202,45 @@ class TestSpatialSceneLoss:
         assert report.passed, report.failures[:3]
 
 
+class TestBatchedLoss:
+    def test_batch_equals_mean_of_batches_of_one(self):
+        tape = init_spatial_params(ENC, seed=6)
+        scenes = (
+            target_frame_scenes("turn", 2, 34)
+            + target_frame_scenes("straight", 2, 35)
+            + target_frame_scenes("merge", 2, 36)
+        )
+        vectors = [vectorize(s, ENC) for s in scenes]
+        goals = np.stack([s.goal() for s in scenes])
+
+        def grads_of(loss_fn):
+            tape.zero_grads()
+            leaves = tape.leaves()
+            loss = loss_fn(leaves)
+            ad.backward(loss)
+            tape.accumulate_grads(leaves)
+            return float(loss.value), {k: g.copy() for k, g in tape.grads.items()}
+
+        def batched(leaves):
+            terms = spatial_scene_loss(goals, forward_spatial(vectors, leaves, ENC), 1.0)
+            assert terms.loss.value.shape == (len(scenes),)
+            assert terms.responsibilities.shape == (len(scenes), ENC.C)
+            return ad.vmean(terms.loss)
+
+        def one_by_one(leaves):
+            losses = [
+                spatial_scene_loss(g, forward_spatial(v, leaves, ENC), 1.0).loss
+                for v, g in zip(vectors, goals)
+            ]
+            return ad.vmean(ad.concat([ad.reshape(x, (1,)) for x in losses], axis=0))
+
+        loss_b, grads_b = grads_of(batched)
+        loss_1, grads_1 = grads_of(one_by_one)
+        assert loss_b == pytest.approx(loss_1, rel=1e-10)
+        for name, g in grads_1.items():
+            assert np.allclose(grads_b[name], g, rtol=1e-10, atol=1e-10 * (np.abs(g).max() + 1e-300)), name
+
+
 class TestKmeansCentres:
     def test_two_separated_clusters(self):
         rng = np.random.default_rng(0)
@@ -258,8 +298,36 @@ class TestTrainingLoops:
         path = tmp_path / "history.csv"
         hist.write_csv(path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,lr,loss,elbo,ce"
+        usage = ",".join(f"usage_{c}" for c in range(ENC.C))
+        assert lines[0] == "step,lr,loss,elbo,ce,grad_norm," + usage
         assert len(lines) == 7
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert all(field != "" for field in first)
+
+    def test_history_tracks_gradient_norm_and_component_usage(self, tmp_path):
+        scenes = target_frame_scenes("straight", 16, 44)
+        cfg = TrainConfig(batch_size=16, warmup_steps=2, max_steps=4, seed=13, epochs=999)
+        spatial, hist = train_spatial(scenes, init_spatial_params(ENC, seed=5), cfg, ENC)
+        for row in hist.rows:
+            assert row["grad_norm"] > 0.0
+            assert row["usage"].shape == (ENC.C,)
+            assert row["usage"].sum() == pytest.approx(1.0, abs=1e-12)  # mean of simplex rows
+        traj = init_trajectory_params(ENC, horizon=scenes[0].T, seed=5)
+        _, traj_hist = train_trajectory(scenes, spatial, traj, cfg, ENC)
+        path = tmp_path / "traj.csv"
+        traj_hist.write_csv(path)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "step,lr,loss,elbo,ce,grad_norm"
+        step, _, _, elbo, ce, norm = lines[1].split(",")
+        assert (step, elbo, ce) == ("1", "", "") and float(norm) > 0.0
+
+
+class TestGradNorm:
+    def test_global_l2_norm(self):
+        tape = ParamTape()
+        tape.add_param("a", np.zeros(2))
+        tape.add_param("b", np.zeros((1, 2)))
+        tape.grads["a"][...] = [3.0, 0.0]
+        tape.grads["b"][...] = [[0.0, 4.0]]
+        assert grad_norm(tape) == 5.0
