@@ -276,18 +276,8 @@ def softplus(a: Var) -> Var:
     return _result(out_val, (a, lambda g: g * sig))
 
 
-def vexp(a: Var) -> Var:
-    e = np.exp(a.value)
-    return _result(e, (a, lambda g: g * e))
-
-
 def vlog(a: Var) -> Var:
     return _result(np.log(a.value), (a, lambda g: g / a.value))
-
-
-def vsqrt(a: Var) -> Var:
-    r = np.sqrt(a.value)
-    return _result(r, (a, lambda g: g * (0.5 / r)))
 
 
 def square(a: Var) -> Var:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -60,17 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
-
-
-def worker_count() -> int:
-    """Thread cap from GNEVA_THREADS; defaults to the logical core count."""
-    raw = os.environ.get("GNEVA_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ValidationError(f"GNEVA_THREADS must be an integer, got {raw!r}") from exc
-    return os.cpu_count() or 1
 
 
 def load_run_config(path: str | None, sets: list[str]) -> dict:
@@ -159,29 +146,20 @@ def cmd_predict(args, config) -> int:
     traj_tape, _, _ = load_trajectory_model(args.traj_model)
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
     paths = _load_scenario_paths(args.scenario)
-
-    def predict_one(path: Path):
+    out = Path(args.out)
+    one_file = len(paths) == 1 and not out.is_dir() and out.suffix == ".json"
+    if not one_file:
+        out.mkdir(parents=True, exist_ok=True)
+    for path in paths:
         scenario = load_scenario(path)
         projected, transform = to_target_frame(scenario)
         topk = predict_topk(
             projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing
         )
-        return scenario.scenario_id, predictions_to_world(topk, transform)
-
-    if len(paths) == 1:
-        results = [predict_one(paths[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(predict_one, paths))
-
-    out = Path(args.out)
-    if len(paths) == 1 and not out.is_dir() and out.suffix == ".json":
-        save_predictions(out, results[0][0], results[0][1])
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        for scenario_id, preds in results:
-            save_predictions(out / f"{scenario_id}.json", scenario_id, preds)
-    print(f"predicted {len(results)} scenario(s)")
+        sid = scenario.scenario_id
+        target = out if one_file else out / f"{sid}.json"
+        save_predictions(target, sid, predictions_to_world(topk, transform))
+    print(f"predicted {len(paths)} scenario(s)")
     return EXIT_OK
 
 
@@ -215,12 +193,11 @@ def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path)
     projected, transform = to_target_frame(scenario)
     fw = forward_spatial(vectorize(projected, enc_cfg), spatial_tape, enc_cfg)
     region = scene_region(projected)
-    pool = generate_candidates(fw.mixture(), fw.weights.value, region, spacing)
+    pool = generate_candidates(fw.mixture(scenario.scenario_id), fw.weights.value, region, spacing)
     world = transform.inverse().apply_points(pool.locations)
-    lines = ["x,y,log_density"]
-    for (wx, wy), lp in zip(world.tolist(), pool.log_probs.tolist()):
-        lines.append(f"{wx:.17g},{wy:.17g},{lp:.17g}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([world, pool.log_probs])
+    body = ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    Path(out_path).write_text("x,y,log_density\n" + body)
     return len(pool)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,6 +154,17 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+_STATE_FIELDS = operator.itemgetter("t", "x", "y", "heading", "vx", "vy")
+
+
+def _parse_states(raw) -> list[AgentState]:
+    """Agent states from their JSON objects, each object's six fields looked up in one call."""
+    return [
+        AgentState(int(t), float(x), float(y), float(heading), float(vx), float(vy))
+        for t, x, y, heading, vx, vy in map(_STATE_FIELDS, raw)
+    ]
+
+
 def load_scenario(path) -> Scenario:
     try:
         raw = Path(path).read_text()
@@ -174,21 +186,7 @@ def load_scenario(path) -> Scenario:
             T=int(doc["T"]),
             target_id=str(doc["target_id"]),
             agents=[
-                AgentTrack(
-                    id=str(a["id"]),
-                    kind=str(a["kind"]),
-                    states=[
-                        AgentState(
-                            t=int(s["t"]),
-                            x=float(s["x"]),
-                            y=float(s["y"]),
-                            heading=float(s["heading"]),
-                            vx=float(s["vx"]),
-                            vy=float(s["vy"]),
-                        )
-                        for s in a["states"]
-                    ],
-                )
+                AgentTrack(id=str(a["id"]), kind=str(a["kind"]), states=_parse_states(a["states"]))
                 for a in doc["agents"]
             ],
             map=[
@@ -196,7 +194,7 @@ def load_scenario(path) -> Scenario:
                 for p in doc["map"]
             ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
     return scenario.validate()
 
@@ -209,16 +207,12 @@ class RigidTransform:
     tx: float
     ty: float
 
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+    def _rotation(self) -> np.ndarray:
         c, s = math.cos(self.angle), math.sin(self.angle)
-        rot = np.array([[c, -s], [s, c]])
-        return pts @ rot.T + np.array([self.tx, self.ty])
+        return np.array([[c, -s], [s, c]])
 
-    def apply_vector(self, v: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        rot = np.array([[c, -s], [s, c]])
-        return np.asarray(v, dtype=float) @ rot.T
+    def apply_points(self, pts: np.ndarray) -> np.ndarray:
+        return np.asarray(pts, dtype=float) @ self._rotation().T + np.array([self.tx, self.ty])
 
     def inverse(self) -> "RigidTransform":
         c, s = math.cos(self.angle), math.sin(self.angle)
@@ -229,17 +223,23 @@ class RigidTransform:
         )
 
     def apply_scenario(self, s: Scenario) -> Scenario:
+        """The scenario with every state and polyline moved; headings turn by `angle`.
+
+        A track's positions and velocities are rotated as one stack of
+        (1, 2) @ (2, 2) products, which round like rotating each state
+        alone, so the result does not depend on how many states a track has.
+        """
+        rot_t = self._rotation().T
+        shift = np.array([self.tx, self.ty])
         agents = []
         for track in s.agents:
-            states = []
-            for st in track.states:
-                px, py = self.apply_points(np.array([[st.x, st.y]]))[0]
-                vx, vy = self.apply_vector(np.array([st.vx, st.vy]))
-                states.append(
-                    AgentState(
-                        t=st.t, x=px, y=py, heading=st.heading + self.angle, vx=vx, vy=vy
-                    )
-                )
+            rows = np.array([(st.x, st.y, st.vx, st.vy) for st in track.states], dtype=float)
+            moved = rows.reshape(-1, 2, 1, 2) @ rot_t
+            moved[:, 0, 0] += shift
+            states = [
+                AgentState(t=st.t, x=x, y=y, heading=st.heading + self.angle, vx=vx, vy=vy)
+                for st, (x, y, vx, vy) in zip(track.states, moved.reshape(-1, 4).tolist())
+            ]
             agents.append(AgentTrack(id=track.id, kind=track.kind, states=states))
         polylines = [
             MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
@@ -291,24 +291,24 @@ class VectorizedScene:
 
 
 def _track_vectors(track: AgentTrack, h: int) -> np.ndarray:
-    states = [s for s in track.states if s.t <= h]
-    kind_onehot = np.zeros(len(AGENT_KINDS))
-    kind_onehot[AGENT_KINDS.index(track.kind)] = 1.0
-    rows = []
-    for a, b in zip(states, states[1:]):
-        rows.append(
-            np.concatenate([[a.x, a.y, b.x, b.y, b.heading, b.vx, b.vy], kind_onehot])
-        )
-    if not rows:
-        return np.empty((0, AGENT_VECTOR_WIDTH))
-    return np.stack(rows)
+    """A row per consecutive pair of states up to step h: start, end, heading, velocity, kind."""
+    states = np.array(
+        [(s.x, s.y, s.heading, s.vx, s.vy) for s in track.states if s.t <= h], dtype=float
+    ).reshape(-1, 5)
+    rows = np.zeros((max(len(states) - 1, 0), AGENT_VECTOR_WIDTH))
+    rows[:, 0:2] = states[:-1, 0:2]
+    rows[:, 2:4] = states[1:, 0:2]
+    rows[:, 4:7] = states[1:, 2:5]
+    rows[:, 7 + AGENT_KINDS.index(track.kind)] = 1.0
+    return rows
 
 
 def _polyline_vectors(poly: MapPolyline) -> np.ndarray:
-    kind_onehot = np.zeros(len(MAP_KINDS))
-    kind_onehot[MAP_KINDS.index(poly.kind)] = 1.0
-    starts, ends = poly.points[:-1], poly.points[1:]
-    return np.hstack([starts, ends, np.tile(kind_onehot, (len(starts), 1))])
+    rows = np.zeros((max(len(poly.points) - 1, 0), MAP_VECTOR_WIDTH))
+    rows[:, 0:2] = poly.points[:-1]
+    rows[:, 2:4] = poly.points[1:]
+    rows[:, 4 + MAP_KINDS.index(poly.kind)] = 1.0
+    return rows
 
 
 def _nearest_first(vector_sets: list[np.ndarray], cap: int) -> list[np.ndarray]:

@@ -237,12 +237,6 @@ class NormalWishartArrays:
         eta, beta, chol, nu = zip(*((p.eta, p.beta, p.v.cholesky, p.nu) for p in params))
         return cls(Var(eta), Var(beta), Var(chol), Var(nu))
 
-    def take(self, rows) -> "NormalWishartArrays":
-        """Constant arrays of the chosen components."""
-        return NormalWishartArrays(
-            *(Var(x.value[rows]) for x in (self.eta, self.beta, self.chol, self.nu))
-        )
-
     def expected_log_det(self) -> Var:
         """E[log det Lambda] = log det V + psi_D(nu/2) + D log 2."""
         return self.log_det_v + self.psi2 + D * LOG_2
@@ -318,22 +312,37 @@ def kl_wishart(q: WishartParams, p: WishartParams) -> float:
     return float(qa.kl_wishart(pa).value[0])
 
 
-def student_t_log_density_table(xs, loc, shape, df) -> np.ndarray:
+def student_t_log_density_table(xs, loc, shape, df, ys=None) -> np.ndarray:
     """Log densities (C, n) of n points under C bivariate Student-t's.
 
-    xs (n, 2); loc (C, 2); shape (C, 3) holding each scale matrix's
-    entries (s11, s12, s22) in m^2; df (C,).
+    xs (n, 2); or, with ys given, xs (nx,) and ys (ny,) are the axes of the
+    grid of n = nx * ny points (x, y), x-major. loc (C, 2); shape (C, 3)
+    holding each scale matrix's entries (s11, s12, s22) in m^2; df (C,).
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    s11, s12, s22 = shape.T[:, :, None]
+    if ys is None:
+        xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+        x, y = xs[:, 0], xs[:, 1]
+    else:
+        x, y = np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
+    # Per-component parameters as (C, 1) or (C, 1, 1), to broadcast against x and y.
+    per_c = (-1,) + (1,) * x.ndim
+    s11, s12, s22 = (v.reshape(per_c) for v in shape.T)
     det = s11 * s22 - s12 * s12
     i11, i12, i22 = s22 / det, -s12 / det, s11 / det
-    dx = xs[:, 0] - loc[:, 0:1]
-    dy = xs[:, 1] - loc[:, 1:2]
-    maha = i11 * dx**2 + 2.0 * i12 * dx * dy + i22 * dy**2
-    df = df[:, None]
-    const = log_gamma(0.5 * (df + D)) - log_gamma(0.5 * df) - np.log(df * math.pi) - 0.5 * np.log(det)
-    return const - 0.5 * (df + D) * np.log1p(maha / df)
+    dx = x - loc[:, 0].reshape(per_c)
+    dy = y - loc[:, 1].reshape(per_c)
+    # i11 dx^2 + 2 i12 dx dy + i22 dy^2 - 0.5 (df + D) log1p(maha / df), summed in
+    # that order; on a grid, only the terms that mix dx and dy are (C, nx, ny).
+    out = 2.0 * i12 * dx * dy
+    out += i11 * dx**2
+    out += i22 * dy**2
+    df = df.reshape(per_c)
+    out /= df
+    np.log1p(out, out=out)
+    out *= 0.5 * (df + D)
+    lg_half_df_d, lg_half_df = log_gamma(np.stack([0.5 * (df + D), 0.5 * df]))
+    const = lg_half_df_d - lg_half_df - np.log(df * math.pi) - 0.5 * np.log(det)
+    return np.subtract(const, out, out=out).reshape(len(loc), -1)
 
 
 def student_t_log_densities(xs: np.ndarray, t: StudentTParams) -> np.ndarray:
@@ -345,16 +354,6 @@ def student_t_log_densities(xs: np.ndarray, t: StudentTParams) -> np.ndarray:
 def student_t_log_density(x, t: StudentTParams) -> float:
     """log density of the bivariate Student-t at a single point."""
     return float(student_t_log_densities(x, t)[0])
-
-
-def sample_student_t(t: StudentTParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw points from the bivariate Student-t (normal / sqrt(chi2/df))."""
-    l11, l21, l22 = t.shape.cholesky
-    z = rng.standard_normal((size, 2))
-    w = np.sqrt(rng.chisquare(t.df, size=size) / t.df)
-    x = z[:, 0] * l11
-    y = z[:, 0] * l21 + z[:, 1] * l22
-    return t.loc + np.stack([x, y], axis=1) / w[:, None]
 
 
 def predictive_student_t(q: NormalWishartArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

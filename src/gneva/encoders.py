@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import AGENT_VECTOR_WIDTH, MAP_VECTOR_WIDTH, VectorizedScene
 from .distributions import NormalWishartParams
-from .errors import ShapeMismatch, ValidationError
+from .errors import NotPositiveDefinite, ShapeMismatch, ValidationError
 from .mixture import MixturePosterior
 from .special_math import SPDMatrix2
 
@@ -304,11 +304,6 @@ def z_proxy_logits(context_feature: Var, params, cfg: EncoderConfig) -> Var:
     return _mlp(_as_leaves(params), "zproxy", context_feature)
 
 
-def z_proxy_forward(context_feature: Var, params, cfg: EncoderConfig) -> Var:
-    """Mixture-assignment proxy: MLP on the context feature, then softmax."""
-    return ad.softmax(z_proxy_logits(context_feature, params, cfg), axis=-1)
-
-
 @dataclass
 class SpatialForward:
     """Everything one forward pass of the spatial model produces.
@@ -329,16 +324,24 @@ class SpatialForward:
     weights_logits: Var  # (B, C) pre-softmax proxy logits
     weights: Var  # (B, C) z-proxy simplex
 
-    def mixture(self) -> MixturePosterior:
-        """The mixture posterior of a one-scene forward."""
+    def mixture(self, scenario_id: str | None = None) -> MixturePosterior:
+        """The mixture posterior of a one-scene forward.
+
+        A component outside its family raises the error of its parameter
+        check, prefixed with the component index and, when given, the scenario.
+        """
         comps = []
         eta = self.eta.value
         beta = self.beta.value
         chol = self.chol.value
         nu = self.nu.value
         for c in range(eta.shape[0]):
-            v = SPDMatrix2.from_cholesky(*chol[c])
-            comps.append(NormalWishartParams(eta=eta[c], beta=float(beta[c]), v=v, nu=float(nu[c])))
+            try:
+                v = SPDMatrix2.from_cholesky(*chol[c])
+                comps.append(NormalWishartParams(eta=eta[c], beta=float(beta[c]), v=v, nu=float(nu[c])))
+            except (NotPositiveDefinite, ValidationError) as exc:
+                where = f"scenario {scenario_id!r}: " if scenario_id is not None else ""
+                raise type(exc)(f"{where}emitted mixture component {c} is out of family: {exc}") from exc
         return MixturePosterior.uniform(comps)
 
     def prior(self) -> NormalWishartParams:

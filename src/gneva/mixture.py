@@ -131,12 +131,17 @@ def predictive_log_density(g_star, mix: MixturePosterior, weights) -> float:
     return float(predictive_log_densities(g_star, mix, weights)[0])
 
 
-def predictive_log_densities(points, mix: MixturePosterior, weights) -> np.ndarray:
-    """Predictive mixture log density over points (n, 2); zero-weight components may have any nu."""
+def predictive_log_densities(points, mix: MixturePosterior, weights, ys=None) -> np.ndarray:
+    """Predictive mixture log density over points (n, 2); zero-weight components may have any nu.
+
+    With ys given, points (nx,) and ys (ny,) are the axes of an x-major grid
+    (see `student_t_log_density_table`).
+    """
     weights = _check_weights(weights, mix.n_components)
     live = np.flatnonzero(weights)
-    loc, shape, df = predictive_student_t(NormalWishartArrays.stack(mix.components).take(live))
-    logs = np.log(weights[live])[:, None] + student_t_log_density_table(points, loc, shape, df)
+    loc, shape, df = predictive_student_t(NormalWishartArrays.stack([mix.components[c] for c in live]))
+    logs = student_t_log_density_table(points, loc, shape, df, ys)
+    logs += np.log(weights[live])[:, None]
     return log_sum_exp(logs, axis=0)
 
 

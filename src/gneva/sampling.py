@@ -30,7 +30,7 @@ class ScoredCandidate:
         loc = np.asarray(self.location, dtype=float).reshape(2)
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "log_prob", float(self.log_prob))
-        if not (np.all(np.isfinite(loc)) and math.isfinite(self.log_prob)):
+        if not (np.isfinite(loc).all() and math.isfinite(self.log_prob)):
             raise ValidationError(f"candidate must be finite, got {loc}, {self.log_prob}")
 
 
@@ -85,7 +85,7 @@ def circle_iou_from_distance(d: np.ndarray, r: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     out = np.zeros_like(d)
     overlapping = d < 2.0 * r
-    if np.any(overlapping):
+    if overlapping.any():
         area = _lens_area(d[overlapping], r)
         out[overlapping] = np.clip(area / (2.0 * math.pi * r * r - area), 0.0, 1.0)
     return out
@@ -101,7 +101,13 @@ def circle_iou(p1, p2, r: float) -> float:
     return float(circle_iou_from_distance(np.array([d]), r)[0])
 
 
-_NMS_BLOCK = 256  # candidates per block of the lazy scan in `nms_select`
+_NMS_BLOCK = 256  # candidates per block of the lazy scan in `_greedy_scan`
+# Candidates per wanted goal in the head that `nms_select` sorts first. Each
+# candidate ranked above the k-th goal is one of the first k - 1 goals or
+# lies within 2 radii of one; at the CLI defaults (0.5 m spacing, 2 m
+# radius) such a disc holds 193 cells, so the head holds the k-th goal
+# unless it ties with the cut.
+_NMS_HEAD_PER_GOAL = 256
 
 
 def _clear_of(points: np.ndarray, goals: np.ndarray, cfg: NmsConfig) -> np.ndarray:
@@ -109,6 +115,27 @@ def _clear_of(points: np.ndarray, goals: np.ndarray, cfg: NmsConfig) -> np.ndarr
     diff = points[:, None, :] - goals[None, :, :]
     iou = circle_iou_from_distance(np.hypot(diff[..., 0], diff[..., 1]), cfg.radius)
     return (iou <= cfg.iou_threshold).all(axis=1)
+
+
+def _greedy_scan(
+    order: np.ndarray, locations: np.ndarray, cfg: NmsConfig, limit: int, selected: list[int]
+) -> None:
+    """Extend `selected` greedily from candidates in `order`, up to `limit` selections.
+
+    The order is scanned lazily in blocks of `_NMS_BLOCK`: a block is tested
+    only against the goals selected so far, then selected from in order, so
+    a scan that reaches the limit never touches the rest.
+    """
+    for start in range(0, len(order), _NMS_BLOCK):
+        block = order[start : start + _NMS_BLOCK]
+        if selected:
+            block = block[_clear_of(locations[block], locations[selected], cfg)]
+        while block.size:
+            best, block = block[0], block[1:]
+            selected.append(best)
+            if len(selected) >= limit:
+                return
+            block = block[_clear_of(locations[block], locations[best][None], cfg)]
 
 
 def nms_select(
@@ -121,30 +148,34 @@ def nms_select(
     the threshold. Goals come back in non-increasing log density, ties in
     input order; from a list, they are the caller's own objects.
 
-    The sorted pool is scanned lazily in blocks of `_NMS_BLOCK`: a block is
-    tested only against the goals selected so far, then selected from in
-    order, so a scan that reaches k goals never touches the rest.
+    With k set, the pool is sorted in two parts: first the head, every
+    candidate strictly more probable than the one at rank
+    `_NMS_HEAD_PER_GOAL * k`, and only if the head yields fewer than k
+    goals, the rest. Each part is sorted stably, so the two together are
+    the whole pool's stable order, and the scan selects what one scan of
+    the whole sorted pool would.
     """
     if len(candidates) == 0:
         raise EmptyCandidatePool("no candidates to select from")
     pool = candidates
     if not isinstance(pool, CandidatePool):
         pool = CandidatePool(np.stack([c.location for c in pool]), [c.log_prob for c in pool])
-    locations = pool.locations
-    # Stable sort keeps input order among equal probabilities.
-    order = np.argsort(-pool.log_probs, kind="stable")
-    limit = len(order) if k is None else k
+    neg = -pool.log_probs
+    limit = len(neg) if k is None else k
+    head_size = _NMS_HEAD_PER_GOAL * limit
+    if head_size < len(neg):
+        head = neg < np.partition(neg, head_size)[head_size]
+        parts = (head, ~head)
+    else:
+        parts = (np.ones(len(neg), dtype=bool),)
     selected: list[int] = []
-    for start in range(0, len(order), _NMS_BLOCK):
+    for part in parts:
         if len(selected) >= limit:
             break
-        block = order[start : start + _NMS_BLOCK]
-        if selected:
-            block = block[_clear_of(locations[block], locations[selected], cfg)]
-        while block.size and len(selected) < limit:
-            best, block = block[0], block[1:]
-            selected.append(best)
-            block = block[_clear_of(locations[block], locations[best][None], cfg)]
+        members = np.flatnonzero(part)
+        # Stable sort keeps input order among equal probabilities.
+        order = members[np.argsort(neg[members], kind="stable")]
+        _greedy_scan(order, pool.locations, cfg, limit, selected)
     return [candidates[i] for i in selected]
 
 
@@ -205,6 +236,7 @@ def generate_candidates(
         raise RegionTooLarge(f"grid of {nx}x{ny} cells exceeds the cap of {cell_cap}")
     xs = region.x_min + spacing * np.arange(nx)
     ys = region.y_min + spacing * np.arange(ny)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return CandidatePool(pts, predictive_log_densities(pts, mix, weights))
+    pts = np.empty((nx, ny, 2))
+    pts[..., 0] = xs[:, None]
+    pts[..., 1] = ys
+    return CandidatePool(pts.reshape(-1, 2), predictive_log_densities(xs, mix, weights, ys))

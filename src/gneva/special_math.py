@@ -142,13 +142,15 @@ def _check_mv_domain(a: float, d: int, name: str) -> None:
 
 def log_sum_exp(values, axis=None):
     """log sum exp(values) over `axis` (default all), max-shifted; exact for one element."""
-    values = np.asarray(values, dtype=float)
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     if values.size == 0:
         raise DomainError("log_sum_exp of an empty sequence")
     m = values.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    shifted = values - m
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        return _result(np.log(np.exp(values - m).sum(axis=axis)) + np.squeeze(m, axis))
+        return _result(np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis))
 
 
 # Relative tolerances of the positive-definiteness guard; values below these

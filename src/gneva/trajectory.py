@@ -80,7 +80,7 @@ def predict_topk(
     """
     vs = vectorize(scenario, enc_cfg)
     fw = forward_spatial(vs, spatial_tape, enc_cfg)
-    mix = fw.mixture()
+    mix = fw.mixture(scenario.scenario_id)
     weights = fw.weights.value
     region = scene_region(scenario)
     candidates = generate_candidates(mix, weights, region, spacing)
@@ -97,13 +97,13 @@ def predict_topk(
 def predictions_to_world(
     predictions: list[PredictedTrajectory], transform: RigidTransform
 ) -> list[PredictedTrajectory]:
-    """Map target-frame predictions back through the stored projection."""
-    inverse = transform.inverse()
+    """Map target-frame predictions back through the stored projection, all in one product."""
+    if not predictions:
+        return []
+    world = transform.inverse().apply_points(np.stack([p.waypoints for p in predictions]))
     return [
-        PredictedTrajectory(
-            waypoints=inverse.apply_points(p.waypoints), goal_log_prob=p.goal_log_prob
-        )
-        for p in predictions
+        PredictedTrajectory(waypoints=w, goal_log_prob=p.goal_log_prob)
+        for w, p in zip(world, predictions)
     ]
 
 
@@ -113,7 +113,7 @@ def save_predictions(path, scenario_id: str, predictions: list[PredictedTrajecto
         "predictions": [
             {
                 "goal_log_prob": p.goal_log_prob,
-                "waypoints": [[float(x), float(y)] for x, y in p.waypoints],
+                "waypoints": p.waypoints.tolist(),
             }
             for p in predictions
         ],

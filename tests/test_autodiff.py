@@ -46,9 +46,7 @@ OPS = {
     "logsumexp_rows": (ad.logsumexp, lambda rng: rng.normal(size=(3, 5), scale=3.0)),
     "relu": (ad.relu, lambda rng: rng.normal(size=(4, 5)) + 0.05),
     "softplus": (ad.softplus, lambda rng: rng.normal(size=(3, 4), scale=3.0)),
-    "exp": (ad.vexp, lambda rng: rng.normal(size=7)),
     "log": (ad.vlog, lambda rng: rng.uniform(0.2, 4.0, size=6)),
-    "sqrt": (ad.vsqrt, lambda rng: rng.uniform(0.2, 4.0, size=6)),
     "softmax": (ad.softmax, lambda rng: rng.normal(size=(3, 5))),
     "logsumexp": (ad.logsumexp, lambda rng: rng.normal(size=6, scale=3.0)),
     "lgamma": (ad.lgamma, lambda rng: rng.uniform(0.7, 9.0, size=5)),

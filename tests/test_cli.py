@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gneva.cli import load_run_config, run_command, worker_count
-from gneva.dataio import load_scenario
+from gneva.cli import load_run_config, run_command
+from gneva.dataio import load_scenario, to_target_frame, vectorize
+from gneva.encoders import forward_spatial, load_spatial_model
 from gneva.errors import ValidationError
+from gneva.sampling import generate_candidates, scene_region
 
 TINY_CONFIG = {
     "encoder.hidden": 32,
@@ -68,12 +70,6 @@ class TestRunConfig:
     def test_bad_set_rejected(self):
         with pytest.raises(ValidationError):
             load_run_config(None, ["no-equals-sign"])
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("GNEVA_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.delenv("GNEVA_THREADS")
-        assert worker_count() >= 1
 
 
 class TestExitCodes:
@@ -193,6 +189,34 @@ class TestPipeline:
         assert str(bad) in err and "prior.eta" in err
         assert not out.exists()
 
+    def test_out_of_family_component_names_scenario_and_component(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        doc = json.loads(spatial.read_text())
+        # Component 1's Cholesky row becomes (l11, 1e9, 1e-3): V is singular to working precision.
+        doc["params"]["inter_head.l2.b"][4] = 1e9
+        doc["params"]["inter_head.l2.b"][5] = -1e3
+        bad = tmp_path / "singular_spatial.json"
+        bad.write_text(json.dumps(doc))
+        scenario_file = sorted(data.glob("*.json"))[0]
+        code = run_command(
+            [
+                "predict",
+                "--spatial-model",
+                str(bad),
+                "--traj-model",
+                str(traj),
+                "--scenario",
+                str(scenario_file),
+                "--spacing",
+                "1.0",
+                "--out",
+                str(tmp_path / "preds"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"scenario {scenario_file.stem!r}" in err and "component 1 " in err
+
     @pytest.mark.parametrize(
         "corrupt, named",
         [
@@ -278,6 +302,26 @@ class TestPipeline:
         data_rows = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         mass = np.exp(data_rows[:, 2]).sum() * 0.5 * 0.5
         assert 0.9 <= mass <= 1.02
+
+    def test_density_csv_matches_per_row_format(self, workspace):
+        # The bytes a per-row f"{v:.17g}" writer gives for the same grid.
+        root, config, data, spatial, traj = workspace
+        scenario_file = sorted(data.glob("*.json"))[1]
+        out = root / "density_rows.csv"
+        code = run_command(
+            ["density", "--spatial-model", str(spatial), "--scenario", str(scenario_file),
+             "--out", str(out)]
+        )
+        assert code == 0
+        tape, enc = load_spatial_model(spatial)
+        projected, transform = to_target_frame(load_scenario(scenario_file))
+        fw = forward_spatial(vectorize(projected, enc), tape, enc)
+        pool = generate_candidates(fw.mixture(), fw.weights.value, scene_region(projected), 0.5)
+        world = transform.inverse().apply_points(pool.locations)
+        lines = ["x,y,log_density"] + [
+            f"{x:.17g},{y:.17g},{lp:.17g}" for (x, y), lp in zip(world.tolist(), pool.log_probs.tolist())
+        ]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_mask_map_radius_zero(self, workspace, tmp_path):
         root, config, data, spatial, traj = workspace

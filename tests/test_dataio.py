@@ -8,6 +8,7 @@ from gneva.dataio import (
     AgentState,
     AgentTrack,
     MapPolyline,
+    RigidTransform,
     Scenario,
     SynthConfig,
     load_scenario,
@@ -74,6 +75,31 @@ class TestSchema:
         with pytest.raises((ParseError, ValidationError)):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", "east"), ("vy", None), ("t", [1]), ("t", math.inf), ("heading", {})],
+        ids=["text", "null", "list-step", "infinite-step", "object"],
+    )
+    def test_malformed_state_is_parse_error(self, tmp_path, field, value):
+        s = minimal_scenario()
+        path = tmp_path / "bad-state.json"
+        save_scenario(s, path)
+        doc = json.loads(path.read_text())
+        doc["agents"][0]["states"][3][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_scenario(path)
+
+    def test_missing_state_field_is_parse_error(self, tmp_path):
+        s = minimal_scenario()
+        path = tmp_path / "no-vx.json"
+        save_scenario(s, path)
+        doc = json.loads(path.read_text())
+        del doc["agents"][0]["states"][0]["vx"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_scenario(path)
+
     def test_goal_is_position_at_h_plus_t(self):
         s = minimal_scenario(h=10, t=30)
         assert s.goal() == pytest.approx([40.0, 0.0])
@@ -112,6 +138,34 @@ class TestTargetFrame:
             d0 = np.linalg.norm(pts_before[i] - pts_before[j])
             d1 = np.linalg.norm(pts_after[i] - pts_after[j])
             assert d1 == pytest.approx(d0, abs=1e-9)
+
+    def test_array_projection_matches_per_state_reference(self):
+        # Each state rotated on its own with scalar arithmetic, as the reference.
+        rng = np.random.default_rng(7)
+        scenes = [
+            s for kind in ("straight", "turn", "merge") for s in synth_generate(SynthConfig(n=3, seed=8), kind)
+        ]
+        short = minimal_scenario()
+        short.agents += [
+            AgentTrack(id="none", kind="cyclist", states=[]),
+            AgentTrack(id="one", kind="pedestrian", states=short.agents[0].states[:1]),
+        ]
+        for s in scenes + [short]:
+            tx, ty = rng.uniform(-300.0, 300.0, 2).tolist()
+            tf = RigidTransform(float(rng.uniform(0.0, 2 * math.pi)), tx, ty)
+            c, sn = math.cos(tf.angle), math.sin(tf.angle)
+            moved = tf.apply_scenario(s)
+            for a, b in zip(s.agents, moved.agents, strict=True):
+                assert (b.id, b.kind, [st.t for st in b.states]) == (a.id, a.kind, [st.t for st in a.states])
+                for sa, sb in zip(a.states, b.states):
+                    ref = (
+                        c * sa.x - sn * sa.y + tf.tx,
+                        sn * sa.x + c * sa.y + tf.ty,
+                        c * sa.vx - sn * sa.vy,
+                        sn * sa.vx + c * sa.vy,
+                    )
+                    assert (sb.x, sb.y, sb.vx, sb.vy) == pytest.approx(ref, rel=0.0, abs=1e-12)
+                    assert sb.heading == sa.heading + tf.angle
 
     def test_missing_horizon_state(self):
         s = minimal_scenario()

@@ -15,7 +15,6 @@ from gneva.distributions import (
     normal_wishart_log_density,
     posterior_predictive_params,
     sample_normal_wishart,
-    sample_student_t,
     student_t_log_densities,
     student_t_log_density,
     wishart_log_density,
@@ -280,11 +279,6 @@ class TestStudentT:
             mine = student_t_log_densities(xs, t)
             assert mine == pytest.approx(ref, rel=1e-10)
             assert student_t_log_density(xs[0], t) == pytest.approx(float(ref[0]), rel=1e-10)
-
-    def test_sampler_mean(self):
-        t = StudentTParams(loc=[3.0, -2.0], shape=SPDMatrix2(0.5, 0.1, 0.4), df=5.0)
-        xs = sample_student_t(t, np.random.default_rng(53), 400_000)
-        assert np.allclose(xs.mean(axis=0), t.loc, atol=0.02)
 
 
 class TestPosteriorPredictive:

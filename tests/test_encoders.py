@@ -18,7 +18,7 @@ from gneva.encoders import (
     load_trajectory_model,
     save_model,
     self_attention_block,
-    z_proxy_forward,
+    z_proxy_logits,
 )
 from gneva.errors import ShapeMismatch, ValidationError
 
@@ -210,10 +210,15 @@ class TestInteractionAttention:
         assert np.all(out.nu.value > 3.0)
 
 
+def z_proxy_weights(feature: Var, params, cfg: EncoderConfig) -> Var:
+    """The proxy weights as `forward_spatial` forms them: a softmax of the proxy logits."""
+    return ad.softmax(z_proxy_logits(feature, params, cfg), axis=-1)
+
+
 class TestZProxy:
     def test_sums_to_one(self, tape):
         feat = Var(np.random.default_rng(11).normal(size=CFG.hidden))
-        w = z_proxy_forward(feat, tape, CFG)
+        w = z_proxy_weights(feat, tape, CFG)
         assert w.value.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_weights_uniform(self):
@@ -221,7 +226,7 @@ class TestZProxy:
         for name in t.params:
             if name.startswith("zproxy"):
                 t.params[name][...] = 0.0
-        w = z_proxy_forward(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t, CFG)
+        w = z_proxy_weights(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t, CFG)
         assert w.value == pytest.approx(np.full(CFG.C, 1.0 / CFG.C), abs=1e-12)
 
     def test_gradient(self):
@@ -231,7 +236,7 @@ class TestZProxy:
         target = np.random.default_rng(16).dirichlet(np.ones(4))
 
         def loss(leaves):
-            w = z_proxy_forward(Var(feat), leaves, small)
+            w = z_proxy_weights(Var(feat), leaves, small)
             return -ad.vsum(ad.mul(Var(target), ad.vlog(w)))
 
         report = check_gradients(t, loss, tolerance=1e-4, n_samples=200, seed=17)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from gneva.distributions import NormalWishartParams
 from gneva.errors import EmptyCandidatePool, RegionTooLarge, ValidationError
 from gneva.mixture import MixturePosterior
+from gneva import sampling
 from gneva.sampling import (
     CandidatePool,
     NmsConfig,
     Region,
     ScoredCandidate,
     circle_iou,
+    circle_iou_from_distance,
     generate_candidates,
     nms_select,
 )
@@ -186,6 +188,72 @@ class TestNmsSelect:
         ]
         out = nms_select(cands, NmsConfig())
         assert out[0].location[0] == 0.0
+
+
+def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int]:
+    """Greedy suppression over one stable sort of the whole pool, one candidate at a time.
+
+    The reference for the head-first sort in `nms_select`; it shares only
+    the IoU geometry, which `TestCircleIou` checks on its own.
+    """
+    selected: list[int] = []
+    for i in np.argsort(-pool.log_probs, kind="stable"):
+        if k is not None and len(selected) == k:
+            break
+        diff = pool.locations[selected] - pool.locations[i]
+        iou = circle_iou_from_distance(np.hypot(diff[:, 0], diff[:, 1]), cfg.radius)
+        if (iou <= cfg.iou_threshold).all():
+            selected.append(int(i))
+    return selected
+
+
+def selected_indices(pool: CandidatePool, chosen) -> list[int]:
+    index = {(*p, lp): i for i, (p, lp) in enumerate(zip(pool.locations.tolist(), pool.log_probs.tolist()))}
+    return [index[(*c.location.tolist(), c.log_prob)] for c in chosen]
+
+
+class TestHeadFirstSort:
+    """`nms_select` sorts the head of a large pool first; it must select what one full sort would."""
+
+    def grid_pool(self, rng, n_side, levels):
+        xs, ys = np.meshgrid(np.arange(n_side) * 0.5, np.arange(n_side) * 0.5, indexing="ij")
+        locations = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        # Few distinct values, so many candidates tie, at the cut among them.
+        log_probs = rng.integers(0, levels, size=len(locations)) * -0.25
+        return CandidatePool(locations, log_probs)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("levels", [3, 40])
+    def test_exact_ties_match_full_sort(self, k, levels):
+        rng = np.random.default_rng(100 + 7 * k + levels)
+        pool = self.grid_pool(rng, 60, levels)
+        assert len(pool) > sampling._NMS_HEAD_PER_GOAL * k
+        for cfg in (NmsConfig(radius=2.0), NmsConfig(radius=1.0, iou_threshold=0.25)):
+            chosen = nms_select(pool, cfg, k)
+            assert len(chosen) == k
+            assert selected_indices(pool, chosen) == full_sort_selection(pool, cfg, k)
+
+    def test_head_that_runs_out_falls_back_to_the_rest(self):
+        # The head's candidates all sit within one suppression disc, so it
+        # yields one goal; the others come from the rest of the pool.
+        k = 3
+        rng = np.random.default_rng(101)
+        head = sampling._NMS_HEAD_PER_GOAL * k
+        near = rng.uniform(-0.5, 0.5, size=(head + 10, 2))
+        far = rng.uniform(20.0, 60.0, size=(500, 2))
+        log_probs = np.concatenate([rng.uniform(0.0, 1.0, len(near)), rng.uniform(-3.0, -1.0, len(far))])
+        pool = CandidatePool(np.concatenate([near, far]), log_probs)
+        cfg = NmsConfig(radius=2.0)
+        assert len(full_sort_selection(CandidatePool(near, log_probs[: len(near)]), cfg)) == 1
+        chosen = nms_select(pool, cfg, k)
+        assert len(chosen) == k
+        assert selected_indices(pool, chosen) == full_sort_selection(pool, cfg, k)
+
+    def test_unbounded_run_matches_full_sort(self):
+        rng = np.random.default_rng(102)
+        pool = self.grid_pool(rng, 40, 5)
+        cfg = NmsConfig(radius=1.5, iou_threshold=0.1)
+        assert selected_indices(pool, nms_select(pool, cfg)) == full_sort_selection(pool, cfg)
 
 
 def small_mixture(rng, c=2):
