@@ -18,7 +18,7 @@ from .distributions import (
 )
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params
 from .metrics import MetricReport, displacement_metrics
-from .mixture import MixturePosterior, Responsibilities, elbo, predictive_log_density, z_posterior
+from .mixture import MixturePosterior, elbo, z_posterior
 from .sampling import CandidatePool, NmsConfig, ScoredCandidate, circle_iou, generate_candidates, nms_select
 from .trajectory import PredictedTrajectory, complete_trajectory, predict_topk
 from .training import TrainConfig, train_spatial, train_trajectory
@@ -35,7 +35,6 @@ __all__ = [
     "NormalWishartParams",
     "ParamTape",
     "PredictedTrajectory",
-    "Responsibilities",
     "Scenario",
     "ScoredCandidate",
     "StudentTParams",
@@ -55,7 +54,6 @@ __all__ = [
     "nms_select",
     "posterior_predictive_params",
     "predict_topk",
-    "predictive_log_density",
     "synth_generate",
     "to_target_frame",
     "train_spatial",

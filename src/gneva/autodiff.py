@@ -390,10 +390,9 @@ def backward(root: Var) -> None:
 class ParamTape:
     """Named trainable parameter arrays with paired gradient accumulators."""
 
-    def __init__(self, rng_seed: int = 0):
+    def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.rng_seed = int(rng_seed)
 
     def add_param(self, name: str, value: np.ndarray) -> None:
         if name in self.params:
@@ -423,7 +422,7 @@ class ParamTape:
         return sum(p.size for p in self.params.values())
 
     def copy(self) -> "ParamTape":
-        out = ParamTape(self.rng_seed)
+        out = ParamTape()
         for name, value in self.params.items():
             out.add_param(name, value.copy())
         return out

@@ -121,11 +121,7 @@ def cmd_train_spatial(args, config) -> int:
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
     tape = init_spatial_params(enc_cfg, seed=train_cfg.seed)
     tape, history = train_spatial(scenes, tape, train_cfg, enc_cfg)
-    save_model(args.out, tape, enc_cfg)
-    history_path = args.history or (str(args.out) + ".history.csv")
-    history.write_csv(history_path)
-    print(f"trained on {len(scenes)} scenes; final loss {history.losses[-1]:.4f}")
-    return EXIT_OK
+    return _save_trained(args, tape, history, enc_cfg, len(scenes))
 
 
 def cmd_train_traj(args, config) -> int:
@@ -134,10 +130,14 @@ def cmd_train_traj(args, config) -> int:
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
     traj_tape = init_trajectory_params(enc_cfg, horizon=scenes[0].T, seed=train_cfg.seed)
     traj_tape, history = train_trajectory(scenes, spatial_tape, traj_tape, train_cfg, enc_cfg)
-    save_model(args.out, traj_tape, enc_cfg)
-    history_path = args.history or (str(args.out) + ".history.csv")
-    history.write_csv(history_path)
-    print(f"trained on {len(scenes)} scenes; final loss {history.losses[-1]:.4f}")
+    return _save_trained(args, traj_tape, history, enc_cfg, len(scenes))
+
+
+def _save_trained(args, tape, history, enc_cfg, n_scenes: int) -> int:
+    """Write the model to --out and its loss history to --history (default: next to the model)."""
+    save_model(args.out, tape, enc_cfg)
+    history.write_csv(args.history or (str(args.out) + ".history.csv"))
+    print(f"trained on {n_scenes} scenes; final loss {history.losses[-1]:.4f}")
     return EXIT_OK
 
 

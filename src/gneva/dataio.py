@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -244,15 +244,7 @@ class RigidTransform:
         polylines = [
             MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
         ]
-        return Scenario(
-            scenario_id=s.scenario_id,
-            dt=s.dt,
-            H=s.H,
-            T=s.T,
-            target_id=s.target_id,
-            agents=agents,
-            map=polylines,
-        )
+        return replace(s, agents=agents, map=polylines)
 
 
 def target_frame_transform(s: Scenario) -> RigidTransform:
@@ -394,15 +386,7 @@ def mask_map_by_radius(s: Scenario, r: float) -> Scenario:
                 for i in range(len(p.points) - 1)
             )
         ]
-    return Scenario(
-        scenario_id=s.scenario_id,
-        dt=s.dt,
-        H=s.H,
-        T=s.T,
-        target_id=s.target_id,
-        agents=s.agents,
-        map=kept,
-    )
+    return replace(s, map=kept)
 
 
 @dataclass
@@ -538,16 +522,7 @@ def _synth_straight(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
         kind="vehicle",
         states=_drive_path(path, start_s, _speeds(rng, cfg, v, 0.08), cfg.dt),
     )
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        dt=cfg.dt,
-        H=cfg.H,
-        T=cfg.T,
-        target_id="target",
-        agents=[target],
-        map=_lane_polylines(center, "lane0"),
-    )
-    return _recenter(scenario)
+    return _canonical(cfg, scenario_id, [target], _lane_polylines(center, "lane0"))
 
 
 def _synth_turn(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
@@ -577,16 +552,7 @@ def _synth_turn(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
         MapPolyline(id="exit-left", kind="lane_center", points=left_arc),
         MapPolyline(id="exit-right", kind="lane_center", points=right_arc),
     ]
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        dt=cfg.dt,
-        H=cfg.H,
-        T=cfg.T,
-        target_id="target",
-        agents=[target],
-        map=polylines,
-    )
-    return _recenter(scenario)
+    return _canonical(cfg, scenario_id, [target], polylines)
 
 
 def _synth_merge(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
@@ -621,26 +587,18 @@ def _synth_merge(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
         kind="vehicle",
         states=_drive_path(_Path(main), lead_start, np.full(cfg.H + cfg.T, lead_speed), cfg.dt),
     )
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        dt=cfg.dt,
-        H=cfg.H,
-        T=cfg.T,
-        target_id="target",
-        agents=[target, lead],
-        map=_lane_polylines(main, "main") + _lane_polylines(ramp, "ramp"),
-    )
-    return _recenter(scenario)
+    polylines = _lane_polylines(main, "main") + _lane_polylines(ramp, "ramp")
+    return _canonical(cfg, scenario_id, [target, lead], polylines)
 
 
-def _recenter(scenario: Scenario) -> Scenario:
-    """Re-express a canonical scene in the frame of its own step-H pose.
+def _canonical(cfg: SynthConfig, scenario_id: str, agents: list[AgentTrack], polylines) -> Scenario:
+    """A scene of agents (the first is the target) re-expressed in the frame of its step-H pose.
 
     Keeps generator code simple: builders may put step H anywhere; the
     canonical output always has the target at the origin at step H.
     """
-    projected, _ = to_target_frame(scenario)
-    return projected
+    scenario = Scenario(scenario_id, cfg.dt, cfg.H, cfg.T, agents[0].id, agents, polylines)
+    return to_target_frame(scenario)[0]
 
 
 _SYNTH_BUILDERS = {

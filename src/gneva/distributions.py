@@ -28,8 +28,10 @@ from .special_math import (
     LOG_2PI,
     LOG_PI,
     SPDMatrix2,
+    check_family,
     log_gamma,
     log_multivariate_gamma,
+    spd_from_cholesky,
 )
 
 D = 2  # goals live in the plane
@@ -54,12 +56,7 @@ class NormalWishartParams:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "nu", float(self.nu))
-        if not np.all(np.isfinite(eta)):
-            raise ValidationError(f"eta must be finite, got {eta}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValidationError(f"beta must be positive, got {self.beta}")
-        if not (self.nu > D - 1 and math.isfinite(self.nu)):
-            raise ValidationError(f"nu must exceed D-1={D - 1}, got {self.nu}")
+        check_family(eta=eta[None], beta=np.array([self.beta]), nu=np.array([self.nu]))
 
     @property
     def wishart(self) -> "WishartParams":
@@ -75,8 +72,7 @@ class WishartParams:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", float(self.nu))
-        if not (self.nu > D - 1 and math.isfinite(self.nu)):
-            raise ValidationError(f"nu must exceed D-1={D - 1}, got {self.nu}")
+        check_family(nu=np.array([self.nu]))
 
 
 @dataclass(frozen=True)
@@ -356,25 +352,28 @@ def student_t_log_density(x, t: StudentTParams) -> float:
     return float(student_t_log_densities(x, t)[0])
 
 
-def predictive_student_t(q: NormalWishartArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def predictive_student_t(eta, beta, chol, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Student-t predictives (loc (C, 2), shape (C, 3), df (C,)) of Normal-Wishart posteriors.
 
-    loc = eta, df = nu - 1 and shape = ((beta + 1) / (beta (nu - 1))) V^-1.
-    Requires nu > 3 so each predictive has more than two degrees of freedom
-    and a finite covariance.
+    Takes component arrays eta (C, 2), beta (C,), chol (C, 3), nu (C,) as in
+    `NormalWishartArrays`. loc = eta, df = nu - 1 and shape =
+    ((beta + 1) / (beta (nu - 1))) V^-1. Requires nu > 3 so each predictive
+    has more than two degrees of freedom and a finite covariance.
     """
-    nu, beta = q.nu.value, q.beta.value
     if np.any(nu <= 3.0):
         raise DegreesOfFreedomTooSmall(
             f"posterior predictive needs nu > 3 for a finite covariance, got nu={nu[nu <= 3.0]}"
         )
     df = nu - 1.0
-    scale = (beta + 1.0) / (beta * df) / q.det_v.value
-    v11, v12, v22 = (v.value for v in q.v)
-    return q.eta.value, np.stack([v22 * scale, -v12 * scale, v11 * scale], axis=1), df
+    l11_l22 = chol[:, 0] * chol[:, 2]
+    scale = (beta + 1.0) / (beta * df) / (l11_l22 * l11_l22)  # det V = (l11 l22)^2
+    v11, v12, v22 = spd_from_cholesky(*chol.T)
+    return eta, np.stack([v22 * scale, -v12 * scale, v11 * scale], axis=1), df
 
 
 def posterior_predictive_params(q: NormalWishartParams) -> StudentTParams:
     """Student-t predictive of one Normal-Wishart posterior (see `predictive_student_t`)."""
-    loc, shape, df = predictive_student_t(NormalWishartArrays.stack([q]))
+    loc, shape, df = predictive_student_t(
+        q.eta[None], np.array([q.beta]), np.array([q.v.cholesky]), np.array([q.nu])
+    )
     return StudentTParams(loc=loc[0], shape=SPDMatrix2(*shape[0]), df=df[0])

@@ -26,10 +26,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import AGENT_VECTOR_WIDTH, MAP_VECTOR_WIDTH, VectorizedScene
-from .distributions import NormalWishartParams
 from .errors import NotPositiveDefinite, ShapeMismatch, ValidationError
 from .mixture import MixturePosterior
-from .special_math import SPDMatrix2
+from .special_math import spd_from_cholesky
 
 MIN_POSITIVE = 1e-3  # floor added after softplus on strictly positive outputs
 NU_FLOOR = 3.0 + MIN_POSITIVE  # strictly above 3 even when softplus underflows
@@ -88,7 +87,7 @@ def _add_attention_block(tape: ParamTape, rng, name: str, hidden: int) -> None:
 
 def init_spatial_params(cfg: EncoderConfig, seed: int = 0) -> ParamTape:
     """Fresh spatial-model tape: encoders, attention stacks, heads, prior."""
-    tape = ParamTape(rng_seed=seed)
+    tape = ParamTape()
     rng = np.random.default_rng(seed)
     h = cfg.hidden
     _add_mlp(tape, rng, "map_enc", MAP_VECTOR_WIDTH, h, h)
@@ -266,6 +265,14 @@ def context_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> Context
     return ContextOutputs(feature=target_row, eta=eta, beta=beta)
 
 
+def _cholesky_head(raw: Var) -> Var:
+    """Factor rows (l11, l21, l22) from raw triples on the last axis: a positive diagonal, l21 free."""
+    l11 = ad.softplus(ad.narrow(raw, -1, 0, 1)) + MIN_POSITIVE
+    l21 = ad.narrow(raw, -1, 1, 1)
+    l22 = ad.softplus(ad.narrow(raw, -1, 2, 1)) + MIN_POSITIVE
+    return ad.concat([l11, l21, l22], axis=-1)
+
+
 @dataclass
 class InteractionOutputs:
     """Target-token interaction features and the precision-posterior parameters."""
@@ -290,11 +297,7 @@ def interaction_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> Int
     target_row = _slot(x, 0)
     head = _mlp(leaves, "inter_head", target_row)
     batch = head.value.shape[:-1]
-    raw = ad.reshape(ad.narrow(head, -1, 0, 3 * cfg.C), batch + (cfg.C, 3))
-    diag = ad.softplus(ad.narrow(raw, -1, 0, 1)) + MIN_POSITIVE  # l11
-    off = ad.narrow(raw, -1, 1, 1)  # l21, unconstrained
-    diag2 = ad.softplus(ad.narrow(raw, -1, 2, 1)) + MIN_POSITIVE  # l22
-    chol = ad.concat([diag, off, diag2], axis=-1)
+    chol = _cholesky_head(ad.reshape(ad.narrow(head, -1, 0, 3 * cfg.C), batch + (cfg.C, 3)))
     nu = ad.softplus(ad.narrow(head, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR
     return InteractionOutputs(feature=target_row, chol=chol, nu=nu)
 
@@ -325,43 +328,23 @@ class SpatialForward:
     weights: Var  # (B, C) z-proxy simplex
 
     def mixture(self, scenario_id: str | None = None) -> MixturePosterior:
-        """The mixture posterior of a one-scene forward.
+        """The uniform-weight mixture posterior of a one-scene forward, with V_c = L_c L_c^T.
 
-        A component outside its family raises the error of its parameter
-        check, prefixed with the component index and, when given, the scenario.
+        A component outside its family raises the error of the rule it
+        breaks, naming the component and, when given, the scenario.
         """
-        comps = []
-        eta = self.eta.value
-        beta = self.beta.value
-        chol = self.chol.value
-        nu = self.nu.value
-        for c in range(eta.shape[0]):
-            try:
-                v = SPDMatrix2.from_cholesky(*chol[c])
-                comps.append(NormalWishartParams(eta=eta[c], beta=float(beta[c]), v=v, nu=float(nu[c])))
-            except (NotPositiveDefinite, ValidationError) as exc:
-                where = f"scenario {scenario_id!r}: " if scenario_id is not None else ""
-                raise type(exc)(f"{where}emitted mixture component {c} is out of family: {exc}") from exc
-        return MixturePosterior.uniform(comps)
-
-    def prior(self) -> NormalWishartParams:
-        v = SPDMatrix2.from_cholesky(*self.prior_chol.value)
-        return NormalWishartParams(
-            eta=self.prior_eta.value,
-            beta=float(self.prior_beta.value[0]),
-            v=v,
-            nu=float(self.prior_nu.value[0]),
-        )
+        v = np.stack(spd_from_cholesky(*self.chol.value.T), axis=-1)
+        try:
+            return MixturePosterior(self.eta.value, self.beta.value, v, self.nu.value)
+        except (NotPositiveDefinite, ValidationError) as exc:
+            where = f"scenario {scenario_id!r}: " if scenario_id is not None else ""
+            raise type(exc)(f"{where}emitted {exc}") from exc
 
 
 def prior_vars(leaves) -> tuple[Var, Var, Var, Var]:
     """Constrained prior parameters (eta, beta, chol, nu) from raw leaves."""
     beta = ad.softplus(leaves["prior.beta_raw"]) + MIN_POSITIVE
-    raw = leaves["prior.chol_raw"]
-    diag1 = ad.softplus(ad.narrow(raw, 0, 0, 1)) + MIN_POSITIVE
-    off = ad.narrow(raw, 0, 1, 1)
-    diag2 = ad.softplus(ad.narrow(raw, 0, 2, 1)) + MIN_POSITIVE
-    chol = ad.concat([diag1, off, diag2], axis=0)
+    chol = _cholesky_head(leaves["prior.chol_raw"])
     nu = ad.softplus(leaves["prior.nu_raw"]) + NU_FLOOR
     return leaves["prior.eta"], beta, chol, nu
 
@@ -460,7 +443,7 @@ def load_spatial_model(path) -> tuple[ParamTape, EncoderConfig]:
 
 def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> ParamTape:
     """Trajectory-completion tape: two MLPs from [context; goal] to T waypoints."""
-    tape = ParamTape(rng_seed=seed)
+    tape = ParamTape()
     rng = np.random.default_rng(seed)
     h = cfg.hidden
     _add_mlp(tape, rng, "traj.m1", h + 2, h, h)

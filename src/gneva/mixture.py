@@ -1,21 +1,22 @@
 """Variational mixture of Gaussians over goal locations.
 
-The mixture has C Normal-Wishart component posteriors and fixed mixing
-coefficients. This module evaluates the optimal z-posterior
-(responsibilities), the evidence lower bound for a single observed goal,
-the Student-t posterior predictive mixture, and the exact log evidence
-under the shared prior (the upper bound the ELBO is checked against).
+The mixture has C Normal-Wishart component posteriors, held as arrays
+over components, and fixed mixing coefficients. This module evaluates the
+optimal z-posterior (responsibilities), the evidence lower bound for a
+single observed goal, the Student-t posterior predictive mixture, and the
+exact log evidence under the shared prior (the upper bound the ELBO is
+checked against).
 
 `elbo_terms` is the one implementation of the responsibilities and the
 bound, with tape operators over `distributions.NormalWishartArrays`. The
 spatial training loss calls it on forward-pass nodes; `z_posterior` and
-`elbo` call it on a `MixturePosterior` stacked into constant nodes.
+`elbo` call it on a `MixturePosterior`'s arrays as constant nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,53 +31,54 @@ from .distributions import (
     student_t_log_density_table,
 )
 from .errors import ValidationError
-from .special_math import log_sum_exp
+from .special_math import check_family, log_sum_exp, spd_cholesky
 
 
-@dataclass(frozen=True)
 class MixturePosterior:
-    """C component posteriors plus log mixing coefficients."""
+    """C Normal-Wishart component posteriors held as arrays, plus log mixing coefficients.
 
-    components: tuple[NormalWishartParams, ...]
-    log_pi: np.ndarray
+    eta (C, 2), beta (C,), chol (C, 3) with the rows (l11, l21, l22) of
+    each V's lower Cholesky factor, nu (C,) and log_pi (C,). The constructor
+    takes V's entries v (C, 3) = (v11, v12, v22), checks every component
+    with `check_family`, so the first component out of family raises the
+    error of the first rule it breaks, naming it, and derives chol from v as
+    `SPDMatrix2.cholesky` does. log_pi defaults to uniform.
+    """
 
-    def __post_init__(self):
-        components = tuple(self.components)
-        log_pi = np.asarray(self.log_pi, dtype=float).reshape(-1)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "log_pi", log_pi)
-        if len(components) < 1:
+    def __init__(self, eta, beta, v, nu, log_pi=None):
+        eta = np.asarray(eta, dtype=float)
+        c = len(eta)
+        if c < 1:
             raise ValidationError("mixture needs at least one component")
-        if log_pi.shape != (len(components),):
-            raise ValidationError(
-                f"log_pi has {log_pi.shape[0]} entries for {len(components)} components"
-            )
+        beta, v, nu = (np.asarray(x, dtype=float) for x in (beta, v, nu))
+        log_pi = np.full(c, -math.log(c)) if log_pi is None else np.asarray(log_pi, dtype=float)
+        shapes = (eta.shape, beta.shape, v.shape, nu.shape, log_pi.shape)
+        if shapes != ((c, 2), (c,), (c, 3), (c,), (c,)):
+            raise ValidationError(f"component arrays of shapes {shapes} do not hold {c} components")
+        check_family(lambda i: f"mixture component {i} is out of family: ", v, eta, beta, nu)
         total = float(np.exp(log_pi).sum())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"mixing coefficients sum to {total}, expected 1")
+        self.eta, self.beta, self.nu, self.log_pi = eta, beta, nu, log_pi
+        self.chol = np.stack(spd_cholesky(*v.T), axis=-1)
 
     @classmethod
-    def uniform(cls, components) -> "MixturePosterior":
-        components = tuple(components)
-        c = len(components)
-        return cls(components=components, log_pi=np.full(c, -math.log(c)))
+    def from_components(
+        cls, components: Sequence[NormalWishartParams], log_pi=None
+    ) -> "MixturePosterior":
+        """The mixture of scalar `NormalWishartParams`, each V's factor its `SPDMatrix2.cholesky`."""
+        eta, beta, v, nu = zip(
+            *((p.eta, p.beta, (p.v.a11, p.v.a12, p.v.a22), p.nu) for p in components)
+        )
+        return cls(eta, beta, v, nu, log_pi)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.beta)
 
-
-@dataclass(frozen=True)
-class Responsibilities:
-    """Per-component assignment probabilities q(z) of one goal observation."""
-
-    q_z: np.ndarray
-
-    def __post_init__(self):
-        q_z = np.asarray(self.q_z, dtype=float).reshape(-1)
-        object.__setattr__(self, "q_z", q_z)
-        if np.any(q_z < 0.0) or abs(float(q_z.sum()) - 1.0) > 1e-10:
-            raise ValidationError(f"responsibilities must form a simplex, got {q_z}")
+    def arrays(self) -> NormalWishartArrays:
+        """The components as constant tape nodes."""
+        return NormalWishartArrays(Var(self.eta), Var(self.beta), Var(self.chol), Var(self.nu))
 
 
 def responsibilities(g, q: NormalWishartArrays, log_pi) -> tuple[Var, Var, Var]:
@@ -110,36 +112,32 @@ def elbo_terms(
     return bound, resp
 
 
-def z_posterior(g, mix: MixturePosterior) -> Responsibilities:
-    """Optimal variational assignment posterior."""
-    q = NormalWishartArrays.stack(mix.components)
-    _, _, resp = responsibilities(np.reshape(g, 2), q, mix.log_pi)
-    return Responsibilities(q_z=resp.value)
+def z_posterior(g, mix: MixturePosterior) -> np.ndarray:
+    """Optimal variational assignment posterior q(z), a (C,) simplex."""
+    _, _, resp = responsibilities(np.reshape(g, 2), mix.arrays(), mix.log_pi)
+    return resp.value
 
 
 def elbo(g, mix: MixturePosterior, prior: NormalWishartParams, prior_pi) -> float:
     """Evidence lower bound on log p(g) for a single observed goal (see `elbo_terms`)."""
     prior_pi = _check_weights(prior_pi, mix.n_components)
-    q, p = NormalWishartArrays.stack(mix.components), NormalWishartArrays.stack([prior])
+    q, p = mix.arrays(), NormalWishartArrays.stack([prior])
     with np.errstate(divide="ignore"):
         bound, _ = elbo_terms(np.reshape(g, 2), q, p, mix.log_pi, np.log(prior_pi))
     return float(bound.value)
 
 
-def predictive_log_density(g_star, mix: MixturePosterior, weights) -> float:
-    """log sum_c w_c tau(g*; predictive of component c)."""
-    return float(predictive_log_densities(g_star, mix, weights)[0])
-
-
 def predictive_log_densities(points, mix: MixturePosterior, weights, ys=None) -> np.ndarray:
-    """Predictive mixture log density over points (n, 2); zero-weight components may have any nu.
+    """log sum_c w_c t(x; predictive of component c) over points x (n, 2).
+
+    Zero-weight components may have any nu.
 
     With ys given, points (nx,) and ys (ny,) are the axes of an x-major grid
     (see `student_t_log_density_table`).
     """
     weights = _check_weights(weights, mix.n_components)
     live = np.flatnonzero(weights)
-    loc, shape, df = predictive_student_t(NormalWishartArrays.stack([mix.components[c] for c in live]))
+    loc, shape, df = predictive_student_t(mix.eta[live], mix.beta[live], mix.chol[live], mix.nu[live])
     logs = student_t_log_density_table(points, loc, shape, df, ys)
     logs += np.log(weights[live])[:, None]
     return log_sum_exp(logs, axis=0)
@@ -152,9 +150,7 @@ def prior_log_evidence(g, prior: NormalWishartParams, prior_pi) -> float:
     Student-t, identical across components, so the pi-weighted mixture
     collapses to a single prior-predictive density.
     """
-    prior_pi = np.asarray(prior_pi, dtype=float).reshape(-1)
-    if abs(float(prior_pi.sum()) - 1.0) > 1e-8 or np.any(prior_pi < 0.0):
-        raise ValidationError(f"prior_pi must be a probability vector, got {prior_pi}")
+    _check_weights(prior_pi, np.size(prior_pi))
     t = posterior_predictive_params(prior)
     return student_t_log_density(g, t)
 

@@ -1,21 +1,24 @@
-"""Special functions and 2x2 SPD linear algebra.
+"""Special functions, 2x2 SPD linear algebra and the family's parameter rules.
 
 Everything here is self-contained: log-gamma uses the Lanczos approximation
 (g=7, 9 coefficients) and digamma/trigamma use recurrence shifts into the
 asymptotic regime, all accurate to ~1e-13. Matrices are fixed-size 2x2; the
 closed-form Cholesky/determinant/adjugate replaces general linear algebra.
 The special functions take floats or arrays, with the same arithmetic.
+`check_family` holds the Normal-Wishart parameter rules once, over arrays,
+for the scalar classes and the array-held mixture alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError, NotPositiveDefinite, ValidationError
 
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
@@ -159,13 +162,64 @@ _PD_ABS_TOL = 1e-12
 _PD_REL_TOL = 1e-12
 
 
+def check_family(label=lambda i: "", v=None, eta=None, beta=None, nu=None) -> None:
+    """The rules of the Normal-Wishart family's parameters, over n parameter sets.
+
+    v (n, 3) holds symmetric 2x2 matrices as (a11, a12, a22), whose entries
+    must be finite and pass the leading-minor test (else NotPositiveDefinite);
+    eta (n, 2) must be finite, beta (n,) finite and positive, and nu (n,)
+    finite and above D - 1 = 1 (else ValidationError). Each argument left out
+    goes unchecked. The lowest failing index raises the error of its first
+    broken rule, in that order, with `label(index)` before the message.
+    """
+    rules = []
+    if v is not None:
+        a11, a12, a22 = v.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a11 * a22 - a12 * a12
+            minors_fail = (a11 <= _PD_ABS_TOL) | (det <= _PD_REL_TOL * a11 * a22)
+        rules += [
+            (~np.isfinite(v).all(axis=1), NotPositiveDefinite,
+             lambda i: f"non-finite entries: {a11[i]}, {a12[i]}, {a22[i]}"),
+            (minors_fail, NotPositiveDefinite,
+             lambda i: f"leading minors {a11[i]:.3e}, {det[i]:.3e} fail the positivity test"),
+        ]
+    if eta is not None:
+        rules.append((~np.isfinite(eta).all(axis=1), ValidationError,
+                      lambda i: f"eta must be finite, got {eta[i]}"))
+    if beta is not None:
+        rules.append((~((beta > 0.0) & np.isfinite(beta)), ValidationError,
+                      lambda i: f"beta must be positive, got {beta[i]}"))
+    if nu is not None:
+        rules.append((~((nu > 1.0) & np.isfinite(nu)), ValidationError,
+                      lambda i: f"nu must exceed D-1=1, got {nu[i]}"))
+    broken = reduce(operator.or_, [bad for bad, _, _ in rules])
+    if broken.any():
+        i = int(np.argmax(broken))
+        _, error, message = next(rule for rule in rules if rule[0][i])
+        raise error(label(i) + message(i))
+
+
+def spd_from_cholesky(l11, l21, l22):
+    """Entries (a11, a12, a22) of L L^T for the factor L = [[l11, 0], [l21, l22]]; floats or arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return l11 * l11, l11 * l21, l21 * l21 + l22 * l22
+
+
+def spd_cholesky(a11, a12, a22):
+    """(l11, l21, l22) of the lower factor L with L L^T = [[a11, a12], [a12, a22]]; floats or arrays."""
+    l11 = np.sqrt(a11)
+    l21 = a12 / l11
+    return l11, l21, np.sqrt(a22 - l21 * l21)
+
+
 @dataclass(frozen=True)
 class SPDMatrix2:
     """Symmetric positive-definite 2x2 matrix with a cached Cholesky factor.
 
     Stored as the three free entries of the symmetric matrix
-    [[a11, a12], [a12, a22]]. Construction rejects matrices that fail the
-    leading-minor test.
+    [[a11, a12], [a12, a22]]. Construction rejects matrices that break a
+    rule of `check_family`.
     """
 
     a11: float
@@ -177,13 +231,7 @@ class SPDMatrix2:
         object.__setattr__(self, "a11", a11)
         object.__setattr__(self, "a12", a12)
         object.__setattr__(self, "a22", a22)
-        if not (math.isfinite(a11) and math.isfinite(a12) and math.isfinite(a22)):
-            raise NotPositiveDefinite(f"non-finite entries: {a11}, {a12}, {a22}")
-        det = a11 * a22 - a12 * a12
-        if a11 <= _PD_ABS_TOL or det <= _PD_REL_TOL * a11 * a22:
-            raise NotPositiveDefinite(
-                f"leading minors {a11:.3e}, {det:.3e} fail the positivity test"
-            )
+        check_family(v=np.array([[a11, a12, a22]]))
 
     @classmethod
     def identity(cls) -> "SPDMatrix2":
@@ -195,19 +243,12 @@ class SPDMatrix2:
 
     @classmethod
     def from_cholesky(cls, l11: float, l21: float, l22: float) -> "SPDMatrix2":
-        return cls(l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
+        return cls(*spd_from_cholesky(l11, l21, l22))
 
     @cached_property
     def cholesky(self) -> tuple[float, float, float]:
         """(l11, l21, l22) of the lower factor L with L L^T = self."""
-        l11 = math.sqrt(self.a11)
-        l21 = self.a12 / l11
-        l22 = math.sqrt(self.a22 - l21 * l21)
-        return (l11, l21, l22)
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
+        return tuple(float(x) for x in spd_cholesky(self.a11, self.a12, self.a22))
 
     @property
     def log_det(self) -> float:
@@ -219,7 +260,7 @@ class SPDMatrix2:
         return self.a11 + self.a22
 
     def inverse(self) -> "SPDMatrix2":
-        d = self.det
+        d = self.a11 * self.a22 - self.a12 * self.a12
         return SPDMatrix2(self.a22 / d, -self.a12 / d, self.a11 / d)
 
     def quad_form(self, dx: float, dy: float) -> float:

@@ -161,14 +161,16 @@ def huber(residual: Var, delta: float = 1.0) -> Var:
 @dataclass
 class TrainHistory:
     """Per-step records: loss and the global gradient norm; spatial runs also
-    log the ELBO and CE means and each component's mean responsibility."""
+    log the ELBO and CE means, each component's mean responsibility, the mean
+    entropy of q(z) and each component's spread of eta across the batch."""
 
     rows: list[dict] = field(default_factory=list)
 
-    def add(self, step: int, lr: float, loss: float, elbo=None, ce=None, grad_norm=None, usage=None):
+    def add(self, step: int, lr: float, loss: float, elbo=None, ce=None, grad_norm=None, usage=None,
+            q_entropy=None, eta_spread=None):
         self.rows.append(
-            {"step": step, "lr": lr, "loss": loss, "elbo": elbo, "ce": ce,
-             "grad_norm": grad_norm, "usage": usage}
+            {"step": step, "lr": lr, "loss": loss, "elbo": elbo, "ce": ce, "grad_norm": grad_norm,
+             "usage": usage, "q_entropy": q_entropy, "eta_spread": eta_spread}
         )
 
     @property
@@ -176,24 +178,41 @@ class TrainHistory:
         return [r["loss"] for r in self.rows]
 
     def write_csv(self, path) -> None:
-        n_usage = max((len(r["usage"]) for r in self.rows if r["usage"] is not None), default=0)
+        """Columns step..grad_norm; spatial runs add usage_c, q_entropy and eta_spread_c."""
+        n = max((len(r["usage"]) for r in self.rows if r["usage"] is not None), default=0)
+        scalars = ["lr", "loss", "elbo", "ce", "grad_norm"]
 
         def fmt(x):
             return "" if x is None else f"{x:.10g}"
 
+        def per_component(values):
+            return [fmt(v) for v in ([None] * n if values is None else values)]
+
+        header = ["step"] + scalars
+        if n:
+            header += [f"usage_{c}" for c in range(n)] + ["q_entropy"]
+            header += [f"eta_spread_{c}" for c in range(n)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "lr", "loss", "elbo", "ce", "grad_norm"]
-                + [f"usage_{c}" for c in range(n_usage)]
-            )
+            writer.writerow(header)
             for r in self.rows:
-                usage = [None] * n_usage if r["usage"] is None else list(r["usage"])
-                writer.writerow(
-                    [r["step"]]
-                    + [fmt(r[key]) for key in ("lr", "loss", "elbo", "ce", "grad_norm")]
-                    + [fmt(u) for u in usage]
-                )
+                row = [r["step"]] + [fmt(r[key]) for key in scalars]
+                if n:
+                    row += per_component(r["usage"]) + [fmt(r["q_entropy"])]
+                    row += per_component(r["eta_spread"])
+                writer.writerow(row)
+
+
+def batch_diagnostics(resp: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean entropy of q(z) over responsibilities (B, C), and each component's eta spread.
+
+    The spread (C,) is the RMS distance of eta (B, C, 2) across the batch's
+    scenes from its batch mean; a component whose mean ignores the scene has 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(resp > 0.0, resp * np.log(resp), 0.0)
+    spread = np.sqrt(((eta - eta.mean(axis=0)) ** 2).sum(axis=-1).mean(axis=0))
+    return float(-plogp.sum(axis=-1).mean()), spread
 
 
 def grad_norm(tape: ParamTape) -> float:
@@ -290,6 +309,7 @@ def train_spatial(
         lr = lr_schedule(step, total_steps, cfg)
         norm = grad_norm(tape)
         adamw_step(tape, opt, lr, cfg)
+        q_entropy, eta_spread = batch_diagnostics(terms.responsibilities, fw.eta.value)
         history.add(
             step,
             lr,
@@ -298,6 +318,8 @@ def train_spatial(
             ce=float(terms.cross_entropy.mean()),
             grad_norm=norm,
             usage=terms.responsibilities.mean(axis=0),
+            q_entropy=q_entropy,
+            eta_spread=eta_spread,
         )
     tape.grads.clear()  # a trained model needs no accumulators; they would double its memory
     return tape, history

@@ -24,7 +24,7 @@ from .distributions import (
     expected_stats,
     kl_mean_given_precision,
     kl_wishart,
-    posterior_predictive_params,
+    predictive_student_t,
     sample_normal_wishart,
     sample_wishart_bartlett,
     student_t_log_densities,
@@ -177,7 +177,7 @@ def check_z_posterior_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, st
     for _ in range(n_cases):
         g = rng.normal(size=2)
         comps = [_nearby_nw(rng, g) for _ in range(3)]
-        mix = mx.MixturePosterior(components=comps, log_pi=np.log(rng.dirichlet(np.full(3, 8.0))))
+        mix = mx.MixturePosterior.from_components(comps, np.log(rng.dirichlet(np.full(3, 8.0))))
         log_w = mix.log_pi.copy()
         for c, comp in enumerate(comps):
             mus, lams = sample_normal_wishart(comp, rng, size=n_samples)
@@ -189,7 +189,7 @@ def check_z_posterior_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, st
         oracle /= oracle.sum()
         if oracle.min() < 0.05:
             return False, f"degenerate case: MC responsibilities {oracle.round(4)}"
-        worst = max(worst, 0.5 * float(np.abs(mx.z_posterior(g, mix).q_z - oracle).sum()))
+        worst = max(worst, 0.5 * float(np.abs(mx.z_posterior(g, mix) - oracle).sum()))
     return worst < 1e-2, f"{n_cases} cases, all q_c >= 0.05: total variation vs MC <= {worst:.2e}"
 
 
@@ -197,7 +197,7 @@ def check_elbo_bound(n_cases: int, rng) -> tuple[bool, str]:
     worst_slack = np.inf
     for _ in range(n_cases):
         c = int(rng.integers(1, 5))
-        mix = mx.MixturePosterior.uniform([_random_nw(rng) for _ in range(c)])
+        mix = mx.MixturePosterior.from_components([_random_nw(rng) for _ in range(c)])
         prior = _random_nw(rng)
         g = rng.normal(scale=2.0, size=2)
         pi = np.full(c, 1.0 / c)
@@ -218,7 +218,7 @@ def check_elbo_bound(n_cases: int, rng) -> tuple[bool, str]:
         )
         post = NormalWishartParams(eta=eta1, beta=beta1, v=v1, nu=prior.nu + 1.0)
         gap = abs(
-            mx.elbo(g, mx.MixturePosterior.uniform([post]), prior, [1.0])
+            mx.elbo(g, mx.MixturePosterior.from_components([post]), prior, [1.0])
             - mx.prior_log_evidence(g, prior, [1.0])
         )
         worst_gap = max(worst_gap, gap)
@@ -309,21 +309,16 @@ def random_predictive_mixture(rng, c: int = 3) -> mx.MixturePosterior:
                 nu=rng.uniform(4.0, 9.0),
             )
         )
-    return mx.MixturePosterior.uniform(comps)
+    return mx.MixturePosterior.from_components(comps)
 
 
 def check_predictive_normalization(n_mixtures: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_mixtures):
-        comps = list(random_predictive_mixture(rng).components)
-        mix = mx.MixturePosterior.uniform(comps)
+        mix = random_predictive_mixture(rng)
         w = rng.dirichlet(np.ones(3))
-        scale = max(
-            math.sqrt(max(posterior_predictive_params(c).shape.a11,
-                          posterior_predictive_params(c).shape.a22))
-            for c in comps
-        )
-        half = 40.0 * scale + 3.0
+        _, shape, _ = predictive_student_t(mix.eta, mix.beta, mix.chol, mix.nu)
+        half = 40.0 * math.sqrt(shape[:, [0, 2]].max()) + 3.0  # 40 scale-lengths of the widest
         n = 200
         cell = 2 * half / n
         axis = -half + cell * (np.arange(n) + 0.5)

@@ -30,6 +30,21 @@ def random_nw(rng, loc_scale=2.0):
     )
 
 
+def emitted_components(fw):
+    """A one-scene forward's mixture components and shared prior as scalar `NormalWishartParams`."""
+    comps = [
+        NormalWishartParams(eta=e, beta=b, v=SPDMatrix2.from_cholesky(*l), nu=n)
+        for e, b, l, n in zip(fw.eta.value, fw.beta.value, fw.chol.value, fw.nu.value)
+    ]
+    prior = NormalWishartParams(
+        eta=fw.prior_eta.value,
+        beta=fw.prior_beta.value[0],
+        v=SPDMatrix2.from_cholesky(*fw.prior_chol.value),
+        nu=fw.prior_nu.value[0],
+    )
+    return comps, prior
+
+
 def sample_wishart_scipy(v: SPDMatrix2, nu: float, rng, n: int):
     """(n, 2, 2) Wishart draws via scipy; independent of the package sampler."""
     return stats.wishart.rvs(df=nu, scale=v.to_array(), size=n, random_state=rng)

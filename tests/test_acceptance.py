@@ -115,7 +115,7 @@ class TestCriterion2ElboBound:
         min_slack = np.inf
         for _ in range(100):
             c = int(rng.integers(1, 5))
-            mix = mx.MixturePosterior.uniform([random_nw(rng) for _ in range(c)])
+            mix = mx.MixturePosterior.from_components([random_nw(rng) for _ in range(c)])
             prior = random_nw(rng)
             g = rng.normal(scale=2.0, size=2)
             pi = np.full(c, 1.0 / c)
@@ -128,7 +128,7 @@ class TestCriterion2ElboBound:
             g = rng.normal(scale=2.0, size=2)
             post = exact_conjugate_posterior(g, prior)
             gap = abs(
-                mx.elbo(g, mx.MixturePosterior.uniform([post]), prior, [1.0])
+                mx.elbo(g, mx.MixturePosterior.from_components([post]), prior, [1.0])
                 - mx.prior_log_evidence(g, prior, [1.0])
             )
             max_gap = max(max_gap, gap)
@@ -232,7 +232,7 @@ class TestCriterion5PredictiveNormalization:
                         nu=rng.uniform(4.0, 9.0),
                     )
                 )
-            mix = mx.MixturePosterior.uniform(comps)
+            mix = mx.MixturePosterior.from_components(comps)
             w = rng.dirichlet(np.ones(3))
             scale = max(
                 math.sqrt(

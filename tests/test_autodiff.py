@@ -181,7 +181,7 @@ class TestLayerNorm:
 
 class TestParamTape:
     def test_add_and_zero(self):
-        tape = ParamTape(rng_seed=1)
+        tape = ParamTape()
         tape.add_param("w", np.ones((2, 2)))
         tape.grads["w"] += 3.0
         tape.zero_grads()

@@ -22,6 +22,8 @@ from gneva.encoders import (
 )
 from gneva.errors import ShapeMismatch, ValidationError
 
+from helpers import emitted_components
+
 
 CFG = EncoderConfig()
 
@@ -246,9 +248,9 @@ class TestZProxy:
 class TestForwardSpatial:
     def test_emitted_parameters_valid(self, tape, scene):
         fw = forward_spatial(scene, tape, CFG)
-        mix = fw.mixture()  # NormalWishartParams validation runs inside
+        mix = fw.mixture()  # raises for a component outside the Normal-Wishart family
         assert mix.n_components == CFG.C
-        prior = fw.prior()
+        _, prior = emitted_components(fw)  # the prior is in its family too
         assert prior.nu > 3.0
         assert fw.weights.value.sum() == pytest.approx(1.0, abs=1e-10)
 

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gneva.autodiff import Var
 from gneva.distributions import NormalWishartParams, posterior_predictive_params, student_t_log_density
-from gneva.errors import DegreesOfFreedomTooSmall, ValidationError
+from gneva.encoders import SpatialForward
+from gneva.errors import DegreesOfFreedomTooSmall, NotPositiveDefinite, ValidationError
 from gneva.mixture import (
     MixturePosterior,
-    Responsibilities,
     elbo,
     predictive_log_densities,
-    predictive_log_density,
     prior_log_evidence,
     z_posterior,
 )
@@ -29,46 +31,130 @@ from helpers import (
 
 
 def random_mixture(rng, c=3):
-    return MixturePosterior.uniform([random_nw(rng) for _ in range(c)])
+    return MixturePosterior.from_components([random_nw(rng) for _ in range(c)])
+
+
+def permuted(comps, log_pi, perm):
+    return MixturePosterior.from_components([comps[i] for i in perm], log_pi[perm])
+
+
+def log_density_at(g, mix, weights):
+    """The predictive mixture log density at one point."""
+    return float(predictive_log_densities(np.reshape(g, (1, 2)), mix, weights)[0])
 
 
 class TestTypes:
     def test_log_pi_must_normalize(self):
         comp = random_nw(np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            MixturePosterior(components=(comp,), log_pi=np.array([-0.5]))
+            MixturePosterior.from_components([comp], log_pi=np.array([-0.5]))
 
-    def test_responsibilities_simplex(self):
-        with pytest.raises(ValidationError):
-            Responsibilities(q_z=np.array([0.7, 0.7]))
-        Responsibilities(q_z=np.array([0.5, 0.5]))
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# Faults drawn for one component; most components get none. A near-singular
+# factor (|l21| >> l22) lands on either side of the leading-minor test.
+FAULTS = [(), (), (), (), (), (), (), ("near-singular",), ("near-singular",),
+          ("eta",), ("beta",), ("nu",), ("chol",), ("chol", "beta"), ("nu", "eta"), ("beta", "nu")]
+
+
+@st.composite
+def emitted_component(draw):
+    """(eta, beta, chol rows, nu) of one emitted component, in or out of the family.
+
+    nu in (1, 3] is in the family but has no finite-covariance predictive.
+    """
+    eta = [draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))]
+    beta = draw(st.floats(1e-3, 10.0))
+    chol = [draw(st.floats(1e-3, 10.0)), draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 10.0))]
+    nu = draw(st.floats(1.001, 20.0))
+    for fault in draw(st.sampled_from(FAULTS)):
+        if fault == "near-singular":
+            chol[1] = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(3.0, 9.0))
+            chol[2] = 10.0 ** draw(st.floats(-8.0, 1.0))
+        elif fault == "eta":
+            eta[draw(st.integers(0, 1))] = draw(NON_FINITE)
+        elif fault == "beta":
+            beta = draw(st.one_of(st.floats(-5.0, 0.0), NON_FINITE))
+        elif fault == "nu":
+            nu = draw(st.one_of(st.floats(-2.0, 1.0), NON_FINITE))
+        else:  # a non-finite, zero or overflowing factor entry
+            chol[draw(st.integers(0, 2))] = draw(st.one_of(NON_FINITE, st.sampled_from([0.0, 1e200])))
+    return eta, beta, chol, nu
+
+
+def emitted(eta, beta, chol, nu) -> SpatialForward:
+    """A one-scene forward holding only the mixture heads' outputs."""
+    none = dict.fromkeys(
+        ["prior_eta", "prior_beta", "prior_chol", "prior_nu", "context_feature", "weights_logits", "weights"]
+    )
+    return SpatialForward(eta=Var(eta), beta=Var(beta), chol=Var(chol), nu=Var(nu), **none)
+
+
+class TestArrayFamilyChecks:
+    @given(st.lists(emitted_component(), min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_array_posterior_matches_per_component_objects(self, components):
+        eta, beta, chol, nu = (np.array(x, dtype=float) for x in zip(*components))
+        comps, expected = [], None
+        for c, (e, b, l, n) in enumerate(zip(eta, beta, chol, nu)):
+            try:
+                comps.append(NormalWishartParams(eta=e, beta=b, v=SPDMatrix2.from_cholesky(*l), nu=n))
+            except (NotPositiveDefinite, ValidationError) as exc:
+                expected = (type(exc), f"scenario 's': emitted mixture component {c} is out of family: {exc}")
+                break
+        fw = emitted(eta, beta, chol, nu)
+        if expected is not None:
+            with pytest.raises(expected[0]) as info:
+                fw.mixture("s")
+            assert type(info.value) is expected[0] and str(info.value) == expected[1]
+            return
+        mix, ref = fw.mixture("s"), MixturePosterior.from_components(comps)
+        for name in ("eta", "beta", "chol", "nu", "log_pi"):
+            assert getattr(mix, name).tobytes() == getattr(ref, name).tobytes(), name
+        live = nu > 3.0
+        if live.any():
+            w = live / live.sum()
+            pts = np.array([[0.0, 0.0], [3.0, -2.0], [40.0, 25.0]])
+            with np.errstate(all="ignore"):
+                mine, theirs = (predictive_log_densities(pts, m, w) for m in (mix, ref))
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestZPosterior:
     def test_single_component(self):
-        mix = MixturePosterior.uniform([random_nw(np.random.default_rng(1))])
+        mix = MixturePosterior.from_components([random_nw(np.random.default_rng(1))])
         r = z_posterior([0.3, -0.4], mix)
-        assert r.q_z == pytest.approx([1.0])
+        assert r == pytest.approx([1.0])
+
+    def test_output_is_a_simplex(self):
+        # Goals near and far from the components; far ones drive some
+        # responsibilities to exactly 0.
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            mix = random_mixture(rng, c=int(rng.integers(1, 7)))
+            g = rng.normal(scale=float(rng.choice([1.0, 30.0])), size=2)
+            r = z_posterior(g, mix)
+            assert r.shape == (mix.n_components,)
+            assert np.all(r >= 0.0) and abs(r.sum() - 1.0) <= 1e-10
 
     def test_mirror_symmetry(self):
         g = np.array([0.0, 0.0])
         v = SPDMatrix2(0.5, 0.1, 0.8)
         a = NormalWishartParams(eta=[2.0, 1.0], beta=1.5, v=v, nu=5.0)
         b = NormalWishartParams(eta=[-2.0, -1.0], beta=1.5, v=v, nu=5.0)
-        r = z_posterior(g, MixturePosterior.uniform([a, b]))
-        assert r.q_z == pytest.approx([0.5, 0.5], abs=1e-12)
+        r = z_posterior(g, MixturePosterior.from_components([a, b]))
+        assert r == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(2)
-        mix = random_mixture(rng, c=4)
+        comps = [random_nw(rng) for _ in range(4)]
+        mix = MixturePosterior.from_components(comps)
         g = rng.normal(size=2)
-        r = z_posterior(g, mix).q_z
+        r = z_posterior(g, mix)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
         perm = [2, 0, 3, 1]
-        mix_p = MixturePosterior(
-            components=tuple(mix.components[i] for i in perm), log_pi=mix.log_pi[perm]
-        )
-        r_p = z_posterior(g, mix_p).q_z
+        r_p = z_posterior(g, permuted(comps, mix.log_pi, perm))
         assert r_p == pytest.approx(r[perm], rel=1e-12)
 
     def test_against_mc_expected_log_density(self):
@@ -91,9 +177,9 @@ class TestZPosterior:
                     nu=rng.uniform(3.5, 6.0),
                 )
             )
-        mix = MixturePosterior(components=comps, log_pi=np.log([0.25, 0.35, 0.4]))
+        mix = MixturePosterior.from_components(comps, np.log([0.25, 0.35, 0.4]))
         log_w = mix.log_pi.copy()
-        for c, comp in enumerate(mix.components):
+        for c, comp in enumerate(comps):
             mus, lams = sample_nw_scipy(comp, rng, 1_000_000)
             dev = g - mus
             quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
@@ -103,7 +189,7 @@ class TestZPosterior:
         oracle = np.exp(log_w - log_w.max())
         oracle /= oracle.sum()
         assert oracle.min() >= 0.05, oracle
-        mine = z_posterior(g, mix).q_z
+        mine = z_posterior(g, mix)
         assert 0.5 * np.abs(mine - oracle).sum() < 1e-2
 
     def test_nu_increase_far_from_eta_lowers_responsibility(self):
@@ -111,9 +197,9 @@ class TestZPosterior:
         v = SPDMatrix2.identity()
         far = NormalWishartParams(eta=[-5.0, 0.0], beta=1.0, v=v, nu=4.0)
         near = NormalWishartParams(eta=[4.0, 0.0], beta=1.0, v=v, nu=4.0)
-        base = z_posterior(g, MixturePosterior.uniform([far, near])).q_z[0]
+        base = z_posterior(g, MixturePosterior.from_components([far, near]))[0]
         far_stiff = NormalWishartParams(eta=far.eta, beta=far.beta, v=far.v, nu=6.0)
-        bumped = z_posterior(g, MixturePosterior.uniform([far_stiff, near])).q_z[0]
+        bumped = z_posterior(g, MixturePosterior.from_components([far_stiff, near]))[0]
         assert bumped < base
 
 
@@ -123,7 +209,7 @@ class TestElbo:
         for c in range(1, 7):
             for _ in range(10):
                 comps = [random_nw(rng) for _ in range(c)]
-                mix = MixturePosterior(components=comps, log_pi=np.log(rng.dirichlet(np.ones(c))))
+                mix = MixturePosterior.from_components(comps, np.log(rng.dirichlet(np.ones(c))))
                 prior = random_nw(rng)
                 prior_pi = rng.dirichlet(np.full(c, 2.0))
                 g = rng.normal(scale=2.5, size=2)
@@ -146,7 +232,7 @@ class TestElbo:
             prior = random_nw(rng)
             g = rng.normal(scale=2.0, size=2)
             post = exact_conjugate_posterior(g, prior)
-            mix = MixturePosterior.uniform([post])
+            mix = MixturePosterior.from_components([post])
             lhs = elbo(g, mix, prior, [1.0])
             rhs = prior_log_evidence(g, prior, [1.0])
             assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -157,9 +243,9 @@ class TestElbo:
         v = SPDMatrix2.identity()
         near = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=v, nu=5.0)
         far = NormalWishartParams(eta=[50.0, 0.0], beta=1.0, v=v, nu=5.0)
-        mix = MixturePosterior.uniform([near, far])
+        mix = MixturePosterior.from_components([near, far])
         g = [0.1, 0.0]
-        assert z_posterior(g, mix).q_z[1] == 0.0
+        assert z_posterior(g, mix)[1] == 0.0
         expected = elbo(g, mix, near, [0.5, 0.5]) + math.log(2.0)
         assert elbo(g, mix, near, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
@@ -173,15 +259,14 @@ class TestElbo:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        mix = random_mixture(rng, c=3)
+        comps = [random_nw(rng) for _ in range(3)]
+        mix = MixturePosterior.from_components(comps)
         prior = random_nw(rng)
         g = rng.normal(size=2)
         pi = np.array([0.2, 0.5, 0.3])
         base = elbo(g, mix, prior, pi)
         perm = [1, 2, 0]
-        mix_p = MixturePosterior(
-            components=tuple(mix.components[i] for i in perm), log_pi=mix.log_pi[perm]
-        )
+        mix_p = permuted(comps, mix.log_pi, perm)
         assert elbo(g, mix_p, prior, pi[perm]) == pytest.approx(base, rel=1e-12)
 
 
@@ -189,22 +274,22 @@ class TestPredictive:
     def test_degenerate_single_component(self):
         rng = np.random.default_rng(7)
         comp = random_nw(rng)
-        mix = MixturePosterior.uniform([comp])
+        mix = MixturePosterior.from_components([comp])
         g = rng.normal(size=2)
         expected = student_t_log_density(g, posterior_predictive_params(comp))
-        assert predictive_log_density(g, mix, [1.0]) == pytest.approx(expected, rel=1e-12)
+        assert log_density_at(g, mix, [1.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_masks_component(self):
         rng = np.random.default_rng(8)
         good = random_nw(rng)
         # Component with nu <= 3 would raise if not masked by its zero weight.
         bad = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=SPDMatrix2.identity(), nu=2.5)
-        mix = MixturePosterior.uniform([good, bad])
+        mix = MixturePosterior.from_components([good, bad])
         g = rng.normal(size=2)
         expected = student_t_log_density(g, posterior_predictive_params(good))
-        assert predictive_log_density(g, mix, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
+        assert log_density_at(g, mix, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(DegreesOfFreedomTooSmall):
-            predictive_log_density(g, mix, [0.5, 0.5])
+            log_density_at(g, mix, [0.5, 0.5])
 
     def test_grid_mass_is_one(self):
         rng = np.random.default_rng(9)
@@ -217,7 +302,7 @@ class TestPredictive:
             )
             for _ in range(3)
         ]
-        mix = MixturePosterior.uniform(comps)
+        mix = MixturePosterior.from_components(comps)
         w = rng.dirichlet(np.ones(3))
         scales = [
             math.sqrt(max(posterior_predictive_params(c).shape.a11, posterior_predictive_params(c).shape.a22))
@@ -233,14 +318,15 @@ class TestPredictive:
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(10)
-        mix = random_mixture(rng, c=4)
+        comps = [random_nw(rng) for _ in range(4)]
+        mix = MixturePosterior.from_components(comps)
         w = rng.dirichlet(np.ones(4))
         pts = rng.normal(size=(7, 2), scale=3.0)
-        expected = student_t_mixture_logpdf_scipy(pts, mix.components, w)
+        expected = student_t_mixture_logpdf_scipy(pts, comps, w)
         vec = predictive_log_densities(pts, mix, w)
         assert vec == pytest.approx(expected, rel=1e-10)
         for i, p in enumerate(pts):
-            assert predictive_log_density(p, mix, w) == pytest.approx(expected[i], rel=1e-10)
+            assert log_density_at(p, mix, w) == pytest.approx(expected[i], rel=1e-10)
 
     def test_continuity_in_g(self):
         rng = np.random.default_rng(11)
@@ -250,8 +336,8 @@ class TestPredictive:
             g = rng.normal(size=2, scale=3.0)
             delta = rng.normal(size=2)
             delta *= 1e-6 / np.linalg.norm(delta)
-            a = predictive_log_density(g, mix, w)
-            b = predictive_log_density(g + delta, mix, w)
+            a = log_density_at(g, mix, w)
+            b = log_density_at(g + delta, mix, w)
             assert abs(a - b) <= 1e6 * np.linalg.norm(delta)
 
 

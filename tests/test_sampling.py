@@ -266,7 +266,7 @@ def small_mixture(rng, c=2):
         )
         for _ in range(c)
     ]
-    return MixturePosterior.uniform(comps)
+    return MixturePosterior.from_components(comps)
 
 
 class TestCandidatePool:
@@ -321,7 +321,7 @@ class TestGenerateCandidates:
     def test_argmax_near_mode_single_component(self):
         rng = np.random.default_rng(8)
         mix = small_mixture(rng, c=1)
-        eta = mix.components[0].eta
+        eta = mix.eta[0]
         region = Region(eta[0] - 10, eta[1] - 10, eta[0] + 10, eta[1] + 10)
         out = generate_candidates(mix, [1.0], region, spacing=0.1)
         best = out.locations[np.argmax(out.log_probs)]

@@ -17,6 +17,7 @@ from gneva.training import (
     OptimizerState,
     TrainConfig,
     adamw_step,
+    batch_diagnostics,
     grad_norm,
     huber,
     kmeans_centres,
@@ -26,7 +27,7 @@ from gneva.training import (
     train_trajectory,
 )
 
-from helpers import elbo_oracle
+from helpers import elbo_oracle, emitted_components
 
 ENC = EncoderConfig()
 
@@ -148,7 +149,8 @@ class TestSpatialSceneLoss:
         fw = forward_spatial(vs, tape, ENC)
         terms = spatial_scene_loss(s.goal(), fw, 1.0)
         uniform = np.full(ENC.C, 1 / ENC.C)
-        ref = elbo_oracle(s.goal(), fw.mixture().components, np.log(uniform), fw.prior(), uniform)
+        comps, prior = emitted_components(fw)
+        ref = elbo_oracle(s.goal(), comps, np.log(uniform), prior, uniform)
         assert terms.elbo == pytest.approx(ref, abs=1e-9)
 
     def test_ce_of_uniform_vs_uniform_is_log_c(self):
@@ -299,7 +301,8 @@ class TestTrainingLoops:
         hist.write_csv(path)
         lines = path.read_text().strip().split("\n")
         usage = ",".join(f"usage_{c}" for c in range(ENC.C))
-        assert lines[0] == "step,lr,loss,elbo,ce,grad_norm," + usage
+        spread = ",".join(f"eta_spread_{c}" for c in range(ENC.C))
+        assert lines[0] == "step,lr,loss,elbo,ce,grad_norm," + usage + ",q_entropy," + spread
         assert len(lines) == 7
         first = lines[1].split(",")
         assert int(first[0]) == 1
@@ -313,6 +316,8 @@ class TestTrainingLoops:
             assert row["grad_norm"] > 0.0
             assert row["usage"].shape == (ENC.C,)
             assert row["usage"].sum() == pytest.approx(1.0, abs=1e-12)  # mean of simplex rows
+            assert 0.0 <= row["q_entropy"] <= math.log(ENC.C) + 1e-12
+            assert row["eta_spread"].shape == (ENC.C,) and np.all(row["eta_spread"] >= 0.0)
         traj = init_trajectory_params(ENC, horizon=scenes[0].T, seed=5)
         _, traj_hist = train_trajectory(scenes, spatial, traj, cfg, ENC)
         path = tmp_path / "traj.csv"
@@ -321,6 +326,16 @@ class TestTrainingLoops:
         assert lines[0] == "step,lr,loss,elbo,ce,grad_norm"
         step, _, _, elbo, ce, norm = lines[1].split(",")
         assert (step, elbo, ce) == ("1", "", "") and float(norm) > 0.0
+
+
+class TestBatchDiagnostics:
+    def test_entropy_and_eta_spread(self):
+        resp = np.array([[1.0, 0.0], [0.5, 0.5]])
+        # Component 0 moves 2 m between the scenes, component 1 stays put.
+        eta = np.array([[[0.0, 0.0], [3.0, 1.0]], [[2.0, 0.0], [3.0, 1.0]]])
+        entropy, spread = batch_diagnostics(resp, eta)
+        assert entropy == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
+        assert spread.tolist() == [1.0, 0.0]
 
 
 class TestGradNorm:

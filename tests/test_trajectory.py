@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from gneva.cli import emit_density_grid
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame
+from gneva.distributions import NormalWishartParams
 from gneva.encoders import EncoderConfig, init_spatial_params, init_trajectory_params
 from gneva.sampling import NmsConfig, circle_iou
+from gneva.special_math import SPDMatrix2
 from gneva.trajectory import (
     PredictedTrajectory,
     complete_trajectory,
@@ -129,3 +132,20 @@ class TestPredictionIO:
         ]
         world = predictions_to_world(preds, transform)
         assert np.allclose(world[0].waypoints, s.future_waypoints(), atol=1e-9)
+
+
+class TestHotPath:
+    def test_prediction_and_density_build_no_component_objects(self, tapes, tmp_path, monkeypatch):
+        # The mixture posterior stays arrays from the forward pass to the grid.
+        spatial, traj, scenes = tapes
+
+        def forbidden(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(NormalWishartParams, "__post_init__", forbidden)
+        monkeypatch.setattr(SPDMatrix2, "__post_init__", forbidden)
+        with pytest.raises(AssertionError):
+            SPDMatrix2.identity()
+        topk = predict_topk(scenes[0], spatial, traj, NmsConfig(k=6), ENC)
+        assert len(topk) == 6
+        assert emit_density_grid(spatial, ENC, scenes[1], 1.0, tmp_path / "density.csv") > 0
