@@ -249,22 +249,20 @@ def segment_max(a: Var, starts) -> Var:
     x = a.value
     n, width = x.shape
     out_val = np.maximum.reduceat(x, starts, axis=0)
-    segment = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
-    rows = np.where(x == out_val[segment], np.arange(n)[:, None], n)
-    first = np.minimum.reduceat(rows, starts, axis=0)
-    cols = np.arange(width)
 
     def vjp(g):
+        segment = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+        rows = np.where(x == out_val[segment], np.arange(n)[:, None], n)
+        first = np.minimum.reduceat(rows, starts, axis=0)
         full = np.zeros_like(x)
-        full[first, cols] = g
+        full[first, np.arange(width)] = g
         return full
 
     return _result(out_val, (a, vjp))
 
 
 def relu(a: Var) -> Var:
-    mask = a.value > 0.0
-    return _result(np.maximum(a.value, 0.0), (a, lambda g: g * mask))
+    return _result(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0.0)))
 
 
 def softplus(a: Var) -> Var:

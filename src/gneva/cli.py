@@ -58,6 +58,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
+# Errors in the inputs exit 1; every other GnevaError is a numerical failure and exits 2.
+INPUT_ERRORS = (ValidationError, ParseError, MissingHorizonState, HorizonMismatch, RegionTooLarge)
 
 
 def load_run_config(path: str | None, sets: list[str]) -> dict:
@@ -150,17 +152,26 @@ def cmd_predict(args, config) -> int:
     one_file = len(paths) == 1 and not out.is_dir() and out.suffix == ".json"
     if not one_file:
         out.mkdir(parents=True, exist_ok=True)
+    failures = []
     for path in paths:
-        scenario = load_scenario(path)
-        projected, transform = to_target_frame(scenario)
-        topk = predict_topk(
-            projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing
-        )
-        sid = scenario.scenario_id
-        target = out if one_file else out / f"{sid}.json"
-        save_predictions(target, sid, predictions_to_world(topk, transform))
-    print(f"predicted {len(paths)} scenario(s)")
-    return EXIT_OK
+        try:
+            scenario = load_scenario(path)
+            projected, transform = to_target_frame(scenario)
+            topk = predict_topk(
+                projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing
+            )
+            sid = scenario.scenario_id
+            target = out if one_file else out / f"{sid}.json"
+            save_predictions(target, sid, predictions_to_world(topk, transform))
+        except GnevaError as exc:
+            # One bad scenario must not cost the others their predictions.
+            failures.append(exc)
+            failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
+            print(json.dumps(failure), file=sys.stderr)
+    print(f"predicted {len(paths) - len(failures)} of {len(paths)} scenario(s)")
+    if not failures:
+        return EXIT_OK
+    return EXIT_VALIDATION if isinstance(failures[0], INPUT_ERRORS) else EXIT_NUMERICAL
 
 
 def cmd_eval(args, config) -> int:
@@ -308,7 +319,7 @@ def run_command(argv: list[str]) -> int:
     try:
         config = load_run_config(args.config, args.set)
         return args.func(args, config)
-    except (ValidationError, ParseError, MissingHorizonState, HorizonMismatch, RegionTooLarge) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except GnevaError as exc:

@@ -147,7 +147,7 @@ def save_scenario(scenario: Scenario, path) -> None:
             for a in scenario.agents
         ],
         "map": [
-            {"id": p.id, "kind": p.kind, "points": [[float(x), float(y)] for x, y in p.points]}
+            {"id": p.id, "kind": p.kind, "points": p.points.tolist()}
             for p in scenario.map
         ],
     }
@@ -222,29 +222,38 @@ class RigidTransform:
             ty=-(-s * self.tx + c * self.ty),
         )
 
-    def apply_scenario(self, s: Scenario) -> Scenario:
-        """The scenario with every state and polyline moved; headings turn by `angle`.
+    def apply_states(self, rows: np.ndarray) -> np.ndarray:
+        """(n, 5) state rows (x, y, heading, vx, vy) moved; headings turn by `angle`.
 
-        A track's positions and velocities are rotated as one stack of
-        (1, 2) @ (2, 2) products, which round like rotating each state
-        alone, so the result does not depend on how many states a track has.
+        Positions and velocities are rotated as one stack of (1, 2) @ (2, 2)
+        products, which round like rotating each state alone, so the result
+        does not depend on how many states there are.
         """
-        rot_t = self._rotation().T
-        shift = np.array([self.tx, self.ty])
+        moved = rows[:, _POS_VEL].reshape(-1, 2, 1, 2) @ self._rotation().T
+        moved[:, 0, 0] += (self.tx, self.ty)
+        out = np.empty_like(rows)
+        out[:, _POS_VEL] = moved.reshape(-1, 4)
+        out[:, 2] = rows[:, 2] + self.angle
+        return out
+
+    def apply_scenario(self, s: Scenario) -> Scenario:
+        """The scenario with every state and polyline moved; headings turn by `angle`."""
         agents = []
-        for track in s.agents:
-            rows = np.array([(st.x, st.y, st.vx, st.vy) for st in track.states], dtype=float)
-            moved = rows.reshape(-1, 2, 1, 2) @ rot_t
-            moved[:, 0, 0] += shift
-            states = [
-                AgentState(t=st.t, x=x, y=y, heading=st.heading + self.angle, vx=vx, vy=vy)
-                for st, (x, y, vx, vy) in zip(track.states, moved.reshape(-1, 4).tolist())
-            ]
-            agents.append(AgentTrack(id=track.id, kind=track.kind, states=states))
+        for a in s.agents:
+            rows = np.array([(st.x, st.y, st.heading, st.vx, st.vy) for st in a.states], dtype=float)
+            agents.append(_track(a.id, a.kind, [st.t for st in a.states], self.apply_states(rows.reshape(-1, 5))))
         polylines = [
             MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
         ]
         return replace(s, agents=agents, map=polylines)
+
+
+_POS_VEL = [0, 1, 3, 4]  # the x, y, vx, vy columns of a state row
+
+
+def _track(track_id: str, kind: str, steps: list[int], rows: np.ndarray) -> AgentTrack:
+    """A track with one state per step, from (x, y, heading, vx, vy) rows."""
+    return AgentTrack(track_id, kind, [AgentState(t, *row) for t, row in zip(steps, rows.tolist())])
 
 
 def target_frame_transform(s: Scenario) -> RigidTransform:
@@ -254,12 +263,13 @@ def target_frame_transform(s: Scenario) -> RigidTransform:
         raise MissingHorizonState(
             f"target {s.target_id!r} has no state at the observation horizon {s.H}"
         )
-    c, sn = math.cos(-state.heading), math.sin(-state.heading)
-    return RigidTransform(
-        angle=-state.heading,
-        tx=-(c * state.x - sn * state.y),
-        ty=-(sn * state.x + c * state.y),
-    )
+    return _pose_frame(state.x, state.y, state.heading)
+
+
+def _pose_frame(x: float, y: float, heading: float) -> RigidTransform:
+    """The transform that puts the pose (x, y, heading) at the origin, heading along +x."""
+    c, sn = math.cos(-heading), math.sin(-heading)
+    return RigidTransform(angle=-heading, tx=-(c * x - sn * y), ty=-(sn * x + c * y))
 
 
 def to_target_frame(s: Scenario) -> tuple[Scenario, RigidTransform]:
@@ -415,40 +425,23 @@ class _Path:
     def length(self) -> float:
         return float(self.cum[-1])
 
-    def point_at(self, s: float) -> np.ndarray:
-        s = float(np.clip(s, 0.0, self.length))
-        i = int(np.searchsorted(self.cum, s, side="right") - 1)
-        i = min(i, len(self.seg_lengths) - 1)
-        frac = (s - self.cum[i]) / self.seg_lengths[i]
-        return self.points[i] + frac * (self.points[i + 1] - self.points[i])
 
-    def heading_at(self, s: float) -> float:
-        s = float(np.clip(s, 0.0, self.length))
-        i = int(np.searchsorted(self.cum, s, side="right") - 1)
-        i = min(i, len(self.seg_lengths) - 1)
-        d = self.points[i + 1] - self.points[i]
-        return math.atan2(d[1], d[0])
+def _drive_path(path: _Path, start_s: float, speeds: np.ndarray, dt: float) -> np.ndarray:
+    """March along a path at per-step speeds: one (x, y, heading, vx, vy) row per step.
 
-
-def _drive_path(path: _Path, start_s: float, speeds: np.ndarray, dt: float) -> list[AgentState]:
-    """March along a path at per-step speeds, emitting one state per step."""
-    states = []
-    s = start_s
-    for step, speed in enumerate(speeds, start=1):
-        pos = path.point_at(s)
-        heading = path.heading_at(s)
-        states.append(
-            AgentState(
-                t=step,
-                x=float(pos[0]),
-                y=float(pos[1]),
-                heading=heading,
-                vx=speed * math.cos(heading),
-                vy=speed * math.sin(heading),
-            )
-        )
-        s += speed * dt
-    return states
+    The state at step k (from 1) sits at arc length start_s + speeds[0] * dt
+    + ... + speeds[k - 2] * dt, added left to right and clamped to the path;
+    the direction of the segment there sets the heading and velocity.
+    """
+    s = np.clip(np.cumsum(np.concatenate([[start_s], speeds[:-1] * dt])), 0.0, path.length)
+    seg = np.minimum(np.searchsorted(path.cum, s, side="right") - 1, len(path.seg_lengths) - 1)
+    frac = (s - path.cum[seg]) / path.seg_lengths[seg]
+    delta = path.points[seg + 1] - path.points[seg]
+    pos = path.points[seg] + frac[:, None] * delta
+    # math, not numpy, trig: np.arctan2/cos/sin may differ from libm in the last bit.
+    headings = [math.atan2(dy, dx) for dx, dy in delta.tolist()]
+    vel = [(v * math.cos(h), v * math.sin(h)) for v, h in zip(speeds.tolist(), headings)]
+    return np.column_stack([pos, headings, np.reshape(vel, (-1, 2))])
 
 
 def _offset_polyline(points: np.ndarray, offset: float) -> np.ndarray:
@@ -499,11 +492,21 @@ def synth_generate(cfg: SynthConfig, kind: str) -> list[Scenario]:
     if kind not in ("straight", "turn", "merge"):
         raise ValidationError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(cfg.seed)
+    steps = list(range(1, cfg.H + cfg.T + 1))
     scenarios = []
     for i in range(cfg.n):
-        canonical = _SYNTH_BUILDERS[kind](cfg, rng, f"{kind}-{cfg.seed}-{i:04d}")
-        world = _random_world_transform(rng).apply_scenario(canonical)
-        scenarios.append(world.validate())
+        tracks, polylines = _SYNTH_BUILDERS[kind](cfg, rng)
+        # The builder may put step H anywhere: move the scene into the frame of the
+        # target's step-H pose (the first track's), then to a random world pose.
+        canonical = _pose_frame(*tracks[0][1][cfg.H - 1, :3].tolist())
+        world = _random_world_transform(rng)
+        agents = [
+            _track(track_id, "vehicle", steps, world.apply_states(canonical.apply_states(rows)))
+            for track_id, rows in tracks
+        ]
+        polylines = [replace(p, points=world.apply_points(canonical.apply_points(p.points))) for p in polylines]
+        scenario_id = f"{kind}-{cfg.seed}-{i:04d}"
+        scenarios.append(Scenario(scenario_id, cfg.dt, cfg.H, cfg.T, tracks[0][0], agents, polylines).validate())
     return scenarios
 
 
@@ -511,21 +514,17 @@ def _speeds(rng, cfg: SynthConfig, base: float, jitter: float) -> np.ndarray:
     return base * (1.0 + jitter * rng.standard_normal(cfg.H + cfg.T))
 
 
-def _synth_straight(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
+def _synth_straight(cfg: SynthConfig, rng):
     v = rng.uniform(5.0, 10.0)
     total = v * (cfg.H + cfg.T + 10) * cfg.dt
     center = np.stack([np.linspace(-total, total, 40), np.zeros(40)], axis=1)
     path = _Path(center)
     start_s = total - v * cfg.H * cfg.dt  # roughly centers step H at the origin
-    target = AgentTrack(
-        id="target",
-        kind="vehicle",
-        states=_drive_path(path, start_s, _speeds(rng, cfg, v, 0.08), cfg.dt),
-    )
-    return _canonical(cfg, scenario_id, [target], _lane_polylines(center, "lane0"))
+    target = _drive_path(path, start_s, _speeds(rng, cfg, v, 0.08), cfg.dt)
+    return [("target", target)], _lane_polylines(center, "lane0")
 
 
-def _synth_turn(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
+def _synth_turn(cfg: SynthConfig, rng):
     v = rng.uniform(6.0, 8.0)
     future_len = v * cfg.T * cfg.dt
     sweep = math.radians(rng.uniform(85.0, 95.0))
@@ -542,20 +541,16 @@ def _synth_turn(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
         [approach[:-1], left_arc if branch > 0 else right_arc], axis=0
     )
     path = _Path(drive_points)
-    target = AgentTrack(
-        id="target",
-        kind="vehicle",
-        states=_drive_path(path, approach_len - v * cfg.H * cfg.dt, np.full(cfg.H + cfg.T, v), cfg.dt),
-    )
+    target = _drive_path(path, approach_len - v * cfg.H * cfg.dt, np.full(cfg.H + cfg.T, v), cfg.dt)
     polylines = _lane_polylines(approach, "approach")
     polylines += [
         MapPolyline(id="exit-left", kind="lane_center", points=left_arc),
         MapPolyline(id="exit-right", kind="lane_center", points=right_arc),
     ]
-    return _canonical(cfg, scenario_id, [target], polylines)
+    return [("target", target)], polylines
 
 
-def _synth_merge(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
+def _synth_merge(cfg: SynthConfig, rng):
     v = rng.uniform(4.0, 9.0)
     horizon_len = v * cfg.H * cfg.dt
     total_len = v * (cfg.H + cfg.T + 6) * cfg.dt
@@ -575,30 +570,12 @@ def _synth_merge(cfg: SynthConfig, rng, scenario_id: str) -> Scenario:
     path = _Path(drive_points)
     ramp_path = _Path(ramp)
     start_s = max(ramp_path.length - horizon_len, 0.0)
-    target = AgentTrack(
-        id="target",
-        kind="vehicle",
-        states=_drive_path(path, start_s, _speeds(rng, cfg, v, 0.05), cfg.dt),
-    )
+    target = _drive_path(path, start_s, _speeds(rng, cfg, v, 0.05), cfg.dt)
     lead_speed = v * rng.uniform(0.9, 1.1)
     lead_start = _Path(main).length / 2 + rng.uniform(10.0, 25.0)
-    lead = AgentTrack(
-        id="lead",
-        kind="vehicle",
-        states=_drive_path(_Path(main), lead_start, np.full(cfg.H + cfg.T, lead_speed), cfg.dt),
-    )
+    lead = _drive_path(_Path(main), lead_start, np.full(cfg.H + cfg.T, lead_speed), cfg.dt)
     polylines = _lane_polylines(main, "main") + _lane_polylines(ramp, "ramp")
-    return _canonical(cfg, scenario_id, [target, lead], polylines)
-
-
-def _canonical(cfg: SynthConfig, scenario_id: str, agents: list[AgentTrack], polylines) -> Scenario:
-    """A scene of agents (the first is the target) re-expressed in the frame of its step-H pose.
-
-    Keeps generator code simple: builders may put step H anywhere; the
-    canonical output always has the target at the origin at step H.
-    """
-    scenario = Scenario(scenario_id, cfg.dt, cfg.H, cfg.T, agents[0].id, agents, polylines)
-    return to_target_frame(scenario)[0]
+    return [("target", target), ("lead", lead)], polylines
 
 
 _SYNTH_BUILDERS = {

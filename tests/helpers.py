@@ -6,6 +6,9 @@ and integration is plain grid quadrature. Tests compare package output
 against these routes.
 """
 
+import json
+import math
+
 import numpy as np
 from scipy import stats
 from scipy.special import gammaln, logsumexp, multigammaln, psi
@@ -203,3 +206,58 @@ def stable_log_mean_exp(log_vals):
     mean = w.mean()
     se_rel = w.std(ddof=1) / np.sqrt(w.size) / mean
     return m + np.log(mean), float(se_rel)
+
+
+def drive_path_reference(points, start_s, speeds, dt):
+    """(t, x, y, heading, vx, vy) per step of a march along a polyline, one state at a time.
+
+    Step k sits at arc length start_s + speeds[0] dt + ... + speeds[k-1] dt,
+    accumulated one step at a time and clamped to [0, length]; the segment
+    is the last one whose start is at or before it, and its direction is
+    the heading.
+    """
+    points = np.asarray(points, dtype=float)
+    deltas = np.diff(points, axis=0)
+    lengths = np.hypot(deltas[:, 0], deltas[:, 1])
+    starts = np.concatenate([[0.0], np.cumsum(lengths)])
+    rows = []
+    s = start_s
+    for step, speed in enumerate(speeds, start=1):
+        at = float(np.clip(s, 0.0, starts[-1]))
+        i = min(int(np.searchsorted(starts, at, side="right")) - 1, len(lengths) - 1)
+        frac = (at - starts[i]) / lengths[i]
+        pos = points[i] + frac * (points[i + 1] - points[i])
+        d = points[i + 1] - points[i]
+        heading = math.atan2(d[1], d[0])
+        rows.append((step, float(pos[0]), float(pos[1]), heading, speed * math.cos(heading), speed * math.sin(heading)))
+        s += speed * dt
+    return rows
+
+
+def scenario_json_reference(s, format_version):
+    """A scenario file's text with every polyline point written as its own [float(x), float(y)] pair."""
+    return json.dumps(
+        {
+            "format_version": format_version,
+            "scenario_id": s.scenario_id,
+            "dt": s.dt,
+            "H": s.H,
+            "T": s.T,
+            "target_id": s.target_id,
+            "agents": [
+                {
+                    "id": a.id,
+                    "kind": a.kind,
+                    "states": [
+                        {"t": st.t, "x": st.x, "y": st.y, "heading": st.heading, "vx": st.vx, "vy": st.vy}
+                        for st in a.states
+                    ],
+                }
+                for a in s.agents
+            ],
+            "map": [
+                {"id": p.id, "kind": p.kind, "points": [[float(x), float(y)] for x, y in p.points]}
+                for p in s.map
+            ],
+        }
+    )

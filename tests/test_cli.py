@@ -276,6 +276,32 @@ class TestPipeline:
         assert doc["scenario_id"] == scenario_file.stem
         assert 1 <= len(doc["predictions"]) <= 6
 
+    def test_bad_scenarios_do_not_sink_a_directory_run(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        good = sorted(data.glob("*.json"))[:2]
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "a.json").write_bytes(good[0].read_bytes())
+        malformed = scenes / "b.json"
+        malformed.write_text('{"format_version": 1, "scenario_id": ')
+        (scenes / "c.json").write_bytes(good[1].read_bytes())
+        doc = json.loads(good[0].read_text())
+        doc["scenario_id"] = "nan-state"
+        doc["agents"][0]["states"][3]["x"] = float("nan")
+        nan_state = scenes / "d.json"
+        nan_state.write_text(json.dumps(doc))
+        out = tmp_path / "preds"
+        code = run_command(
+            ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+             "--scenario", str(scenes), "--spacing", "1.0", "--out", str(out)]
+        )
+        assert code == 1
+        assert sorted(p.stem for p in out.glob("*.json")) == sorted(p.stem for p in good)
+        failures = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [f["file"] for f in failures] == [str(malformed), str(nan_state)]
+        assert [f["error"] for f in failures] == ["ParseError", "ValidationError"]
+        assert all(f["message"] for f in failures)
+
     def test_density_grid_deterministic_and_normalized(self, workspace):
         root, config, data, spatial, traj = workspace
         scenario_file = sorted(data.glob("*.json"))[0]

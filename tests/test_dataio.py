@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from gneva import dataio
 from gneva.dataio import (
+    FORMAT_VERSION,
     AgentState,
     AgentTrack,
     MapPolyline,
@@ -20,6 +22,7 @@ from gneva.dataio import (
 )
 from gneva.encoders import EncoderConfig
 from gneva.errors import MissingHorizonState, ParseError, ValidationError
+from helpers import drive_path_reference, scenario_json_reference
 
 
 def minimal_scenario(h=10, t=30):
@@ -298,3 +301,59 @@ class TestSynthGenerate:
     def test_n_must_be_positive(self):
         with pytest.raises(ValidationError):
             SynthConfig(n=0, seed=1)
+
+    @pytest.mark.parametrize("kind", ["straight", "turn", "merge"])
+    def test_array_march_matches_per_state_reference(self, kind, monkeypatch):
+        def fields(scenes):
+            return [
+                [(st.t, st.x, st.y, st.heading, st.vx, st.vy) for st in a.states] for s in scenes for a in s.agents
+            ]
+
+        cfgs = [SynthConfig(n=6, seed=seed) for seed in (0, 5, 801)]
+        arrays = [fields(synth_generate(cfg, kind)) for cfg in cfgs]
+        monkeypatch.setattr(
+            dataio,
+            "_drive_path",
+            lambda path, start_s, speeds, dt: np.array(
+                [row[1:] for row in drive_path_reference(path.points, start_s, speeds, dt)]
+            ),
+        )
+        assert arrays == [fields(synth_generate(cfg, kind)) for cfg in cfgs]
+
+    @pytest.mark.parametrize("kind", ["straight", "turn", "merge"])
+    def test_array_frames_match_scenario_transforms(self, kind):
+        # Each scene built as objects and moved with to_target_frame, then apply_scenario,
+        # from the same random draws: the generator's array route must give the same floats.
+        cfg = SynthConfig(n=4, seed=11)
+        rng = np.random.default_rng(cfg.seed)
+        for i, scene in enumerate(synth_generate(cfg, kind)):
+            tracks, polylines = dataio._SYNTH_BUILDERS[kind](cfg, rng)
+            agents = [
+                AgentTrack(track_id, "vehicle", [AgentState(t, *row) for t, row in enumerate(rows.tolist(), start=1)])
+                for track_id, rows in tracks
+            ]
+            built = Scenario(scene.scenario_id, cfg.dt, cfg.H, cfg.T, "target", agents, polylines)
+            expected = dataio._random_world_transform(rng).apply_scenario(to_target_frame(built)[0])
+            assert [a.states for a in scene.agents] == [a.states for a in expected.agents], f"{kind} scene {i}"
+            assert [(p.id, p.points.tolist()) for p in scene.map] == [(p.id, p.points.tolist()) for p in expected.map]
+
+    def test_march_onto_vertices_and_past_the_end(self):
+        # Every step advances exactly 2.5 * 0.4 == 1.0: steps land on the vertices at
+        # arc lengths 1, 3 and 5 (the end), and from there on the march is clipped.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [3.0, 2.0]])
+        for start_s, speeds in [(0.0, np.full(9, 2.5)), (-0.5, 2.5 + 0.3 * np.sin(np.arange(12.0)))]:
+            rows = dataio._drive_path(dataio._Path(points), start_s, speeds, 0.4).tolist()
+            assert rows == [list(row[1:]) for row in drive_path_reference(points, start_s, speeds, 0.4)]
+        assert rows[0][:2] == [0.0, 0.0]  # clipped at the start
+        on_grid = dataio._drive_path(dataio._Path(points), 0.0, np.full(9, 2.5), 0.4)
+        assert on_grid[:, :2].tolist() == [
+            [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [2.0, 2.0], [3.0, 2.0], [3.0, 2.0], [3.0, 2.0], [3.0, 2.0]
+        ]
+        assert on_grid[:, 2].tolist() == [0.0, math.pi / 2, math.pi / 2] + [0.0] * 6
+
+    def test_scenario_file_matches_per_point_writer(self, tmp_path):
+        scenes = [s for kind in ("straight", "turn", "merge") for s in synth_generate(SynthConfig(n=2, seed=3), kind)]
+        for s in scenes + [minimal_scenario()]:
+            path = tmp_path / f"{s.scenario_id}.json"
+            save_scenario(s, path)
+            assert path.read_text() == scenario_json_reference(s, FORMAT_VERSION)

@@ -6,6 +6,8 @@ records no span. These tests catch a refactor that renames a stage or
 stops calling it through its module global, without running the benchmark.
 """
 
+import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gneva
 from gneva import dataio, encoders, sampling, trajectory, training
 from gneva.cli import run_command
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import tracing  # noqa: E402
 
 ENC = encoders.EncoderConfig(hidden=32, n_heads=2, C=3)
@@ -80,3 +84,28 @@ def test_benchmark_stages_call_every_wrapped_name(counted, tmp_path):
     missing = [name for name in wrapped_names() if counted[name] == 0]
     assert not missing, f"wrapped but never called through the module global: {missing}"
     assert np.isfinite([p.goal_log_prob for p in world]).all()
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """`perfbench/run.py` imported as a module; the environment variables its import sets are put back."""
+    for var in ("OPENBLAS_NUM_THREADS", "GNEVA_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # teardown restores the value, or its absence
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_setup_writes_identical_loadable_files(bench_run, tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        ctx = bench_run.setup(gneva, bench_run.PLANS["train"], 13, tmp_path / name)
+        files = sorted(p for p in ctx.work.rglob("*") if p.is_file())
+        trees.append({p.relative_to(ctx.work): p.read_bytes() for p in files})
+    assert trees[0] == trees[1]
+    assert len(ctx.train_scenes) == sum(n for _, n in bench_run.PLANS["train"].train)
+    for path in trees[0]:
+        scenario = dataio.load_scenario(tmp_path / "a" / path)
+        assert path.stem == scenario.scenario_id
