@@ -19,8 +19,8 @@ from .distributions import (
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params
 from .metrics import MetricReport, displacement_metrics
 from .mixture import MixturePosterior, elbo, z_posterior
-from .sampling import CandidatePool, NmsConfig, ScoredCandidate, circle_iou, generate_candidates, nms_select
-from .trajectory import PredictedTrajectory, complete_trajectory, predict_topk
+from .sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select
+from .trajectory import Predictions, complete_trajectory, predict_topk
 from .training import TrainConfig, train_spatial, train_trajectory
 
 __version__ = "0.1.0"
@@ -34,9 +34,8 @@ __all__ = [
     "NmsConfig",
     "NormalWishartParams",
     "ParamTape",
-    "PredictedTrajectory",
+    "Predictions",
     "Scenario",
-    "ScoredCandidate",
     "StudentTParams",
     "SynthConfig",
     "TrainConfig",

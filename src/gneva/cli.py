@@ -143,9 +143,16 @@ def _save_trained(args, tape, history, enc_cfg, n_scenes: int) -> int:
     return EXIT_OK
 
 
+def _report_failure(path, exc: GnevaError) -> int:
+    """Print a file's failure as one JSON line on stderr; return its exit code."""
+    failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(failure), file=sys.stderr)
+    return EXIT_VALIDATION if isinstance(exc, INPUT_ERRORS) else EXIT_NUMERICAL
+
+
 def cmd_predict(args, config) -> int:
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
-    traj_tape, _, _ = load_trajectory_model(args.traj_model)
+    traj_tape, _, horizon = load_trajectory_model(args.traj_model)
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
     paths = _load_scenario_paths(args.scenario)
     out = Path(args.out)
@@ -156,43 +163,49 @@ def cmd_predict(args, config) -> int:
     for path in paths:
         try:
             scenario = load_scenario(path)
+            sid = scenario.scenario_id
+            if scenario.T != horizon:
+                raise HorizonMismatch(
+                    f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps"
+                )
             projected, transform = to_target_frame(scenario)
             topk = predict_topk(
                 projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing
             )
-            sid = scenario.scenario_id
             target = out if one_file else out / f"{sid}.json"
             save_predictions(target, sid, predictions_to_world(topk, transform))
         except GnevaError as exc:
             # One bad scenario must not cost the others their predictions.
-            failures.append(exc)
-            failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
-            print(json.dumps(failure), file=sys.stderr)
+            failures.append(_report_failure(path, exc))
     print(f"predicted {len(paths) - len(failures)} of {len(paths)} scenario(s)")
-    if not failures:
-        return EXIT_OK
-    return EXIT_VALIDATION if isinstance(failures[0], INPUT_ERRORS) else EXIT_NUMERICAL
+    return failures[0] if failures else EXIT_OK
 
 
 def cmd_eval(args, config) -> int:
-    pred_paths = _load_scenario_paths(args.pred)
+    failures = []
     predictions = {}
-    for p in pred_paths:
-        scenario_id, preds = load_predictions(p)
-        predictions[scenario_id] = preds
-    data_paths = _load_scenario_paths(args.data)
+    for path in _load_scenario_paths(args.pred):
+        try:
+            scenario_id, preds = load_predictions(path)
+            predictions[scenario_id] = preds
+        except GnevaError as exc:
+            failures.append(_report_failure(path, exc))
     pred_sets, gts = [], []
-    for path in data_paths:
-        scenario = load_scenario(path)
-        if scenario.scenario_id not in predictions:
-            raise ValidationError(f"no predictions for scenario {scenario.scenario_id!r}")
-        pred_sets.append([p.waypoints for p in predictions[scenario.scenario_id]])
-        gts.append(scenario.future_waypoints())
-    report = displacement_metrics(pred_sets, gts, k=args.k)
-    print(report.to_text())
-    if args.out:
-        Path(args.out).write_text(report.to_json())
-    return EXIT_OK
+    for path in _load_scenario_paths(args.data):
+        try:
+            scenario = load_scenario(path)
+            if scenario.scenario_id not in predictions:
+                raise ValidationError(f"no predictions for scenario {scenario.scenario_id!r}")
+            gts.append(scenario.future_waypoints())
+            pred_sets.append(predictions[scenario.scenario_id].waypoints)
+        except GnevaError as exc:
+            failures.append(_report_failure(path, exc))
+    if pred_sets:
+        report = displacement_metrics(pred_sets, gts, k=args.k)
+        print(report.to_text())
+        if args.out:
+            Path(args.out).write_text(report.to_json())
+    return failures[0] if failures else EXIT_OK
 
 
 def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path) -> int:

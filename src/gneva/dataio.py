@@ -28,26 +28,22 @@ FORMAT_VERSION = 1
 
 
 @dataclass
-class AgentState:
-    t: int
-    x: float
-    y: float
-    heading: float
-    vx: float
-    vy: float
-
-
-@dataclass
 class AgentTrack:
+    """One agent's states: step indices `steps (n,)` and rows `(n, 5)` of x, y, heading, vx, vy."""
+
     id: str
     kind: str
-    states: list[AgentState]
+    steps: np.ndarray
+    rows: np.ndarray
 
-    def state_at(self, t: int) -> AgentState | None:
-        for s in self.states:
-            if s.t == t:
-                return s
-        return None
+    def __post_init__(self):
+        self.steps = np.asarray(self.steps, dtype=np.int64).reshape(-1)
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, 5)
+
+    def row_at(self, t: int) -> np.ndarray | None:
+        """The row of the first state at step t, or None."""
+        hit = np.flatnonzero(self.steps == t)
+        return self.rows[hit[0]] if hit.size else None
 
 
 @dataclass
@@ -76,21 +72,24 @@ class Scenario:
         if self.H < 1 or self.T < 1:
             raise ValidationError(f"horizons must be >= 1, got H={self.H}, T={self.T}")
         target = self.target()
-        steps = {s.t for s in target.states}
-        missing = [t for t in range(1, self.H + 1) if t not in steps]
+        # Any of the first five missing steps lies within the first len(present) + 5.
+        present = set(target.steps.tolist())
+        missing = [t for t in range(1, min(self.H, len(present) + 5) + 1) if t not in present][:5]
         if missing:
             raise ValidationError(
-                f"target {self.target_id!r} lacks states for observed steps {missing[:5]}"
+                f"target {self.target_id!r} lacks states for observed steps {missing}"
             )
         for track in self.agents:
             if track.kind not in AGENT_KINDS:
                 raise ValidationError(f"unknown agent kind {track.kind!r} on {track.id!r}")
-            ts = [s.t for s in track.states]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if len(track.steps) != len(track.rows):
+                raise ValidationError(f"agent {track.id!r} has {len(track.steps)} steps but {len(track.rows)} states")
+            if np.any(track.steps[1:] <= track.steps[:-1]):
                 raise ValidationError(f"agent {track.id!r} has non-increasing step indices")
-            for s in track.states:
-                if not all(map(math.isfinite, (s.x, s.y, s.heading, s.vx, s.vy))):
-                    raise ValidationError(f"agent {track.id!r} has non-finite state at t={s.t}")
+            finite = np.isfinite(track.rows).all(axis=1)
+            if not finite.all():
+                t = track.steps[np.argmin(finite)]
+                raise ValidationError(f"agent {track.id!r} has non-finite state at t={t}")
         for poly in self.map:
             if poly.kind not in MAP_KINDS:
                 raise ValidationError(f"unknown map kind {poly.kind!r} on {poly.id!r}")
@@ -108,23 +107,23 @@ class Scenario:
 
     def goal(self) -> np.ndarray:
         """Target position at the prediction horizon; the training label."""
-        state = self.target().state_at(self.H + self.T)
-        if state is None:
+        row = self.target().row_at(self.H + self.T)
+        if row is None:
             raise ValidationError(
                 f"scenario {self.scenario_id!r} has no target state at step H+T"
             )
-        return np.array([state.x, state.y])
+        return row[:2].copy()
 
     def future_waypoints(self) -> np.ndarray:
         """Target positions at steps H+1 .. H+T; ground truth for evaluation."""
         target = self.target()
-        out = np.empty((self.T, 2))
-        for i, t in enumerate(range(self.H + 1, self.H + self.T + 1)):
-            s = target.state_at(t)
-            if s is None:
-                raise ValidationError(f"scenario {self.scenario_id!r} missing future step {t}")
-            out[i] = (s.x, s.y)
-        return out
+        want = np.arange(self.H + 1, self.H + self.T + 1)
+        hits = target.steps[:, None] == want
+        found = hits.any(axis=0)
+        if not found.all():
+            t = want[np.argmin(found)]
+            raise ValidationError(f"scenario {self.scenario_id!r} missing future step {t}")
+        return target.rows[hits.argmax(axis=0), :2]
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -140,8 +139,8 @@ def save_scenario(scenario: Scenario, path) -> None:
                 "id": a.id,
                 "kind": a.kind,
                 "states": [
-                    {"t": s.t, "x": s.x, "y": s.y, "heading": s.heading, "vx": s.vx, "vy": s.vy}
-                    for s in a.states
+                    {"t": t, "x": x, "y": y, "heading": heading, "vx": vx, "vy": vy}
+                    for t, (x, y, heading, vx, vy) in zip(a.steps.tolist(), a.rows.tolist())
                 ],
             }
             for a in scenario.agents
@@ -157,12 +156,14 @@ def save_scenario(scenario: Scenario, path) -> None:
 _STATE_FIELDS = operator.itemgetter("t", "x", "y", "heading", "vx", "vy")
 
 
-def _parse_states(raw) -> list[AgentState]:
-    """Agent states from their JSON objects, each object's six fields looked up in one call."""
-    return [
-        AgentState(int(t), float(x), float(y), float(heading), float(vx), float(vy))
-        for t, x, y, heading, vx, vy in map(_STATE_FIELDS, raw)
-    ]
+def _parse_track(raw) -> AgentTrack:
+    """An agent from its JSON object, each state's six fields looked up in one call."""
+    track_id, kind = str(raw["id"]), str(raw["kind"])
+    steps, rows = [], []
+    for t, x, y, heading, vx, vy in map(_STATE_FIELDS, raw["states"]):
+        steps.append(int(t))
+        rows.append((float(x), float(y), float(heading), float(vx), float(vy)))
+    return AgentTrack(track_id, kind, steps, rows)
 
 
 def load_scenario(path) -> Scenario:
@@ -174,6 +175,8 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
     try:
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValidationError(
@@ -185,10 +188,7 @@ def load_scenario(path) -> Scenario:
             H=int(doc["H"]),
             T=int(doc["T"]),
             target_id=str(doc["target_id"]),
-            agents=[
-                AgentTrack(id=str(a["id"]), kind=str(a["kind"]), states=_parse_states(a["states"]))
-                for a in doc["agents"]
-            ],
+            agents=[_parse_track(a) for a in doc["agents"]],
             map=[
                 MapPolyline(id=str(p["id"]), kind=str(p["kind"]), points=p["points"])
                 for p in doc["map"]
@@ -238,10 +238,7 @@ class RigidTransform:
 
     def apply_scenario(self, s: Scenario) -> Scenario:
         """The scenario with every state and polyline moved; headings turn by `angle`."""
-        agents = []
-        for a in s.agents:
-            rows = np.array([(st.x, st.y, st.heading, st.vx, st.vy) for st in a.states], dtype=float)
-            agents.append(_track(a.id, a.kind, [st.t for st in a.states], self.apply_states(rows.reshape(-1, 5))))
+        agents = [AgentTrack(a.id, a.kind, a.steps, self.apply_states(a.rows)) for a in s.agents]
         polylines = [
             MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
         ]
@@ -251,19 +248,14 @@ class RigidTransform:
 _POS_VEL = [0, 1, 3, 4]  # the x, y, vx, vy columns of a state row
 
 
-def _track(track_id: str, kind: str, steps: list[int], rows: np.ndarray) -> AgentTrack:
-    """A track with one state per step, from (x, y, heading, vx, vy) rows."""
-    return AgentTrack(track_id, kind, [AgentState(t, *row) for t, row in zip(steps, rows.tolist())])
-
-
 def target_frame_transform(s: Scenario) -> RigidTransform:
     """World-to-target-frame transform anchored at the step-H target pose."""
-    state = s.target().state_at(s.H)
-    if state is None:
+    row = s.target().row_at(s.H)
+    if row is None:
         raise MissingHorizonState(
             f"target {s.target_id!r} has no state at the observation horizon {s.H}"
         )
-    return _pose_frame(state.x, state.y, state.heading)
+    return _pose_frame(*row[:3].tolist())
 
 
 def _pose_frame(x: float, y: float, heading: float) -> RigidTransform:
@@ -294,9 +286,7 @@ class VectorizedScene:
 
 def _track_vectors(track: AgentTrack, h: int) -> np.ndarray:
     """A row per consecutive pair of states up to step h: start, end, heading, velocity, kind."""
-    states = np.array(
-        [(s.x, s.y, s.heading, s.vx, s.vy) for s in track.states if s.t <= h], dtype=float
-    ).reshape(-1, 5)
+    states = track.rows[track.steps <= h]
     rows = np.zeros((max(len(states) - 1, 0), AGENT_VECTOR_WIDTH))
     rows[:, 0:2] = states[:-1, 0:2]
     rows[:, 2:4] = states[1:, 0:2]
@@ -355,7 +345,7 @@ def vectorize(s: Scenario, cfg) -> VectorizedScene:
         if len(vs) == 0:
             continue
         surrounding.append(_cap_vectors(vs, cfg.max_vectors_per_polyline))
-        observed.append(track.state_at(s.H) is not None)
+        observed.append(s.H in track.steps)
     surrounding = surrounding[: cfg.max_polylines]
     observed = observed[: cfg.max_polylines]
     return VectorizedScene(
@@ -492,7 +482,6 @@ def synth_generate(cfg: SynthConfig, kind: str) -> list[Scenario]:
     if kind not in ("straight", "turn", "merge"):
         raise ValidationError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(cfg.seed)
-    steps = list(range(1, cfg.H + cfg.T + 1))
     scenarios = []
     for i in range(cfg.n):
         tracks, polylines = _SYNTH_BUILDERS[kind](cfg, rng)
@@ -501,7 +490,9 @@ def synth_generate(cfg: SynthConfig, kind: str) -> list[Scenario]:
         canonical = _pose_frame(*tracks[0][1][cfg.H - 1, :3].tolist())
         world = _random_world_transform(rng)
         agents = [
-            _track(track_id, "vehicle", steps, world.apply_states(canonical.apply_states(rows)))
+            AgentTrack(
+                track_id, "vehicle", np.arange(1, len(rows) + 1), world.apply_states(canonical.apply_states(rows))
+            )
             for track_id, rows in tracks
         ]
         polylines = [replace(p, points=world.apply_points(canonical.apply_points(p.points))) for p in polylines]

@@ -20,21 +20,6 @@ from .mixture import MixturePosterior, predictive_log_densities
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    """A candidate goal location with its predictive log density."""
-
-    location: np.ndarray
-    log_prob: float
-
-    def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float).reshape(2)
-        object.__setattr__(self, "location", loc)
-        object.__setattr__(self, "log_prob", float(self.log_prob))
-        if not (np.isfinite(loc).all() and math.isfinite(self.log_prob)):
-            raise ValidationError(f"candidate must be finite, got {loc}, {self.log_prob}")
-
-
-@dataclass(frozen=True)
 class CandidatePool:
     """Candidate goals as arrays: locations (n, 2) and predictive log densities (n,)."""
 
@@ -56,9 +41,6 @@ class CandidatePool:
 
     def __len__(self) -> int:
         return self.log_probs.shape[0]
-
-    def __getitem__(self, i) -> ScoredCandidate:
-        return ScoredCandidate(location=self.locations[i], log_prob=self.log_probs[i])
 
 
 @dataclass(frozen=True)
@@ -138,15 +120,13 @@ def _greedy_scan(
             block = block[_clear_of(locations[block], locations[best][None], cfg)]
 
 
-def nms_select(
-    candidates: CandidatePool | list[ScoredCandidate], cfg: NmsConfig, k: int | None = None
-) -> list[ScoredCandidate]:
+def nms_select(pool: CandidatePool, cfg: NmsConfig, k: int | None = None) -> np.ndarray:
     """Greedy suppression, most probable first, stopping after k selections.
 
-    With k None it runs until the pool is empty. A candidate is suppressed
-    when its circle IoU with an already selected candidate strictly exceeds
-    the threshold. Goals come back in non-increasing log density, ties in
-    input order; from a list, they are the caller's own objects.
+    Returns the selected pool indices in selection order. With k None it
+    runs until the pool is empty. A candidate is suppressed when its circle
+    IoU with an already selected candidate strictly exceeds the threshold.
+    Goals come in non-increasing log density, ties in pool order.
 
     With k set, the pool is sorted in two parts: first the head, every
     candidate strictly more probable than the one at rank
@@ -155,11 +135,8 @@ def nms_select(
     the whole pool's stable order, and the scan selects what one scan of
     the whole sorted pool would.
     """
-    if len(candidates) == 0:
+    if len(pool) == 0:
         raise EmptyCandidatePool("no candidates to select from")
-    pool = candidates
-    if not isinstance(pool, CandidatePool):
-        pool = CandidatePool(np.stack([c.location for c in pool]), [c.log_prob for c in pool])
     neg = -pool.log_probs
     limit = len(neg) if k is None else k
     head_size = _NMS_HEAD_PER_GOAL * limit
@@ -176,7 +153,7 @@ def nms_select(
         # Stable sort keeps input order among equal probabilities.
         order = members[np.argsort(neg[members], kind="stable")]
         _greedy_scan(order, pool.locations, cfg, limit, selected)
-    return [candidates[i] for i in selected]
+    return np.array(selected, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -206,9 +183,7 @@ def scene_region(s: Scenario, margin: float = 10.0) -> Region:
     """
     points = [p.points for p in s.map]
     if not points:
-        points = [
-            np.array([[st.x, st.y] for st in track.states]) for track in s.agents if track.states
-        ]
+        points = [track.rows[:, :2] for track in s.agents if len(track.rows)]
     allpts = np.concatenate(points, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
@@ -230,13 +205,14 @@ def generate_candidates(
     """
     if spacing <= 0.0:
         raise ValidationError(f"spacing must be positive, got {spacing}")
-    nx = int(math.floor((region.x_max - region.x_min) / spacing + 1e-9)) + 1
-    ny = int(math.floor((region.y_max - region.y_min) / spacing + 1e-9)) + 1
-    if nx * ny > cell_cap:
-        raise RegionTooLarge(f"grid of {nx}x{ny} cells exceeds the cap of {cell_cap}")
+    # Counted in floats: an extent beyond float range counts as inf cells, and is refused.
+    nx = np.floor((region.x_max - region.x_min) / spacing + 1e-9) + 1
+    ny = np.floor((region.y_max - region.y_min) / spacing + 1e-9) + 1
+    if not nx * ny <= cell_cap:
+        raise RegionTooLarge(f"grid of {nx:.0f}x{ny:.0f} cells exceeds the cap of {cell_cap}")
     xs = region.x_min + spacing * np.arange(nx)
     ys = region.y_min + spacing * np.arange(ny)
-    pts = np.empty((nx, ny, 2))
+    pts = np.empty((len(xs), len(ys), 2))
     pts[..., 0] = xs[:, None]
     pts[..., 1] = ys
     return CandidatePool(pts.reshape(-1, 2), predictive_log_densities(xs, mix, weights, ys))

@@ -48,20 +48,14 @@ def complete_trajectory(
 
 
 @dataclass(frozen=True)
-class PredictedTrajectory:
-    """A completed trajectory and the log density of its conditioning goal."""
+class Predictions:
+    """One scene's trajectories, most probable goal first: waypoints (k, T, 2) and goal log densities (k,)."""
 
-    waypoints: np.ndarray  # (T, 2)
-    goal_log_prob: float
+    waypoints: np.ndarray
+    goal_log_probs: np.ndarray
 
-    def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float)
-        object.__setattr__(self, "waypoints", wp)
-        object.__setattr__(self, "goal_log_prob", float(self.goal_log_prob))
-
-    @property
-    def goal(self) -> np.ndarray:
-        return self.waypoints[-1]
+    def __len__(self) -> int:
+        return len(self.goal_log_probs)
 
 
 def predict_topk(
@@ -71,7 +65,7 @@ def predict_topk(
     nms_cfg: NmsConfig,
     enc_cfg: EncoderConfig,
     spacing: float = 0.5,
-) -> list[PredictedTrajectory]:
+) -> Predictions:
     """Full pipeline on a target-frame scenario.
 
     Encoders emit the mixture posterior and proxy weights, a scored grid of
@@ -86,52 +80,38 @@ def predict_topk(
     candidates = generate_candidates(mix, weights, region, spacing)
     selected = nms_select(candidates, nms_cfg, nms_cfg.k)
     contexts = np.repeat(fw.context_feature.value, len(selected), axis=0)
-    goals = np.stack([c.location for c in selected])
+    goals = candidates.locations[selected]
     waypoints = complete_trajectory(contexts, goals, traj_tape, enc_cfg, scenario.T)
-    return [
-        PredictedTrajectory(waypoints=wp, goal_log_prob=c.log_prob)
-        for wp, c in zip(waypoints, selected)
-    ]
+    return Predictions(waypoints, candidates.log_probs[selected])
 
 
-def predictions_to_world(
-    predictions: list[PredictedTrajectory], transform: RigidTransform
-) -> list[PredictedTrajectory]:
+def predictions_to_world(predictions: Predictions, transform: RigidTransform) -> Predictions:
     """Map target-frame predictions back through the stored projection, all in one product."""
-    if not predictions:
-        return []
-    world = transform.inverse().apply_points(np.stack([p.waypoints for p in predictions]))
-    return [
-        PredictedTrajectory(waypoints=w, goal_log_prob=p.goal_log_prob)
-        for w, p in zip(world, predictions)
-    ]
+    world = transform.inverse().apply_points(predictions.waypoints)
+    return Predictions(world, predictions.goal_log_probs)
 
 
-def save_predictions(path, scenario_id: str, predictions: list[PredictedTrajectory]) -> None:
+def save_predictions(path, scenario_id: str, predictions: Predictions) -> None:
     doc = {
         "scenario_id": scenario_id,
         "predictions": [
-            {
-                "goal_log_prob": p.goal_log_prob,
-                "waypoints": p.waypoints.tolist(),
-            }
-            for p in predictions
+            {"goal_log_prob": log_prob, "waypoints": waypoints}
+            for log_prob, waypoints in zip(
+                predictions.goal_log_probs.tolist(), predictions.waypoints.tolist()
+            )
         ],
     }
     Path(path).write_text(json.dumps(doc))
 
 
-def load_predictions(path) -> tuple[str, list[PredictedTrajectory]]:
+def load_predictions(path) -> tuple[str, Predictions]:
     try:
         doc = json.loads(Path(path).read_text())
         scenario_id = str(doc["scenario_id"])
-        preds = [
-            PredictedTrajectory(
-                waypoints=np.asarray(p["waypoints"], dtype=float),
-                goal_log_prob=float(p["goal_log_prob"]),
-            )
-            for p in doc["predictions"]
-        ]
+        waypoints = np.array([p["waypoints"] for p in doc["predictions"]], dtype=float)
+        goal_log_probs = np.array([float(p["goal_log_prob"]) for p in doc["predictions"]])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot load predictions from {path}: {exc}") from exc
-    return scenario_id, preds
+    if waypoints.ndim != 3 or not len(waypoints) or waypoints.shape[2] != 2:
+        raise ValidationError(f"{path}: predictions need waypoints (k, T, 2) with k >= 1, got {waypoints.shape}")
+    return scenario_id, Predictions(waypoints, goal_log_probs)

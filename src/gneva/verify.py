@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params
 from .metrics import displacement_metrics
-from .sampling import NmsConfig, ScoredCandidate, circle_iou, nms_select
+from .sampling import CandidatePool, NmsConfig, circle_iou, nms_select
 from .special_math import SPDMatrix2
 from .training import TrainConfig, lr_schedule, spatial_scene_loss
 
@@ -227,15 +227,15 @@ def check_elbo_bound(n_cases: int, rng) -> tuple[bool, str]:
     return True, f"slack >= {worst_slack:.2e}, tightness gap <= {worst_gap:.2e}"
 
 
-def _nms_reference(candidates, radius, threshold):
-    pool = sorted(range(len(candidates)), key=lambda i: (-candidates[i].log_prob, i))
+def _nms_reference(locations, log_probs, radius, threshold):
+    pool = sorted(range(len(log_probs)), key=lambda i: (-log_probs[i], i))
     out = []
     while pool:
         best = pool.pop(0)
         out.append(best)
         keep = []
         for j in pool:
-            d = math.dist(tuple(candidates[best].location), tuple(candidates[j].location))
+            d = math.dist(tuple(locations[best]), tuple(locations[j]))
             if d < 2 * radius:
                 area = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(
                     4 * radius**2 - d * d
@@ -244,33 +244,29 @@ def _nms_reference(candidates, radius, threshold):
                     continue
             keep.append(j)
         pool = keep
-    return [candidates[i] for i in out]
+    return out
 
 
 def check_nms_equivalence(n_pools: int, rng) -> tuple[bool, str]:
     for trial in range(n_pools):
         n = int(rng.integers(1, 65))
-        cands = [
-            ScoredCandidate(location=rng.uniform(-20, 20, 2), log_prob=float(rng.normal()))
-            for _ in range(n)
-        ]
+        locations, log_probs = zip(*[(rng.uniform(-20, 20, 2), rng.normal()) for _ in range(n)])
+        pool = CandidatePool(np.stack(locations), log_probs)
         cfg = NmsConfig(
             radius=float(rng.uniform(0.5, 4.0)),
             iou_threshold=float(rng.choice([0.0, 0.25, 0.5])),
         )
-        fast = nms_select(cands, cfg)
-        slow = _nms_reference(cands, cfg.radius, cfg.iou_threshold)
-        if len(fast) != len(slow) or any(
-            not np.array_equal(a.location, b.location) for a, b in zip(fast, slow)
-        ):
+        fast = nms_select(pool, cfg).tolist()
+        slow = _nms_reference(pool.locations.tolist(), pool.log_probs.tolist(), cfg.radius, cfg.iou_threshold)
+        if fast != slow:
             return False, f"pool {trial}: selection differs from brute force"
         k = 1 + trial % 8
-        stopped = nms_select(cands, cfg, k)
-        if len(stopped) != len(slow[:k]) or any(a is not b for a, b in zip(stopped, slow)):
+        if nms_select(pool, cfg, k).tolist() != slow[:k]:
             return False, f"pool {trial}: selection stopped at k={k} differs from brute force"
-        for i in range(len(fast)):
-            for j in range(i + 1, len(fast)):
-                if circle_iou(fast[i].location, fast[j].location, cfg.radius) > cfg.iou_threshold:
+        goals = pool.locations[fast]
+        for i in range(len(goals)):
+            for j in range(i + 1, len(goals)):
+                if circle_iou(goals[i], goals[j], cfg.radius) > cfg.iou_threshold:
                     return False, f"pool {trial}: pairwise IoU bound violated"
     return True, (
         f"{n_pools} random pools match the brute-force reference exactly, in full and stopped at k"

@@ -249,8 +249,9 @@ def scenario_json_reference(s, format_version):
                     "id": a.id,
                     "kind": a.kind,
                     "states": [
-                        {"t": st.t, "x": st.x, "y": st.y, "heading": st.heading, "vx": st.vx, "vy": st.vy}
-                        for st in a.states
+                        {"t": int(t), "x": float(r[0]), "y": float(r[1]), "heading": float(r[2]),
+                         "vx": float(r[3]), "vy": float(r[4])}
+                        for t, r in zip(a.steps, a.rows)
                     ],
                 }
                 for a in s.agents

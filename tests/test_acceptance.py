@@ -37,7 +37,7 @@ from gneva.encoders import (
     init_trajectory_params,
 )
 from gneva.metrics import displacement_metrics
-from gneva.sampling import NmsConfig, ScoredCandidate, circle_iou, generate_candidates, nms_select, scene_region
+from gneva.sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select, scene_region
 from gneva.special_math import SPDMatrix2
 from gneva.trajectory import predict_topk
 from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_spatial, train_trajectory
@@ -163,15 +163,15 @@ class TestCriterion3GradientCorrectness:
         )
 
 
-def brute_force_selection(candidates, radius, threshold):
-    pool = sorted(range(len(candidates)), key=lambda i: (-candidates[i].log_prob, i))
+def brute_force_selection(locations, log_probs, radius, threshold):
+    pool = sorted(range(len(log_probs)), key=lambda i: (-log_probs[i], i))
     out = []
     while pool:
         best = pool.pop(0)
         out.append(best)
         keep = []
         for j in pool:
-            d = math.dist(tuple(candidates[best].location), tuple(candidates[j].location))
+            d = math.dist(tuple(locations[best]), tuple(locations[j]))
             if d < 2 * radius:
                 area = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(
                     4 * radius**2 - d * d
@@ -180,7 +180,7 @@ def brute_force_selection(candidates, radius, threshold):
                     continue
             keep.append(j)
         pool = keep
-    return [candidates[i] for i in out]
+    return out
 
 
 class TestCriterion4NmsEquivalence:
@@ -190,25 +190,22 @@ class TestCriterion4NmsEquivalence:
         assert (default.radius, default.iou_threshold, default.k) == (2.0, 0.0, 6)
         for trial in range(500):
             n = int(rng.integers(1, 65))
-            cands = [
-                ScoredCandidate(location=rng.uniform(-20, 20, 2), log_prob=float(rng.normal()))
-                for _ in range(n)
-            ]
+            # Each candidate's location is drawn, then its log density.
+            draws = [(rng.uniform(-20, 20, 2), float(rng.normal())) for _ in range(n)]
+            pool = CandidatePool(np.array([loc for loc, _ in draws]), [lp for _, lp in draws])
             cfg = NmsConfig(
                 radius=float(rng.uniform(0.5, 4.0)),
                 iou_threshold=float(rng.choice([0.0, 0.25, 0.5])),
             )
-            fast = nms_select(cands, cfg)
-            slow = brute_force_selection(cands, cfg.radius, cfg.iou_threshold)
-            assert len(fast) == len(slow)
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a.location, b.location)
-            for i in range(len(fast)):
-                for j in range(i + 1, len(fast)):
-                    assert (
-                        circle_iou(fast[i].location, fast[j].location, cfg.radius)
-                        <= cfg.iou_threshold
-                    )
+            fast = nms_select(pool, cfg)
+            slow = brute_force_selection(
+                pool.locations.tolist(), pool.log_probs.tolist(), cfg.radius, cfg.iou_threshold
+            )
+            assert fast.tolist() == slow
+            goals = pool.locations[fast]
+            for i in range(len(goals)):
+                for j in range(i + 1, len(goals)):
+                    assert circle_iou(goals[i], goals[j], cfg.radius) <= cfg.iou_threshold
         report(
             "criterion 4 (NMS equivalence)",
             "500 random pools match the independent brute-force reference exactly; "
@@ -360,13 +357,13 @@ class TestCriterion9EndToEnd:
         turn_goal_sets = []
         for kind, s in held:
             topk = predict_topk(s, spatial, traj, nms, enc)
-            preds.append([p.waypoints for p in topk])
+            preds.append(topk.waypoints)
             gts.append(s.future_waypoints())
-            state = s.target().state_at(s.H)
+            velocity = s.target().row_at(s.H)[3:5]
             steps = np.arange(1, s.T + 1)[:, None] * s.dt
-            cv_preds.append([steps * np.array([state.vx, state.vy])])
+            cv_preds.append([steps * velocity])
             if kind == "turn":
-                turn_goal_sets.append(np.stack([p.goal for p in topk]))
+                turn_goal_sets.append(topk.waypoints[:, -1])
         model = displacement_metrics(preds, gts, k=6)
         cv = displacement_metrics(cv_preds, gts, k=1)
         assert model.made_k < cv.made_k, (model.made_k, cv.made_k)

@@ -100,6 +100,12 @@ class TestExitCodes:
         )
 
 
+class TestVerify:
+    def test_fast_suites_all_pass(self, capsys):
+        assert run_command(["verify", "--fast"]) == 0
+        assert "13/13 oracle suites passed" in capsys.readouterr().out
+
+
 class TestSynth:
     def test_writes_one_file_per_scenario(self, tmp_path):
         out = tmp_path / "scenes"
@@ -301,6 +307,57 @@ class TestPipeline:
         assert [f["file"] for f in failures] == [str(malformed), str(nan_state)]
         assert [f["error"] for f in failures] == ["ParseError", "ValidationError"]
         assert all(f["message"] for f in failures)
+
+    def test_bad_files_do_not_sink_eval(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        good = sorted(data.glob("*.json"))[:3]
+        for path in good:
+            (scenes / path.name).write_bytes(path.read_bytes())
+        truncated = scenes / "truncated.json"
+        truncated.write_text(good[0].read_text()[:200])
+        preds = tmp_path / "preds"
+        models = ["--spatial-model", str(spatial), "--traj-model", str(traj)]
+        assert run_command(["predict", *models, "--scenario", str(scenes), "--spacing", "1.0", "--out", str(preds)]) == 1
+        assert "predicted 3 of 4" in capsys.readouterr().out
+        report_path = tmp_path / "report.json"
+        eval_argv = ["eval", "--pred", str(preds), "--data", str(scenes), "--k", "3", "--out", str(report_path)]
+        assert run_command(eval_argv) == 1
+        captured = capsys.readouterr()
+        assert "mADE" in captured.out
+        assert json.loads(report_path.read_text())["n_scenarios"] == 3
+        failures = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(f["file"], f["error"]) for f in failures] == [(str(truncated), "ParseError")]
+
+        # A prediction file that does not load, and a scenario left without predictions.
+        (preds / f"{good[1].stem}.json").unlink()
+        bad_pred = preds / "zz-bad.json"
+        bad_pred.write_text('{"scenario_id": "x", "predictions": [{"waypoints": [[1, 2]]}]}')
+        assert run_command(eval_argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(report_path.read_text())["n_scenarios"] == 2
+        failures = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(f["file"], f["error"]) for f in failures] == [
+            (str(bad_pred), "ValidationError"),
+            (str(scenes / good[1].name), "ValidationError"),
+            (str(truncated), "ParseError"),
+        ]
+        assert "no predictions for scenario" in failures[1]["message"]
+
+    def test_horizon_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        doc = json.loads(sorted(data.glob("*.json"))[0].read_text())
+        doc["T"] -= 1
+        scenario = tmp_path / "short.json"
+        scenario.write_text(json.dumps(doc))
+        code = run_command(
+            ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+             "--scenario", str(scenario), "--spacing", "1.0", "--out", str(tmp_path / "preds")]
+        )
+        assert code == 1
+        failure = json.loads(capsys.readouterr().err)
+        assert failure["error"] == "HorizonMismatch" and "T=29" in failure["message"]
 
     def test_density_grid_deterministic_and_normalized(self, workspace):
         root, config, data, spatial, traj = workspace

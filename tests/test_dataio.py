@@ -7,7 +7,6 @@ import pytest
 from gneva import dataio
 from gneva.dataio import (
     FORMAT_VERSION,
-    AgentState,
     AgentTrack,
     MapPolyline,
     RigidTransform,
@@ -26,17 +25,15 @@ from helpers import drive_path_reference, scenario_json_reference
 
 
 def minimal_scenario(h=10, t=30):
-    states = [
-        AgentState(t=i, x=float(i), y=0.0, heading=0.0, vx=10.0, vy=0.0)
-        for i in range(1, h + t + 1)
-    ]
+    steps = np.arange(1, h + t + 1)
+    rows = [(float(i), 0.0, 0.0, 10.0, 0.0) for i in steps]
     return Scenario(
         scenario_id="s0",
         dt=0.1,
         H=h,
         T=t,
         target_id="a0",
-        agents=[AgentTrack(id="a0", kind="vehicle", states=states)],
+        agents=[AgentTrack(id="a0", kind="vehicle", steps=steps, rows=rows)],
         map=[MapPolyline(id="l0", kind="lane_center", points=[[-5.0, 0.0], [50.0, 0.0]])],
     )
 
@@ -50,8 +47,8 @@ class TestSchema:
         assert loaded.scenario_id == s.scenario_id
         assert loaded.dt == s.dt and loaded.H == s.H and loaded.T == s.T
         assert len(loaded.agents) == 1
-        for a, b in zip(loaded.agents[0].states, s.agents[0].states):
-            assert (a.t, a.x, a.y, a.heading, a.vx, a.vy) == (b.t, b.x, b.y, b.heading, b.vx, b.vy)
+        a, b = loaded.agents[0], s.agents[0]
+        assert a.steps.tolist() == b.steps.tolist() and a.rows.tolist() == b.rows.tolist()
         assert np.array_equal(loaded.map[0].points, s.map[0].points)
 
     def test_missing_target_rejected(self, tmp_path):
@@ -80,8 +77,8 @@ class TestSchema:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("x", "east"), ("vy", None), ("t", [1]), ("t", math.inf), ("heading", {})],
-        ids=["text", "null", "list-step", "infinite-step", "object"],
+        [("x", "east"), ("vy", None), ("t", [1]), ("t", math.inf), ("t", 2**63), ("heading", {})],
+        ids=["text", "null", "list-step", "infinite-step", "step-beyond-int64", "object"],
     )
     def test_malformed_state_is_parse_error(self, tmp_path, field, value):
         s = minimal_scenario()
@@ -103,6 +100,28 @@ class TestSchema:
         with pytest.raises(ParseError):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.steps.__setitem__(slice(2, 4), [30, 31]), r"observed steps \[3, 4\]$"),
+            (lambda a: a.steps.__setitem__(12, 12), "non-increasing step indices"),
+            (lambda a: a.rows.__setitem__((slice(15, 20), 3), math.nan), "non-finite state at t=16$"),
+            (lambda a: setattr(a, "rows", a.rows[:-1]), "40 steps but 39 states"),
+        ],
+        ids=["missing-observed", "non-increasing", "first-non-finite", "lengths-differ"],
+    )
+    def test_validation_names_the_first_failing_state(self, edit, message):
+        s = minimal_scenario()
+        edit(s.agents[0])
+        with pytest.raises(ValidationError, match=message):
+            s.validate()
+
+    def test_row_at_returns_the_first_match(self):
+        track = AgentTrack(id="a", kind="vehicle", steps=[3, 5, 5], rows=np.arange(15.0).reshape(3, 5))
+        assert track.row_at(5).tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+        assert track.row_at(3).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert track.row_at(4) is None
+
     def test_goal_is_position_at_h_plus_t(self):
         s = minimal_scenario(h=10, t=30)
         assert s.goal() == pytest.approx([40.0, 0.0])
@@ -113,10 +132,10 @@ class TestTargetFrame:
         rng = np.random.default_rng(0)
         for s in synth_generate(SynthConfig(n=5, seed=3), "straight"):
             proj, _ = to_target_frame(s)
-            state = proj.target().state_at(proj.H)
-            assert abs(state.x) < 1e-9 and abs(state.y) < 1e-9
-            assert abs(state.heading % (2 * math.pi)) < 1e-9 or abs(
-                state.heading % (2 * math.pi) - 2 * math.pi
+            x, y, heading, _, _ = proj.target().row_at(proj.H)
+            assert abs(x) < 1e-9 and abs(y) < 1e-9
+            assert abs(heading % (2 * math.pi)) < 1e-9 or abs(
+                heading % (2 * math.pi) - 2 * math.pi
             ) < 1e-9
 
     def test_inverse_recovers_coordinates(self):
@@ -124,9 +143,9 @@ class TestTargetFrame:
             proj, transform = to_target_frame(s)
             back = transform.inverse().apply_scenario(proj)
             for a, b in zip(back.agents, s.agents):
-                for sa, sb in zip(a.states, b.states):
-                    assert sa.x == pytest.approx(sb.x, abs=1e-9)
-                    assert sa.y == pytest.approx(sb.y, abs=1e-9)
+                for sa, sb in zip(a.rows, b.rows):
+                    assert sa[0] == pytest.approx(sb[0], abs=1e-9)
+                    assert sa[1] == pytest.approx(sb[1], abs=1e-9)
             for pa, pb in zip(back.map, s.map):
                 assert np.max(np.abs(pa.points - pb.points)) < 1e-9
 
@@ -150,8 +169,8 @@ class TestTargetFrame:
         ]
         short = minimal_scenario()
         short.agents += [
-            AgentTrack(id="none", kind="cyclist", states=[]),
-            AgentTrack(id="one", kind="pedestrian", states=short.agents[0].states[:1]),
+            AgentTrack(id="none", kind="cyclist", steps=[], rows=[]),
+            AgentTrack(id="one", kind="pedestrian", steps=short.agents[0].steps[:1], rows=short.agents[0].rows[:1]),
         ]
         for s in scenes + [short]:
             tx, ty = rng.uniform(-300.0, 300.0, 2).tolist()
@@ -159,20 +178,21 @@ class TestTargetFrame:
             c, sn = math.cos(tf.angle), math.sin(tf.angle)
             moved = tf.apply_scenario(s)
             for a, b in zip(s.agents, moved.agents, strict=True):
-                assert (b.id, b.kind, [st.t for st in b.states]) == (a.id, a.kind, [st.t for st in a.states])
-                for sa, sb in zip(a.states, b.states):
+                assert (b.id, b.kind, b.steps.tolist()) == (a.id, a.kind, a.steps.tolist())
+                for (x, y, heading, vx, vy), (bx, by, bheading, bvx, bvy) in zip(a.rows.tolist(), b.rows.tolist()):
                     ref = (
-                        c * sa.x - sn * sa.y + tf.tx,
-                        sn * sa.x + c * sa.y + tf.ty,
-                        c * sa.vx - sn * sa.vy,
-                        sn * sa.vx + c * sa.vy,
+                        c * x - sn * y + tf.tx,
+                        sn * x + c * y + tf.ty,
+                        c * vx - sn * vy,
+                        sn * vx + c * vy,
                     )
-                    assert (sb.x, sb.y, sb.vx, sb.vy) == pytest.approx(ref, rel=0.0, abs=1e-12)
-                    assert sb.heading == sa.heading + tf.angle
+                    assert (bx, by, bvx, bvy) == pytest.approx(ref, rel=0.0, abs=1e-12)
+                    assert bheading == heading + tf.angle
 
     def test_missing_horizon_state(self):
         s = minimal_scenario()
-        s.agents[0].states = [st for st in s.agents[0].states if st.t != s.H]
+        track = s.agents[0]
+        track.steps, track.rows = track.steps[track.steps != s.H], track.rows[track.steps != s.H]
         with pytest.raises(MissingHorizonState):
             to_target_frame(s)
 
@@ -189,7 +209,7 @@ class TestVectorize:
     def test_single_state_agent_has_no_vectors(self):
         s = minimal_scenario()
         s.agents.append(
-            AgentTrack(id="solo", kind="pedestrian", states=[AgentState(2, 1.0, 1.0, 0.0, 0.0, 0.0)])
+            AgentTrack(id="solo", kind="pedestrian", steps=[2], rows=[(1.0, 1.0, 0.0, 0.0, 0.0)])
         )
         proj, _ = to_target_frame(s)
         vs = vectorize(proj, EncoderConfig())
@@ -266,14 +286,14 @@ class TestSynthGenerate:
         for sa, sb in zip(a, b):
             assert sa.scenario_id == sb.scenario_id
             for ta, tb in zip(sa.agents, sb.agents):
-                for x, y in zip(ta.states, tb.states):
-                    assert (x.x, x.y, x.vx, x.vy) == (y.x, y.y, y.vx, y.vy)
+                for x, y in zip(ta.rows, tb.rows):
+                    assert (x[0], x[1], x[3], x[4]) == (y[0], y[1], y[3], y[4])
 
     def test_straight_goal_near_constant_velocity(self):
         for s in synth_generate(SynthConfig(n=10, seed=14), "straight"):
             proj, _ = to_target_frame(s)
-            state = proj.target().state_at(proj.H)
-            v = math.hypot(state.vx, state.vy)
+            _, _, _, vx, vy = proj.target().row_at(proj.H)
+            v = math.hypot(vx, vy)
             expected = v * proj.T * proj.dt
             goal = proj.goal()
             assert abs(goal[0] - expected) < 0.25 * expected
@@ -306,7 +326,7 @@ class TestSynthGenerate:
     def test_array_march_matches_per_state_reference(self, kind, monkeypatch):
         def fields(scenes):
             return [
-                [(st.t, st.x, st.y, st.heading, st.vx, st.vy) for st in a.states] for s in scenes for a in s.agents
+                [(t, *row) for t, row in zip(a.steps.tolist(), a.rows.tolist())] for s in scenes for a in s.agents
             ]
 
         cfgs = [SynthConfig(n=6, seed=seed) for seed in (0, 5, 801)]
@@ -328,13 +348,12 @@ class TestSynthGenerate:
         rng = np.random.default_rng(cfg.seed)
         for i, scene in enumerate(synth_generate(cfg, kind)):
             tracks, polylines = dataio._SYNTH_BUILDERS[kind](cfg, rng)
-            agents = [
-                AgentTrack(track_id, "vehicle", [AgentState(t, *row) for t, row in enumerate(rows.tolist(), start=1)])
-                for track_id, rows in tracks
-            ]
+            agents = [AgentTrack(track_id, "vehicle", np.arange(1, len(rows) + 1), rows) for track_id, rows in tracks]
             built = Scenario(scene.scenario_id, cfg.dt, cfg.H, cfg.T, "target", agents, polylines)
             expected = dataio._random_world_transform(rng).apply_scenario(to_target_frame(built)[0])
-            assert [a.states for a in scene.agents] == [a.states for a in expected.agents], f"{kind} scene {i}"
+            assert [(a.steps.tolist(), a.rows.tolist()) for a in scene.agents] == [
+                (a.steps.tolist(), a.rows.tolist()) for a in expected.agents
+            ], f"{kind} scene {i}"
             assert [(p.id, p.points.tolist()) for p in scene.map] == [(p.id, p.points.tolist()) for p in expected.map]
 
     def test_march_onto_vertices_and_past_the_end(self):

@@ -13,7 +13,6 @@ from gneva.sampling import (
     CandidatePool,
     NmsConfig,
     Region,
-    ScoredCandidate,
     circle_iou,
     circle_iou_from_distance,
     generate_candidates,
@@ -24,14 +23,14 @@ from gneva.special_math import SPDMatrix2
 from helpers import random_nw
 
 
-def brute_force_goal_selection(candidates, radius, threshold):
-    """Literal transcription of the greedy suppression procedure.
+def brute_force_goal_selection(locations, log_probs, radius, threshold):
+    """Literal transcription of the greedy suppression procedure; the selected indices in order.
 
     Kept deliberately naive (python lists, pairwise loops, its own lens
     geometry) as the reference the fast implementation must match exactly.
     """
     pool = sorted(
-        range(len(candidates)), key=lambda i: (-candidates[i].log_prob, i)
+        range(len(log_probs)), key=lambda i: (-log_probs[i], i)
     )
     selected = []
     pool = list(pool)
@@ -40,7 +39,7 @@ def brute_force_goal_selection(candidates, radius, threshold):
         selected.append(best)
         survivors = []
         for j in pool:
-            d = math.dist(tuple(candidates[best].location), tuple(candidates[j].location))
+            d = math.dist(tuple(locations[best]), tuple(locations[j]))
             if d >= 2 * radius:
                 iou = 0.0
             else:
@@ -51,7 +50,13 @@ def brute_force_goal_selection(candidates, radius, threshold):
             if iou <= threshold:
                 survivors.append(j)
         pool = survivors
-    return [candidates[i] for i in selected]
+    return selected
+
+
+def random_pool(rng, n, half_width):
+    """n candidates, each drawn as a location in [-half_width, half_width]^2 and then a normal log density."""
+    draws = [(rng.uniform(-half_width, half_width, 2), float(rng.normal())) for _ in range(n)]
+    return CandidatePool(np.array([loc for loc, _ in draws]), [lp for _, lp in draws])
 
 
 class TestCircleIou:
@@ -93,101 +98,78 @@ class TestCircleIou:
 
 class TestNmsSelect:
     def test_singleton(self):
-        c = ScoredCandidate(location=[1.0, 1.0], log_prob=-0.5)
-        assert nms_select([c], NmsConfig()) == [c]
+        pool = CandidatePool(np.array([[1.0, 1.0]]), [-0.5])
+        assert nms_select(pool, NmsConfig()).tolist() == [0]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyCandidatePool):
-            nms_select([], NmsConfig())
+            nms_select(CandidatePool(np.zeros((0, 2)), []), NmsConfig())
 
     def test_collinear_hand_trace(self):
         # x = 0, 1, 10 with probabilities 0.5, 0.4, 0.1 and r = 2: the
         # middle candidate is suppressed by the first (d=1 < 4 -> IoU > 0).
-        cands = [
-            ScoredCandidate(location=[0.0, 0.0], log_prob=math.log(0.5)),
-            ScoredCandidate(location=[1.0, 0.0], log_prob=math.log(0.4)),
-            ScoredCandidate(location=[10.0, 0.0], log_prob=math.log(0.1)),
-        ]
-        out = nms_select(cands, NmsConfig(radius=2.0, iou_threshold=0.0))
-        assert [c.location[0] for c in out] == [0.0, 10.0]
+        pool = CandidatePool(
+            np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]), np.log([0.5, 0.4, 0.1])
+        )
+        out = nms_select(pool, NmsConfig(radius=2.0, iou_threshold=0.0))
+        assert pool.locations[out, 0].tolist() == [0.0, 10.0]
 
     def test_matches_brute_force_on_random_pools(self):
         rng = np.random.default_rng(1)
         for trial in range(100):
-            n = int(rng.integers(1, 65))
-            cands = [
-                ScoredCandidate(location=rng.uniform(-20, 20, 2), log_prob=float(rng.normal()))
-                for _ in range(n)
-            ]
+            pool = random_pool(rng, int(rng.integers(1, 65)), 20)
             cfg = NmsConfig(
                 radius=float(rng.uniform(0.5, 4.0)),
                 iou_threshold=float(rng.choice([0.0, 0.1, 0.25, 0.5])),
             )
-            fast = nms_select(cands, cfg)
-            slow = brute_force_goal_selection(cands, cfg.radius, cfg.iou_threshold)
-            assert len(fast) == len(slow)
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a.location, b.location) and a.log_prob == b.log_prob
+            fast = nms_select(pool, cfg)
+            slow = brute_force_goal_selection(
+                pool.locations.tolist(), pool.log_probs.tolist(), cfg.radius, cfg.iou_threshold
+            )
+            assert fast.tolist() == slow
             for k in range(1, 9):
-                # Stopped at k: the brute force's first k, the caller's own objects.
-                stopped = nms_select(cands, cfg, k)
-                assert len(stopped) == min(k, len(slow))
-                assert all(a is b for a, b in zip(stopped, slow))
+                # Stopped at k: the brute force's first k.
+                assert nms_select(pool, cfg, k).tolist() == slow[:k]
 
     def test_first_selected_is_global_argmax(self):
         rng = np.random.default_rng(2)
-        cands = [
-            ScoredCandidate(location=rng.uniform(-5, 5, 2), log_prob=float(rng.normal()))
-            for _ in range(40)
-        ]
-        out = nms_select(cands, NmsConfig())
-        assert out[0].log_prob == max(c.log_prob for c in cands)
+        pool = random_pool(rng, 40, 5)
+        out = nms_select(pool, NmsConfig())
+        assert pool.log_probs[out[0]] == pool.log_probs.max()
 
     def test_pairwise_iou_bound_holds(self):
         rng = np.random.default_rng(3)
         cfg = NmsConfig(radius=1.5, iou_threshold=0.2)
-        cands = [
-            ScoredCandidate(location=rng.uniform(-8, 8, 2), log_prob=float(rng.normal()))
-            for _ in range(200)
-        ]
-        out = nms_select(cands, cfg)
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                assert circle_iou(out[i].location, out[j].location, cfg.radius) <= cfg.iou_threshold
+        pool = random_pool(rng, 200, 8)
+        goals = pool.locations[nms_select(pool, cfg)]
+        for i in range(len(goals)):
+            for j in range(i + 1, len(goals)):
+                assert circle_iou(goals[i], goals[j], cfg.radius) <= cfg.iou_threshold
 
     def test_zero_threshold_implies_min_distance(self):
         rng = np.random.default_rng(4)
         cfg = NmsConfig(radius=2.0, iou_threshold=0.0)
-        cands = [
-            ScoredCandidate(location=rng.uniform(-10, 10, 2), log_prob=float(rng.normal()))
-            for _ in range(300)
-        ]
-        out = nms_select(cands, cfg)
-        locs = np.stack([c.location for c in out])
+        pool = random_pool(rng, 300, 10)
+        locs = pool.locations[nms_select(pool, cfg)]
         for i in range(len(locs)):
             for j in range(i + 1, len(locs)):
                 assert np.linalg.norm(locs[i] - locs[j]) >= 2 * cfg.radius
 
     def test_appending_weaker_candidate_preserves_prefix(self):
         rng = np.random.default_rng(5)
-        cands = [
-            ScoredCandidate(location=rng.uniform(-10, 10, 2), log_prob=float(rng.normal()))
-            for _ in range(30)
-        ]
-        base = nms_select(cands, NmsConfig())
-        weakest = min(c.log_prob for c in cands) - 1.0
-        extended = cands + [ScoredCandidate(location=rng.uniform(-10, 10, 2), log_prob=weakest)]
+        pool = random_pool(rng, 30, 10)
+        base = nms_select(pool, NmsConfig())
+        weakest = pool.log_probs.min() - 1.0
+        extended = CandidatePool(
+            np.vstack([pool.locations, rng.uniform(-10, 10, 2)]), np.append(pool.log_probs, weakest)
+        )
         out = nms_select(extended, NmsConfig())
-        for a, b in zip(base, out):
-            assert np.array_equal(a.location, b.location)
+        assert out[: len(base)].tolist() == base.tolist()
 
     def test_tie_broken_by_input_order(self):
-        cands = [
-            ScoredCandidate(location=[0.0, 0.0], log_prob=1.0),
-            ScoredCandidate(location=[100.0, 0.0], log_prob=1.0),
-        ]
-        out = nms_select(cands, NmsConfig())
-        assert out[0].location[0] == 0.0
+        pool = CandidatePool(np.array([[0.0, 0.0], [100.0, 0.0]]), [1.0, 1.0])
+        out = nms_select(pool, NmsConfig())
+        assert pool.locations[out[0], 0] == 0.0
 
 
 def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int]:
@@ -205,11 +187,6 @@ def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int
         if (iou <= cfg.iou_threshold).all():
             selected.append(int(i))
     return selected
-
-
-def selected_indices(pool: CandidatePool, chosen) -> list[int]:
-    index = {(*p, lp): i for i, (p, lp) in enumerate(zip(pool.locations.tolist(), pool.log_probs.tolist()))}
-    return [index[(*c.location.tolist(), c.log_prob)] for c in chosen]
 
 
 class TestHeadFirstSort:
@@ -231,7 +208,7 @@ class TestHeadFirstSort:
         for cfg in (NmsConfig(radius=2.0), NmsConfig(radius=1.0, iou_threshold=0.25)):
             chosen = nms_select(pool, cfg, k)
             assert len(chosen) == k
-            assert selected_indices(pool, chosen) == full_sort_selection(pool, cfg, k)
+            assert chosen.tolist() == full_sort_selection(pool, cfg, k)
 
     def test_head_that_runs_out_falls_back_to_the_rest(self):
         # The head's candidates all sit within one suppression disc, so it
@@ -247,13 +224,13 @@ class TestHeadFirstSort:
         assert len(full_sort_selection(CandidatePool(near, log_probs[: len(near)]), cfg)) == 1
         chosen = nms_select(pool, cfg, k)
         assert len(chosen) == k
-        assert selected_indices(pool, chosen) == full_sort_selection(pool, cfg, k)
+        assert chosen.tolist() == full_sort_selection(pool, cfg, k)
 
     def test_unbounded_run_matches_full_sort(self):
         rng = np.random.default_rng(102)
         pool = self.grid_pool(rng, 40, 5)
         cfg = NmsConfig(radius=1.5, iou_threshold=0.1)
-        assert selected_indices(pool, nms_select(pool, cfg)) == full_sort_selection(pool, cfg)
+        assert nms_select(pool, cfg).tolist() == full_sort_selection(pool, cfg)
 
 
 def small_mixture(rng, c=2):
@@ -270,13 +247,6 @@ def small_mixture(rng, c=2):
 
 
 class TestCandidatePool:
-    def test_indexing_gives_scored_candidates(self):
-        pool = CandidatePool(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([-1.0, -2.0]))
-        assert len(pool) == 2
-        c = pool[1]
-        assert isinstance(c, ScoredCandidate)
-        assert np.array_equal(c.location, [2.0, 3.0]) and c.log_prob == -2.0
-
     @pytest.mark.parametrize(
         "locations, log_probs",
         [
@@ -300,8 +270,7 @@ class TestCandidatePool:
         for k in range(1, 9):
             stopped = nms_select(pool, cfg, k)
             assert len(stopped) == k
-            for a, b in zip(stopped, full):
-                assert np.array_equal(a.location, b.location) and a.log_prob == b.log_prob
+            assert stopped.tolist() == full[:k].tolist()
 
 
 class TestGenerateCandidates:
@@ -317,6 +286,10 @@ class TestGenerateCandidates:
             generate_candidates(
                 mix, [0.5, 0.5], Region(0.0, 0.0, 100.0, 100.0), spacing=0.01
             )
+        # Extents, or extents over the spacing, beyond float range.
+        for region in (Region(-1e308, 0.0, 1e308, 1.0), Region(0.0, 0.0, 1.5e308, 1.0), Region(0.0, 0.0, math.inf, 1.0)):
+            with pytest.raises(RegionTooLarge):
+                generate_candidates(mix, [0.5, 0.5], region, spacing=0.5)
 
     def test_argmax_near_mode_single_component(self):
         rng = np.random.default_rng(8)
@@ -341,8 +314,8 @@ class TestGenerateCandidates:
         a = generate_candidates(mix, [0.5, 0.5], Region(0, 0, 3, 3), spacing=1.0)
         b = generate_candidates(mix, [0.5, 0.5], Region(0, 0, 3, 3), spacing=1.0)
         assert np.array_equal(a.locations, b.locations)
-        assert a[0].location == pytest.approx([0.0, 0.0])
-        assert a[1].location == pytest.approx([0.0, 1.0])  # row-major: y varies fastest
+        assert a.locations[0] == pytest.approx([0.0, 0.0])
+        assert a.locations[1] == pytest.approx([0.0, 1.0])  # row-major: y varies fastest
 
 
 class TestConfigValidation:

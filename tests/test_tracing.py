@@ -83,7 +83,7 @@ def test_benchmark_stages_call_every_wrapped_name(counted, tmp_path):
 
     missing = [name for name in wrapped_names() if counted[name] == 0]
     assert not missing, f"wrapped but never called through the module global: {missing}"
-    assert np.isfinite([p.goal_log_prob for p in world]).all()
+    assert np.isfinite(world.goal_log_probs).all()
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from gneva.encoders import EncoderConfig, init_spatial_params, init_trajectory_p
 from gneva.sampling import NmsConfig, circle_iou
 from gneva.special_math import SPDMatrix2
 from gneva.trajectory import (
-    PredictedTrajectory,
+    Predictions,
     complete_trajectory,
     load_predictions,
     predict_topk,
@@ -61,15 +61,14 @@ class TestPredictTopk:
         cfg = NmsConfig()
         out = predict_topk(held, spatial, traj, cfg, ENC)
         assert 1 <= len(out) <= cfg.k
-        probs = [p.goal_log_prob for p in out]
+        probs = out.goal_log_probs.tolist()
         assert probs == sorted(probs, reverse=True)
-        for p in out:
-            assert p.waypoints.shape == (held.T, 2)
-            assert np.allclose(p.waypoints[-1], p.goal, atol=1e-6)
+        assert out.waypoints.shape == (len(out), held.T, 2)
+        goals = out.waypoints[:, -1]
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
-                assert circle_iou(out[i].goal, out[j].goal, cfg.radius) <= cfg.iou_threshold
-                assert np.linalg.norm(out[i].goal - out[j].goal) >= 2 * cfg.radius
+                assert circle_iou(goals[i], goals[j], cfg.radius) <= cfg.iou_threshold
+                assert np.linalg.norm(goals[i] - goals[j]) >= 2 * cfg.radius
 
     def test_deterministic(self, tapes):
         spatial, traj, _ = tapes
@@ -77,9 +76,8 @@ class TestPredictTopk:
         a = predict_topk(held, spatial, traj, NmsConfig(), ENC)
         b = predict_topk(held, spatial, traj, NmsConfig(), ENC)
         assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.waypoints, pb.waypoints)
-            assert pa.goal_log_prob == pb.goal_log_prob
+        assert np.array_equal(a.waypoints, b.waypoints)
+        assert np.array_equal(a.goal_log_probs, b.goal_log_probs)
 
     def test_trained_straight_scene_tracks_ground_truth(self, tapes):
         # After training on straight scenes, the best of k completions stays
@@ -90,7 +88,7 @@ class TestPredictTopk:
             held, _ = to_target_frame(s)
             out = predict_topk(held, spatial, traj, NmsConfig(), ENC)
             gt = held.future_waypoints()
-            best = min(float(np.hypot(*(p.waypoints - gt).T).mean()) for p in out)
+            best = min(float(np.hypot(*(wp - gt).T).mean()) for wp in out.waypoints)
             worst_best = max(worst_best, best)
         assert worst_best < 5.0
 
@@ -112,26 +110,23 @@ class TestPredictTopk:
 
 class TestPredictionIO:
     def test_round_trip(self, tmp_path):
-        preds = [
-            PredictedTrajectory(waypoints=np.random.default_rng(1).normal(size=(10, 2)), goal_log_prob=-2.5),
-            PredictedTrajectory(waypoints=np.random.default_rng(2).normal(size=(10, 2)), goal_log_prob=-3.5),
-        ]
+        waypoints = np.stack([np.random.default_rng(seed).normal(size=(10, 2)) for seed in (1, 2)])
+        preds = Predictions(waypoints, np.array([-2.5, -3.5]))
         path = tmp_path / "pred.json"
         save_predictions(path, "scene-1", preds)
         sid, loaded = load_predictions(path)
         assert sid == "scene-1"
-        for a, b in zip(loaded, preds):
-            assert np.allclose(a.waypoints, b.waypoints)
-            assert a.goal_log_prob == b.goal_log_prob
+        assert len(loaded) == 2
+        assert np.allclose(loaded.waypoints, preds.waypoints)
+        assert loaded.goal_log_probs.tolist() == [-2.5, -3.5]
 
     def test_world_frame_mapping(self):
         s = synth_generate(SynthConfig(n=1, seed=55), "straight")[0]
         projected, transform = to_target_frame(s)
-        preds = [
-            PredictedTrajectory(waypoints=projected.future_waypoints(), goal_log_prob=-1.0)
-        ]
+        preds = Predictions(projected.future_waypoints()[None], np.array([-1.0]))
         world = predictions_to_world(preds, transform)
-        assert np.allclose(world[0].waypoints, s.future_waypoints(), atol=1e-9)
+        assert np.allclose(world.waypoints[0], s.future_waypoints(), atol=1e-9)
+        assert world.goal_log_probs.tolist() == [-1.0]
 
 
 class TestHotPath:
