@@ -10,7 +10,6 @@ trajectories to the selected goals.
 from .autodiff import ParamTape, check_gradients
 from .dataio import Scenario, SynthConfig, load_scenario, synth_generate, to_target_frame
 from .distributions import (
-    Gaussian2,
     NormalWishartParams,
     StudentTParams,
     WishartParams,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidatePool",
     "EncoderConfig",
-    "Gaussian2",
     "MetricReport",
     "MixturePosterior",
     "NmsConfig",

@@ -268,10 +268,17 @@ def relu(a: Var) -> Var:
 def softplus(a: Var) -> Var:
     # log(1 + exp(x)) computed without overflow; derivative is the sigmoid.
     x = a.value
-    out_val = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _result(out_val, (a, lambda g: g * sig))
+    out_val = np.log1p(e)
+    out_val += np.maximum(x, 0.0)
+
+    def vjp(g):
+        sig = np.where(x >= 0.0, 1.0, e)
+        sig /= 1.0 + e
+        sig *= g
+        return sig
+
+    return _result(out_val, (a, vjp))
 
 
 def vlog(a: Var) -> Var:
@@ -288,13 +295,16 @@ def softmax(a: Var, axis: int = -1, mask=None) -> Var:
     Every softmax slice needs at least one unmasked entry.
     """
     x = a.value if mask is None else np.where(mask, a.value, -np.inf)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=None if mask is None else x)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return y * (g - inner)
+        out = g * y
+        inner = np.add.reduce(out, axis=axis, keepdims=True)
+        np.subtract(g, inner, out=out)
+        out *= y
+        return out
 
     return _result(y, (a, vjp))
 
@@ -314,27 +324,58 @@ def digamma(a: Var) -> Var:
 
 
 def linear(x: Var, w: Var, b: Var) -> Var:
-    return add(matmul(x, w), b)
+    """x @ w + b as one node: x (..., k), a shared w (k, m) and b (m,).
+
+    Rounds exactly like `add(matmul(x, w), b)`: one (rows, k) @ (k, m)
+    product over every leading axis of x, the bias added in place.
+    """
+    xv, wv = x.value, w.value
+    k, m = wv.shape
+    rows = xv.reshape(-1, k)
+    value = rows @ wv
+    value += b.value
+    return _result(
+        value.reshape(xv.shape[:-1] + (m,)),
+        (x, lambda g: (g.reshape(-1, m) @ wv.T).reshape(xv.shape)),
+        (w, lambda g: rows.T @ g.reshape(-1, m)),
+        (b, lambda g: _unbroadcast(g, b.value.shape)),
+    )
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept: the sum-then-divide of `ndarray.mean` without its Python wrapper."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= a.shape[-1]
+    return out
 
 
 def layer_norm(x: Var, gain: Var, offset: Var, eps: float = 1e-5) -> Var:
     """Normalize the last axis to zero mean and unit variance, then affine.
 
     Fused into one node: the closed-form vjp is much cheaper than the
-    composition of primitive ops it replaces.
+    composition of primitive ops it replaces. The forward and the vjp of x
+    work in arrays they own, in the order of operations of the plain
+    formulas, so they round exactly as those do.
     """
-    mu = x.value.mean(axis=-1, keepdims=True)
-    centered = x.value - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_sigma
-    value = xhat * gain.value + offset.value
+    xhat = x.value - _row_mean(x.value)
+    value = xhat * xhat
+    inv_sigma = _row_mean(value)
+    inv_sigma += eps
+    np.sqrt(inv_sigma, out=inv_sigma)
+    np.divide(1.0, inv_sigma, out=inv_sigma)
+    xhat *= inv_sigma
+    np.multiply(xhat, gain.value, out=value)
+    value += offset.value
 
     def vjp_x(g):
-        gxhat = g * gain.value
-        term = gxhat - gxhat.mean(axis=-1, keepdims=True)
-        term -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        return term * inv_sigma
+        term = g * gain.value
+        scratch = term * xhat
+        inner = _row_mean(scratch)
+        term -= _row_mean(term)
+        np.multiply(xhat, inner, out=scratch)
+        term -= scratch
+        term *= inv_sigma
+        return term
 
     def vjp_gain(g):
         return _unbroadcast(g * xhat, gain.value.shape)

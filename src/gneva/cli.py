@@ -106,6 +106,16 @@ def _load_scenario_paths(path: str) -> list[Path]:
     return [p]
 
 
+def _check_arg(flag: str, value, ok: bool, rule: str) -> None:
+    """Refuse a numeric argument before any work; `ok` is False for nan under every rule."""
+    if not ok:
+        raise ValidationError(f"{flag} must be {rule}, got {value}")
+
+
+def _check_spacing(spacing: float) -> None:
+    _check_arg("--spacing", spacing, 0.0 < spacing < math.inf, "finite and > 0")
+
+
 def cmd_synth(args, config) -> int:
     synth_cfg = SynthConfig(n=args.n, seed=args.seed, H=args.H, T=args.T, dt=args.dt)
     out = Path(args.out)
@@ -151,6 +161,7 @@ def _report_failure(path, exc: GnevaError) -> int:
 
 
 def cmd_predict(args, config) -> int:
+    _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
     traj_tape, _, horizon = load_trajectory_model(args.traj_model)
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
@@ -182,6 +193,7 @@ def cmd_predict(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
+    _check_arg("--k", args.k, args.k >= 1, ">= 1")
     failures = []
     predictions = {}
     for path in _load_scenario_paths(args.pred):
@@ -226,6 +238,7 @@ def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path)
 
 
 def cmd_density(args, config) -> int:
+    _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
     scenario = load_scenario(args.scenario)
     n_cells = emit_density_grid(spatial_tape, enc_cfg, scenario, args.spacing, args.out)
@@ -234,9 +247,13 @@ def cmd_density(args, config) -> int:
 
 
 def cmd_mask_map(args, config) -> int:
+    try:
+        radius = float(args.radius)
+    except ValueError:
+        radius = math.nan
+    _check_arg("--radius", args.radius, radius >= 0.0, "finite and >= 0, or inf")
     scenario = load_scenario(args.scenario)
     projected, _ = to_target_frame(scenario)
-    radius = math.inf if args.radius == "inf" else float(args.radius)
     kept_ids = {p.id for p in mask_map_by_radius(projected, radius).map}
     scenario.map = [p for p in scenario.map if p.id in kept_ids]
     save_scenario(scenario, args.out)

@@ -67,8 +67,8 @@ class Scenario:
     map: list[MapPolyline] = field(default_factory=list)
 
     def validate(self) -> "Scenario":
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if self.H < 1 or self.T < 1:
             raise ValidationError(f"horizons must be >= 1, got H={self.H}, T={self.T}")
         target = self.target()
@@ -117,6 +117,11 @@ class Scenario:
     def future_waypoints(self) -> np.ndarray:
         """Target positions at steps H+1 .. H+T; ground truth for evaluation."""
         target = self.target()
+        if self.T > len(target.steps):  # refused before a huge T allocates the wanted steps
+            raise ValidationError(
+                f"scenario {self.scenario_id!r} has T={self.T}, but its target track holds "
+                f"only {len(target.steps)} states"
+            )
         want = np.arange(self.H + 1, self.H + self.T + 1)
         hits = target.steps[:, None] == want
         found = hits.any(axis=0)
@@ -400,6 +405,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"synthetic generator needs n >= 1, got {self.n}")
+        if not 0.0 < self.dt < math.inf:  # checked before the march multiplies by it
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
 
 
 class _Path:

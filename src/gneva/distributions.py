@@ -93,29 +93,12 @@ class StudentTParams:
             raise ValidationError(f"df must be positive, got {self.df}")
 
 
-@dataclass(frozen=True)
-class Gaussian2:
-    """Bivariate Gaussian in mean/precision form; the mixture emission."""
-
-    mean: np.ndarray
-    precision: SPDMatrix2
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(2)
-        object.__setattr__(self, "mean", mean)
-        if not np.all(np.isfinite(mean)):
-            raise ValidationError(f"mean must be finite, got {mean}")
-
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(2)
-        dx, dy = x - self.mean
-        return 0.5 * self.precision.log_det - LOG_2PI - 0.5 * self.precision.quad_form(dx, dy)
-
-
 def normal_wishart_log_density(mu, lam: SPDMatrix2, params: NormalWishartParams) -> float:
     """log N(mu | eta, (beta Lambda)^-1) + log W(Lambda | V, nu)."""
-    normal = Gaussian2(mean=params.eta, precision=lam.scaled(params.beta))
-    return normal.log_density(mu) + wishart_log_density(lam, params.wishart)
+    precision = lam.scaled(params.beta)
+    dx, dy = np.asarray(mu, dtype=float).reshape(2) - params.eta
+    normal = 0.5 * precision.log_det - LOG_2PI - 0.5 * precision.quad_form(dx, dy)
+    return normal + wishart_log_density(lam, params.wishart)
 
 
 def wishart_log_density(lam: SPDMatrix2, w: WishartParams) -> float:

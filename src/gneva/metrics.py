@@ -55,6 +55,8 @@ def displacement_metrics(predictions, ground_truth, k: int) -> MetricReport:
         )
     if not predictions:
         raise ValidationError("no scenarios to evaluate")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     ades, fdes, misses = [], [], []
     for trajs, gt in zip(predictions, ground_truth):
         gt = np.asarray(gt, dtype=float)

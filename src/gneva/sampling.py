@@ -50,8 +50,8 @@ class NmsConfig:
     k: int = 6
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValidationError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValidationError(f"radius must be finite and positive, got {self.radius}")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValidationError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
         if self.k < 1:
@@ -203,8 +203,8 @@ def generate_candidates(
 
     Row-major ordering with ties broken by grid index; endpoints included.
     """
-    if spacing <= 0.0:
-        raise ValidationError(f"spacing must be positive, got {spacing}")
+    if not 0.0 < spacing < math.inf:
+        raise ValidationError(f"spacing must be finite and positive, got {spacing}")
     # Counted in floats: an extent beyond float range counts as inf cells, and is refused.
     nx = np.floor((region.x_max - region.x_min) / spacing + 1e-9) + 1
     ny = np.floor((region.y_max - region.y_min) / spacing + 1e-9) + 1

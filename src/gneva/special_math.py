@@ -123,24 +123,14 @@ def trigamma(x):
 
 def log_multivariate_gamma(a: float, d: int) -> float:
     """log Gamma_d(a) = d(d-1)/4 * log pi + sum_j log Gamma(a + (1-j)/2)."""
-    _check_mv_domain(a, d, "log_multivariate_gamma")
+    if d < 1:
+        raise DomainError(f"log_multivariate_gamma requires a positive dimension, got {d}")
+    if a <= 0.5 * (d - 1):
+        raise DomainError(f"log_multivariate_gamma requires a > (d-1)/2 = {0.5 * (d - 1)}, got {a}")
     out = 0.25 * d * (d - 1) * LOG_PI
     for j in range(1, d + 1):
         out += log_gamma(a + 0.5 * (1 - j))
     return out
-
-
-def multivariate_digamma(a: float, d: int) -> float:
-    """psi_d(a) = sum_j psi(a + (1-j)/2); derivative of log Gamma_d."""
-    _check_mv_domain(a, d, "multivariate_digamma")
-    return sum(digamma(a + 0.5 * (1 - j)) for j in range(1, d + 1))
-
-
-def _check_mv_domain(a: float, d: int, name: str) -> None:
-    if d < 1:
-        raise DomainError(f"{name} requires a positive dimension, got {d}")
-    if a <= 0.5 * (d - 1):
-        raise DomainError(f"{name} requires a > (d-1)/2 = {0.5 * (d - 1)}, got {a}")
 
 
 def log_sum_exp(values, axis=None):

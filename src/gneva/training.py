@@ -84,22 +84,39 @@ class OptimizerState:
 
 
 def adamw_step(tape: ParamTape, opt: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update from the accumulated gradients."""
+    """One decoupled-weight-decay Adam update from the accumulated gradients.
+
+    Updates each parameter in place through the two rows of one scratch
+    array, in the order of operations of the out-of-place formula, so it
+    rounds exactly as that does.
+    """
     opt.step += 1
     bc1 = 1.0 - opt.beta1**opt.step
     bc2 = 1.0 - opt.beta2**opt.step
+    scratch = np.empty((2, max((p.size for p in tape.params.values()), default=0)))
     for name, param in tape.params.items():
         g = tape.grads[name]
         m = opt.m[name]
         v = opt.v[name]
+        num = scratch[0, : param.size].reshape(param.shape)
+        den = scratch[1, : param.size].reshape(param.shape)
+        np.multiply(g, 1.0 - opt.beta1, out=num)
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += num
+        np.multiply(g, 1.0 - opt.beta2, out=num)
+        num *= g
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-        param -= lr * update
+        v += num
+        np.divide(m, bc1, out=num)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += opt.eps
+        num /= den
+        num *= lr
+        param -= num
         if cfg.weight_decay > 0.0:
-            param -= lr * cfg.weight_decay * param
+            np.multiply(param, lr * cfg.weight_decay, out=num)
+            param -= num
 
 
 @dataclass

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy import stats
 from scipy.special import gammaln, logsumexp, multigammaln, psi
 
@@ -49,8 +50,20 @@ def emitted_components(fw):
 
 
 def sample_wishart_scipy(v: SPDMatrix2, nu: float, rng, n: int):
-    """(n, 2, 2) Wishart draws via scipy; independent of the package sampler."""
-    return stats.wishart.rvs(df=nu, scale=v.to_array(), size=n, random_state=rng)
+    """(n, 2, 2) Wishart draws equal to `stats.wishart.rvs(df=nu, scale=V, size=n)`, bit for bit.
+
+    Makes scipy's generator calls in scipy's order (the Bartlett factor's
+    off-diagonal normals, then the square roots of chi-square(nu) and
+    chi-square(nu - 1) draws) and forms C A A^T C^T as batched products
+    instead of scipy's per-draw Python loop. Independent of the package sampler.
+    """
+    c = scipy.linalg.cholesky(v.to_array(), lower=True)
+    a = np.zeros((n, 2, 2))
+    a[:, 1, 0] = rng.normal(size=n)
+    a[:, 0, 0] = rng.chisquare(nu, size=n) ** 0.5
+    a[:, 1, 1] = rng.chisquare(nu - 1, size=n) ** 0.5
+    ca = c @ a
+    return ca @ np.swapaxes(ca, -1, -2)
 
 
 def sample_nw_scipy(p: NormalWishartParams, rng, n: int):

@@ -179,6 +179,113 @@ class TestLayerNorm:
             assert var.grad == pytest.approx(n, rel=1e-5, abs=1e-8)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: array_equal that also tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def tape_grads(op, *arrays, g):
+    """Value of op(*leaves) and each leaf's gradient for the upstream gradient g."""
+    leaves = [leaf(a.copy()) for a in arrays]
+    out = op(*leaves)
+    backward(ad.vsum(ad.mul(out, Var(g))))  # the vjps receive exactly g
+    return out.value, [v.grad for v in leaves]
+
+
+def lead_sum(a, shape):
+    """Sum over the leading axes that a (..., n) array has beyond `shape`."""
+    return a.sum(axis=tuple(range(a.ndim - len(shape))))
+
+
+# A batched (B, N, hidden) input and a single row; entries span several magnitudes.
+KERNEL_SHAPES = [(3, 5, 16), (16,)]
+
+
+def kernel_input(rng, shape):
+    return rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 3.0, size=shape))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+class TestKernelsBitForBit:
+    """The fused kernels against the plain formulas they replace, compared bit for bit.
+
+    Each reference is written out of place, in the order of operations of the
+    plain formula (and `ndarray.mean`, sum then divide); a kernel that reorders
+    a floating-point operation fails here.
+    """
+
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng(21)
+        x, g = kernel_input(rng, shape), rng.normal(size=shape)
+        gain, offset = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        value, (gx, ggain, goffset) = tape_grads(ad.layer_norm, x, gain, offset, g=g)
+
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv_sigma = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * inv_sigma
+        gxhat = g * gain
+        term = gxhat - gxhat.mean(axis=-1, keepdims=True)
+        term -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+        assert same_bits(value, xhat * gain + offset)
+        assert same_bits(gx, term * inv_sigma)
+        assert same_bits(ggain, lead_sum(g * xhat, gain.shape))
+        assert same_bits(goffset, lead_sum(g, offset.shape))
+
+    def test_linear(self, shape):
+        rng = np.random.default_rng(22)
+        x = kernel_input(rng, shape)
+        w, b = rng.normal(size=(shape[-1], 7)), rng.normal(size=7)
+        g = rng.normal(size=shape[:-1] + (7,))
+        value, grads = tape_grads(ad.linear, x, w, b, g=g)
+        ref_value, ref_grads = tape_grads(lambda *v: ad.add(ad.matmul(v[0], v[1]), v[2]), x, w, b, g=g)
+        assert same_bits(value, ref_value)
+        for got, want in zip(grads, ref_grads):
+            assert same_bits(got, want)
+
+    def test_linear_is_one_node(self, shape):
+        rng = np.random.default_rng(23)
+        x, w, b = leaf(rng.normal(size=shape)), leaf(rng.normal(size=(shape[-1], 4))), leaf(np.zeros(4))
+        out = ad.linear(x, w, b)
+        assert out.parents == (x, w, b)
+
+    def test_masked_softmax(self, shape):
+        rng = np.random.default_rng(24)
+        x, g = kernel_input(rng, shape), rng.normal(size=shape)
+        mask = rng.uniform(size=shape[:-2] + (1, shape[-1])) < 0.6
+        mask[..., 0] = True  # every slice keeps an entry
+        if len(shape) == 1:
+            mask = mask.reshape(shape)
+        value, (gx,) = tape_grads(lambda v: ad.softmax(v, axis=-1, mask=mask), x, g=g)
+
+        xm = np.where(mask, x, -np.inf)
+        e = np.exp(xm - xm.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+        assert same_bits(value, y)
+        assert same_bits(gx, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    def test_softmax_leaves_its_input_alone(self, shape):
+        rng = np.random.default_rng(25)
+        x = kernel_input(rng, shape)
+        node = Var(x.copy())
+        ad.softmax(node, axis=-1)
+        assert same_bits(node.value, x)
+
+    def test_softplus(self, shape):
+        rng = np.random.default_rng(26)
+        x, g = kernel_input(rng, shape) * 10.0, rng.normal(size=shape)
+        x.reshape(-1)[:3] = [0.0, 800.0, -800.0]  # the sign switch and both saturations
+        value, (gx,) = tape_grads(ad.softplus, x, g=g)
+
+        out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        e = np.exp(-np.abs(x))
+        sig = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert same_bits(value, out)
+        assert same_bits(gx, g * sig)
+
+
 class TestParamTape:
     def test_add_and_zero(self):
         tape = ParamTape()

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from gneva.dataio import load_scenario, to_target_frame, vectorize
 from gneva.encoders import forward_spatial, load_spatial_model
 from gneva.errors import ValidationError
 from gneva.sampling import generate_candidates, scene_region
+from gneva.trajectory import Predictions, save_predictions
 
 TINY_CONFIG = {
     "encoder.hidden": 32,
@@ -436,3 +438,62 @@ class TestPipeline:
             ]
         )
         assert code == 0
+
+
+def _run_quietly(argv):
+    """Exit code of a command, and every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    return code, caught
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--k", "0"),
+            ("eval", "--k", "-1"),
+            ("predict", "--spacing", "nan"),
+            ("predict", "--radius", "nan"),
+            ("density", "--spacing", "inf"),
+            ("mask-map", "--radius", "-1"),
+            ("mask-map", "--radius", "nan"),
+            ("synth", "--dt", "inf"),
+        ],
+    )
+    def test_bad_value_exits_1_naming_the_argument(self, workspace, tmp_path, capsys, command, flag, value):
+        root, config, data, spatial, traj = workspace
+        scenario = str(sorted(data.glob("*.json"))[0])
+        out = str(tmp_path / "out.json")
+        argv = {
+            "eval": ["eval", "--pred", str(data), "--data", str(data)],
+            "predict": ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+                        "--scenario", scenario, "--out", out],
+            "density": ["density", "--spatial-model", str(spatial), "--scenario", scenario, "--out", out],
+            "mask-map": ["mask-map", "--scenario", scenario, "--out", out],
+            "synth": ["synth", "--kind", "turn", "--n", "2", "--out", out],
+        }[command] + [flag, value]
+        code, caught = _run_quietly(argv)
+        assert code == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert caught == []
+        assert not Path(out).exists()
+
+    def test_huge_horizon_exits_1_naming_the_scenario(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_command(["synth", "--kind", "straight", "--n", "1", "--seed", "4", "--out", str(data)]) == 0
+        (path,) = data.glob("*.json")
+        doc = json.loads(path.read_text())
+        doc["T"] = 10**12
+        path.write_text(json.dumps(doc))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        save_predictions(preds / path.name, doc["scenario_id"], Predictions(np.zeros((6, 30, 2)), np.zeros(6)))
+        capsys.readouterr()
+        code, caught = _run_quietly(["eval", "--pred", str(preds), "--data", str(data)])
+        assert code == 1
+        (failure,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert failure["file"] == str(path) and failure["error"] == "ValidationError"
+        assert repr(doc["scenario_id"]) in failure["message"] and "T=1000000000000" in failure["message"]
+        assert caught == []

@@ -126,6 +126,13 @@ class TestSchema:
         s = minimal_scenario(h=10, t=30)
         assert s.goal() == pytest.approx([40.0, 0.0])
 
+    def test_horizon_longer_than_the_track_is_refused_before_allocating(self):
+        # 10**12 wanted steps would need terabytes; the row count refuses them first.
+        s = minimal_scenario(h=10, t=30)
+        s.T = 10**12
+        with pytest.raises(ValidationError, match="'s0' has T=1000000000000.*only 40 states"):
+            s.future_waypoints()
+
 
 class TestTargetFrame:
     def test_target_pose_becomes_origin(self):

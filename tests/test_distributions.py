@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from gneva.distributions import (
-    Gaussian2,
     NormalWishartParams,
     StudentTParams,
     WishartParams,
@@ -20,13 +19,14 @@ from gneva.distributions import (
     wishart_log_density,
 )
 from gneva.errors import DegreesOfFreedomTooSmall, ValidationError
-from gneva.special_math import SPDMatrix2, multivariate_digamma
+from gneva.special_math import SPDMatrix2
 
 from helpers import (
     gaussian_kl_given_precision,
     grid_quadrature_mass,
     mc_mean_and_se,
     normal_logpdf_given_precision,
+    psi_d,
     random_nw,
     random_spd,
     sample_nw_scipy,
@@ -90,6 +90,18 @@ class TestNormalWishartDensity:
         normal_at_mode = total - wishart_only
         beta_lam = lam.scaled(p.beta)
         assert normal_at_mode == pytest.approx(0.5 * beta_lam.log_det - math.log(2 * math.pi), abs=1e-12)
+
+    def test_normal_part_matches_scipy(self):
+        # The joint minus its Wishart factor is log N(mu | eta, (beta Lambda)^-1).
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            p = random_nw(rng)
+            lam = random_spd(rng)
+            mu = rng.normal(size=2)
+            normal = normal_wishart_log_density(mu, lam, p) - wishart_log_density(lam, p.wishart)
+            cov = np.linalg.inv(p.beta * lam.to_array())
+            ref = stats.multivariate_normal.logpdf(mu, mean=p.eta, cov=cov)
+            assert normal == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
 
     def test_box_mass_mc_vs_quadrature(self):
         # MC quadrature of the joint density over a 5-d box around the mode
@@ -160,12 +172,30 @@ class TestSampling:
         assert a[1] == b[1]
 
 
+class TestScipyWishartHelper:
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_equals_scipy_and_leaves_same_generator_state(self, n):
+        # The batched helper stands in for stats.wishart.rvs in the MC oracles; it
+        # must draw the very same matrices and consume the very same random numbers.
+        rng = np.random.default_rng(90 + n)
+        for _ in range(4):
+            v = random_spd(rng)
+            nu = float(rng.uniform(2.2, 12.0))
+            seed = int(rng.integers(2**31))
+            ours_rng, scipy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours = sample_wishart_scipy(v, nu, ours_rng, n)
+            ref = stats.wishart.rvs(df=nu, scale=v.to_array(), size=n, random_state=scipy_rng)
+            assert ours.shape == ref.shape == (n, 2, 2)
+            assert ours.tobytes() == ref.tobytes()
+            assert ours_rng.bit_generator.state == scipy_rng.bit_generator.state
+
+
 class TestExpectedStats:
     def test_plugin_arithmetic(self):
         q = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=SPDMatrix2.identity(), nu=4.0)
         s = expected_stats([1.0, 0.0], q)
         assert s.e_mahalanobis == pytest.approx(6.0, abs=1e-12)
-        assert s.e_log_det == pytest.approx(multivariate_digamma(2.0, 2) + 2 * math.log(2.0), abs=1e-12)
+        assert s.e_log_det == pytest.approx(psi_d(2.0) + 2 * math.log(2.0), abs=1e-12)
 
     def test_mahalanobis_vanishes_at_eta_large_beta(self):
         vals = []
@@ -318,13 +348,3 @@ class TestPosteriorPredictive:
         for angle in np.linspace(0, 2 * math.pi, 8, endpoint=False):
             offset = 0.3 * np.array([math.cos(angle), math.sin(angle)])
             assert student_t_log_density(t.loc + offset, t) < at_loc
-
-
-class TestGaussian2:
-    def test_log_density_matches_scipy(self):
-        rng = np.random.default_rng(71)
-        prec = random_spd(rng)
-        g = Gaussian2(mean=rng.normal(size=2), precision=prec)
-        x = rng.normal(size=2)
-        ref = stats.multivariate_normal.logpdf(x, mean=g.mean, cov=np.linalg.inv(prec.to_array()))
-        assert g.log_density(x) == pytest.approx(float(ref), rel=1e-10)

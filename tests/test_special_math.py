@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from gneva.autodiff import Var, backward, leaf
+from gneva.distributions import NormalWishartArrays
 from gneva.errors import DomainError, NotPositiveDefinite
 from gneva.special_math import (
     SPDMatrix2,
@@ -11,7 +13,6 @@ from gneva.special_math import (
     log_gamma,
     log_multivariate_gamma,
     log_sum_exp,
-    multivariate_digamma,
     trigamma,
 )
 
@@ -86,32 +87,42 @@ class TestMultivariateGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             log_multivariate_gamma(0.5, 2)
-        with pytest.raises(DomainError):
-            multivariate_digamma(0.5, 2)
+
+
+def _psi2(nu) -> Var:
+    """psi_2(nu/2) of one Wishart W(I, nu), as the Normal-Wishart closed forms compute it."""
+    return NormalWishartArrays(None, None, Var(np.array([[1.0, 0.0, 1.0]])), nu).psi2
 
 
 class TestMultivariateDigamma:
     def test_d1_euler_mascheroni(self):
-        assert multivariate_digamma(1.0, 1) == pytest.approx(-0.57722, abs=5e-6)
+        # psi_1 is psi itself.
+        assert digamma(1.0) == pytest.approx(-0.57722, abs=5e-6)
 
     def test_d2_known_values(self):
         # psi(1.5) + psi(1.0) with psi(1.5) = 2 - gamma - 2 ln 2.
         gamma = 0.5772156649015329
         expected = (2 - gamma - 2 * math.log(2)) + (-gamma)
-        assert multivariate_digamma(1.5, 2) == pytest.approx(expected, abs=1e-12)
-        assert multivariate_digamma(1.5, 2) == pytest.approx(-0.5407, abs=5e-5)
+        value = float(_psi2(Var(np.array([3.0]))).value[0])
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(-0.5407, abs=5e-5)
 
     @pytest.mark.parametrize("a", [1.1, 2.0, 5.0, 17.5])
     def test_is_derivative_of_log_mv_gamma(self, a):
         h = 1e-5
         fd = (log_multivariate_gamma(a + h, 2) - log_multivariate_gamma(a - h, 2)) / (2 * h)
-        assert multivariate_digamma(a, 2) == pytest.approx(fd, abs=1e-6)
+        assert float(_psi2(Var(np.array([2 * a]))).value[0]) == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("a", [1.1, 2.0, 5.0, 17.5])
     def test_trigamma_is_derivative_of_digamma(self, a):
+        # d psi_2(nu/2) / d nu = (trigamma(a) + trigamma(a - 1/2)) / 2 at nu = 2a: the tape
+        # gradient, and central differences of psi_2.
         h = 1e-5
-        fd = (multivariate_digamma(a + h, 2) - multivariate_digamma(a - h, 2)) / (2 * h)
-        assert trigamma(a) + trigamma(a - 0.5) == pytest.approx(fd, abs=1e-6)
+        nu = leaf(np.array([2 * a]))
+        backward(_psi2(nu))
+        up, down = (float(_psi2(Var(np.array([2 * a + d]))).value[0]) for d in (h, -h))
+        assert float(nu.grad[0]) == pytest.approx(0.5 * (trigamma(a) + trigamma(a - 0.5)), rel=1e-12)
+        assert float(nu.grad[0]) == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
 class TestLogSumExp:

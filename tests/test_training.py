@@ -121,6 +121,46 @@ class TestAdamW:
         assert all(a >= b - 1e-12 for a, b in zip(descending, descending[1:]))
 
 
+    @pytest.mark.parametrize("weight_decay", [1e-3, 0.0, 0.6])
+    def test_matches_out_of_place_formula_bit_for_bit(self, weight_decay):
+        # A batched (B, N, hidden) parameter and a single row, three steps against
+        # the textbook formula written out of place; reordering any operation of
+        # the in-place update changes some bits here.
+        rng = np.random.default_rng(31)
+        shapes = {"batched": (3, 5, 16), "row": (16,)}
+        tape = ParamTape()
+        for name, shape in shapes.items():
+            tape.add_param(name, rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 3.0, size=shape)))
+        opt = OptimizerState.for_tape(tape)
+        cfg = TrainConfig(weight_decay=weight_decay)
+        ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in tape.params.items()}
+        for step, lr in enumerate([3e-3, 0.37, 7e-4], start=1):
+            tape.zero_grads()
+            for name, shape in shapes.items():
+                tape.grads[name][...] = rng.normal(size=shape) * np.exp(rng.uniform(-4.0, 2.0, size=shape))
+            adamw_step(tape, opt, lr, cfg)
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for name, (p, m, v) in ref.items():
+                g = tape.grads[name]
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                p = p - lr * ((m / bc1) / (np.sqrt(v / bc2) + 1e-8))
+                if weight_decay > 0.0:
+                    p = p - lr * weight_decay * p
+                ref[name] = (p, m, v)
+                for got, want in ((tape.params[name], p), (opt.m[name], m), (opt.v[name], v)):
+                    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_leaves_the_gradients_alone(self):
+        rng = np.random.default_rng(32)
+        tape = ParamTape()
+        tape.add_param("w", rng.normal(size=(4, 3)))
+        tape.grads["w"][...] = rng.normal(size=(4, 3))
+        before = tape.grads["w"].copy()
+        adamw_step(tape, OptimizerState.for_tape(tape), 1e-2, TrainConfig())
+        assert np.array_equal(tape.grads["w"], before)
+
+
 class TestHuber:
     def test_zero_residual(self):
         assert float(huber(Var(np.zeros((4, 2)))).value) == 0.0
