@@ -12,10 +12,10 @@ Gradients flow only through nodes marked as needing them: tape leaves set
 differentiable input, so constant branches cost nothing in the backward
 pass.
 
-Trainable parameters live in a `ParamTape`: named flat float64 arrays with
-matching gradient accumulators, which `zero_grads` starts afresh for each
-step. A forward pass starts from `tape.leaves()` and `accumulate_grads`
-folds leaf gradients back into the tape.
+Trainable parameters live in a `ParamTape`: named float64 arrays and
+nothing else. A forward pass starts from `tape.leaves()`; after `backward`,
+`leaf_gradients(leaves)` maps each name to its leaf's gradient, and that
+mapping is the step's gradient.
 """
 
 from __future__ import annotations
@@ -426,23 +426,21 @@ def backward(root: Var) -> None:
             node.grad = None
 
 
+def leaf_gradients(leaves: Mapping[str, Var]) -> dict[str, np.ndarray]:
+    """Each leaf's gradient after `backward`, zeros for a leaf the loss does not reach; read-only."""
+    return {name: lv.grad if lv.grad is not None else np.zeros_like(lv.value) for name, lv in leaves.items()}
+
+
 class ParamTape:
-    """Named trainable parameter arrays with paired gradient accumulators."""
+    """Named trainable parameter arrays."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
 
     def add_param(self, name: str, value: np.ndarray) -> None:
         if name in self.params:
             raise ShapeMismatch(f"duplicate parameter name {name!r}")
-        arr = np.array(value, dtype=float)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-
-    def zero_grads(self) -> None:
-        """Start an accumulation: one zero gradient array per parameter."""
-        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        self.params[name] = np.array(value, dtype=float)
 
     def leaves(self) -> dict[str, Var]:
         """Fresh leaf nodes viewing the current parameter values."""
@@ -451,11 +449,6 @@ class ParamTape:
     def constants(self) -> dict[str, Var]:
         """Constant nodes viewing the current parameter values; a forward on them records no graph."""
         return {name: Var(value) for name, value in self.params.items()}
-
-    def accumulate_grads(self, leaves: Mapping[str, Var]) -> None:
-        for name, leaf_var in leaves.items():
-            if leaf_var.grad is not None:
-                self.grads[name] += leaf_var.grad
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -507,10 +500,7 @@ def check_gradients(
     leaves = tape.leaves()
     loss = loss_fn(leaves)
     backward(loss)
-    analytic = {
-        name: (lv.grad if lv.grad is not None else np.zeros_like(lv.value))
-        for name, lv in leaves.items()
-    }
+    analytic = leaf_gradients(leaves)
 
     entries = [(name, i) for name, p in tape.params.items() for i in range(p.size)]
     rng = np.random.default_rng(seed)

@@ -67,9 +67,11 @@ def load_run_config(path: str | None, sets: list[str]) -> dict:
     config: dict = {}
     if path:
         try:
-            config.update(json.loads(Path(path).read_text()))
+            config = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValidationError(f"config {path} is not a JSON object")
     for item in sets:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
@@ -91,7 +93,10 @@ def _dataclass_from_config(cls, prefix: str, config: dict):
         if name not in names:
             raise ValidationError(f"unknown config key {key!r}")
         kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:  # each config message starts with the field's name
+        raise ValidationError(f"config {prefix}.{exc}") from exc
 
 
 def _load_scenario_paths(path: str) -> list[Path]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingHorizonState, ParseError, ValidationError
+from .errors import MissingHorizonState, ParseError, ValidationError, check_config_fields
 
 AGENT_KINDS = ("vehicle", "pedestrian", "cyclist")
 MAP_KINDS = ("lane_center", "lane_boundary", "crosswalk", "stop_line")
@@ -394,6 +394,9 @@ def mask_map_by_radius(s: Scenario, r: float) -> Scenario:
     return replace(s, map=kept)
 
 
+SYNTH_CAP = 1_000_000  # most scenes, and most steps H + T a scene, of one synth call; as the grid's cell cap
+
+
 @dataclass
 class SynthConfig:
     n: int = 100
@@ -403,10 +406,11 @@ class SynthConfig:
     dt: float = 0.1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"synthetic generator needs n >= 1, got {self.n}")
-        if not 0.0 < self.dt < math.inf:  # checked before the march multiplies by it
-            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        check_config_fields(self)
+        if not 0.0 < self.dt <= 10.0:  # checked before the march multiplies by it
+            raise ValidationError(f"dt must lie in (0, 10] seconds, got {self.dt}")
+        if max(self.n, self.H + self.T) > SYNTH_CAP:  # refused before allocating
+            raise ValidationError(f"n and H + T must be <= {SYNTH_CAP}, got n={self.n}, H={self.H}, T={self.T}")
 
 
 class _Path:

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import AGENT_VECTOR_WIDTH, MAP_VECTOR_WIDTH, VectorizedScene
-from .errors import NotPositiveDefinite, ShapeMismatch, ValidationError
+from .errors import NotPositiveDefinite, ShapeMismatch, ValidationError, check_config_fields
 from .mixture import MixturePosterior
 from .special_math import spd_from_cholesky
 
@@ -34,6 +34,14 @@ MIN_POSITIVE = 1e-3  # floor added after softplus on strictly positive outputs
 NU_FLOOR = 3.0 + MIN_POSITIVE  # strictly above 3 even when softplus underflows
 
 MODEL_FORMAT_VERSION = 1
+# Caps on the sizes a spatial model's parameter count grows with: at all four
+# it holds about 110M parameters (0.9 GB), and a larger request is refused
+# before anything is allocated.
+SIZE_CAPS = {"hidden": 1024, "L_c": 16, "L_i": 16, "C": 1024}
+# A loaded parameter beyond this magnitude is refused, nan included: a forward
+# on such weights can overflow, while training moves a parameter by at most
+# about the learning rate per step.
+PARAM_BOUND = 1e9
 
 
 @dataclass(frozen=True)
@@ -47,14 +55,12 @@ class EncoderConfig:
     max_vectors_per_polyline: int = 64
 
     def __post_init__(self):
+        check_config_fields(self)
+        for name, cap in SIZE_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ValidationError(f"{name} must be at most {cap}, got {getattr(self, name)}")
         if self.hidden % self.n_heads != 0:
-            raise ValidationError(
-                f"hidden={self.hidden} not divisible by n_heads={self.n_heads}"
-            )
-        if self.L_c < 1 or self.L_i < 1:
-            raise ValidationError("attention stacks need at least one layer")
-        if self.C < 1:
-            raise ValidationError("need at least one mixture component")
+            raise ValidationError(f"n_heads must divide hidden={self.hidden}, got {self.n_heads}")
 
 
 def softplus_inverse(y: float) -> float:
@@ -408,9 +414,18 @@ def _load_document(path) -> tuple[dict, EncoderConfig]:
             raise ValidationError(f"model {path}: {key!r} must be a JSON object")
     try:
         cfg = EncoderConfig(**doc["config"])
-    except TypeError as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"model {path}: bad 'config': {exc}") from exc
     return doc, cfg
+
+
+def _check_stored_lengths(path, stored: dict, lengths: dict[str, int]) -> None:
+    """Refuse a config its stored vectors contradict, before a template of its size is built."""
+    for name, n in lengths.items():
+        values = stored.get(name)
+        if not isinstance(values, list) or len(values) != n:
+            found = len(values) if isinstance(values, list) else type(values).__name__
+            raise ValidationError(f"model {path}: its config implies {n} values for {name!r}, found {found}")
 
 
 def _restore_into(template: ParamTape, stored: dict, path) -> ParamTape:
@@ -423,20 +438,24 @@ def _restore_into(template: ParamTape, stored: dict, path) -> ParamTape:
         )
     for name, flat in stored.items():
         expected = template.params[name]
-        values = np.asarray(flat, dtype=float)
+        try:
+            values = np.asarray(flat, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"model {path}: parameter {name!r} is not a list of numbers: {exc}") from exc
         if values.size != expected.size:
             raise ValidationError(
                 f"model {path}: parameter {name!r} has {values.size} values, "
                 f"expected {expected.size}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"model {path}: parameter {name!r} has non-finite values")
+        if not np.all(np.abs(values) <= PARAM_BOUND):
+            raise ValidationError(f"model {path}: parameter {name!r} has values not within +-{PARAM_BOUND:g}")
         expected[...] = values.reshape(expected.shape)
     return template
 
 
 def load_spatial_model(path) -> tuple[ParamTape, EncoderConfig]:
     doc, cfg = _load_document(path)
+    _check_stored_lengths(path, doc["params"], {"ctx_head.l1.b": cfg.hidden, "ctx_head.l2.b": 3 * cfg.C})
     tape = _restore_into(init_spatial_params(cfg, seed=0), doc["params"], path)
     return tape, cfg
 
@@ -454,8 +473,9 @@ def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> P
 def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig, int]:
     doc, cfg = _load_document(path)
     out_b = doc["params"].get("traj.m2.l2.b")
-    if out_b is None or len(out_b) % 2 != 0 or not out_b:
+    if not isinstance(out_b, list) or len(out_b) % 2 != 0 or not out_b:
         raise ValidationError(f"model {path} lacks a valid trajectory output layer")
     horizon = len(out_b) // 2
+    _check_stored_lengths(path, doc["params"], {"traj.m1.l1.b": cfg.hidden})
     tape = _restore_into(init_trajectory_params(cfg, horizon, seed=0), doc["params"], path)
     return tape, cfg, horizon

@@ -58,27 +58,28 @@ def displacement_metrics(predictions, ground_truth, k: int) -> MetricReport:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     ades, fdes, misses = [], [], []
-    for trajs, gt in zip(predictions, ground_truth):
-        gt = np.asarray(gt, dtype=float)
-        if len(trajs) < k:
-            raise ValidationError(f"need at least k={k} trajectories, got {len(trajs)}")
-        per_ade, per_fde = [], []
-        for traj in list(trajs)[:k]:
-            traj = np.asarray(traj, dtype=float)
-            if traj.shape != gt.shape:
-                raise HorizonMismatch(
-                    f"prediction horizon {traj.shape} does not match ground truth {gt.shape}"
-                )
-            err = np.hypot(*(traj - gt).T)
-            per_ade.append(float(err.mean()))
-            per_fde.append(float(err[-1]))
-        ades.append(min(per_ade))
-        fdes.append(min(per_fde))
-        misses.append(1.0 if min(per_fde) > MISS_THRESHOLD_M else 0.0)
-    return MetricReport(
-        made_k=float(np.mean(ades)),
-        mfde_k=float(np.mean(fdes)),
-        miss_rate_k=float(np.mean(misses)),
-        k=k,
-        n_scenarios=len(predictions),
-    )
+    with np.errstate(over="ignore"):  # an error beyond float range counts as inf
+        for trajs, gt in zip(predictions, ground_truth):
+            gt = np.asarray(gt, dtype=float)
+            if len(trajs) < k:
+                raise ValidationError(f"need at least k={k} trajectories, got {len(trajs)}")
+            per_ade, per_fde = [], []
+            for traj in list(trajs)[:k]:
+                traj = np.asarray(traj, dtype=float)
+                if traj.shape != gt.shape:
+                    raise HorizonMismatch(
+                        f"prediction horizon {traj.shape} does not match ground truth {gt.shape}"
+                    )
+                err = np.hypot(*(traj - gt).T)
+                per_ade.append(float(err.mean()))
+                per_fde.append(float(err[-1]))
+            ades.append(min(per_ade))
+            fdes.append(min(per_fde))
+            misses.append(1.0 if min(per_fde) > MISS_THRESHOLD_M else 0.0)
+        return MetricReport(
+            made_k=float(np.mean(ades)),
+            mfde_k=float(np.mean(fdes)),
+            miss_rate_k=float(np.mean(misses)),
+            k=k,
+            n_scenarios=len(predictions),
+        )

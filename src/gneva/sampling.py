@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Scenario
-from .errors import EmptyCandidatePool, RegionTooLarge, ValidationError
+from .errors import EmptyCandidatePool, RegionTooLarge, ValidationError, check_config_fields
 from .mixture import MixturePosterior, predictive_log_densities
 
 
@@ -50,12 +50,11 @@ class NmsConfig:
     k: int = 6
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValidationError(f"radius must be finite and positive, got {self.radius}")
+        check_config_fields(self)
+        if not (self.radius > 0.0 and 0.0 < 4.0 * self.radius * self.radius < math.inf):  # `_lens_area`'s 4 r^2
+            raise ValidationError(f"radius must be > 0 with 4 r^2 finite and nonzero, got {self.radius}")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValidationError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
 
 
 def _lens_area(d: np.ndarray, r: float) -> np.ndarray:
@@ -205,9 +204,9 @@ def generate_candidates(
     """
     if not 0.0 < spacing < math.inf:
         raise ValidationError(f"spacing must be finite and positive, got {spacing}")
-    # Counted in floats: an extent beyond float range counts as inf cells, and is refused.
-    nx = np.floor((region.x_max - region.x_min) / spacing + 1e-9) + 1
-    ny = np.floor((region.y_max - region.y_min) / spacing + 1e-9) + 1
+    with np.errstate(over="ignore"):  # counted in floats: beyond float range is inf cells, and refused
+        nx = np.floor((region.x_max - region.x_min) / spacing + 1e-9) + 1
+        ny = np.floor((region.y_max - region.y_min) / spacing + 1e-9) + 1
     if not nx * ny <= cell_cap:
         raise RegionTooLarge(f"grid of {nx:.0f}x{ny:.0f} cells exceeds the cap of {cell_cap}")
     xs = region.x_min + spacing * np.arange(nx)

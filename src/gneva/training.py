@@ -15,16 +15,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamTape, Var, backward
-from .dataio import Scenario, VectorizedScene, vectorize
+from .dataio import Scenario, vectorize
 from .distributions import NormalWishartArrays
 from .encoders import EncoderConfig, SpatialForward, forward_spatial
-from .errors import NonFiniteLoss, ValidationError
+from .errors import NonFiniteLoss, ValidationError, check_config_fields
 from .mixture import elbo_terms
 from .trajectory import trajectory_forward
 
@@ -42,12 +42,11 @@ class TrainConfig:
     max_steps: int | None = None  # desk-scale override; caps total steps
 
     def __post_init__(self):
-        if min(self.batch_size, self.epochs, self.warmup_steps) < 1:
-            raise ValidationError("batch_size, epochs and warmup_steps must be positive")
-        if not (0.0 < self.final_lr < self.peak_lr):
-            raise ValidationError("need 0 < final_lr < peak_lr")
+        check_config_fields(self)
+        if not 0.0 < self.final_lr < self.peak_lr:
+            raise ValidationError(f"final_lr must lie in (0, peak_lr={self.peak_lr}), got {self.final_lr}")
         if self.weight_decay < 0.0:
-            raise ValidationError("weight_decay must be non-negative")
+            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def lr_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -64,6 +63,9 @@ def lr_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.final_lr + 0.5 * (cfg.peak_lr - cfg.final_lr) * (1.0 + math.cos(math.pi * progress))
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
+
+
 @dataclass
 class OptimizerState:
     """AdamW first/second moments per parameter plus the step counter."""
@@ -71,9 +73,6 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_tape(cls, tape: ParamTape) -> "OptimizerState":
@@ -83,34 +82,36 @@ class OptimizerState:
         )
 
 
-def adamw_step(tape: ParamTape, opt: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update from the accumulated gradients.
+def adamw_step(
+    tape: ParamTape, grads: Mapping[str, np.ndarray], opt: OptimizerState, lr: float, cfg: TrainConfig
+) -> None:
+    """One decoupled-weight-decay Adam update from `grads`, one array per parameter name.
 
     Updates each parameter in place through the two rows of one scratch
     array, in the order of operations of the out-of-place formula, so it
     rounds exactly as that does.
     """
     opt.step += 1
-    bc1 = 1.0 - opt.beta1**opt.step
-    bc2 = 1.0 - opt.beta2**opt.step
+    bc1 = 1.0 - BETA1**opt.step
+    bc2 = 1.0 - BETA2**opt.step
     scratch = np.empty((2, max((p.size for p in tape.params.values()), default=0)))
     for name, param in tape.params.items():
-        g = tape.grads[name]
+        g = grads[name]
         m = opt.m[name]
         v = opt.v[name]
         num = scratch[0, : param.size].reshape(param.shape)
         den = scratch[1, : param.size].reshape(param.shape)
-        np.multiply(g, 1.0 - opt.beta1, out=num)
-        m *= opt.beta1
+        np.multiply(g, 1.0 - BETA1, out=num)
+        m *= BETA1
         m += num
-        np.multiply(g, 1.0 - opt.beta2, out=num)
+        np.multiply(g, 1.0 - BETA2, out=num)
         num *= g
-        v *= opt.beta2
+        v *= BETA2
         v += num
         np.divide(m, bc1, out=num)
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += opt.eps
+        den += ADAM_EPS
         num /= den
         num *= lr
         param -= num
@@ -232,12 +233,12 @@ def batch_diagnostics(resp: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndar
     return float(-plogp.sum(axis=-1).mean()), spread
 
 
-def grad_norm(tape: ParamTape) -> float:
-    """Global L2 norm of the tape's accumulated gradients."""
-    return math.sqrt(sum(float(np.vdot(g, g)) for g in tape.grads.values()))
+def grad_norm(grads: Mapping[str, np.ndarray]) -> float:
+    """Global L2 norm of a gradient mapping."""
+    return math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
 
 
-def _plan_steps(n_scenes: int, cfg: TrainConfig) -> tuple[int, int]:
+def _plan_steps(n_scenes: int, cfg: TrainConfig) -> int:
     per_epoch = n_scenes // cfg.batch_size
     if per_epoch == 0:
         raise ValidationError(
@@ -250,7 +251,36 @@ def _plan_steps(n_scenes: int, cfg: TrainConfig) -> tuple[int, int]:
         raise ValidationError(
             f"planned {total} steps do not exceed warmup_steps={cfg.warmup_steps}"
         )
-    return total, per_epoch
+    return total
+
+
+def _fit(tape: ParamTape, n_scenes: int, cfg: TrainConfig, step_loss) -> TrainHistory:
+    """Train `tape` in place with AdamW, one backward per minibatch.
+
+    `step_loss(batch, leaves, step)` runs the forward of the scene indices
+    `batch` on the tape's leaves and returns the scalar batch loss and the
+    step's extra history columns. A run that diverges raises NonFiniteLoss:
+    `step_loss` checks each loss, and the trained parameters are checked at
+    the end, so numpy's overflow warnings on the way there are silenced.
+    """
+    total_steps = _plan_steps(n_scenes, cfg)
+    opt = OptimizerState.for_tape(tape)
+    history = TrainHistory()
+    batch_iter = _batches(n_scenes, cfg.batch_size, np.random.default_rng(cfg.seed))
+    with np.errstate(all="ignore"):
+        for step in range(1, total_steps + 1):
+            leaves = tape.leaves()
+            batch_loss, columns = step_loss(next(batch_iter), leaves, step)
+            backward(batch_loss)
+            grads = ad.leaf_gradients(leaves)
+            lr = lr_schedule(step, total_steps, cfg)
+            norm = grad_norm(grads)
+            adamw_step(tape, grads, opt, lr, cfg)
+            history.add(step, lr, float(batch_loss.value), grad_norm=norm, **columns)
+    for name, param in tape.params.items():
+        if not np.isfinite(param).all():
+            raise NonFiniteLoss(f"training diverged: parameter {name!r} is not finite after the last step")
+    return history
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -306,40 +336,19 @@ def train_spatial(
     ids = [s.scenario_id for s in dataset]
     vectors = [vectorize(s, enc_cfg) for s in dataset]
     goals = np.stack([s.goal() for s in dataset])
-    total_steps, _ = _plan_steps(len(dataset), cfg)
     centres = kmeans_centres(goals, enc_cfg.C, np.random.default_rng(cfg.seed))
     tape.params["ctx_head.l2.b"][: 2 * enc_cfg.C] = centres.reshape(-1)
-    opt = OptimizerState.for_tape(tape)
-    history = TrainHistory()
-    rng = np.random.default_rng(cfg.seed)
-    batch_iter = _batches(len(dataset), cfg.batch_size, rng)
-    for step in range(1, total_steps + 1):
-        batch = next(batch_iter)
-        tape.zero_grads()
-        leaves = tape.leaves()
+
+    def step_loss(batch, leaves, step):
         fw = forward_spatial([vectors[i] for i in batch], leaves, enc_cfg)
         terms = spatial_scene_loss(goals[batch], fw, cfg.lambda_z)
         _check_finite(terms.loss.value, [ids[i] for i in batch], f"spatial loss at step {step}")
-        batch_loss = ad.vmean(terms.loss)
-        backward(batch_loss)
-        tape.accumulate_grads(leaves)
-        lr = lr_schedule(step, total_steps, cfg)
-        norm = grad_norm(tape)
-        adamw_step(tape, opt, lr, cfg)
         q_entropy, eta_spread = batch_diagnostics(terms.responsibilities, fw.eta.value)
-        history.add(
-            step,
-            lr,
-            float(batch_loss.value),
-            elbo=float(terms.elbo.mean()),
-            ce=float(terms.cross_entropy.mean()),
-            grad_norm=norm,
-            usage=terms.responsibilities.mean(axis=0),
-            q_entropy=q_entropy,
-            eta_spread=eta_spread,
-        )
-    tape.grads.clear()  # a trained model needs no accumulators; they would double its memory
-    return tape, history
+        usage = terms.responsibilities.mean(axis=0)
+        return ad.vmean(terms.loss), dict(elbo=float(terms.elbo.mean()), ce=float(terms.cross_entropy.mean()),
+                                          usage=usage, q_entropy=q_entropy, eta_spread=eta_spread)
+
+    return tape, _fit(tape, len(dataset), cfg, step_loss)
 
 
 def _check_finite(values: np.ndarray, scenario_ids: list[str], what: str) -> None:
@@ -383,24 +392,11 @@ def train_trajectory(
     ids = [s.scenario_id for s in dataset]
     goals = np.stack([s.goal() for s in dataset])
     futures = np.stack([s.future_waypoints() for s in dataset])
-    total_steps, _ = _plan_steps(len(dataset), cfg)
-    opt = OptimizerState.for_tape(traj_tape)
-    history = TrainHistory()
-    rng = np.random.default_rng(cfg.seed)
-    batch_iter = _batches(len(dataset), cfg.batch_size, rng)
-    for step in range(1, total_steps + 1):
-        batch = next(batch_iter)
-        traj_tape.zero_grads()
-        leaves = traj_tape.leaves()
+
+    def step_loss(batch, leaves, step):
         pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves, enc_cfg, horizon)
         residual = ad.sub(pred, Var(futures[batch]))
         _check_finite(residual.value, [ids[i] for i in batch], f"trajectory loss at step {step}")
-        batch_loss = huber(residual, delta=1.0)
-        backward(batch_loss)
-        traj_tape.accumulate_grads(leaves)
-        lr = lr_schedule(step, total_steps, cfg)
-        norm = grad_norm(traj_tape)
-        adamw_step(traj_tape, opt, lr, cfg)
-        history.add(step, lr, float(batch_loss.value), grad_norm=norm)
-    traj_tape.grads.clear()
-    return traj_tape, history
+        return huber(residual, delta=1.0), {}
+
+    return traj_tape, _fit(traj_tape, len(dataset), cfg, step_loss)

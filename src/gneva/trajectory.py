@@ -110,8 +110,10 @@ def load_predictions(path) -> tuple[str, Predictions]:
         scenario_id = str(doc["scenario_id"])
         waypoints = np.array([p["waypoints"] for p in doc["predictions"]], dtype=float)
         goal_log_probs = np.array([float(p["goal_log_prob"]) for p in doc["predictions"]])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot load predictions from {path}: {exc}") from exc
     if waypoints.ndim != 3 or not len(waypoints) or waypoints.shape[2] != 2:
         raise ValidationError(f"{path}: predictions need waypoints (k, T, 2) with k >= 1, got {waypoints.shape}")
+    if not np.isfinite(waypoints).all():
+        raise ValidationError(f"{path}: prediction waypoints must be finite")
     return scenario_id, Predictions(waypoints, goal_log_probs)

@@ -460,6 +460,10 @@ class TestNumericArguments:
             ("mask-map", "--radius", "-1"),
             ("mask-map", "--radius", "nan"),
             ("synth", "--dt", "inf"),
+            ("predict", "--radius", "1e308"),
+            ("synth", "--H", "1000000000"),
+            ("synth", "--T", "100000000000"),
+            ("synth", "--seed", "-1"),
         ],
     )
     def test_bad_value_exits_1_naming_the_argument(self, workspace, tmp_path, capsys, command, flag, value):
@@ -497,3 +501,108 @@ class TestNumericArguments:
         assert failure["file"] == str(path) and failure["error"] == "ValidationError"
         assert repr(doc["scenario_id"]) in failure["message"] and "T=1000000000000" in failure["message"]
         assert caught == []
+
+    def test_non_finite_prediction_exits_1_naming_the_file(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        scenario = sorted(data.glob("*.json"))[0]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        waypoints = np.zeros((6, 30, 2))
+        waypoints[2, 7, 1] = np.nan
+        save_predictions(preds / scenario.name, scenario.stem, Predictions(waypoints, np.zeros(6)))
+        capsys.readouterr()
+        code, caught = _run_quietly(["eval", "--pred", str(preds), "--data", str(scenario)])
+        assert code == 1 and caught == []
+        failure = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert failure["file"] == str(preds / scenario.name) and "finite" in failure["message"]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [
+            ("train.peak_lr", "nan", "'nan'"),  # not JSON: a bare string
+            ("train.batch_size", '"a"', "'a'"),
+            ("train.weight_decay", "nan", "'nan'"),
+            ("train.weight_decay", "NaN", "nan"),
+            ("train.seed", "1.5", "1.5"),
+            ("encoder.L_c", "1.5", "1.5"),
+            ("encoder.hidden", "0", "0"),
+            ("train.lambda_z", "NaN", "nan"),
+            ("train.epochs", "1.5", "1.5"),
+            ("encoder.C", "1000000000", "1000000000"),
+        ],
+    )
+    def test_bad_set_value_exits_1_naming_key_and_value(self, workspace, tmp_path, capsys, key, value, shown):
+        data = workspace[2]
+        out = tmp_path / "model.json"
+        code, caught = _run_quietly(["--set", f"{key}={value}", "train-spatial", "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and caught == [] and not out.exists()
+        assert f"config {key} " in err and f"got {shown}" in err
+
+    def test_bad_config_file_value_exits_1_naming_key_and_value(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "train.seed": -1}))
+        out = tmp_path / "traj.json"
+        code, caught = _run_quietly(["--config", str(bad), "train-traj", "--data", str(data),
+                                     "--spatial-model", str(spatial), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and caught == [] and not out.exists()
+        assert "config train.seed " in err and "got -1" in err
+
+    def test_config_file_must_be_an_object(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_text("[1, 2]")
+        code, caught = _run_quietly(["--config", str(bad), "train-spatial", "--data", str(workspace[2]),
+                                     "--out", str(tmp_path / "m.json")])
+        assert code == 1 and caught == [] and str(bad) in capsys.readouterr().err
+
+    def test_diverging_training_exits_2_without_numpy_warnings(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        out = tmp_path / "model.json"
+        code, caught = _run_quietly(["--config", str(config), "--set", "train.peak_lr=1e308", "train-spatial",
+                                     "--data", str(data), "--out", str(out)])
+        assert code == 2 and caught == [] and not out.exists()
+        assert "non-finite spatial loss" in capsys.readouterr().err
+
+
+def _predict_with_mutated_model(workspace, tmp_path, which, mutate):
+    """Exit code, warnings and the mutated file of `gneva predict` with one model document changed."""
+    root, config, data, spatial, traj = workspace
+    bad = tmp_path / f"{which}.json"
+    doc = json.loads((spatial if which == "spatial" else traj).read_text())
+    mutate(doc)
+    bad.write_text(json.dumps(doc))
+    models = {"spatial": spatial, "traj": traj, which: bad}
+    out = tmp_path / "pred.json"
+    code, caught = _run_quietly(["predict", "--spatial-model", str(models["spatial"]), "--traj-model",
+                                 str(models["traj"]), "--scenario", str(sorted(data.glob("*.json"))[0]),
+                                 "--out", str(out)])
+    assert not out.exists()
+    return code, caught, bad
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize(
+        "which, key, mutate",
+        [
+            ("spatial", "prior.eta", lambda d: d["params"]["prior.eta"].__setitem__(0, "a")),
+            ("spatial", "prior.eta", lambda d: d["params"]["prior.eta"].__setitem__(1, {"x": 1})),
+            ("traj", "traj.m2.l1.w", lambda d: d["params"].__setitem__("traj.m2.l1.w", "a")),
+            ("spatial", "prior.eta", lambda d: d["params"]["prior.eta"].__setitem__(0, 1e308)),
+            ("spatial", "n_heads", lambda d: d["config"].__setitem__("n_heads", 0)),
+            ("spatial", "hidden", lambda d: d["config"].__setitem__("hidden", -4)),
+            ("spatial", "hidden", lambda d: d["config"].__setitem__("hidden", float(d["config"]["hidden"]))),
+            ("traj", "hidden", lambda d: d["config"].__setitem__("hidden", float(d["config"]["hidden"]))),
+            ("spatial", "C", lambda d: d["config"].__setitem__("C", 10**9)),
+        ],
+        ids=["string-entry", "object-entry", "string-list", "huge-entry", "n_heads-0", "hidden-negative",
+             "hidden-float", "traj-hidden-float", "C-huge"],
+    )
+    def test_bad_model_exits_1_naming_file_and_key(self, workspace, tmp_path, capsys, which, key, mutate):
+        code, caught, bad = _predict_with_mutated_model(workspace, tmp_path, which, mutate)
+        err = capsys.readouterr().err
+        assert code == 1 and caught == []
+        assert f"model {bad}" in err and key in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValidationError):
             EncoderConfig(hidden=100, n_heads=3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden": 128.0}, "hidden must be an integer >= 1, got 128.0"),
+            ({"C": True}, "C must be an integer >= 1, got True"),
+            ({"L_i": 0}, "L_i must be an integer >= 1, got 0"),
+            ({"max_polylines": "64"}, "max_polylines must be an integer >= 1, got '64'"),
+            ({"hidden": 2048}, "hidden must be at most 1024, got 2048"),
+        ],
+    )
+    def test_rejects_a_field_of_the_wrong_kind_naming_it(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EncoderConfig(**kwargs)
 
 
 class TestEncodePolylines:
@@ -352,6 +367,25 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             load_spatial_model(path)
+
+    @pytest.mark.parametrize("which", ["spatial", "traj"])
+    def test_config_contradicting_stored_sizes_is_refused_before_the_template(self, tmp_path, monkeypatch, which):
+        cfg = EncoderConfig(hidden=16, n_heads=2, C=3)
+        tape = init_spatial_params(cfg) if which == "spatial" else init_trajectory_params(cfg, horizon=5)
+        path = tmp_path / "model.json"
+        save_model(path, tape, cfg)
+        doc = json.loads(path.read_text())
+        doc["config"]["C" if which == "spatial" else "hidden"] += 2
+        path.write_text(json.dumps(doc))
+
+        def no_template(*args, **kwargs):
+            raise AssertionError("template built")
+
+        monkeypatch.setattr("gneva.encoders.init_spatial_params", no_template)
+        monkeypatch.setattr("gneva.encoders.init_trajectory_params", no_template)
+        stored = "'ctx_head.l2.b', found 9" if which == "spatial" else "'traj.m1.l1.b', found 16"
+        with pytest.raises(ValidationError, match=stored):
+            (load_spatial_model if which == "spatial" else load_trajectory_model)(path)
 
     def test_trajectory_round_trip(self, tmp_path):
         t = init_trajectory_params(CFG, horizon=30, seed=18)

@@ -1,16 +1,22 @@
-"""Mutated scenario documents get a documented outcome, never a traceback.
+"""Bad inputs get a documented outcome, never a traceback or a warning.
 
-Each example takes one valid scenario document and breaks it in one place:
-a dropped field, a value of the wrong type, NaN or Infinity, a huge
-integer, a non-increasing step index, or lists of mismatched lengths.
-`load_scenario` may accept the result or raise a `GnevaError`; `gneva
-predict` on it exits 0, 1 or 2. Hypothesis runs derandomized, so every run
-tries the same documents.
+Documents: each example takes one valid scenario, model or prediction
+document and breaks it in one place: a dropped field, a value of the wrong
+type, NaN or Infinity, a huge integer, a non-increasing step index, or
+lists of mismatched lengths. The loaders may accept the result or raise a
+`GnevaError`, and the command that reads it exits 0, 1 or 2.
+
+Arguments: each example runs one subcommand with one numeric flag, or one
+`--set` config key, set to zero, a negative, nan, inf, a huge number or a
+value of the wrong type; it exits 0, 1, 2 or 64.
+
+Hypothesis runs derandomized, so every run tries the same inputs.
 """
 
-import copy
+import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +24,9 @@ from hypothesis import strategies as st
 
 from gneva.cli import run_command
 from gneva.dataio import load_scenario
+from gneva.encoders import EncoderConfig, load_spatial_model, load_trajectory_model
 from gneva.errors import GnevaError
+from gneva.training import TrainConfig
 
 TINY = ["--set", "encoder.hidden=16", "--set", "encoder.n_heads=2", "--set", "encoder.C=2",
         "--set", "train.batch_size=2", "--set", "train.max_steps=2", "--set", "train.warmup_steps=1"]
@@ -26,6 +34,11 @@ TINY = ["--set", "encoder.hidden=16", "--set", "encoder.n_heads=2", "--set", "en
 ODD_VALUES = st.sampled_from(
     [None, True, "x", "", [], {}, [1], {"t": 1}, math.nan, math.inf, -math.inf, 0, -1, 0.5,
      2**31, 2**63, -(2**63) - 1, 10**30, 10**400, 1e308, -1e308, 5e-324]
+)
+# Command-line values: zero, negatives, nan, inf, huge numbers and wrong types.
+ODD_ARGS = st.sampled_from(
+    ["0", "-1", "-0.5", "nan", "NaN", "inf", "Infinity", "-Infinity", "1e308", "-1e308", "5e-324", "1e400",
+     str(2**31), str(2**63), "1.5", "a", '"a"', "true", "null", "[]", "{}"]
 )
 FUZZ = settings(
     derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -42,15 +55,17 @@ def base(tmp_path_factory):
     assert run_command([*TINY, "train-spatial", "--data", str(root / "data"), "--out", str(spatial)]) == 0
     assert run_command([*TINY, "train-traj", "--data", str(root / "data"), "--spatial-model", str(spatial),
                         "--out", str(traj)]) == 0
-    doc = json.loads(sorted((root / "data").glob("*.json"))[0].read_text())
-    return doc, spatial, traj
+    assert run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj), "--scenario",
+                        str(root / "data"), "--spacing", "1.0", "--out", str(root / "preds")]) == 0
+    return sorted((root / "data").glob("*.json"))[0], spatial, traj, root
 
 
 @st.composite
-def mutated(draw, doc):
-    """The document with one place broken: a value replaced or dropped, or a step index repeated."""
-    doc = copy.deepcopy(doc)
-    kind = draw(st.sampled_from(["replace", "drop", "repeat-step"]))
+def mutated(draw, path):
+    """The JSON document at `path` with one place broken: a value replaced or dropped, or a scenario's step
+    index repeated."""
+    doc = json.loads(path.read_text())
+    kind = draw(st.sampled_from(["replace", "drop", "repeat-step"] if "agents" in doc else ["replace", "drop"]))
     if kind == "repeat-step":
         states = doc["agents"][draw(st.integers(0, len(doc["agents"]) - 1))]["states"]
         i, j = draw(st.integers(0, len(states) - 1)), draw(st.integers(0, len(states) - 1))
@@ -88,10 +103,98 @@ def test_load_scenario_raises_only_gneva_errors(base, tmp_path, data):
 @given(data=st.data())
 @settings(FUZZ, max_examples=80)
 def test_predict_exits_with_a_documented_code(base, tmp_path, data, capsys):
-    doc, spatial, traj = base
+    scenario, spatial, traj, _ = base
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data.draw(mutated(doc))))
+    path.write_text(json.dumps(data.draw(mutated(scenario))))
     code = run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
                         "--scenario", str(path), "--spacing", "1.0", "--out", str(tmp_path / "out.json")])
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def run_clean(argv, capsys, codes=(0, 1, 2)):
+    """Run a command; it must exit with one of `codes`, print no traceback and raise no warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    err = capsys.readouterr().err
+    assert code in codes, (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert caught == [], [str(w.message) for w in caught]
+
+
+def config_keys(prefix, cls):
+    return [f"{prefix}.{f.name}" for f in dataclasses.fields(cls)]
+
+
+# Each subcommand's numeric flags; the training commands take `--set` config keys instead.
+FLAGS = {
+    "synth": ["--n", "--seed", "--H", "--T", "--dt"],
+    "train-spatial": config_keys("train", TrainConfig) + config_keys("encoder", EncoderConfig),
+    "train-traj": config_keys("train", TrainConfig),
+    "predict": ["--k", "--radius", "--iou", "--spacing"],
+    "eval": ["--k"],
+    "density": ["--spacing"],
+    "mask-map": ["--radius"],
+    "verify": [None],  # no numeric flag: the value is a stray argument
+}
+
+
+def command_argv(base, command, out):
+    scenario, spatial, traj, root = base
+    data, scenario = root / "data", str(scenario)
+    return {
+        "synth": ["synth", "--kind", "turn", "--n", "2", "--H", "4", "--T", "5", "--out", out],
+        "train-spatial": ["train-spatial", "--data", str(data), "--out", out],
+        "train-traj": ["train-traj", "--data", str(data), "--spatial-model", str(spatial), "--out", out],
+        "predict": ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj), "--scenario", scenario,
+                    "--spacing", "1.0", "--out", out],
+        "eval": ["eval", "--pred", str(root / "preds"), "--data", str(data)],
+        "density": ["density", "--spatial-model", str(spatial), "--scenario", scenario, "--spacing", "1.0",
+                    "--out", out],
+        "mask-map": ["mask-map", "--scenario", scenario, "--radius", "5", "--out", out],
+        "verify": ["verify"],
+    }[command]
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=150)
+def test_every_subcommand_argument_exits_with_a_documented_code(base, tmp_path, data, capsys):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    flag = data.draw(st.sampled_from(FLAGS[command]))
+    value = data.draw(ODD_ARGS)
+    argv = command_argv(base, command, str(tmp_path / "out.json"))
+    if command.startswith("train"):
+        argv = [*TINY, "--set", f"{flag}={value}", *argv]
+    else:
+        argv += [value] if flag is None else [flag, value]
+    run_clean(argv, capsys, codes=(0, 1, 2, 64))
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=120)
+def test_mutated_model_files_exit_with_a_documented_code(base, tmp_path, data, capsys):
+    scenario, spatial, traj, _ = base
+    which = data.draw(st.sampled_from(["spatial", "traj"]))
+    good = spatial if which == "spatial" else traj
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data.draw(mutated(good))))
+    try:
+        (load_spatial_model if which == "spatial" else load_trajectory_model)(path)
+    except GnevaError:
+        pass
+    models = {"spatial": str(spatial), "traj": str(traj), which: str(path)}
+    run_clean(["predict", "--spatial-model", models["spatial"], "--traj-model", models["traj"], "--scenario",
+               str(scenario), "--spacing", "1.0", "--out", str(tmp_path / "out.json")], capsys)
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=80)
+def test_eval_of_mutated_predictions_exits_with_a_documented_code(base, tmp_path, data, capsys):
+    _, _, _, root = base
+    preds = tmp_path / "preds"
+    preds.mkdir(exist_ok=True)
+    first = sorted((root / "preds").glob("*.json"))[0]
+    (preds / first.name).write_text(json.dumps(data.draw(mutated(first))))
+    run_clean(["eval", "--pred", str(preds), "--data", str(root / "data")], capsys)

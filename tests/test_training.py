@@ -11,6 +11,9 @@ from gneva.encoders import (
     forward_spatial,
     init_spatial_params,
     init_trajectory_params,
+    load_spatial_model,
+    load_trajectory_model,
+    save_model,
 )
 from gneva.errors import ValidationError
 from gneva.training import (
@@ -22,10 +25,12 @@ from gneva.training import (
     huber,
     kmeans_centres,
     lr_schedule,
+    spatial_context_features,
     spatial_scene_loss,
     train_spatial,
     train_trajectory,
 )
+from gneva.trajectory import trajectory_forward
 
 from helpers import elbo_oracle, emitted_components
 
@@ -37,6 +42,30 @@ def target_frame_scenes(kind, n, seed, **synth_kwargs):
         to_target_frame(s)[0]
         for s in synth_generate(SynthConfig(n=n, seed=seed, **synth_kwargs), kind)
     ]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"peak_lr": math.nan}, "peak_lr must be a finite number, got nan"),
+            ({"weight_decay": math.inf}, "weight_decay must be a finite number, got inf"),
+            ({"lambda_z": 10**400}, "lambda_z must be a finite number, got 1" + "0" * 400),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"max_steps": 0}, "max_steps must be an integer >= 1, got 0"),
+            ({"epochs": 2.0}, "epochs must be an integer >= 1, got 2.0"),
+            ({"final_lr": 1.0}, "final_lr must lie in (0, peak_lr=0.001), got 1.0"),
+            ({"weight_decay": -1e-3}, "weight_decay must be >= 0, got -0.001"),
+        ],
+    )
+    def test_rejects_a_bad_field_naming_it(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            TrainConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_accepts_ints_for_floats_and_no_step_cap(self):
+        cfg = TrainConfig(peak_lr=1, final_lr=1e-9, max_steps=None, seed=0)
+        assert cfg.peak_lr == 1 and cfg.max_steps is None
 
 
 class TestLrSchedule:
@@ -70,7 +99,7 @@ class TestAdamW:
         tape.add_param("w", np.array([1.0, -2.0]))
         opt = OptimizerState.for_tape(tape)
         before = tape.params["w"].copy()
-        adamw_step(tape, opt, lr=0.1, cfg=TrainConfig(weight_decay=0.0))
+        adamw_step(tape, {"w": np.zeros(2)}, opt, lr=0.1, cfg=TrainConfig(weight_decay=0.0))
         assert np.array_equal(tape.params["w"], before)
 
     def test_decoupled_decay_scaling(self):
@@ -78,7 +107,7 @@ class TestAdamW:
         tape.add_param("w", np.array([1.0, -2.0, 0.5]))
         opt = OptimizerState.for_tape(tape)
         before = tape.params["w"].copy()
-        adamw_step(tape, opt, lr=0.1, cfg=TrainConfig(weight_decay=0.001))
+        adamw_step(tape, {"w": np.zeros(3)}, opt, lr=0.1, cfg=TrainConfig(weight_decay=0.001))
         assert tape.params["w"] == pytest.approx(before * (1.0 - 1e-4))
 
     def test_three_step_hand_trace(self):
@@ -99,8 +128,7 @@ class TestAdamW:
             expected.append(w)
 
         for t in range(3):
-            tape.grads["w"][...] = 1.0
-            adamw_step(tape, opt, lr=0.1, cfg=cfg)
+            adamw_step(tape, {"w": np.ones(1)}, opt, lr=0.1, cfg=cfg)
             assert tape.params["w"][0] == pytest.approx(expected[t], rel=1e-12)
 
     def test_convex_quadratic_converges(self):
@@ -111,9 +139,8 @@ class TestAdamW:
         cfg = TrainConfig(weight_decay=0.0)
         norms = []
         for step in range(400):
-            tape.zero_grads()
-            tape.grads["w"][...] = tape.params["w"]  # grad of 0.5 ||w||^2
-            adamw_step(tape, opt, lr=0.05 / (1.0 + 0.05 * step), cfg=cfg)
+            grads = {"w": tape.params["w"].copy()}  # grad of 0.5 ||w||^2
+            adamw_step(tape, grads, opt, lr=0.05 / (1.0 + 0.05 * step), cfg=cfg)
             norms.append(float(np.linalg.norm(tape.params["w"])))
         assert norms[-1] < 1e-3
         # Monotone decrease after warm-start, until the step-size floor.
@@ -135,13 +162,14 @@ class TestAdamW:
         cfg = TrainConfig(weight_decay=weight_decay)
         ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in tape.params.items()}
         for step, lr in enumerate([3e-3, 0.37, 7e-4], start=1):
-            tape.zero_grads()
-            for name, shape in shapes.items():
-                tape.grads[name][...] = rng.normal(size=shape) * np.exp(rng.uniform(-4.0, 2.0, size=shape))
-            adamw_step(tape, opt, lr, cfg)
+            grads = {
+                name: rng.normal(size=shape) * np.exp(rng.uniform(-4.0, 2.0, size=shape))
+                for name, shape in shapes.items()
+            }
+            adamw_step(tape, grads, opt, lr, cfg)
             bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
             for name, (p, m, v) in ref.items():
-                g = tape.grads[name]
+                g = grads[name]
                 m = 0.9 * m + (1.0 - 0.9) * g
                 v = 0.999 * v + (1.0 - 0.999) * g * g
                 p = p - lr * ((m / bc1) / (np.sqrt(v / bc2) + 1e-8))
@@ -155,10 +183,10 @@ class TestAdamW:
         rng = np.random.default_rng(32)
         tape = ParamTape()
         tape.add_param("w", rng.normal(size=(4, 3)))
-        tape.grads["w"][...] = rng.normal(size=(4, 3))
-        before = tape.grads["w"].copy()
-        adamw_step(tape, OptimizerState.for_tape(tape), 1e-2, TrainConfig())
-        assert np.array_equal(tape.grads["w"], before)
+        grads = {"w": rng.normal(size=(4, 3))}
+        before = grads["w"].copy()
+        adamw_step(tape, grads, OptimizerState.for_tape(tape), 1e-2, TrainConfig())
+        assert np.array_equal(grads["w"], before)
 
 
 class TestHuber:
@@ -212,13 +240,11 @@ class TestSpatialSceneLoss:
         goal = s.goal()
 
         def grads_for(lz):
-            tape.zero_grads()
             leaves = tape.leaves()
             fw = forward_spatial(vs, leaves, ENC)
             terms = spatial_scene_loss(goal, fw, lz)
             ad.backward(terms.loss)
-            tape.accumulate_grads(leaves)
-            return {k: g.copy() for k, g in tape.grads.items()}
+            return ad.leaf_gradients(leaves)
 
         g1, g2, g3 = grads_for(1.0), grads_for(2.0), grads_for(3.0)
         for name in g1:
@@ -256,12 +282,10 @@ class TestBatchedLoss:
         goals = np.stack([s.goal() for s in scenes])
 
         def grads_of(loss_fn):
-            tape.zero_grads()
             leaves = tape.leaves()
             loss = loss_fn(leaves)
             ad.backward(loss)
-            tape.accumulate_grads(leaves)
-            return float(loss.value), {k: g.copy() for k, g in tape.grads.items()}
+            return float(loss.value), ad.leaf_gradients(leaves)
 
         def batched(leaves):
             terms = spatial_scene_loss(goals, forward_spatial(vectors, leaves, ENC), 1.0)
@@ -325,7 +349,7 @@ class TestTrainingLoops:
         traj, hist = train_trajectory(scenes, spatial, traj, cfg, ENC)
         assert hist.losses[-1] < hist.losses[0]
         # Trained tapes keep their parameters only, not the last step's gradients.
-        assert not spatial.grads and not traj.grads
+        assert vars(spatial).keys() == vars(traj).keys() == {"params"}
 
     def test_dataset_smaller_than_batch_rejected(self):
         scenes = target_frame_scenes("straight", 3, 43)
@@ -368,6 +392,112 @@ class TestTrainingLoops:
         assert (step, elbo, ce) == ("1", "", "") and float(norm) > 0.0
 
 
+def reference_loop(tape, n_scenes, cfg, step_loss):
+    """AdamW training written out with one explicit gradient accumulator per parameter.
+
+    Each step zeroes the accumulators, adds every reached leaf's gradient
+    into them, and steps from them; `step_loss(batch, leaves)` returns the
+    batch loss and the step's extra history columns.
+    """
+    total = min(cfg.epochs * (n_scenes // cfg.batch_size), cfg.max_steps)
+    rng = np.random.default_rng(cfg.seed)
+    order, start = rng.permutation(n_scenes), 0
+    opt = OptimizerState.for_tape(tape)
+    rows = []
+    for step in range(1, total + 1):
+        if start + cfg.batch_size > n_scenes:
+            order, start = rng.permutation(n_scenes), 0
+        batch = order[start : start + cfg.batch_size]
+        start += cfg.batch_size
+        accumulators = {name: np.zeros_like(p) for name, p in tape.params.items()}
+        leaves = tape.leaves()
+        loss, columns = step_loss(batch, leaves)
+        ad.backward(loss)
+        for name, leaf_var in leaves.items():
+            if leaf_var.grad is not None:
+                accumulators[name] += leaf_var.grad
+        lr = lr_schedule(step, total, cfg)
+        norm = math.sqrt(sum(float(np.vdot(g, g)) for g in accumulators.values()))
+        adamw_step(tape, accumulators, opt, lr, cfg)
+        rows.append({"step": step, "lr": lr, "loss": float(loss.value), "grad_norm": norm, **columns})
+    return rows
+
+
+def same_history(rows, reference):
+    """Equal keys, and every value equal bit for bit (None where the loop logs no column)."""
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        for key, value in row.items():
+            want = ref.get(key)
+            assert (value is None) == (want is None), key
+            if value is not None:
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), (row["step"], key)
+
+
+class TestOneStepLoop:
+    """Both training loops step from the leaves' gradients, bit for bit as with explicit accumulators."""
+
+    ENC = EncoderConfig(hidden=32, n_heads=2, C=3)
+    # 12 scenes in batches of 4: the 7 steps reshuffle twice.
+    CFG = TrainConfig(batch_size=4, warmup_steps=2, max_steps=7, epochs=999, seed=17, weight_decay=0.6)
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return [s for kind in ("turn", "straight", "merge") for s in target_frame_scenes(kind, 4, 51)]
+
+    def test_spatial_matches_the_accumulator_loop(self, scenes):
+        enc, cfg = self.ENC, self.CFG
+        tape, history = train_spatial(scenes, init_spatial_params(enc, seed=8), cfg, enc)
+
+        ref = init_spatial_params(enc, seed=8)
+        vectors = [vectorize(s, enc) for s in scenes]
+        goals = np.stack([s.goal() for s in scenes])
+        centres = kmeans_centres(goals, enc.C, np.random.default_rng(cfg.seed))
+        ref.params["ctx_head.l2.b"][: 2 * enc.C] = centres.reshape(-1)
+
+        def step_loss(batch, leaves):
+            fw = forward_spatial([vectors[i] for i in batch], leaves, enc)
+            terms = spatial_scene_loss(goals[batch], fw, cfg.lambda_z)
+            q_entropy, eta_spread = batch_diagnostics(terms.responsibilities, fw.eta.value)
+            return ad.vmean(terms.loss), {
+                "elbo": float(terms.elbo.mean()), "ce": float(terms.cross_entropy.mean()),
+                "usage": terms.responsibilities.mean(axis=0), "q_entropy": q_entropy, "eta_spread": eta_spread,
+            }
+
+        same_history(history.rows, reference_loop(ref, len(scenes), cfg, step_loss))
+        for name, value in ref.params.items():
+            assert tape.params[name].tobytes() == value.tobytes(), name
+
+    def test_trajectory_matches_the_accumulator_loop(self, scenes):
+        enc, cfg = self.ENC, self.CFG
+        spatial = init_spatial_params(enc, seed=9)
+        horizon = scenes[0].T
+        tape, history = train_trajectory(scenes, spatial, init_trajectory_params(enc, horizon, seed=9), cfg, enc)
+
+        ref = init_trajectory_params(enc, horizon, seed=9)
+        contexts = spatial_context_features(scenes, spatial, enc)
+        goals = np.stack([s.goal() for s in scenes])
+        futures = np.stack([s.future_waypoints() for s in scenes])
+
+        def step_loss(batch, leaves):
+            pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves, enc, horizon)
+            return huber(ad.sub(pred, Var(futures[batch])), delta=1.0), {}
+
+        same_history(history.rows, reference_loop(ref, len(scenes), cfg, step_loss))
+        for name, value in ref.params.items():
+            assert tape.params[name].tobytes() == value.tobytes(), name
+
+    def test_tapes_hold_parameters_only(self, tmp_path):
+        enc = self.ENC
+        spatial, traj = init_spatial_params(enc, seed=1), init_trajectory_params(enc, horizon=5, seed=1)
+        save_model(tmp_path / "spatial.json", spatial, enc)
+        save_model(tmp_path / "traj.json", traj, enc)
+        loaded_spatial, _ = load_spatial_model(tmp_path / "spatial.json")
+        loaded_traj, _, _ = load_trajectory_model(tmp_path / "traj.json")
+        for tape in (spatial, traj, spatial.copy(), traj.copy(), loaded_spatial, loaded_traj):
+            assert vars(tape).keys() == {"params"}
+
+
 class TestBatchDiagnostics:
     def test_entropy_and_eta_spread(self):
         resp = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -380,9 +510,4 @@ class TestBatchDiagnostics:
 
 class TestGradNorm:
     def test_global_l2_norm(self):
-        tape = ParamTape()
-        tape.add_param("a", np.zeros(2))
-        tape.add_param("b", np.zeros((1, 2)))
-        tape.grads["a"][...] = [3.0, 0.0]
-        tape.grads["b"][...] = [[0.0, 4.0]]
-        assert grad_norm(tape) == 5.0
+        assert grad_norm({"a": np.array([3.0, 0.0]), "b": np.array([[0.0, 4.0]])}) == 5.0
