@@ -9,12 +9,6 @@ trajectories to the selected goals.
 
 from .autodiff import ParamTape, check_gradients
 from .dataio import Scenario, SynthConfig, load_scenario, synth_generate, to_target_frame
-from .distributions import (
-    NormalWishartParams,
-    StudentTParams,
-    WishartParams,
-    posterior_predictive_params,
-)
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params
 from .metrics import MetricReport, displacement_metrics
 from .mixture import MixturePosterior, elbo, z_posterior
@@ -30,14 +24,11 @@ __all__ = [
     "MetricReport",
     "MixturePosterior",
     "NmsConfig",
-    "NormalWishartParams",
     "ParamTape",
     "Predictions",
     "Scenario",
-    "StudentTParams",
     "SynthConfig",
     "TrainConfig",
-    "WishartParams",
     "check_gradients",
     "circle_iou",
     "complete_trajectory",
@@ -49,7 +40,6 @@ __all__ = [
     "init_trajectory_params",
     "load_scenario",
     "nms_select",
-    "posterior_predictive_params",
     "predict_topk",
     "synth_generate",
     "to_target_frame",

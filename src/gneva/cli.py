@@ -62,8 +62,12 @@ EXIT_USAGE = 64
 INPUT_ERRORS = (ValidationError, ParseError, MissingHorizonState, HorizonMismatch, RegionTooLarge)
 
 
+# The config's sections: every key is `section.field` of one of these dataclasses.
+CONFIG_SECTIONS = {"train": TrainConfig, "encoder": EncoderConfig}
+
+
 def load_run_config(path: str | None, sets: list[str]) -> dict:
-    """Flat dotted-key config from JSON plus --set overrides."""
+    """Flat dotted-key config from JSON plus --set overrides; a key no section holds is refused."""
     config: dict = {}
     if path:
         try:
@@ -80,19 +84,16 @@ def load_run_config(path: str | None, sets: list[str]) -> dict:
             config[key] = json.loads(raw)
         except json.JSONDecodeError:
             config[key] = raw  # bare strings pass through
+    for key in config:
+        section, _, name = key.partition(".")
+        cls = CONFIG_SECTIONS.get(section)
+        if cls is None or name not in {f.name for f in fields(cls)}:
+            raise ValidationError(f"unknown config key {key!r}: keys are train.<field> or encoder.<field>")
     return config
 
 
 def _dataclass_from_config(cls, prefix: str, config: dict):
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in config.items():
-        if not key.startswith(prefix + "."):
-            continue
-        name = key[len(prefix) + 1 :]
-        if name not in names:
-            raise ValidationError(f"unknown config key {key!r}")
-        kwargs[name] = value
+    kwargs = {key[len(prefix) + 1 :]: value for key, value in config.items() if key.startswith(prefix + ".")}
     try:
         return cls(**kwargs)
     except ValidationError as exc:  # each config message starts with the field's name

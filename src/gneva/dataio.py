@@ -25,6 +25,10 @@ MAP_VECTOR_WIDTH = 4 + len(MAP_KINDS)  # start, end, one-hot kind
 AGENT_VECTOR_WIDTH = 7 + len(AGENT_KINDS)  # start, end, heading, vx, vy, one-hot kind
 
 FORMAT_VERSION = 1
+# A state's x, y, vx or vy, or a map point, beyond this magnitude is refused, as a
+# model parameter beyond it is (`encoders.PARAM_BOUND`): the encoders' products of
+# such inputs can overflow.
+COORD_BOUND = 1e9
 
 
 @dataclass
@@ -90,6 +94,10 @@ class Scenario:
             if not finite.all():
                 t = track.steps[np.argmin(finite)]
                 raise ValidationError(f"agent {track.id!r} has non-finite state at t={t}")
+            bounded = (np.abs(track.rows[:, [0, 1, 3, 4]]) <= COORD_BOUND).all(axis=1)
+            if not bounded.all():
+                t = track.steps[np.argmin(bounded)]
+                raise ValidationError(f"agent {track.id!r} has a state beyond +-{COORD_BOUND:g} at t={t}")
         for poly in self.map:
             if poly.kind not in MAP_KINDS:
                 raise ValidationError(f"unknown map kind {poly.kind!r} on {poly.id!r}")
@@ -97,6 +105,8 @@ class Scenario:
                 raise ValidationError(f"polyline {poly.id!r} has fewer than 2 points")
             if not np.all(np.isfinite(poly.points)):
                 raise ValidationError(f"polyline {poly.id!r} has non-finite points")
+            if not np.all(np.abs(poly.points) <= COORD_BOUND):
+                raise ValidationError(f"polyline {poly.id!r} has points beyond +-{COORD_BOUND:g}")
         return self
 
     def target(self) -> AgentTrack:

@@ -3,20 +3,21 @@
 Provides densities, Bartlett sampling, the expected sufficient statistics
 that appear in the variational objective, the two closed-form KL
 divergences, and the Student-t posterior predictive. All distributions are
-over R^2 (D = 2 throughout).
+over R^2 (D = 2 throughout). A single Normal-Wishart is a one-component
+`mixture.MixturePosterior`; a 2x2 symmetric matrix is held as its entries
+(a11, a12, a22).
 
 The objective's closed forms are written once, with tape operators over
 the component arrays of `NormalWishartArrays`; the spatial training loss
-runs them on forward-pass nodes and the float functions here on constant
-nodes. The Student-t log density is written once over (C, n) arrays.
+runs them on forward-pass nodes and `MixturePosterior.arrays()` gives them
+constant nodes. The Student-t log density is written once over (C, n)
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -27,102 +28,73 @@ from .special_math import (
     LOG_2,
     LOG_2PI,
     LOG_PI,
-    SPDMatrix2,
     check_family,
     log_gamma,
     log_multivariate_gamma,
+    spd_cholesky,
     spd_from_cholesky,
 )
 
 D = 2  # goals live in the plane
 
 
-@dataclass(frozen=True)
-class NormalWishartParams:
-    """Parameters (eta, beta, V, nu) of N(mu | eta, (beta Lambda)^-1) W(Lambda | V, nu).
+def one_component(q, what: str):
+    """(eta (2,), beta, chol (3,), nu) of a one-component `MixturePosterior`; `what` names the caller."""
+    if q.n_components != 1:
+        raise ValidationError(f"{what} takes a one-component posterior, got {q.n_components} components")
+    return q.eta[0], q.beta[0], q.chol[0], q.nu[0]
 
-    eta is the mean location (meters), beta > 0 the belief strength in the
-    mean, V the Wishart scale matrix of the precision (m^-2) and nu > D - 1
-    its degrees of freedom. E[Lambda] = nu V.
+
+def _log_det(a11, a12, a22):
+    """log det of 2x2 SPD matrices from their Cholesky factors."""
+    l11, _, l22 = spd_cholesky(a11, a12, a22)
+    return 2.0 * (np.log(l11) + np.log(l22))
+
+
+def normal_wishart_log_density(mu, lam, q) -> np.ndarray:
+    """log N(mu | eta, (beta Lambda)^-1) + log W(Lambda | V, nu) at n points (mu, Lambda).
+
+    mu (n, 2), lam (n, 3) and q a one-component `MixturePosterior`.
     """
-
-    eta: np.ndarray
-    beta: float
-    v: SPDMatrix2
-    nu: float
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float).reshape(2)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "nu", float(self.nu))
-        check_family(eta=eta[None], beta=np.array([self.beta]), nu=np.array([self.nu]))
-
-    @property
-    def wishart(self) -> "WishartParams":
-        return WishartParams(self.v, self.nu)
+    eta, beta, chol, nu = one_component(q, "normal_wishart_log_density")
+    wishart = wishart_log_density(lam, chol, nu)
+    p11, p12, p22 = np.reshape(lam, (-1, 3)).T * beta
+    dx, dy = (np.reshape(mu, (-1, 2)) - eta).T
+    quad = p11 * dx * dx + 2.0 * p12 * dx * dy + p22 * dy * dy
+    return 0.5 * _log_det(p11, p12, p22) - LOG_2PI - 0.5 * quad + wishart
 
 
-@dataclass(frozen=True)
-class WishartParams:
-    """Scale matrix and degrees of freedom of W(Lambda | V, nu)."""
+def wishart_log_density(lam, chol, nu) -> np.ndarray:
+    """log W(Lambda | V, nu) at precisions lam (n, 3), with V's factor chol (3,) = (l11, l21, l22).
 
-    v: SPDMatrix2
-    nu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", float(self.nu))
-        check_family(nu=np.array([self.nu]))
-
-
-@dataclass(frozen=True)
-class StudentTParams:
-    """Location, scale matrix (m^2) and degrees of freedom of a bivariate t."""
-
-    loc: np.ndarray
-    shape: SPDMatrix2
-    df: float
-
-    def __post_init__(self):
-        loc = np.asarray(self.loc, dtype=float).reshape(2)
-        object.__setattr__(self, "loc", loc)
-        object.__setattr__(self, "df", float(self.df))
-        if not np.all(np.isfinite(loc)):
-            raise ValidationError(f"loc must be finite, got {loc}")
-        if not (self.df > 0.0 and math.isfinite(self.df)):
-            raise ValidationError(f"df must be positive, got {self.df}")
-
-
-def normal_wishart_log_density(mu, lam: SPDMatrix2, params: NormalWishartParams) -> float:
-    """log N(mu | eta, (beta Lambda)^-1) + log W(Lambda | V, nu)."""
-    precision = lam.scaled(params.beta)
-    dx, dy = np.asarray(mu, dtype=float).reshape(2) - params.eta
-    normal = 0.5 * precision.log_det - LOG_2PI - 0.5 * precision.quad_form(dx, dy)
-    return normal + wishart_log_density(lam, params.wishart)
-
-
-def wishart_log_density(lam: SPDMatrix2, w: WishartParams) -> float:
-    """log W(Lambda | V, nu) alone; the precision factor of the joint."""
-    v_inv = w.v.inverse()
+    lam holds each precision's entries (l11, l12, l22); one that is not
+    positive definite raises `NotPositiveDefinite`, naming its row.
+    """
+    lam = np.asarray(lam, dtype=float).reshape(-1, 3)
+    check_family(lambda i: f"precision {i}: ", v=lam)
+    lam11, lam12, lam22 = lam.T
+    v11, v12, v22 = spd_from_cholesky(*chol)
+    det_v = (chol[0] * chol[2]) ** 2
+    trace = (lam11 * v22 - 2.0 * lam12 * v12 + lam22 * v11) / det_v  # trace(V^-1 Lambda)
     return (
-        0.5 * (w.nu - D - 1) * lam.log_det
-        - 0.5 * lam.trace_product(v_inv)
-        - 0.5 * w.nu * D * LOG_2
-        - log_multivariate_gamma(0.5 * w.nu, D)
-        - 0.5 * w.nu * w.v.log_det
+        0.5 * (nu - D - 1) * _log_det(lam11, lam12, lam22)
+        - 0.5 * trace
+        - 0.5 * nu * D * LOG_2
+        - log_multivariate_gamma(0.5 * nu, D)
+        - nu * (np.log(chol[0]) + np.log(chol[2]))
     )
 
 
-def sample_wishart_bartlett(w: WishartParams, rng: np.random.Generator, size: int):
+def sample_wishart_bartlett(chol, nu, rng: np.random.Generator, size: int):
     """Draw `size` precision matrices from W(V, nu) by Bartlett decomposition.
 
-    Returns arrays (lam11, lam12, lam22) of shape (size,). The factor is
-    A = [[sqrt(chi2_nu), 0], [n, sqrt(chi2_(nu-1))]] and Lambda = L A A^T L^T
-    with L the Cholesky factor of V.
+    chol (3,) = (l11, l21, l22) is V's lower factor L. Returns arrays
+    (lam11, lam12, lam22) of shape (size,). The factor is
+    A = [[sqrt(chi2_nu), 0], [n, sqrt(chi2_(nu-1))]] and Lambda = L A A^T L^T.
     """
-    a, b, c = w.v.cholesky  # L = [[a, 0], [b, c]]
-    s1 = np.sqrt(rng.chisquare(w.nu, size=size))
-    s2 = np.sqrt(rng.chisquare(w.nu - 1.0, size=size))
+    a, b, c = chol  # L = [[a, 0], [b, c]]
+    s1 = np.sqrt(rng.chisquare(nu, size=size))
+    s2 = np.sqrt(rng.chisquare(nu - 1.0, size=size))
     u = rng.standard_normal(size)
     # M = L @ A, Lambda = M @ M^T
     m11 = a * s1
@@ -134,35 +106,23 @@ def sample_wishart_bartlett(w: WishartParams, rng: np.random.Generator, size: in
     return lam11, lam12, lam22
 
 
-def sample_normal_wishart(
-    params: NormalWishartParams, rng: np.random.Generator, size: int | None = None
-):
-    """Sample (mu, Lambda) pairs from the Normal-Wishart distribution.
+def sample_normal_wishart(q, rng: np.random.Generator, size: int):
+    """Sample `size` (mu, Lambda) pairs from a one-component `MixturePosterior` q.
 
-    With size=None returns a single (mu, SPDMatrix2) pair; with an integer
-    size returns (mus of shape (size, 2), lams of shape (size, 2, 2)).
-    Draws are deterministic for a given generator state.
+    Returns mus of shape (size, 2) and lams of shape (size, 2, 2). Draws are
+    deterministic for a given generator state.
     """
-    n = 1 if size is None else int(size)
-    lam11, lam12, lam22 = sample_wishart_bartlett(params.wishart, rng, n)
+    eta, beta, chol, nu = one_component(q, "sample_normal_wishart")
+    lam11, lam12, lam22 = sample_wishart_bartlett(chol, nu, rng, size)
     # mu | Lambda ~ N(eta, (beta Lambda)^-1): Sigma = Lambda^-1 / beta.
     det = lam11 * lam22 - lam12 * lam12
-    s11 = lam22 / (det * params.beta)
-    s12 = -lam12 / (det * params.beta)
-    s22 = lam11 / (det * params.beta)
-    t11 = np.sqrt(s11)
-    t21 = s12 / t11
-    t22 = np.sqrt(s22 - t21 * t21)
-    z = rng.standard_normal((n, 2))
-    mu_x = params.eta[0] + t11 * z[:, 0]
-    mu_y = params.eta[1] + t21 * z[:, 0] + t22 * z[:, 1]
-    if size is None:
-        return (
-            np.array([mu_x[0], mu_y[0]]),
-            SPDMatrix2(float(lam11[0]), float(lam12[0]), float(lam22[0])),
-        )
-    mus = np.stack([mu_x, mu_y], axis=1)
-    lams = np.empty((n, 2, 2))
+    s11 = lam22 / (det * beta)
+    s12 = -lam12 / (det * beta)
+    s22 = lam11 / (det * beta)
+    t11, t21, t22 = spd_cholesky(s11, s12, s22)
+    z = rng.standard_normal((size, 2))
+    mus = np.stack([eta[0] + t11 * z[:, 0], eta[1] + t21 * z[:, 0] + t22 * z[:, 1]], axis=1)
+    lams = np.empty((size, 2, 2))
     lams[:, 0, 0] = lam11
     lams[:, 0, 1] = lams[:, 1, 0] = lam12
     lams[:, 1, 1] = lam22
@@ -188,8 +148,9 @@ class NormalWishartArrays:
     eta (C, 2), beta (C,), chol (C, 3) with the rows (l11, l21, l22) of
     each V's lower Cholesky factor, and nu (C,); a batch of B mixtures has
     shapes (B, C, 2), (B, C), (B, C, 3), (B, C). A shared prior has shapes
-    (2,), (1,), (3,), (1,) and broadcasts. Nodes from `stack` are
-    constants, which record no graph. A Wishart alone has no eta or beta.
+    (2,), (1,), (3,), (1,) and broadcasts. Nodes from
+    `MixturePosterior.arrays` are constants, which record no graph. A
+    Wishart alone has no eta or beta.
     """
 
     def __init__(self, eta: Var | None, beta: Var | None, chol: Var, nu: Var):
@@ -210,11 +171,6 @@ class NormalWishartArrays:
     def log_gamma2(self) -> Var:
         """log Gamma_D(nu/2) for D = 2."""
         return ad.lgamma(self.half_nu) + ad.lgamma(self.half_nu - 0.5) + 0.5 * LOG_PI
-
-    @classmethod
-    def stack(cls, params: Sequence[NormalWishartParams]) -> "NormalWishartArrays":
-        eta, beta, chol, nu = zip(*((p.eta, p.beta, p.v.cholesky, p.nu) for p in params))
-        return cls(Var(eta), Var(beta), Var(chol), Var(nu))
 
     def expected_log_det(self) -> Var:
         """E[log det Lambda] = log det V + psi_D(nu/2) + D log 2."""
@@ -264,33 +220,6 @@ class NormalWishartArrays:
         )
 
 
-@dataclass(frozen=True)
-class ExpectedStats:
-    """Expectations under q(mu, Lambda) used by the variational objective."""
-
-    e_log_det: float
-    e_mahalanobis: float
-
-
-def expected_stats(g, q: NormalWishartParams) -> ExpectedStats:
-    """E[log det Lambda] and E[(g - mu)^T Lambda (g - mu)] under q."""
-    arrays = NormalWishartArrays.stack([q])
-    e_maha = arrays.expected_mahalanobis(np.reshape(g, 2))
-    return ExpectedStats(float(arrays.expected_log_det().value[0]), float(e_maha.value[0]))
-
-
-def kl_mean_given_precision(q: NormalWishartParams, p: NormalWishartParams) -> float:
-    """E_{Lambda~q} KL(N(eta_q, (beta_q Lambda)^-1) || N(eta_p, (beta_p Lambda)^-1))."""
-    kl = NormalWishartArrays.stack([q]).kl_mean_given_precision(NormalWishartArrays.stack([p]))
-    return float(kl.value[0])
-
-
-def kl_wishart(q: WishartParams, p: WishartParams) -> float:
-    """KL(W(V_q, nu_q) || W(V_p, nu_p))."""
-    qa, pa = (NormalWishartArrays(None, None, Var([w.v.cholesky]), Var([w.nu])) for w in (q, p))
-    return float(qa.kl_wishart(pa).value[0])
-
-
 def student_t_log_density_table(xs, loc, shape, df, ys=None) -> np.ndarray:
     """Log densities (C, n) of n points under C bivariate Student-t's.
 
@@ -324,17 +253,6 @@ def student_t_log_density_table(xs, loc, shape, df, ys=None) -> np.ndarray:
     return np.subtract(const, out, out=out).reshape(len(loc), -1)
 
 
-def student_t_log_densities(xs: np.ndarray, t: StudentTParams) -> np.ndarray:
-    """Student-t log density over points of shape (n, 2)."""
-    shape = np.array([[t.shape.a11, t.shape.a12, t.shape.a22]])
-    return student_t_log_density_table(xs, t.loc[None, :], shape, np.array([t.df]))[0]
-
-
-def student_t_log_density(x, t: StudentTParams) -> float:
-    """log density of the bivariate Student-t at a single point."""
-    return float(student_t_log_densities(x, t)[0])
-
-
 def predictive_student_t(eta, beta, chol, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Student-t predictives (loc (C, 2), shape (C, 3), df (C,)) of Normal-Wishart posteriors.
 
@@ -352,11 +270,3 @@ def predictive_student_t(eta, beta, chol, nu) -> tuple[np.ndarray, np.ndarray, n
     scale = (beta + 1.0) / (beta * df) / (l11_l22 * l11_l22)  # det V = (l11 l22)^2
     v11, v12, v22 = spd_from_cholesky(*chol.T)
     return eta, np.stack([v22 * scale, -v12 * scale, v11 * scale], axis=1), df
-
-
-def posterior_predictive_params(q: NormalWishartParams) -> StudentTParams:
-    """Student-t predictive of one Normal-Wishart posterior (see `predictive_student_t`)."""
-    loc, shape, df = predictive_student_t(
-        q.eta[None], np.array([q.beta]), np.array([q.v.cholesky]), np.array([q.nu])
-    )
-    return StudentTParams(loc=loc[0], shape=SPDMatrix2(*shape[0]), df=df[0])

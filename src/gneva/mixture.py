@@ -16,7 +16,6 @@ spatial training loss calls it on forward-pass nodes; `z_posterior` and
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +23,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .distributions import (
     NormalWishartArrays,
-    NormalWishartParams,
-    posterior_predictive_params,
+    one_component,
     predictive_student_t,
-    student_t_log_density,
     student_t_log_density_table,
 )
 from .errors import ValidationError
@@ -37,12 +34,14 @@ from .special_math import check_family, log_sum_exp, spd_cholesky
 class MixturePosterior:
     """C Normal-Wishart component posteriors held as arrays, plus log mixing coefficients.
 
-    eta (C, 2), beta (C,), chol (C, 3) with the rows (l11, l21, l22) of
-    each V's lower Cholesky factor, nu (C,) and log_pi (C,). The constructor
-    takes V's entries v (C, 3) = (v11, v12, v22), checks every component
-    with `check_family`, so the first component out of family raises the
-    error of the first rule it breaks, naming it, and derives chol from v as
-    `SPDMatrix2.cholesky` does. log_pi defaults to uniform.
+    eta (C, 2), beta (C,), V's entries v (C, 3) = (v11, v12, v22), chol
+    (C, 3) with the rows (l11, l21, l22) of each V's lower Cholesky factor,
+    nu (C,) and log_pi (C,). The constructor checks every component with
+    `check_family`, so the first component out of family raises the error
+    of the first rule it breaks, naming it, and derives chol from v with
+    `spd_cholesky`. log_pi defaults to uniform. A one-component
+    posterior is the single Normal-Wishart of the densities, the sampler
+    and the prior of `elbo`.
     """
 
     def __init__(self, eta, beta, v, nu, log_pi=None):
@@ -59,18 +58,8 @@ class MixturePosterior:
         total = float(np.exp(log_pi).sum())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"mixing coefficients sum to {total}, expected 1")
-        self.eta, self.beta, self.nu, self.log_pi = eta, beta, nu, log_pi
+        self.eta, self.beta, self.v, self.nu, self.log_pi = eta, beta, v, nu, log_pi
         self.chol = np.stack(spd_cholesky(*v.T), axis=-1)
-
-    @classmethod
-    def from_components(
-        cls, components: Sequence[NormalWishartParams], log_pi=None
-    ) -> "MixturePosterior":
-        """The mixture of scalar `NormalWishartParams`, each V's factor its `SPDMatrix2.cholesky`."""
-        eta, beta, v, nu = zip(
-            *((p.eta, p.beta, (p.v.a11, p.v.a12, p.v.a22), p.nu) for p in components)
-        )
-        return cls(eta, beta, v, nu, log_pi)
 
     @property
     def n_components(self) -> int:
@@ -118,10 +107,14 @@ def z_posterior(g, mix: MixturePosterior) -> np.ndarray:
     return resp.value
 
 
-def elbo(g, mix: MixturePosterior, prior: NormalWishartParams, prior_pi) -> float:
-    """Evidence lower bound on log p(g) for a single observed goal (see `elbo_terms`)."""
+def elbo(g, mix: MixturePosterior, prior: MixturePosterior, prior_pi) -> float:
+    """Evidence lower bound on log p(g) for a single observed goal (see `elbo_terms`).
+
+    The prior is a one-component posterior, shared by every component.
+    """
+    one_component(prior, "elbo")
     prior_pi = _check_weights(prior_pi, mix.n_components)
-    q, p = mix.arrays(), NormalWishartArrays.stack([prior])
+    q, p = mix.arrays(), prior.arrays()
     with np.errstate(divide="ignore"):
         bound, _ = elbo_terms(np.reshape(g, 2), q, p, mix.log_pi, np.log(prior_pi))
     return float(bound.value)
@@ -143,16 +136,17 @@ def predictive_log_densities(points, mix: MixturePosterior, weights, ys=None) ->
     return log_sum_exp(logs, axis=0)
 
 
-def prior_log_evidence(g, prior: NormalWishartParams, prior_pi) -> float:
-    """Exact log p(g) under the generative model with a shared prior.
+def prior_log_evidence(g, prior: MixturePosterior, prior_pi) -> float:
+    """Exact log p(g) under the generative model with a shared one-component prior.
 
     Marginalizing (mu, Lambda) per component yields the prior predictive
     Student-t, identical across components, so the pi-weighted mixture
     collapses to a single prior-predictive density.
     """
+    one_component(prior, "prior_log_evidence")
     _check_weights(prior_pi, np.size(prior_pi))
-    t = posterior_predictive_params(prior)
-    return student_t_log_density(g, t)
+    loc, shape, df = predictive_student_t(prior.eta, prior.beta, prior.chol, prior.nu)
+    return float(student_t_log_density_table(np.reshape(g, (1, 2)), loc, shape, df)[0, 0])
 
 
 def _check_weights(weights, c: int) -> np.ndarray:

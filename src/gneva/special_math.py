@@ -2,19 +2,18 @@
 
 Everything here is self-contained: log-gamma uses the Lanczos approximation
 (g=7, 9 coefficients) and digamma/trigamma use recurrence shifts into the
-asymptotic regime, all accurate to ~1e-13. Matrices are fixed-size 2x2; the
-closed-form Cholesky/determinant/adjugate replaces general linear algebra.
+asymptotic regime, all accurate to ~1e-13. Matrices are fixed-size 2x2,
+held as their entries (a11, a12, a22); the closed-form Cholesky replaces
+general linear algebra.
 The special functions take floats or arrays, with the same arithmetic.
-`check_family` holds the Normal-Wishart parameter rules once, over arrays,
-for the scalar classes and the array-held mixture alike.
+`check_family` holds the Normal-Wishart parameter rules once, over arrays.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -201,68 +200,3 @@ def spd_cholesky(a11, a12, a22):
     l11 = np.sqrt(a11)
     l21 = a12 / l11
     return l11, l21, np.sqrt(a22 - l21 * l21)
-
-
-@dataclass(frozen=True)
-class SPDMatrix2:
-    """Symmetric positive-definite 2x2 matrix with a cached Cholesky factor.
-
-    Stored as the three free entries of the symmetric matrix
-    [[a11, a12], [a12, a22]]. Construction rejects matrices that break a
-    rule of `check_family`.
-    """
-
-    a11: float
-    a12: float
-    a22: float
-
-    def __post_init__(self):
-        a11, a12, a22 = float(self.a11), float(self.a12), float(self.a22)
-        object.__setattr__(self, "a11", a11)
-        object.__setattr__(self, "a12", a12)
-        object.__setattr__(self, "a22", a22)
-        check_family(v=np.array([[a11, a12, a22]]))
-
-    @classmethod
-    def identity(cls) -> "SPDMatrix2":
-        return cls(1.0, 0.0, 1.0)
-
-    @classmethod
-    def from_array(cls, m) -> "SPDMatrix2":
-        return cls(float(m[0][0]), 0.5 * (float(m[0][1]) + float(m[1][0])), float(m[1][1]))
-
-    @classmethod
-    def from_cholesky(cls, l11: float, l21: float, l22: float) -> "SPDMatrix2":
-        return cls(*spd_from_cholesky(l11, l21, l22))
-
-    @cached_property
-    def cholesky(self) -> tuple[float, float, float]:
-        """(l11, l21, l22) of the lower factor L with L L^T = self."""
-        return tuple(float(x) for x in spd_cholesky(self.a11, self.a12, self.a22))
-
-    @property
-    def log_det(self) -> float:
-        l11, _, l22 = self.cholesky
-        return 2.0 * (math.log(l11) + math.log(l22))
-
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    def inverse(self) -> "SPDMatrix2":
-        d = self.a11 * self.a22 - self.a12 * self.a12
-        return SPDMatrix2(self.a22 / d, -self.a12 / d, self.a11 / d)
-
-    def quad_form(self, dx: float, dy: float) -> float:
-        """(dx, dy)^T M (dx, dy)."""
-        return self.a11 * dx * dx + 2.0 * self.a12 * dx * dy + self.a22 * dy * dy
-
-    def trace_product(self, other: "SPDMatrix2") -> float:
-        """trace(self @ other) for symmetric other."""
-        return self.a11 * other.a11 + 2.0 * self.a12 * other.a12 + self.a22 * other.a22
-
-    def scaled(self, s: float) -> "SPDMatrix2":
-        return SPDMatrix2(self.a11 * s, self.a12 * s, self.a22 * s)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]], dtype=float)

@@ -19,21 +19,15 @@ from . import mixture as mx
 from .autodiff import check_gradients
 from .dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from .distributions import (
-    NormalWishartParams,
-    WishartParams,
-    expected_stats,
-    kl_mean_given_precision,
-    kl_wishart,
     predictive_student_t,
     sample_normal_wishart,
     sample_wishart_bartlett,
-    student_t_log_densities,
+    student_t_log_density_table,
     wishart_log_density,
 )
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params
 from .metrics import displacement_metrics
 from .sampling import CandidatePool, NmsConfig, circle_iou, nms_select
-from .special_math import SPDMatrix2
 from .training import TrainConfig, lr_schedule, spatial_scene_loss
 
 
@@ -45,39 +39,43 @@ class CheckResult:
     seconds: float
 
 
-def _random_spd(rng, scale=1.0) -> SPDMatrix2:
+def _nw(eta, beta, v, nu) -> mx.MixturePosterior:
+    """One Normal-Wishart as a one-component posterior; v holds V's entries (v11, v12, v22)."""
+    return mx.MixturePosterior([eta], [beta], [v], [nu])
+
+
+def _stack(comps, log_pi=None) -> mx.MixturePosterior:
+    """The mixture of one-component posteriors."""
+    arrays = (np.concatenate([getattr(c, k) for c in comps]) for k in ("eta", "beta", "v", "nu"))
+    return mx.MixturePosterior(*arrays, log_pi)
+
+
+def _matrix(v) -> np.ndarray:
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
+
+
+def _random_spd(rng, scale=1.0) -> tuple[float, float, float]:
     a = rng.normal(scale=scale, size=(2, 2))
-    return SPDMatrix2.from_array(a.T @ a + 0.05 * scale**2 * np.eye(2))
+    m = a.T @ a + 0.05 * scale**2 * np.eye(2)
+    return m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]
 
 
-def _random_nw(rng) -> NormalWishartParams:
-    return NormalWishartParams(
-        eta=rng.normal(scale=2.0, size=2),
-        beta=rng.uniform(0.3, 5.0),
-        v=_random_spd(rng),
-        nu=rng.uniform(3.5, 12.0),
-    )
-
-
-def _lams_as_matrices(lam11, lam12, lam22):
-    lams = np.empty((lam11.size, 2, 2))
-    lams[:, 0, 0] = lam11
-    lams[:, 0, 1] = lams[:, 1, 0] = lam12
-    lams[:, 1, 1] = lam22
-    return lams
+def _random_nw(rng) -> mx.MixturePosterior:
+    return _nw(rng.normal(scale=2.0, size=2), rng.uniform(0.3, 5.0), _random_spd(rng), rng.uniform(3.5, 12.0))
 
 
 def check_kl_mean_vs_mc(n_pairs: int, n_samples: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_pairs):
         q, p = _random_nw(rng), _random_nw(rng)
-        lam11, lam12, lam22 = sample_wishart_bartlett(q.wishart, rng, n_samples)
-        dev = q.eta - p.eta
+        lam11, lam12, lam22 = sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples)
+        dev = q.eta[0] - p.eta[0]
         quad = lam11 * dev[0] ** 2 + 2 * lam12 * dev[0] * dev[1] + lam22 * dev[1] ** 2
-        ratio = p.beta / q.beta
-        kls = 0.5 * (2 * ratio - 2 + p.beta * quad + 2 * math.log(1.0 / ratio))
+        ratio = p.beta[0] / q.beta[0]
+        kls = 0.5 * (2 * ratio - 2 + p.beta[0] * quad + 2 * math.log(1.0 / ratio))
         se = kls.std(ddof=1) / math.sqrt(n_samples)
-        sigmas = abs(kl_mean_given_precision(q, p) - kls.mean()) / se
+        closed = q.arrays().kl_mean_given_precision(p.arrays()).value[0]
+        sigmas = abs(closed - kls.mean()) / se
         worst = max(worst, sigmas)
         if sigmas > 3.0:
             return False, f"closed form {sigmas:.1f} MC standard errors from estimate"
@@ -87,47 +85,35 @@ def check_kl_mean_vs_mc(n_pairs: int, n_samples: int, rng) -> tuple[bool, str]:
 def check_kl_wishart_vs_mc(n_pairs: int, n_samples: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_pairs):
-        q = WishartParams(v=_random_spd(rng), nu=rng.uniform(3.5, 10.0))
-        p = WishartParams(v=_random_spd(rng), nu=rng.uniform(3.5, 10.0))
-        lam11, lam12, lam22 = sample_wishart_bartlett(q, rng, n_samples)
-        lams = _lams_as_matrices(lam11, lam12, lam22)
-        diffs = _wishart_logpdf_many(lams, q) - _wishart_logpdf_many(lams, p)
+        # Wisharts alone: the mean's eta and beta take no part.
+        q = _nw([0.0, 0.0], 1.0, _random_spd(rng), rng.uniform(3.5, 10.0))
+        p = _nw([0.0, 0.0], 1.0, _random_spd(rng), rng.uniform(3.5, 10.0))
+        lams = np.stack(sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples), axis=1)
+        diffs = wishart_log_density(lams, q.chol[0], q.nu[0]) - wishart_log_density(lams, p.chol[0], p.nu[0])
         se = diffs.std(ddof=1) / math.sqrt(n_samples)
-        sigmas = abs(kl_wishart(q, p) - diffs.mean()) / se
+        sigmas = abs(q.arrays().kl_wishart(p.arrays()).value[0] - diffs.mean()) / se
         worst = max(worst, sigmas)
         if sigmas > 3.0:
             return False, f"closed form {sigmas:.1f} MC standard errors from estimate"
     return True, f"{n_pairs} pairs within 3 SE (worst {worst:.2f})"
 
 
-def _wishart_logpdf_many(lams: np.ndarray, w: WishartParams) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(lams)
-    v_inv = w.v.inverse()
-    tr = (
-        v_inv.a11 * lams[:, 0, 0] + 2 * v_inv.a12 * lams[:, 0, 1] + v_inv.a22 * lams[:, 1, 1]
-    )
-    const = wishart_log_density(SPDMatrix2.identity(), w)
-    # Reuse the scalar implementation's normalizer by removing its
-    # identity-specific terms: log W(I) = -tr(V^-1)/2 + const_terms.
-    base = const + 0.5 * v_inv.trace
-    return base + 0.5 * (w.nu - 3.0) * logdet - 0.5 * tr
-
-
-def check_expected_stats_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, str]:
+def check_expectations_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_cases):
         q = _random_nw(rng)
         g = rng.normal(size=2)
         mus, lams = sample_normal_wishart(q, rng, size=n_samples)
-        stats = expected_stats(g, q)
+        qa = q.arrays()
+        e_log_det, e_mahalanobis = qa.expected_log_det().value[0], qa.expected_mahalanobis(g).value[0]
         _, logdets = np.linalg.slogdet(lams)
         se_ld = logdets.std(ddof=1) / math.sqrt(n_samples)
         dev = g - mus
         quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
         se_q = quad.std(ddof=1) / math.sqrt(n_samples)
         sig = max(
-            abs(stats.e_log_det - logdets.mean()) / se_ld,
-            abs(stats.e_mahalanobis - quad.mean()) / se_q,
+            abs(e_log_det - logdets.mean()) / se_ld,
+            abs(e_mahalanobis - quad.mean()) / se_q,
         )
         worst = max(worst, sig)
         if sig > 3.0:
@@ -139,7 +125,7 @@ def check_prior_evidence_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool,
     worst = 0.0
     for _ in range(n_cases):
         prior = _random_nw(rng)
-        g = prior.eta + rng.normal(size=2)
+        g = prior.eta[0] + rng.normal(size=2)
         mus, lams = sample_normal_wishart(prior, rng, size=n_samples)
         dev = g - mus
         quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
@@ -156,15 +142,11 @@ def check_prior_evidence_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool,
     return True, f"{n_cases} cases within 3 SE (worst {worst:.2f})"
 
 
-def _nearby_nw(rng, g) -> NormalWishartParams:
+def _nearby_nw(rng, g) -> mx.MixturePosterior:
     """A component whose mean lies within 1 m of g, with a mild precision."""
     a, b = rng.uniform(0.1, 0.3, size=2)
-    return NormalWishartParams(
-        eta=g + rng.uniform(-1.0, 1.0, size=2),
-        beta=rng.uniform(1.0, 3.0),
-        v=SPDMatrix2(a, rng.uniform(-0.5, 0.5) * math.sqrt(a * b), b),
-        nu=rng.uniform(3.5, 6.0),
-    )
+    eta, beta = g + rng.uniform(-1.0, 1.0, size=2), rng.uniform(1.0, 3.0)
+    return _nw(eta, beta, (a, rng.uniform(-0.5, 0.5) * math.sqrt(a * b), b), rng.uniform(3.5, 6.0))
 
 
 def check_z_posterior_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, str]:
@@ -177,7 +159,7 @@ def check_z_posterior_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, st
     for _ in range(n_cases):
         g = rng.normal(size=2)
         comps = [_nearby_nw(rng, g) for _ in range(3)]
-        mix = mx.MixturePosterior.from_components(comps, np.log(rng.dirichlet(np.full(3, 8.0))))
+        mix = _stack(comps, np.log(rng.dirichlet(np.full(3, 8.0))))
         log_w = mix.log_pi.copy()
         for c, comp in enumerate(comps):
             mus, lams = sample_normal_wishart(comp, rng, size=n_samples)
@@ -197,7 +179,7 @@ def check_elbo_bound(n_cases: int, rng) -> tuple[bool, str]:
     worst_slack = np.inf
     for _ in range(n_cases):
         c = int(rng.integers(1, 5))
-        mix = mx.MixturePosterior.from_components([_random_nw(rng) for _ in range(c)])
+        mix = _stack([_random_nw(rng) for _ in range(c)])
         prior = _random_nw(rng)
         g = rng.normal(scale=2.0, size=2)
         pi = np.full(c, 1.0 / c)
@@ -210,17 +192,14 @@ def check_elbo_bound(n_cases: int, rng) -> tuple[bool, str]:
     for _ in range(n_cases):
         prior = _random_nw(rng)
         g = rng.normal(scale=2.0, size=2)
-        beta1 = prior.beta + 1.0
-        eta1 = (prior.beta * prior.eta + g) / beta1
-        dev = (g - prior.eta).reshape(2, 1)
-        v1 = SPDMatrix2.from_array(
-            np.linalg.inv(prior.v.inverse().to_array() + (prior.beta / beta1) * (dev @ dev.T))
-        )
-        post = NormalWishartParams(eta=eta1, beta=beta1, v=v1, nu=prior.nu + 1.0)
-        gap = abs(
-            mx.elbo(g, mx.MixturePosterior.from_components([post]), prior, [1.0])
-            - mx.prior_log_evidence(g, prior, [1.0])
-        )
+        beta0, eta0, (a11, a12, a22) = prior.beta[0], prior.eta[0], prior.v[0]
+        beta1 = beta0 + 1.0
+        eta1 = (beta0 * eta0 + g) / beta1
+        dev = (g - eta0).reshape(2, 1)
+        det = a11 * a22 - a12 * a12
+        v1 = np.linalg.inv(_matrix((a22 / det, -a12 / det, a11 / det)) + (beta0 / beta1) * (dev @ dev.T))
+        post = _nw(eta1, beta1, (v1[0, 0], 0.5 * (v1[0, 1] + v1[1, 0]), v1[1, 1]), prior.nu[0] + 1.0)
+        gap = abs(mx.elbo(g, post, prior, [1.0]) - mx.prior_log_evidence(g, prior, [1.0]))
         worst_gap = max(worst_gap, gap)
         if gap > 1e-8:
             return False, f"bound not tight at exact posterior (gap {gap:.2e})"
@@ -296,16 +275,11 @@ def random_predictive_mixture(rng, c: int = 3) -> mx.MixturePosterior:
     comps = []
     for _ in range(c):
         off = rng.uniform(-0.2, 0.2)
-        v = SPDMatrix2(rng.uniform(0.7, 1.4), off, rng.uniform(0.7, 1.4))
+        v = (rng.uniform(0.7, 1.4), off, rng.uniform(0.7, 1.4))
         comps.append(
-            NormalWishartParams(
-                eta=rng.uniform(-3, 3, size=2),
-                beta=rng.uniform(1.0, 4.0),
-                v=v,
-                nu=rng.uniform(4.0, 9.0),
-            )
+            _nw(eta=rng.uniform(-3, 3, size=2), beta=rng.uniform(1.0, 4.0), v=v, nu=rng.uniform(4.0, 9.0))
         )
-    return mx.MixturePosterior.from_components(comps)
+    return _stack(comps)
 
 
 def check_predictive_normalization(n_mixtures: int, rng) -> tuple[bool, str]:
@@ -325,11 +299,8 @@ def check_predictive_normalization(n_mixtures: int, rng) -> tuple[bool, str]:
         if abs(mass - 1.0) > 1e-2:
             return False, f"grid mass {mass:.4f}"
     # Student-t with unit shape at df=1e6 vs the standard Gaussian.
-    from .distributions import StudentTParams
-
-    t = StudentTParams(loc=[0.0, 0.0], shape=SPDMatrix2.identity(), df=1e6)
     xs = rng.normal(size=(10, 2))
-    mine = student_t_log_densities(xs, t)
+    mine = student_t_log_density_table(xs, np.zeros((1, 2)), np.array([[1.0, 0.0, 1.0]]), np.array([1e6]))[0]
     quad = (xs * xs).sum(axis=1)
     gauss = -math.log(2 * math.pi) - 0.5 * quad
     gap = float(np.max(np.abs(mine - gauss)))
@@ -390,14 +361,14 @@ def check_gradients_full_loss(n_params: int) -> tuple[bool, str]:
 def check_sampler_moments(n_samples: int, rng) -> tuple[bool, str]:
     p = _random_nw(rng)
     mus, lams = sample_normal_wishart(p, rng, size=n_samples)
-    target = p.nu * p.v.to_array()
+    target = p.nu[0] * _matrix(p.v[0])
     worst = 0.0
     for idx in [(0, 0), (0, 1), (1, 1)]:
         se = lams[:, idx[0], idx[1]].std(ddof=1) / math.sqrt(n_samples)
         worst = max(worst, abs(lams[:, idx[0], idx[1]].mean() - target[idx]) / se)
     for k in range(2):
         se = mus[:, k].std(ddof=1) / math.sqrt(n_samples)
-        worst = max(worst, abs(mus[:, k].mean() - p.eta[k]) / se)
+        worst = max(worst, abs(mus[:, k].mean() - p.eta[0, k]) / se)
     return worst < 3.5, f"precision/mean moments within {worst:.2f} SE of targets"
 
 
@@ -410,7 +381,7 @@ def run_all(fast: bool = False, log: Callable[[str], None] = print) -> list[Chec
     checks = [
         ("kl-mean-vs-mc", lambda: check_kl_mean_vs_mc(pairs, n, rng)),
         ("kl-wishart-vs-mc", lambda: check_kl_wishart_vs_mc(pairs, n, rng)),
-        ("expected-stats-vs-mc", lambda: check_expected_stats_vs_mc(pairs, n, rng)),
+        ("expected-stats-vs-mc", lambda: check_expectations_vs_mc(pairs, n, rng)),
         ("prior-evidence-vs-mc", lambda: check_prior_evidence_vs_mc(pairs, n, rng)),
         ("z-posterior-vs-mc", lambda: check_z_posterior_vs_mc(3, n, rng)),
         ("elbo-bound", lambda: check_elbo_bound(25 if fast else 100, rng)),

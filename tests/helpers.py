@@ -14,19 +14,39 @@ import scipy.linalg
 from scipy import stats
 from scipy.special import gammaln, logsumexp, multigammaln, psi
 
-from gneva.distributions import NormalWishartParams
-from gneva.special_math import SPDMatrix2
+from gneva.mixture import MixturePosterior
+
+
+def matrix(v):
+    """The 2x2 symmetric matrix of the entries (a11, a12, a22)."""
+    return np.array([[v[0], v[1]], [v[1], v[2]]], dtype=float)
+
+
+def entries(m):
+    """(a11, a12, a22) of a 2x2 matrix, its off-diagonal averaged."""
+    return np.array([m[0][0], 0.5 * (m[0][1] + m[1][0]), m[1][1]], dtype=float)
+
+
+def nw(eta, beta, v, nu):
+    """One Normal-Wishart as a one-component `MixturePosterior`; v holds V's entries."""
+    return MixturePosterior([eta], [beta], [v], [nu])
+
+
+def stack(comps, log_pi=None):
+    """The mixture of one-component posteriors, in order."""
+    arrays = (np.concatenate([getattr(c, k) for c in comps]) for k in ("eta", "beta", "v", "nu"))
+    return MixturePosterior(*arrays, log_pi)
 
 
 def random_spd(rng, scale=1.0):
-    """Random SPD 2x2 as A^T A + eps I, entries O(scale)."""
+    """Entries of a random SPD 2x2, A^T A + eps I, entries O(scale)."""
     a = rng.normal(scale=scale, size=(2, 2))
     m = a.T @ a + 0.05 * scale**2 * np.eye(2)
-    return SPDMatrix2.from_array(m)
+    return entries(m)
 
 
 def random_nw(rng, loc_scale=2.0):
-    return NormalWishartParams(
+    return nw(
         eta=rng.normal(scale=loc_scale, size=2),
         beta=rng.uniform(0.3, 5.0),
         v=random_spd(rng),
@@ -35,29 +55,30 @@ def random_nw(rng, loc_scale=2.0):
 
 
 def emitted_components(fw):
-    """A one-scene forward's mixture components and shared prior as scalar `NormalWishartParams`."""
-    comps = [
-        NormalWishartParams(eta=e, beta=b, v=SPDMatrix2.from_cholesky(*l), nu=n)
-        for e, b, l, n in zip(fw.eta.value, fw.beta.value, fw.chol.value, fw.nu.value)
-    ]
-    prior = NormalWishartParams(
-        eta=fw.prior_eta.value,
-        beta=fw.prior_beta.value[0],
-        v=SPDMatrix2.from_cholesky(*fw.prior_chol.value),
-        nu=fw.prior_nu.value[0],
-    )
-    return comps, prior
+    """A one-scene forward's mixture posterior and its shared prior as a one-component posterior.
+
+    V = L L^T from each Cholesky row (l11, l21, l22), written out here.
+    """
+
+    def v_of(chol):
+        l11, l21, l22 = np.asarray(chol).T
+        return np.stack([l11 * l11, l11 * l21, l21 * l21 + l22 * l22], axis=-1)
+
+    mix = MixturePosterior(fw.eta.value, fw.beta.value, v_of(fw.chol.value), fw.nu.value)
+    prior = nw(fw.prior_eta.value, fw.prior_beta.value[0], v_of(fw.prior_chol.value), fw.prior_nu.value[0])
+    return mix, prior
 
 
-def sample_wishart_scipy(v: SPDMatrix2, nu: float, rng, n: int):
+def sample_wishart_scipy(v, nu: float, rng, n: int):
     """(n, 2, 2) Wishart draws equal to `stats.wishart.rvs(df=nu, scale=V, size=n)`, bit for bit.
 
-    Makes scipy's generator calls in scipy's order (the Bartlett factor's
-    off-diagonal normals, then the square roots of chi-square(nu) and
-    chi-square(nu - 1) draws) and forms C A A^T C^T as batched products
-    instead of scipy's per-draw Python loop. Independent of the package sampler.
+    v holds V's entries (v11, v12, v22). Makes scipy's generator calls in
+    scipy's order (the Bartlett factor's off-diagonal normals, then the
+    square roots of chi-square(nu) and chi-square(nu - 1) draws) and forms
+    C A A^T C^T as batched products instead of scipy's per-draw Python
+    loop. Independent of the package sampler.
     """
-    c = scipy.linalg.cholesky(v.to_array(), lower=True)
+    c = scipy.linalg.cholesky(matrix(v), lower=True)
     a = np.zeros((n, 2, 2))
     a[:, 1, 0] = rng.normal(size=n)
     a[:, 0, 0] = rng.chisquare(nu, size=n) ** 0.5
@@ -66,24 +87,24 @@ def sample_wishart_scipy(v: SPDMatrix2, nu: float, rng, n: int):
     return ca @ np.swapaxes(ca, -1, -2)
 
 
-def sample_nw_scipy(p: NormalWishartParams, rng, n: int):
-    """(mus (n,2), lams (n,2,2)) Normal-Wishart draws via scipy + explicit chol."""
-    lams = sample_wishart_scipy(p.v, p.nu, rng, n)
-    covs = np.linalg.inv(lams) / p.beta
+def sample_nw_scipy(p, rng, n: int):
+    """(mus (n,2), lams (n,2,2)) draws from a one-component posterior via scipy + explicit chol."""
+    lams = sample_wishart_scipy(p.v[0], p.nu[0], rng, n)
+    covs = np.linalg.inv(lams) / p.beta[0]
     chols = np.linalg.cholesky(covs)
     z = rng.standard_normal((n, 2))
-    mus = p.eta + np.einsum("nij,nj->ni", chols, z)
+    mus = p.eta[0] + np.einsum("nij,nj->ni", chols, z)
     return mus, lams
 
 
-def wishart_logpdf_formula(lams, v: SPDMatrix2, nu: float):
-    """Vectorized Wishart log density from the displayed formula."""
+def wishart_logpdf_formula(lams, v, nu: float):
+    """Vectorized Wishart log density from the displayed formula; v holds V's entries."""
     d = 2
     sign, logdet_lam = np.linalg.slogdet(lams)
     assert np.all(sign > 0)
-    v_inv = np.linalg.inv(v.to_array())
+    v_inv = np.linalg.inv(matrix(v))
     tr = np.einsum("ij,nji->n", v_inv, lams)
-    _, logdet_v = np.linalg.slogdet(v.to_array())
+    _, logdet_v = np.linalg.slogdet(matrix(v))
     return (
         0.5 * (nu - d - 1) * logdet_lam
         - 0.5 * tr
@@ -110,24 +131,23 @@ def student_t_logpdf_scipy(xs, loc, shape, df):
     return stats.multivariate_t.logpdf(xs, loc=loc, shape=shape, df=df)
 
 
-def student_t_mixture_logpdf_scipy(xs, comps, weights):
+def student_t_mixture_logpdf_scipy(xs, mix, weights):
     """log sum_c w_c t(x; predictive of component c), from scipy's multivariate t.
 
     Each Normal-Wishart posterior's predictive has loc eta, df nu - 1 and
     shape (beta + 1) / (beta (nu - 1)) V^-1, inverted with np.linalg.
     """
     terms = []
-    for comp, w in zip(comps, weights):
+    for eta, beta, v, nu, w in zip(mix.eta, mix.beta, mix.v, mix.nu, weights):
         if w == 0.0:
             continue
-        df = comp.nu - 1.0
-        v = np.array([[comp.v.a11, comp.v.a12], [comp.v.a12, comp.v.a22]])
-        shape = (comp.beta + 1.0) / (comp.beta * df) * np.linalg.inv(v)
-        terms.append(np.log(w) + np.atleast_1d(student_t_logpdf_scipy(xs, comp.eta, shape, df)))
+        df = nu - 1.0
+        shape = (beta + 1.0) / (beta * df) * np.linalg.inv(matrix(v))
+        terms.append(np.log(w) + np.atleast_1d(student_t_logpdf_scipy(xs, eta, shape, df)))
     return logsumexp(np.stack(terms), axis=0)
 
 
-def elbo_oracle(g, comps, log_pi, prior, prior_pi):
+def elbo_oracle(g, mix, log_pi, prior, prior_pi):
     """ELBO of one goal under a variational Normal-Wishart mixture (Bishop, PRML 10.2).
 
     Written from the textbook expectations with scipy's psi and multigammaln
@@ -135,33 +155,30 @@ def elbo_oracle(g, comps, log_pi, prior, prior_pi):
     E[log det L] = psi_2(nu/2) + 2 log 2 + log det V,
     E[(g - mu)^T L (g - mu)] = nu (g - eta)^T V (g - eta) + 2 / beta,
     q(z) the softmax of log pi + E[log N(g | mu, L^-1)], and the two KLs
-    and KL(q(z) || prior_pi) subtracted from the expected emission.
+    and KL(q(z) || prior_pi) subtracted from the expected emission. The
+    prior is a one-component posterior.
     """
     d = 2
     g = np.asarray(g, dtype=float)
-
-    def mat(spd):
-        return np.array([[spd.a11, spd.a12], [spd.a12, spd.a22]])
-
-    v0 = mat(prior.v)
-    v0_inv = np.linalg.inv(v0)
+    p_eta, p_beta, p_nu = prior.eta[0], prior.beta[0], prior.nu[0]
+    v0_inv = np.linalg.inv(matrix(prior.v[0]))
     emission, kl_mean, kl_wishart = [], [], []
-    for q in comps:
-        v = mat(q.v)
+    for eta, beta, v_entries, nu in zip(mix.eta, mix.beta, mix.v, mix.nu):
+        v = matrix(v_entries)
         logdet_v = np.linalg.slogdet(v)[1]
-        e_logdet = psi_d(0.5 * q.nu, d) + d * np.log(2.0) + logdet_v
-        dev = g - q.eta
-        e_quad = q.nu * dev @ v @ dev + d / q.beta
+        e_logdet = psi_d(0.5 * nu, d) + d * np.log(2.0) + logdet_v
+        dev = g - eta
+        e_quad = nu * dev @ v @ dev + d / beta
         emission.append(0.5 * e_logdet - 0.5 * d * np.log(2.0 * np.pi) - 0.5 * e_quad)
-        de = q.eta - prior.eta
-        ratio = prior.beta / q.beta
-        kl_mean.append(0.5 * prior.beta * q.nu * de @ v @ de + 0.5 * d * (ratio - np.log(ratio) - 1.0))
+        de = eta - p_eta
+        ratio = p_beta / beta
+        kl_mean.append(0.5 * p_beta * nu * de @ v @ de + 0.5 * d * (ratio - np.log(ratio) - 1.0))
         kl_wishart.append(
-            0.5 * q.nu * (np.trace(v0_inv @ v) - d)
-            - 0.5 * prior.nu * np.linalg.slogdet(v0_inv @ v)[1]
-            + multigammaln(0.5 * prior.nu, d)
-            - multigammaln(0.5 * q.nu, d)
-            + 0.5 * (q.nu - prior.nu) * psi_d(0.5 * q.nu, d)
+            0.5 * nu * (np.trace(v0_inv @ v) - d)
+            - 0.5 * p_nu * np.linalg.slogdet(v0_inv @ v)[1]
+            + multigammaln(0.5 * p_nu, d)
+            - multigammaln(0.5 * nu, d)
+            + 0.5 * (nu - p_nu) * psi_d(0.5 * nu, d)
         )
     emission = np.array(emission)
     log_w = np.asarray(log_pi, dtype=float) + emission
@@ -199,16 +216,16 @@ def psi_d(a, d=2):
     return sum(psi(a + 0.5 * (1 - j)) for j in range(1, d + 1))
 
 
-def exact_conjugate_posterior(g, prior: NormalWishartParams) -> NormalWishartParams:
-    """Single-observation Normal-Wishart update, derived independently."""
+def exact_conjugate_posterior(g, prior):
+    """Single-observation Normal-Wishart update of a one-component prior, derived independently."""
     g = np.asarray(g, dtype=float)
-    beta1 = prior.beta + 1.0
-    nu1 = prior.nu + 1.0
-    eta1 = (prior.beta * prior.eta + g) / beta1
-    dev = np.asarray(g - prior.eta).reshape(2, 1)
-    v1_inv = np.linalg.inv(prior.v.to_array()) + (prior.beta / beta1) * (dev @ dev.T)
-    v1 = SPDMatrix2.from_array(np.linalg.inv(v1_inv))
-    return NormalWishartParams(eta=eta1, beta=beta1, v=v1, nu=nu1)
+    beta0, eta0 = prior.beta[0], prior.eta[0]
+    beta1 = beta0 + 1.0
+    nu1 = prior.nu[0] + 1.0
+    eta1 = (beta0 * eta0 + g) / beta1
+    dev = np.asarray(g - eta0).reshape(2, 1)
+    v1_inv = np.linalg.inv(matrix(prior.v[0])) + (beta0 / beta1) * (dev @ dev.T)
+    return nw(eta1, beta1, entries(np.linalg.inv(v1_inv)), nu1)
 
 
 def stable_log_mean_exp(log_vals):

@@ -21,15 +21,7 @@ from gneva.dataio import (
     to_target_frame,
     vectorize,
 )
-from gneva.distributions import (
-    NormalWishartParams,
-    WishartParams,
-    expected_stats,
-    kl_mean_given_precision,
-    kl_wishart,
-    posterior_predictive_params,
-    student_t_log_densities,
-)
+from gneva.distributions import predictive_student_t, student_t_log_density_table
 from gneva.encoders import (
     EncoderConfig,
     forward_spatial,
@@ -38,17 +30,18 @@ from gneva.encoders import (
 )
 from gneva.metrics import displacement_metrics
 from gneva.sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select, scene_region
-from gneva.special_math import SPDMatrix2
 from gneva.trajectory import predict_topk
 from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_spatial, train_trajectory
 
 from helpers import (
     exact_conjugate_posterior,
     gaussian_kl_given_precision,
+    nw,
     random_nw,
     sample_nw_scipy,
     sample_wishart_scipy,
     stable_log_mean_exp,
+    stack,
     wishart_logpdf_formula,
 )
 
@@ -65,26 +58,25 @@ class TestCriterion1ClosedFormVsMonteCarlo:
         worst = {"kl_mean": 0.0, "kl_wishart": 0.0, "e_stats": 0.0, "evidence": 0.0}
         for _ in range(20):
             q, p = random_nw(rng), random_nw(rng)
-            lams = sample_wishart_scipy(q.v, q.nu, rng, MC_SAMPLES)
-            kls = gaussian_kl_given_precision(q.eta, q.beta, p.eta, p.beta, lams)
+            qa, pa = q.arrays(), p.arrays()
+            lams = sample_wishart_scipy(q.v[0], q.nu[0], rng, MC_SAMPLES)
+            kls = gaussian_kl_given_precision(q.eta[0], q.beta[0], p.eta[0], p.beta[0], lams)
             se = kls.std(ddof=1) / math.sqrt(MC_SAMPLES)
             worst["kl_mean"] = max(
-                worst["kl_mean"], abs(kl_mean_given_precision(q, p) - kls.mean()) / se
+                worst["kl_mean"], abs(qa.kl_mean_given_precision(pa).value[0] - kls.mean()) / se
             )
 
-            wq = WishartParams(v=q.v, nu=q.nu)
-            wp = WishartParams(v=p.v, nu=p.nu)
-            diffs = wishart_logpdf_formula(lams, q.v, q.nu) - wishart_logpdf_formula(
-                lams, p.v, p.nu
+            diffs = wishart_logpdf_formula(lams, q.v[0], q.nu[0]) - wishart_logpdf_formula(
+                lams, p.v[0], p.nu[0]
             )
             se = diffs.std(ddof=1) / math.sqrt(MC_SAMPLES)
             worst["kl_wishart"] = max(
-                worst["kl_wishart"], abs(kl_wishart(wq, wp) - diffs.mean()) / se
+                worst["kl_wishart"], abs(qa.kl_wishart(pa).value[0] - diffs.mean()) / se
             )
 
             g = rng.normal(size=2)
             mus, lams = sample_nw_scipy(q, rng, MC_SAMPLES)
-            s = expected_stats(g, q)
+            e_log_det, e_mahalanobis = qa.expected_log_det().value[0], qa.expected_mahalanobis(g).value[0]
             _, logdets = np.linalg.slogdet(lams)
             se_ld = logdets.std(ddof=1) / math.sqrt(MC_SAMPLES)
             dev = g - mus
@@ -92,8 +84,8 @@ class TestCriterion1ClosedFormVsMonteCarlo:
             se_q = quad.std(ddof=1) / math.sqrt(MC_SAMPLES)
             worst["e_stats"] = max(
                 worst["e_stats"],
-                abs(s.e_log_det - logdets.mean()) / se_ld,
-                abs(s.e_mahalanobis - quad.mean()) / se_q,
+                abs(e_log_det - logdets.mean()) / se_ld,
+                abs(e_mahalanobis - quad.mean()) / se_q,
             )
 
             log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
@@ -115,7 +107,7 @@ class TestCriterion2ElboBound:
         min_slack = np.inf
         for _ in range(100):
             c = int(rng.integers(1, 5))
-            mix = mx.MixturePosterior.from_components([random_nw(rng) for _ in range(c)])
+            mix = stack([random_nw(rng) for _ in range(c)])
             prior = random_nw(rng)
             g = rng.normal(scale=2.0, size=2)
             pi = np.full(c, 1.0 / c)
@@ -128,7 +120,7 @@ class TestCriterion2ElboBound:
             g = rng.normal(scale=2.0, size=2)
             post = exact_conjugate_posterior(g, prior)
             gap = abs(
-                mx.elbo(g, mx.MixturePosterior.from_components([post]), prior, [1.0])
+                mx.elbo(g, post, prior, [1.0])
                 - mx.prior_log_evidence(g, prior, [1.0])
             )
             max_gap = max(max_gap, gap)
@@ -222,24 +214,17 @@ class TestCriterion5PredictiveNormalization:
             for _ in range(3):
                 off = rng.uniform(-0.2, 0.2)
                 comps.append(
-                    NormalWishartParams(
+                    nw(
                         eta=rng.uniform(-3, 3, size=2),
                         beta=rng.uniform(1.0, 4.0),
-                        v=SPDMatrix2(rng.uniform(0.7, 1.4), off, rng.uniform(0.7, 1.4)),
+                        v=(rng.uniform(0.7, 1.4), off, rng.uniform(0.7, 1.4)),
                         nu=rng.uniform(4.0, 9.0),
                     )
                 )
-            mix = mx.MixturePosterior.from_components(comps)
+            mix = stack(comps)
             w = rng.dirichlet(np.ones(3))
-            scale = max(
-                math.sqrt(
-                    max(
-                        posterior_predictive_params(c).shape.a11,
-                        posterior_predictive_params(c).shape.a22,
-                    )
-                )
-                for c in comps
-            )
+            _, shape, _ = predictive_student_t(mix.eta, mix.beta, mix.chol, mix.nu)
+            scale = max(math.sqrt(max(s11, s22)) for s11, _, s22 in shape)
             half = 40.0 * scale + 3.0
             n = 200
             cell = 2 * half / n
@@ -249,12 +234,10 @@ class TestCriterion5PredictiveNormalization:
             mass = float(np.exp(mx.predictive_log_densities(pts, mix, w)).sum() * cell * cell)
             worst = max(worst, abs(mass - 1.0))
             assert abs(mass - 1.0) <= 1e-2
-        from gneva.distributions import StudentTParams
-
-        t = StudentTParams(loc=[0.0, 0.0], shape=SPDMatrix2.identity(), df=1e6)
         xs = rng.normal(size=(10, 2))
-        gauss = stats.multivariate_normal.logpdf(xs, mean=t.loc, cov=np.eye(2))
-        gap = float(np.max(np.abs(student_t_log_densities(xs, t) - gauss)))
+        gauss = stats.multivariate_normal.logpdf(xs, mean=np.zeros(2), cov=np.eye(2))
+        t = student_t_log_density_table(xs, np.zeros((1, 2)), np.array([[1.0, 0.0, 1.0]]), np.array([1e6]))[0]
+        gap = float(np.max(np.abs(t - gauss)))
         assert gap <= 1e-3
         report(
             "criterion 5 (predictive normalization)",

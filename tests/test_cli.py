@@ -64,14 +64,27 @@ class TestRunConfig:
     def test_set_overrides_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"train.seed": 1, "encoder.hidden": 64}))
-        merged = load_run_config(str(path), ["train.seed=9", "nms.radius=2.5"])
+        merged = load_run_config(str(path), ["train.seed=9", "train.peak_lr=2.5"])
         assert merged["train.seed"] == 9
         assert merged["encoder.hidden"] == 64
-        assert merged["nms.radius"] == 2.5
+        assert merged["train.peak_lr"] == 2.5
 
     def test_bad_set_rejected(self):
         with pytest.raises(ValidationError):
             load_run_config(None, ["no-equals-sign"])
+
+    @pytest.mark.parametrize("key", ["traim.peak_lr", "nms.radius", "train.peek_lr", "encoder", "peak_lr", "train."])
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, key, source):
+        # A key outside train.<field> and encoder.<field> would otherwise be ignored without a word.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: 5}))
+        given = ["--set", f"{key}=5"] if source == "--set" else ["--config", str(config)]
+        argv = [*given, "train-spatial", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "m.json")]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestExitCodes:

@@ -266,7 +266,7 @@ class TestForwardSpatial:
         mix = fw.mixture()  # raises for a component outside the Normal-Wishart family
         assert mix.n_components == CFG.C
         _, prior = emitted_components(fw)  # the prior is in its family too
-        assert prior.nu > 3.0
+        assert prior.nu[0] > 3.0
         assert fw.weights.value.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_surrounding_permutation_leaves_outputs_unchanged(self, tape):

@@ -106,14 +106,49 @@ def test_predict_exits_with_a_documented_code(base, tmp_path, data, capsys):
     scenario, spatial, traj, _ = base
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data.draw(mutated(scenario))))
-    code = run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
-                        "--scenario", str(path), "--spacing", "1.0", "--out", str(tmp_path / "out.json")])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    run_clean(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+               "--scenario", str(path), "--spacing", "1.0", "--out", str(tmp_path / "out.json")], capsys)
+
+
+def scale_every_x(factor):
+    def mutate(doc):
+        for agent in doc["agents"]:
+            for state in agent["states"]:
+                state["x"] *= factor
+    return mutate
+
+
+def set_first_map_point(doc):
+    doc["map"][0]["points"][0][0] = 2e9
+
+
+def set_one_vy(doc):
+    doc["agents"][-1]["states"][2]["vy"] = -5e9
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [(scale_every_x(1e300), "agent 'target' has a state beyond"), (scale_every_x(1e12), "agent 'target'"),
+     (set_first_map_point, "polyline 'main-center' has points beyond"), (set_one_vy, "has a state beyond")],
+    ids=["x-times-1e300", "x-times-1e12", "map-point-2e9", "vy-minus-5e9"],
+)
+def test_coordinates_beyond_the_bound_exit_1_naming_the_agent_or_polyline(base, tmp_path, capsys, mutate, named):
+    # Near the float range the encoders overflowed with numpy warnings, and the error named the wrong cause.
+    scenario, spatial, traj, _ = base
+    doc = json.loads(scenario.read_text())
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    err = run_clean(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj), "--scenario", str(path),
+                     "--spacing", "1.0", "--out", str(tmp_path / "out.json")], capsys, codes=(1,))
+    assert named in err and "1e+09" in err, err
 
 
 def run_clean(argv, capsys, codes=(0, 1, 2)):
-    """Run a command; it must exit with one of `codes`, print no traceback and raise no warning."""
+    """Run a command; it must exit with one of `codes`, print no traceback and raise no warning.
+
+    Returns what it printed on stderr.
+    """
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -122,6 +157,7 @@ def run_clean(argv, capsys, codes=(0, 1, 2)):
     assert code in codes, (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, err
     assert caught == [], [str(w.message) for w in caught]
+    return err
 
 
 def config_keys(prefix, cls):

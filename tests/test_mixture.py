@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gneva.autodiff import Var
-from gneva.distributions import NormalWishartParams, posterior_predictive_params, student_t_log_density
+from gneva.distributions import predictive_student_t, student_t_log_density_table
 from gneva.encoders import SpatialForward
 from gneva.errors import DegreesOfFreedomTooSmall, NotPositiveDefinite, ValidationError
 from gneva.mixture import (
@@ -16,26 +16,37 @@ from gneva.mixture import (
     prior_log_evidence,
     z_posterior,
 )
-from gneva.special_math import SPDMatrix2
+from gneva.special_math import spd_from_cholesky
 
 from helpers import (
     elbo_oracle,
+    entries,
     exact_conjugate_posterior,
     grid_quadrature_mass,
+    nw,
     random_nw,
     random_spd,
     sample_nw_scipy,
     stable_log_mean_exp,
+    stack,
     student_t_mixture_logpdf_scipy,
 )
 
+IDENTITY = (1.0, 0.0, 1.0)
+
 
 def random_mixture(rng, c=3):
-    return MixturePosterior.from_components([random_nw(rng) for _ in range(c)])
+    return stack([random_nw(rng) for _ in range(c)])
 
 
 def permuted(comps, log_pi, perm):
-    return MixturePosterior.from_components([comps[i] for i in perm], log_pi[perm])
+    return stack([comps[i] for i in perm], log_pi[perm])
+
+
+def predictive_log_density(g, q):
+    """The Student-t predictive log density of a one-component posterior at one point."""
+    loc, shape, df = predictive_student_t(q.eta, q.beta, q.chol, q.nu)
+    return float(student_t_log_density_table(np.reshape(g, (1, 2)), loc, shape, df)[0, 0])
 
 
 def log_density_at(g, mix, weights):
@@ -47,7 +58,12 @@ class TestTypes:
     def test_log_pi_must_normalize(self):
         comp = random_nw(np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            MixturePosterior.from_components([comp], log_pi=np.array([-0.5]))
+            MixturePosterior(comp.eta, comp.beta, comp.v, comp.nu, log_pi=np.array([-0.5]))
+
+    @pytest.mark.parametrize("v", [(1.0, 2.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (math.nan, 0.0, 1.0)])
+    def test_rejects_a_scale_matrix_that_is_not_positive_definite(self, v):
+        with pytest.raises(NotPositiveDefinite, match="^mixture component 1 is out of family: "):
+            MixturePosterior([[0.0, 0.0]] * 2, [1.0, 1.0], [IDENTITY, v], [4.0, 4.0])
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -97,11 +113,14 @@ class TestArrayFamilyChecks:
     def test_array_posterior_matches_per_component_objects(self, components):
         eta, beta, chol, nu = (np.array(x, dtype=float) for x in zip(*components))
         comps, expected = [], None
+        prefix = "mixture component 0 is out of family: "
         for c, (e, b, l, n) in enumerate(zip(eta, beta, chol, nu)):
             try:
-                comps.append(NormalWishartParams(eta=e, beta=b, v=SPDMatrix2.from_cholesky(*l), nu=n))
+                comps.append(nw(e, b, spd_from_cholesky(*l), n))
             except (NotPositiveDefinite, ValidationError) as exc:
-                expected = (type(exc), f"scenario 's': emitted mixture component {c} is out of family: {exc}")
+                assert str(exc).startswith(prefix), str(exc)
+                message = str(exc)[len(prefix):]
+                expected = (type(exc), f"scenario 's': emitted mixture component {c} is out of family: {message}")
                 break
         fw = emitted(eta, beta, chol, nu)
         if expected is not None:
@@ -109,7 +128,7 @@ class TestArrayFamilyChecks:
                 fw.mixture("s")
             assert type(info.value) is expected[0] and str(info.value) == expected[1]
             return
-        mix, ref = fw.mixture("s"), MixturePosterior.from_components(comps)
+        mix, ref = fw.mixture("s"), stack(comps)
         for name in ("eta", "beta", "chol", "nu", "log_pi"):
             assert getattr(mix, name).tobytes() == getattr(ref, name).tobytes(), name
         live = nu > 3.0
@@ -123,7 +142,7 @@ class TestArrayFamilyChecks:
 
 class TestZPosterior:
     def test_single_component(self):
-        mix = MixturePosterior.from_components([random_nw(np.random.default_rng(1))])
+        mix = random_nw(np.random.default_rng(1))
         r = z_posterior([0.3, -0.4], mix)
         assert r == pytest.approx([1.0])
 
@@ -140,16 +159,16 @@ class TestZPosterior:
 
     def test_mirror_symmetry(self):
         g = np.array([0.0, 0.0])
-        v = SPDMatrix2(0.5, 0.1, 0.8)
-        a = NormalWishartParams(eta=[2.0, 1.0], beta=1.5, v=v, nu=5.0)
-        b = NormalWishartParams(eta=[-2.0, -1.0], beta=1.5, v=v, nu=5.0)
-        r = z_posterior(g, MixturePosterior.from_components([a, b]))
+        v = (0.5, 0.1, 0.8)
+        a = nw([2.0, 1.0], 1.5, v, 5.0)
+        b = nw([-2.0, -1.0], 1.5, v, 5.0)
+        r = z_posterior(g, stack([a, b]))
         assert r == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(2)
         comps = [random_nw(rng) for _ in range(4)]
-        mix = MixturePosterior.from_components(comps)
+        mix = stack(comps)
         g = rng.normal(size=2)
         r = z_posterior(g, mix)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -170,14 +189,14 @@ class TestZPosterior:
             rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
             v = rot @ np.diag(rng.uniform(0.1, 0.3, size=2)) @ rot.T
             comps.append(
-                NormalWishartParams(
+                nw(
                     eta=g + rng.uniform(-1.0, 1.0, size=2),
                     beta=rng.uniform(1.0, 3.0),
-                    v=SPDMatrix2.from_array(v),
+                    v=entries(v),
                     nu=rng.uniform(3.5, 6.0),
                 )
             )
-        mix = MixturePosterior.from_components(comps, np.log([0.25, 0.35, 0.4]))
+        mix = stack(comps, np.log([0.25, 0.35, 0.4]))
         log_w = mix.log_pi.copy()
         for c, comp in enumerate(comps):
             mus, lams = sample_nw_scipy(comp, rng, 1_000_000)
@@ -194,12 +213,11 @@ class TestZPosterior:
 
     def test_nu_increase_far_from_eta_lowers_responsibility(self):
         g = np.array([5.0, 0.0])
-        v = SPDMatrix2.identity()
-        far = NormalWishartParams(eta=[-5.0, 0.0], beta=1.0, v=v, nu=4.0)
-        near = NormalWishartParams(eta=[4.0, 0.0], beta=1.0, v=v, nu=4.0)
-        base = z_posterior(g, MixturePosterior.from_components([far, near]))[0]
-        far_stiff = NormalWishartParams(eta=far.eta, beta=far.beta, v=far.v, nu=6.0)
-        bumped = z_posterior(g, MixturePosterior.from_components([far_stiff, near]))[0]
+        far = nw([-5.0, 0.0], 1.0, IDENTITY, 4.0)
+        near = nw([4.0, 0.0], 1.0, IDENTITY, 4.0)
+        base = z_posterior(g, stack([far, near]))[0]
+        far_stiff = MixturePosterior(far.eta, far.beta, far.v, [6.0])
+        bumped = z_posterior(g, stack([far_stiff, near]))[0]
         assert bumped < base
 
 
@@ -209,11 +227,11 @@ class TestElbo:
         for c in range(1, 7):
             for _ in range(10):
                 comps = [random_nw(rng) for _ in range(c)]
-                mix = MixturePosterior.from_components(comps, np.log(rng.dirichlet(np.ones(c))))
+                mix = stack(comps, np.log(rng.dirichlet(np.ones(c))))
                 prior = random_nw(rng)
                 prior_pi = rng.dirichlet(np.full(c, 2.0))
                 g = rng.normal(scale=2.5, size=2)
-                expected = elbo_oracle(g, comps, mix.log_pi, prior, prior_pi)
+                expected = elbo_oracle(g, mix, mix.log_pi, prior, prior_pi)
                 assert elbo(g, mix, prior, prior_pi) == pytest.approx(expected, rel=1e-9)
 
     def test_bounded_by_log_evidence(self):
@@ -232,18 +250,16 @@ class TestElbo:
             prior = random_nw(rng)
             g = rng.normal(scale=2.0, size=2)
             post = exact_conjugate_posterior(g, prior)
-            mix = MixturePosterior.from_components([post])
-            lhs = elbo(g, mix, prior, [1.0])
+            lhs = elbo(g, post, prior, [1.0])
             rhs = prior_log_evidence(g, prior, [1.0])
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_zero_prior_weight_on_an_empty_component(self):
         # The far component's responsibility underflows to exactly 0, so
         # its zero prior weight adds 0 log(0 / 0) = 0 to KL(q(z) || pi).
-        v = SPDMatrix2.identity()
-        near = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=v, nu=5.0)
-        far = NormalWishartParams(eta=[50.0, 0.0], beta=1.0, v=v, nu=5.0)
-        mix = MixturePosterior.from_components([near, far])
+        near = nw([0.0, 0.0], 1.0, IDENTITY, 5.0)
+        far = nw([50.0, 0.0], 1.0, IDENTITY, 5.0)
+        mix = stack([near, far])
         g = [0.1, 0.0]
         assert z_posterior(g, mix)[1] == 0.0
         expected = elbo(g, mix, near, [0.5, 0.5]) + math.log(2.0)
@@ -257,10 +273,19 @@ class TestElbo:
         with pytest.raises(ValidationError):
             elbo(rng.normal(size=2), random_mixture(rng, c=2), random_nw(rng), prior_pi)
 
+    def test_refuses_a_prior_with_two_components(self):
+        rng = np.random.default_rng(18)
+        mix, prior = random_mixture(rng, c=2), random_mixture(rng, c=2)
+        g = rng.normal(size=2)
+        with pytest.raises(ValidationError, match="elbo takes a one-component posterior, got 2 components"):
+            elbo(g, mix, prior, [0.5, 0.5])
+        with pytest.raises(ValidationError, match="prior_log_evidence takes a one-component posterior"):
+            prior_log_evidence(g, prior, [0.5, 0.5])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         comps = [random_nw(rng) for _ in range(3)]
-        mix = MixturePosterior.from_components(comps)
+        mix = stack(comps)
         prior = random_nw(rng)
         g = rng.normal(size=2)
         pi = np.array([0.2, 0.5, 0.3])
@@ -273,20 +298,19 @@ class TestElbo:
 class TestPredictive:
     def test_degenerate_single_component(self):
         rng = np.random.default_rng(7)
-        comp = random_nw(rng)
-        mix = MixturePosterior.from_components([comp])
+        mix = random_nw(rng)
         g = rng.normal(size=2)
-        expected = student_t_log_density(g, posterior_predictive_params(comp))
+        expected = predictive_log_density(g, mix)
         assert log_density_at(g, mix, [1.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_masks_component(self):
         rng = np.random.default_rng(8)
         good = random_nw(rng)
         # Component with nu <= 3 would raise if not masked by its zero weight.
-        bad = NormalWishartParams(eta=[0.0, 0.0], beta=1.0, v=SPDMatrix2.identity(), nu=2.5)
-        mix = MixturePosterior.from_components([good, bad])
+        bad = nw([0.0, 0.0], 1.0, IDENTITY, 2.5)
+        mix = stack([good, bad])
         g = rng.normal(size=2)
-        expected = student_t_log_density(g, posterior_predictive_params(good))
+        expected = predictive_log_density(g, good)
         assert log_density_at(g, mix, [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(DegreesOfFreedomTooSmall):
             log_density_at(g, mix, [0.5, 0.5])
@@ -294,7 +318,7 @@ class TestPredictive:
     def test_grid_mass_is_one(self):
         rng = np.random.default_rng(9)
         comps = [
-            NormalWishartParams(
+            nw(
                 eta=rng.uniform(-3, 3, size=2),
                 beta=rng.uniform(0.5, 4.0),
                 v=random_spd(rng),
@@ -302,12 +326,10 @@ class TestPredictive:
             )
             for _ in range(3)
         ]
-        mix = MixturePosterior.from_components(comps)
+        mix = stack(comps)
         w = rng.dirichlet(np.ones(3))
-        scales = [
-            math.sqrt(max(posterior_predictive_params(c).shape.a11, posterior_predictive_params(c).shape.a22))
-            for c in comps
-        ]
+        _, shape, _ = predictive_student_t(mix.eta, mix.beta, mix.chol, mix.nu)
+        scales = [math.sqrt(max(s11, s22)) for s11, _, s22 in shape]
         mass = grid_quadrature_mass(
             lambda pts: predictive_log_densities(pts, mix, w),
             center=np.zeros(2),
@@ -318,11 +340,10 @@ class TestPredictive:
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(10)
-        comps = [random_nw(rng) for _ in range(4)]
-        mix = MixturePosterior.from_components(comps)
+        mix = stack([random_nw(rng) for _ in range(4)])
         w = rng.dirichlet(np.ones(4))
         pts = rng.normal(size=(7, 2), scale=3.0)
-        expected = student_t_mixture_logpdf_scipy(pts, comps, w)
+        expected = student_t_mixture_logpdf_scipy(pts, mix, w)
         vec = predictive_log_densities(pts, mix, w)
         assert vec == pytest.approx(expected, rel=1e-10)
         for i, p in enumerate(pts):
@@ -346,30 +367,26 @@ class TestPriorLogEvidence:
         rng = np.random.default_rng(12)
         prior = random_nw(rng)
         g = rng.normal(size=2)
-        t = posterior_predictive_params(prior)
         for c in (1, 3, 6):
             pi = np.full(c, 1.0 / c)
-            assert prior_log_evidence(g, prior, pi) == pytest.approx(
-                student_t_log_density(g, t), rel=1e-12
-            )
+            assert prior_log_evidence(g, prior, pi) == pytest.approx(predictive_log_density(g, prior), rel=1e-12)
 
     def test_unimodal_in_mahalanobis_radius(self):
         rng = np.random.default_rng(13)
         prior = random_nw(rng)
         pi = np.full(2, 0.5)
-        at_eta = prior_log_evidence(prior.eta, prior, pi)
-        t = posterior_predictive_params(prior)
+        at_eta = prior_log_evidence(prior.eta[0], prior, pi)
         for r in (0.5, 1.0, 2.0, 5.0):
             vals = []
             for angle in np.linspace(0, 2 * math.pi, 12, endpoint=False):
-                x = prior.eta + r * np.array([math.cos(angle), math.sin(angle)])
+                x = prior.eta[0] + r * np.array([math.cos(angle), math.sin(angle)])
                 vals.append(prior_log_evidence(x, prior, pi))
             assert max(vals) < at_eta
 
     def test_against_mc_marginalization(self):
         rng = np.random.default_rng(14)
         prior = random_nw(rng)
-        g = prior.eta + rng.normal(size=2)
+        g = prior.eta[0] + rng.normal(size=2)
         mus, lams = sample_nw_scipy(prior, rng, 1_000_000)
         dev = g - mus
         quad = np.einsum("ni,nij,nj->n", dev, lams, dev)

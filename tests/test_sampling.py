@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gneva.distributions import NormalWishartParams
 from gneva.errors import EmptyCandidatePool, RegionTooLarge, ValidationError
-from gneva.mixture import MixturePosterior
 from gneva import sampling
 from gneva.sampling import (
     CandidatePool,
@@ -18,9 +16,8 @@ from gneva.sampling import (
     generate_candidates,
     nms_select,
 )
-from gneva.special_math import SPDMatrix2
 
-from helpers import random_nw
+from helpers import nw, stack
 
 
 def brute_force_goal_selection(locations, log_probs, radius, threshold):
@@ -235,15 +232,15 @@ class TestHeadFirstSort:
 
 def small_mixture(rng, c=2):
     comps = [
-        NormalWishartParams(
+        nw(
             eta=rng.uniform(-5, 5, 2),
             beta=rng.uniform(1.0, 3.0),
-            v=SPDMatrix2(rng.uniform(0.3, 1.0), 0.0, rng.uniform(0.3, 1.0)),
+            v=(rng.uniform(0.3, 1.0), 0.0, rng.uniform(0.3, 1.0)),
             nu=rng.uniform(4.0, 8.0),
         )
         for _ in range(c)
     ]
-    return MixturePosterior.from_components(comps)
+    return stack(comps)
 
 
 class TestCandidatePool:

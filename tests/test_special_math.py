@@ -8,11 +8,12 @@ from gneva.autodiff import Var, backward, leaf
 from gneva.distributions import NormalWishartArrays
 from gneva.errors import DomainError, NotPositiveDefinite
 from gneva.special_math import (
-    SPDMatrix2,
+    check_family,
     digamma,
     log_gamma,
     log_multivariate_gamma,
     log_sum_exp,
+    spd_cholesky,
     trigamma,
 )
 
@@ -148,58 +149,24 @@ class TestLogSumExp:
         assert out == pytest.approx([math.log(2.0), 1000.0 + math.log(2.0), -math.inf], abs=1e-12)
 
 
-class TestSPDMatrix2:
-    def test_identity_factorization(self):
-        m = SPDMatrix2.identity()
-        assert m.cholesky == (1.0, 0.0, 1.0)
-        assert m.log_det == pytest.approx(0.0, abs=1e-15)
-        assert m.inverse().to_array() == pytest.approx(np.eye(2))
-
-    def test_diagonal_case(self):
-        m = SPDMatrix2(4.0, 0.0, 9.0)
-        assert m.log_det == pytest.approx(math.log(36.0), abs=1e-14)
-        assert m.inverse().a11 == pytest.approx(0.25)
-        assert m.inverse().a22 == pytest.approx(1.0 / 9.0)
-
-    def test_closed_form_offdiagonal(self):
-        m = SPDMatrix2(2.0, 1.0, 2.0)
-        assert m.log_det == pytest.approx(math.log(3.0), abs=1e-14)
-        expected_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert m.inverse().to_array() == pytest.approx(expected_inv)
-        assert (m.inverse().to_array() @ m.to_array()) == pytest.approx(np.eye(2), abs=1e-10)
-
+class TestSpdEntries:
     def test_round_trip_random(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             a = rng.normal(size=(2, 2))
             m_arr = a.T @ a + 1e-6 * np.eye(2)
-            m = SPDMatrix2.from_array(m_arr)
-            l11, l21, l22 = m.cholesky
+            l11, l21, l22 = spd_cholesky(m_arr[0, 0], 0.5 * (m_arr[0, 1] + m_arr[1, 0]), m_arr[1, 1])
             l = np.array([[l11, 0.0], [l21, l22]])
             rebuilt = l @ l.T
             assert np.max(np.abs(rebuilt - m_arr)) <= 1e-10 * max(1.0, np.max(np.abs(m_arr)))
 
     def test_cholesky_reconstruction_tolerance(self):
-        m = SPDMatrix2(3.2, -1.1, 5.6)
-        l11, l21, l22 = m.cholesky
+        m = np.array([[3.2, -1.1], [-1.1, 5.6]])
+        l11, l21, l22 = spd_cholesky(3.2, -1.1, 5.6)
         l = np.array([[l11, 0.0], [l21, l22]])
-        assert np.max(np.abs(l @ l.T - m.to_array())) < 1e-12 * np.max(np.abs(m.to_array()))
+        assert np.max(np.abs(l @ l.T - m)) < 1e-12 * np.max(np.abs(m))
 
     def test_rejects_non_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            SPDMatrix2(1.0, 2.0, 1.0)
-        with pytest.raises(NotPositiveDefinite):
-            SPDMatrix2(-1.0, 0.0, 1.0)
-        with pytest.raises(NotPositiveDefinite):
-            SPDMatrix2(0.0, 0.0, 1.0)
-        with pytest.raises(NotPositiveDefinite):
-            SPDMatrix2(math.nan, 0.0, 1.0)
-
-    def test_quad_form_and_trace_product(self):
-        m = SPDMatrix2(2.0, 0.5, 3.0)
-        x = np.array([1.3, -0.7])
-        assert m.quad_form(*x) == pytest.approx(float(x @ m.to_array() @ x), rel=1e-14)
-        other = SPDMatrix2(1.5, -0.2, 0.8)
-        assert m.trace_product(other) == pytest.approx(
-            float(np.trace(m.to_array() @ other.to_array())), rel=1e-14
-        )
+        for v in [(1.0, 2.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (math.nan, 0.0, 1.0)]:
+            with pytest.raises(NotPositiveDefinite):
+                check_family(v=np.array([v]))

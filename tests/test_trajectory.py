@@ -3,10 +3,9 @@ import pytest
 
 from gneva.cli import emit_density_grid
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame
-from gneva.distributions import NormalWishartParams
 from gneva.encoders import EncoderConfig, init_spatial_params, init_trajectory_params
+from gneva.mixture import MixturePosterior
 from gneva.sampling import NmsConfig, circle_iou
-from gneva.special_math import SPDMatrix2
 from gneva.trajectory import (
     Predictions,
     complete_trajectory,
@@ -131,16 +130,17 @@ class TestPredictionIO:
 
 class TestHotPath:
     def test_prediction_and_density_build_no_component_objects(self, tapes, tmp_path, monkeypatch):
-        # The mixture posterior stays arrays from the forward pass to the grid.
+        # The mixture posterior stays arrays from the forward pass to the grid: each
+        # scene builds one posterior holding every component, and none per component.
         spatial, traj, scenes = tapes
+        built, init = [], MixturePosterior.__init__
 
-        def forbidden(self):
-            raise AssertionError(f"built a {type(self).__name__}")
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.n_components)
 
-        monkeypatch.setattr(NormalWishartParams, "__post_init__", forbidden)
-        monkeypatch.setattr(SPDMatrix2, "__post_init__", forbidden)
-        with pytest.raises(AssertionError):
-            SPDMatrix2.identity()
+        monkeypatch.setattr(MixturePosterior, "__init__", recording)
         topk = predict_topk(scenes[0], spatial, traj, NmsConfig(k=6), ENC)
         assert len(topk) == 6
         assert emit_density_grid(spatial, ENC, scenes[1], 1.0, tmp_path / "density.csv") > 0
+        assert built == [ENC.C, ENC.C]
