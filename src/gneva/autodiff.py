@@ -456,7 +456,7 @@ class ParamTape:
     def copy(self) -> "ParamTape":
         out = ParamTape()
         for name, value in self.params.items():
-            out.add_param(name, value.copy())
+            out.add_param(name, value)  # add_param copies
         return out
 
 

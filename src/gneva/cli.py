@@ -166,6 +166,13 @@ def _report_failure(path, exc: GnevaError) -> int:
     return EXIT_VALIDATION if isinstance(exc, INPUT_ERRORS) else EXIT_NUMERICAL
 
 
+def _claim_scenario_id(first_file: dict, scenario_id: str, path) -> None:
+    """Record the file that holds `scenario_id`; a second file with the same id is refused."""
+    if scenario_id in first_file:
+        raise ValidationError(f"scenario {scenario_id!r} is also in {first_file[scenario_id]}; kept that file")
+    first_file[scenario_id] = path
+
+
 def cmd_predict(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
@@ -176,11 +183,12 @@ def cmd_predict(args, config) -> int:
     one_file = len(paths) == 1 and not out.is_dir() and out.suffix == ".json"
     if not one_file:
         out.mkdir(parents=True, exist_ok=True)
-    failures = []
+    failures, first_file = [], {}
     for path in paths:
         try:
             scenario = load_scenario(path)
             sid = scenario.scenario_id
+            _claim_scenario_id(first_file, sid, path)
             if scenario.T != horizon:
                 raise HorizonMismatch(
                     f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps"
@@ -201,17 +209,19 @@ def cmd_predict(args, config) -> int:
 def cmd_eval(args, config) -> int:
     _check_arg("--k", args.k, args.k >= 1, ">= 1")
     failures = []
-    predictions = {}
+    predictions, pred_file = {}, {}
     for path in _load_scenario_paths(args.pred):
         try:
             scenario_id, preds = load_predictions(path)
+            _claim_scenario_id(pred_file, scenario_id, path)
             predictions[scenario_id] = preds
         except GnevaError as exc:
             failures.append(_report_failure(path, exc))
-    pred_sets, gts = [], []
+    pred_sets, gts, data_file = [], [], {}
     for path in _load_scenario_paths(args.data):
         try:
             scenario = load_scenario(path)
+            _claim_scenario_id(data_file, scenario.scenario_id, path)
             if scenario.scenario_id not in predictions:
                 raise ValidationError(f"no predictions for scenario {scenario.scenario_id!r}")
             gts.append(scenario.future_waypoints())

@@ -1,12 +1,14 @@
 """Attention encoders that emit the mixture's posterior parameters.
 
 Two polyline encoders (map, agents) produce per-polyline features by a
-shared per-vector MLP and max-pooling. A context attention stack over
-[map; target; surrounding] emits the mean-posterior parameters (eta, beta)
-per component; an interaction attention stack over [target; surrounding
-observed at the horizon] emits the precision-posterior parameters (V via a
-Cholesky head, nu). A proxy head maps the context feature to mixture
-weights. All forwards run on the gradient tape, once per batch of scenes:
+shared per-vector MLP and max-pooling. One attention stack runs twice in
+the trunk: as context attention over [map; target; surrounding] and as
+interaction attention over [target; surrounding observed at the horizon],
+each giving the target's row. Heads on the trunk's rows emit the
+mean-posterior parameters (eta, beta) per component from the context row,
+the precision-posterior parameters (V via a Cholesky head, nu) from the
+interaction row, and mixture weights from their sum by a proxy head.
+All forwards run on the gradient tape, once per batch of scenes:
 the per-vector MLPs see every vector of the batch at once, and attention
 runs on the scenes' tokens padded to a common length, with padding masked
 out of the keys. Constraint layers keep every emitted parameter inside the
@@ -134,12 +136,6 @@ def _mlp(leaves, name: str, x: Var) -> Var:
     return ad.linear(h, leaves[f"{name}.l2.w"], leaves[f"{name}.l2.b"])
 
 
-def _slot(x: Var, i: int) -> Var:
-    """Token i of every scene: (..., N, hidden) -> (..., hidden)."""
-    shape = x.value.shape
-    return ad.reshape(ad.narrow(x, -2, i, 1), shape[:-2] + shape[-1:])
-
-
 @dataclass
 class EncodedScenes:
     """Pooled polyline features of a batch of scenes, padded into one token tensor.
@@ -248,27 +244,12 @@ def self_attention_block(
     )
 
 
-@dataclass
-class ContextOutputs:
-    """Target-token context features and the mean-posterior parameters."""
-
-    feature: Var  # (B, hidden)
-    eta: Var  # (B, C, 2), unconstrained target-frame meters
-    beta: Var  # (B, C), strictly positive
-
-
-def context_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> ContextOutputs:
-    """Attend over [map; target; surrounding]; emit eta and beta per component."""
-    leaves = _as_leaves(params)
-    x = enc.tokens
-    for i in range(cfg.L_c):
-        x = self_attention_block(x, leaves, cfg, f"ctx.block{i}", enc.valid)
-    target_row = _slot(x, enc.n_map)
-    head = _mlp(leaves, "ctx_head", target_row)
-    batch = head.value.shape[:-1]
-    eta = ad.reshape(ad.narrow(head, -1, 0, 2 * cfg.C), batch + (cfg.C, 2))
-    beta = ad.softplus(ad.narrow(head, -1, 2 * cfg.C, cfg.C)) + MIN_POSITIVE
-    return ContextOutputs(feature=target_row, eta=eta, beta=beta)
+def _attention_stack(x: Var, key_mask, prefix: str, n_blocks: int, slot: int, leaves, cfg: EncoderConfig) -> Var:
+    """Blocks `{prefix}0..{n_blocks - 1}` over tokens (B, N, hidden); returns the target row (B, hidden) at `slot`."""
+    for i in range(n_blocks):
+        x = self_attention_block(x, leaves, cfg, f"{prefix}{i}", key_mask)
+    shape = x.value.shape
+    return ad.reshape(ad.narrow(x, -2, slot, 1), shape[:-2] + shape[-1:])
 
 
 def _cholesky_head(raw: Var) -> Var:
@@ -279,33 +260,24 @@ def _cholesky_head(raw: Var) -> Var:
     return ad.concat([l11, l21, l22], axis=-1)
 
 
-@dataclass
-class InteractionOutputs:
-    """Target-token interaction features and the precision-posterior parameters."""
+def spatial_trunk(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig) -> tuple[Var, Var, Var]:
+    """Context and interaction target rows (B, hidden) of a batch of scenes, and their sum.
 
-    feature: Var  # (B, hidden)
-    chol: Var  # (B, C, 3) rows (l11, l21, l22) with positive diagonal
-    nu: Var  # (B, C), always > 3
-
-
-def interaction_attention(enc: EncodedScenes, params, cfg: EncoderConfig) -> InteractionOutputs:
-    """Attend over [target; surrounding observed at the horizon].
-
-    Surrounding agents without a state at step H (False in `enc.observed`)
-    and padding are masked out of the keys and cannot influence the output.
+    The context stack attends over [map; target; surrounding] with padding
+    masked out of the keys. The interaction stack attends over [target;
+    surrounding]; surrounding agents without a state at step H (False in
+    `observed`) and padding are masked out of its keys and cannot influence
+    its row. The sum is the context feature the heads and trajectory
+    completion read.
     """
     leaves = _as_leaves(params)
-    x = ad.narrow(enc.tokens, -2, enc.n_map, enc.tokens.value.shape[-2] - enc.n_map)
+    enc = encode_polylines(scenes, leaves, cfg)
+    ctx = _attention_stack(enc.tokens, enc.valid, "ctx.block", cfg.L_c, enc.n_map, leaves, cfg)
+    agents = ad.narrow(enc.tokens, -2, enc.n_map, enc.tokens.value.shape[-2] - enc.n_map)
     target = np.ones(enc.observed.shape[:-1] + (1,), dtype=bool)
     key_mask = np.concatenate([target, enc.observed], axis=-1)
-    for i in range(cfg.L_i):
-        x = self_attention_block(x, leaves, cfg, f"inter.block{i}", key_mask)
-    target_row = _slot(x, 0)
-    head = _mlp(leaves, "inter_head", target_row)
-    batch = head.value.shape[:-1]
-    chol = _cholesky_head(ad.reshape(ad.narrow(head, -1, 0, 3 * cfg.C), batch + (cfg.C, 3)))
-    nu = ad.softplus(ad.narrow(head, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR
-    return InteractionOutputs(feature=target_row, chol=chol, nu=nu)
+    inter = _attention_stack(agents, key_mask, "inter.block", cfg.L_i, 0, leaves, cfg)
+    return ctx, inter, ad.add(ctx, inter)
 
 
 def z_proxy_logits(context_feature: Var, params, cfg: EncoderConfig) -> Var:
@@ -358,18 +330,27 @@ def prior_vars(leaves) -> tuple[Var, Var, Var, Var]:
 def forward_spatial(
     scenes: VectorizedScene | Sequence[VectorizedScene], params, cfg: EncoderConfig
 ) -> SpatialForward:
-    """Full spatial pass over a batch of scenes: encoders, both attention modules, proxy, prior.
+    """Full spatial pass over a batch of scenes: the trunk, then its heads, the proxy and the prior.
 
+    The context head emits eta and beta per component from the context
+    target row, the interaction head the Cholesky rows of V and nu from the
+    interaction target row, and the proxy head the weights from their sum.
     One `VectorizedScene` is a batch of one whose outputs drop the batch
     axis. A `ParamTape` runs on constants; a leaves mapping records the graph.
     """
     single = isinstance(scenes, VectorizedScene)
     leaves = _as_leaves(params)
-    encoded = encode_polylines([scenes] if single else scenes, leaves, cfg)
-    ctx = context_attention(encoded, leaves, cfg)
-    inter = interaction_attention(encoded, leaves, cfg)
-    combined = ad.add(ctx.feature, inter.feature)
-    per_scene = (ctx.eta, ctx.beta, inter.chol, inter.nu, z_proxy_logits(combined, leaves, cfg))
+    ctx_row, inter_row, combined = spatial_trunk([scenes] if single else scenes, leaves, cfg)
+    ctx = _mlp(leaves, "ctx_head", ctx_row)
+    inter = _mlp(leaves, "inter_head", inter_row)
+    batch = ctx.value.shape[:-1]
+    per_scene = (
+        ad.reshape(ad.narrow(ctx, -1, 0, 2 * cfg.C), batch + (cfg.C, 2)),
+        ad.softplus(ad.narrow(ctx, -1, 2 * cfg.C, cfg.C)) + MIN_POSITIVE,
+        _cholesky_head(ad.reshape(ad.narrow(inter, -1, 0, 3 * cfg.C), batch + (cfg.C, 3))),
+        ad.softplus(ad.narrow(inter, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR,
+        z_proxy_logits(combined, leaves, cfg),
+    )
     if single:
         per_scene = tuple(ad.reshape(x, x.value.shape[1:]) for x in per_scene)
     eta, beta, chol, nu, logits = per_scene

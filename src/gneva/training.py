@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import ParamTape, Var, backward
 from .dataio import Scenario, vectorize
 from .distributions import NormalWishartArrays
-from .encoders import EncoderConfig, SpatialForward, forward_spatial
+from .encoders import EncoderConfig, SpatialForward, forward_spatial, spatial_trunk
 from .errors import NonFiniteLoss, ValidationError, check_config_fields
 from .mixture import elbo_terms
 from .trajectory import trajectory_forward
@@ -364,15 +364,15 @@ _CONTEXT_CHUNK = 16  # scenes per batched forward: as fast as larger chunks, a f
 def spatial_context_features(
     dataset: list[Scenario], spatial_tape: ParamTape, enc_cfg: EncoderConfig
 ) -> np.ndarray:
-    """Frozen-tape context features (n, hidden) for trajectory training.
+    """Frozen-tape context features (n, hidden) for trajectory training: the trunk's summed rows.
 
-    One batched forward per `_CONTEXT_CHUNK` scenes: a single forward over
+    One batched trunk pass per `_CONTEXT_CHUNK` scenes: a single pass over
     500 scenes would hold the intermediates of 40k map vectors at once
     (over 200 MiB).
     """
     vectors = [vectorize(s, enc_cfg) for s in dataset]
     return np.concatenate([
-        forward_spatial(vectors[i : i + _CONTEXT_CHUNK], spatial_tape, enc_cfg).context_feature.value
+        spatial_trunk(vectors[i : i + _CONTEXT_CHUNK], spatial_tape, enc_cfg)[-1].value
         for i in range(0, len(vectors), _CONTEXT_CHUNK)
     ])
 

@@ -305,6 +305,19 @@ class TestParamTape:
         assert grads["unused"].shape == (2, 3) and not grads["unused"].any()
 
 
+    def test_copy_holds_equal_values_in_its_own_memory(self):
+        tape = ParamTape()
+        rng = np.random.default_rng(8)
+        tape.add_param("w", rng.normal(size=(3, 4)))
+        tape.add_param("b", np.zeros(4))
+        copied = tape.copy()
+        assert list(copied.params) == list(tape.params)
+        for name, value in tape.params.items():
+            assert np.array_equal(copied.params[name], value) and copied.params[name].dtype == value.dtype
+            assert not np.shares_memory(copied.params[name], value), name
+        copied.params["w"][...] = 0.0
+        assert tape.params["w"].any()
+
 class TestCheckGradients:
     def test_quadratic_loss_exact(self):
         tape = ParamTape()

@@ -360,6 +360,71 @@ class TestPipeline:
         ]
         assert "no predictions for scenario" in failures[1]["message"]
 
+    def test_second_scenario_file_with_a_seen_id_is_refused_by_predict(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        good = sorted(data.glob("*.json"))[:2]
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        first = scenes / "a.json"
+        first.write_bytes(good[0].read_bytes())
+        (scenes / "c.json").write_bytes(good[1].read_bytes())
+        predict = ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+                   "--scenario", str(scenes), "--spacing", "1.0"]
+        assert run_command([*predict, "--out", str(tmp_path / "alone")]) == 0
+        doc = json.loads(good[0].read_text())
+        for agent in doc["agents"]:  # the same id on a moved scene predicts other waypoints
+            for state in agent["states"]:
+                state["x"] += 5.0
+        second = scenes / "b.json"
+        second.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "preds"
+        assert run_command([*predict, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "predicted 2 of 3" in captured.out
+        failures = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(f["file"], f["error"]) for f in failures] == [(str(second), "ValidationError")]
+        assert str(first) in failures[0]["message"]
+        for path in (tmp_path / "alone").glob("*.json"):
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    def test_second_file_with_a_seen_id_is_refused_by_eval(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for path in sorted(data.glob("*.json"))[:2]:
+            (scenes / path.name).write_bytes(path.read_bytes())
+        preds = tmp_path / "preds"
+        assert run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+                            "--scenario", str(scenes), "--spacing", "1.0", "--out", str(preds)]) == 0
+        report_path = tmp_path / "report.json"
+        eval_argv = ["eval", "--pred", str(preds), "--data", str(scenes), "--k", "3", "--out", str(report_path)]
+        assert run_command(eval_argv) == 0
+        report = report_path.read_text()
+        capsys.readouterr()
+
+        # A second prediction file for a seen scenario, with other waypoints.
+        first_pred = sorted(preds.glob("*.json"))[0]
+        doc = json.loads(first_pred.read_text())
+        for pred in doc["predictions"]:
+            pred["waypoints"] = [[x + 10.0, y] for x, y in pred["waypoints"]]
+        second_pred = preds / "zz-copy.json"
+        second_pred.write_text(json.dumps(doc))
+        # A second scenario file for a seen scenario, which would be scored twice.
+        first_scene = sorted(scenes.glob("*.json"))[0]
+        second_scene = scenes / "zz-copy.json"
+        second_scene.write_bytes(first_scene.read_bytes())
+
+        assert run_command(eval_argv) == 1
+        failures = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(f["file"], f["error"]) for f in failures] == [
+            (str(second_pred), "ValidationError"),
+            (str(second_scene), "ValidationError"),
+        ]
+        assert str(first_pred) in failures[0]["message"]
+        assert str(first_scene) in failures[1]["message"]
+        assert report_path.read_text() == report
+
     def test_horizon_mismatch_is_validation_error(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace
         doc = json.loads(sorted(data.glob("*.json"))[0].read_text())

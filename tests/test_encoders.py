@@ -8,20 +8,23 @@ from gneva import autodiff as ad
 from gneva.autodiff import Var, check_gradients
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
+    MIN_POSITIVE,
+    NU_FLOOR,
     EncoderConfig,
-    context_attention,
+    _mlp,
     encode_polylines,
     forward_spatial,
     init_spatial_params,
     init_trajectory_params,
-    interaction_attention,
     load_spatial_model,
     load_trajectory_model,
     save_model,
     self_attention_block,
+    spatial_trunk,
     z_proxy_logits,
 )
 from gneva.errors import ShapeMismatch, ValidationError
+from gneva.training import spatial_context_features
 
 from helpers import emitted_components
 
@@ -168,42 +171,43 @@ class TestSelfAttentionBlock:
 
 class TestContextAttention:
     def test_output_shapes_and_positivity(self, tape, scene):
-        enc = encode_polylines([scene], tape, CFG)
-        out = context_attention(enc, tape, CFG)
+        out = forward_spatial([scene], tape, CFG)
         assert out.eta.value.shape == (1, CFG.C, 2)
         assert out.beta.value.shape == (1, CFG.C)
         assert np.all(out.beta.value > 0.0)
-        assert out.feature.value.shape == (1, CFG.hidden)
+        ctx_row, _, _ = spatial_trunk([scene], tape, CFG)
+        assert ctx_row.value.shape == (1, CFG.hidden)
 
     def test_beta_positive_for_adversarial_tape(self, scene):
         t = init_spatial_params(CFG, seed=8)
         for name in t.params:
             if name.startswith("ctx_head"):
                 t.params[name][...] = -50.0
-        enc = encode_polylines([scene], t, CFG)
-        out = context_attention(enc, t, CFG)
+        out = forward_spatial([scene], t, CFG)
         assert np.all(out.beta.value > 0.0)
 
     def test_deterministic(self, tape, scene):
-        enc = encode_polylines([scene], tape, CFG)
-        a = context_attention(enc, tape, CFG).eta.value
-        enc2 = encode_polylines([scene], tape, CFG)
-        b = context_attention(enc2, tape, CFG).eta.value
-        assert np.array_equal(a, b)
+        a = spatial_trunk([scene], tape, CFG)
+        b = spatial_trunk([scene], tape, CFG)
+        for row_a, row_b in zip(a, b):
+            assert np.array_equal(row_a.value, row_b.value)
+        etas = [forward_spatial([scene], tape, CFG).eta.value for _ in range(2)]
+        assert np.array_equal(*etas)
 
 
 class TestInteractionAttention:
     def test_masked_agents_have_no_influence(self, tape, scene):
         import dataclasses
 
-        enc = encode_polylines([scene], tape, CFG)
-        n = enc.observed.shape[1]
-        assert n >= 1
-        masked = dataclasses.replace(enc, observed=np.zeros_like(enc.observed))  # mask out everything
-        base = interaction_attention(masked, tape, CFG)
-        poisoned = enc.tokens.value.copy()
-        poisoned[:, enc.n_map + 1 :] += 1000.0
-        alt = interaction_attention(dataclasses.replace(masked, tokens=Var(poisoned)), tape, CFG)
+        assert len(scene.surrounding) >= 1
+        masked = dataclasses.replace(scene, surrounding_observed=np.zeros(len(scene.surrounding), bool))
+        poisoned = dataclasses.replace(masked, surrounding=[vs + 1000.0 for vs in masked.surrounding])
+        base_ctx, base_inter, _ = spatial_trunk([masked], tape, CFG)
+        alt_ctx, alt_inter, _ = spatial_trunk([poisoned], tape, CFG)
+        assert not np.array_equal(base_ctx.value, alt_ctx.value)  # the context stack sees every agent
+        assert np.array_equal(base_inter.value, alt_inter.value)
+        base = forward_spatial([masked], tape, CFG)
+        alt = forward_spatial([poisoned], tape, CFG)
         assert np.array_equal(base.chol.value, alt.chol.value)
         assert np.array_equal(base.nu.value, alt.nu.value)
 
@@ -216,10 +220,8 @@ class TestInteractionAttention:
                 t.params[name][...] = np.random.default_rng(10).normal(
                     scale=30.0, size=t.params[name].shape
                 )
-        enc = encode_polylines([scene], t, CFG)
-        out = interaction_attention(
-            dataclasses.replace(enc, observed=np.ones_like(enc.observed)), t, CFG
-        )
+        seen = dataclasses.replace(scene, surrounding_observed=np.ones(len(scene.surrounding), bool))
+        out = forward_spatial([seen], t, CFG)
         chol = out.chol.value
         assert np.all(chol[..., 0] > 0.0) and np.all(chol[..., 2] > 0.0)
         dets = (chol[..., 0] * chol[..., 2]) ** 2
@@ -258,6 +260,62 @@ class TestZProxy:
 
         report = check_gradients(t, loss, tolerance=1e-4, n_samples=200, seed=17)
         assert report.passed, report.failures[:3]
+
+
+def padded_batch(scene):
+    """Three scenes of different sizes: padding in every slot group, and an agent unobserved at step H."""
+    import dataclasses
+
+    straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
+    busier = dataclasses.replace(
+        scene,
+        map_polylines=scene.map_polylines + [p + 1.0 for p in scene.map_polylines],
+        surrounding=scene.surrounding + [scene.target + 2.0, scene.target - 3.0],
+        surrounding_observed=np.append(scene.surrounding_observed, [True, False]),
+    )
+    return [straight, busier, scene]
+
+
+def reference_forward(scenes, leaves, cfg: EncoderConfig) -> dict:
+    """The spatial forward composed block by block, context module then interaction module, then the proxy."""
+    enc = encode_polylines(scenes, leaves, cfg)
+    b, c = len(scenes), cfg.C
+    x = enc.tokens
+    for i in range(cfg.L_c):
+        x = self_attention_block(x, leaves, cfg, f"ctx.block{i}", enc.valid)
+    ctx_row = ad.reshape(ad.narrow(x, -2, enc.n_map, 1), (b, cfg.hidden))
+    head = _mlp(leaves, "ctx_head", ctx_row)
+    eta = ad.reshape(ad.narrow(head, -1, 0, 2 * c), (b, c, 2))
+    beta = ad.softplus(ad.narrow(head, -1, 2 * c, c)) + MIN_POSITIVE
+    x = ad.narrow(enc.tokens, -2, enc.n_map, enc.tokens.value.shape[-2] - enc.n_map)
+    key_mask = np.concatenate([np.ones((b, 1), bool), enc.observed], axis=-1)
+    for i in range(cfg.L_i):
+        x = self_attention_block(x, leaves, cfg, f"inter.block{i}", key_mask)
+    inter_row = ad.reshape(ad.narrow(x, -2, 0, 1), (b, cfg.hidden))
+    head = _mlp(leaves, "inter_head", inter_row)
+    raw = ad.reshape(ad.narrow(head, -1, 0, 3 * c), (b, c, 3))
+    chol = ad.concat(
+        [
+            ad.softplus(ad.narrow(raw, -1, 0, 1)) + MIN_POSITIVE,
+            ad.narrow(raw, -1, 1, 1),
+            ad.softplus(ad.narrow(raw, -1, 2, 1)) + MIN_POSITIVE,
+        ],
+        axis=-1,
+    )
+    nu = ad.softplus(ad.narrow(head, -1, 3 * c, c)) + NU_FLOOR
+    feature = ad.add(ctx_row, inter_row)
+    logits = _mlp(leaves, "zproxy", feature)
+    return dict(eta=eta, beta=beta, chol=chol, nu=nu, weights_logits=logits, context_feature=feature)
+
+
+def weighted_sum(outputs: dict, seed: int) -> Var:
+    """A scalar loss that reaches every output through its own random weights."""
+    rng = np.random.default_rng(seed)
+    terms = [ad.vsum(ad.mul(outputs[n], Var(rng.normal(size=outputs[n].value.shape)))) for n in sorted(outputs)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
 
 
 class TestForwardSpatial:
@@ -303,16 +361,7 @@ class TestForwardSpatial:
     def test_padding_invariance(self, tape, scene):
         # A scene's emitted parameters do not change when it is batched with
         # scenes that have more polylines or more agents.
-        import dataclasses
-
-        straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
-        busier = dataclasses.replace(
-            scene,
-            map_polylines=scene.map_polylines + [p + 1.0 for p in scene.map_polylines],
-            surrounding=scene.surrounding + [scene.target + 2.0, scene.target - 3.0],
-            surrounding_observed=np.append(scene.surrounding_observed, [True, False]),
-        )
-        batch = [straight, busier, scene]
+        batch = padded_batch(scene)
         fw = forward_spatial(batch, tape, CFG)
         assert fw.eta.value.shape == (3, CFG.C, 2)
         assert fw.context_feature.value.shape == (3, CFG.hidden)
@@ -337,6 +386,50 @@ class TestForwardSpatial:
         # The other scene of the batch sees nothing of either.
         for name in ("eta", "beta", "chol", "nu", "weights"):
             assert np.array_equal(getattr(base, name).value[1], getattr(alt, name).value[1]), name
+
+
+    REFERENCE_OUTPUTS = ("eta", "beta", "chol", "nu", "weights_logits", "context_feature")
+
+    def test_equals_the_reference_composition_byte_for_byte(self, tape, scene):
+        batch = padded_batch(scene)
+        assert not np.concatenate([vs.surrounding_observed for vs in batch]).all()
+        fw = forward_spatial(batch, tape, CFG)
+        ref = reference_forward(batch, tape.constants(), CFG)
+        one = forward_spatial(scene, tape, CFG)
+        ref_one = reference_forward([scene], tape.constants(), CFG)
+        for name in self.REFERENCE_OUTPUTS:
+            got, want = getattr(fw, name).value, ref[name].value
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            got, want = getattr(one, name).value, ref_one[name].value
+            want = want if name == "context_feature" else want[0]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_gradients_equal_the_reference_composition_byte_for_byte(self, scene):
+        small = EncoderConfig(hidden=32, n_heads=2, C=3, L_c=2, L_i=2)
+        t = init_spatial_params(small, seed=19)
+        batch = [vectorize(to_target_frame(s)[0], small) for s in synth_generate(SynthConfig(n=3, seed=21), "merge")]
+        grads = []
+        for reference in (False, True):
+            leaves = t.leaves()
+            if reference:
+                outputs = reference_forward(batch, leaves, small)
+            else:
+                fw = forward_spatial(batch, leaves, small)
+                outputs = {name: getattr(fw, name) for name in self.REFERENCE_OUTPUTS}
+            ad.backward(weighted_sum(outputs, seed=20))
+            grads.append(ad.leaf_gradients(leaves))
+        for name in t.params:
+            assert grads[0][name].tobytes() == grads[1][name].tobytes(), name
+
+    def test_context_features_are_the_trunk_sum_byte_for_byte(self, tape):
+        projected = [
+            to_target_frame(s)[0]
+            for kind, seed in (("merge", 21), ("straight", 22), ("turn", 23))
+            for s in synth_generate(SynthConfig(n=1, seed=seed), kind)
+        ]
+        got = spatial_context_features(projected, tape, CFG)
+        want = forward_spatial([vectorize(p, CFG) for p in projected], tape, CFG).context_feature.value
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSerialization:
