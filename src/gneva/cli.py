@@ -43,7 +43,7 @@ from .errors import (
     RegionTooLarge,
     ValidationError,
 )
-from .metrics import displacement_metrics
+from .metrics import MetricReport, scenario_displacement
 from .sampling import NmsConfig, generate_candidates, scene_region
 from .trajectory import (
     load_predictions,
@@ -159,11 +159,17 @@ def _save_trained(args, tape, history, enc_cfg, n_scenes: int) -> int:
     return EXIT_OK
 
 
-def _report_failure(path, exc: GnevaError) -> int:
-    """Print a file's failure as one JSON line on stderr; return its exit code."""
-    failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(failure), file=sys.stderr)
-    return EXIT_VALIDATION if isinstance(exc, INPUT_ERRORS) else EXIT_NUMERICAL
+def _for_each_file(paths, step) -> list[int]:
+    """Run `step` on each path; a `GnevaError` costs only its file: one JSON line on stderr, its exit code kept."""
+    failures = []
+    for path in paths:
+        try:
+            step(path)
+        except GnevaError as exc:
+            failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
+            print(json.dumps(failure), file=sys.stderr)
+            failures.append(EXIT_VALIDATION if isinstance(exc, INPUT_ERRORS) else EXIT_NUMERICAL)
+    return failures
 
 
 def _claim_scenario_id(first_file: dict, scenario_id: str, path) -> None:
@@ -183,53 +189,48 @@ def cmd_predict(args, config) -> int:
     one_file = len(paths) == 1 and not out.is_dir() and out.suffix == ".json"
     if not one_file:
         out.mkdir(parents=True, exist_ok=True)
-    failures, first_file = [], {}
-    for path in paths:
-        try:
-            scenario = load_scenario(path)
-            sid = scenario.scenario_id
-            _claim_scenario_id(first_file, sid, path)
-            if scenario.T != horizon:
-                raise HorizonMismatch(
-                    f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps"
-                )
-            projected, transform = to_target_frame(scenario)
-            topk = predict_topk(
-                projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing
-            )
-            target = out if one_file else out / f"{sid}.json"
-            save_predictions(target, sid, predictions_to_world(topk, transform))
-        except GnevaError as exc:
-            # One bad scenario must not cost the others their predictions.
-            failures.append(_report_failure(path, exc))
+    first_file = {}
+
+    def predict_one(path) -> None:
+        scenario = load_scenario(path)
+        sid = scenario.scenario_id
+        _claim_scenario_id(first_file, sid, path)
+        if scenario.T != horizon:
+            raise HorizonMismatch(f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps")
+        projected, transform = to_target_frame(scenario)
+        topk = predict_topk(projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing)
+        save_predictions(out if one_file else out / f"{sid}.json", sid, predictions_to_world(topk, transform))
+
+    failures = _for_each_file(paths, predict_one)
     print(f"predicted {len(paths) - len(failures)} of {len(paths)} scenario(s)")
     return failures[0] if failures else EXIT_OK
 
 
 def cmd_eval(args, config) -> int:
     _check_arg("--k", args.k, args.k >= 1, ">= 1")
-    failures = []
-    predictions, pred_file = {}, {}
-    for path in _load_scenario_paths(args.pred):
+    predictions, pred_file, scores, data_file = {}, {}, [], {}
+
+    def load_one(path) -> None:
+        scenario_id, preds = load_predictions(path)
+        _claim_scenario_id(pred_file, scenario_id, path)
+        predictions[scenario_id] = preds
+
+    def score_one(path) -> None:
+        scenario = load_scenario(path)
+        sid = scenario.scenario_id
+        _claim_scenario_id(data_file, sid, path)
+        if sid not in predictions:
+            raise ValidationError(f"no predictions for scenario {sid!r}")
+        gt = scenario.future_waypoints()
         try:
-            scenario_id, preds = load_predictions(path)
-            _claim_scenario_id(pred_file, scenario_id, path)
-            predictions[scenario_id] = preds
-        except GnevaError as exc:
-            failures.append(_report_failure(path, exc))
-    pred_sets, gts, data_file = [], [], {}
-    for path in _load_scenario_paths(args.data):
-        try:
-            scenario = load_scenario(path)
-            _claim_scenario_id(data_file, scenario.scenario_id, path)
-            if scenario.scenario_id not in predictions:
-                raise ValidationError(f"no predictions for scenario {scenario.scenario_id!r}")
-            gts.append(scenario.future_waypoints())
-            pred_sets.append(predictions[scenario.scenario_id].waypoints)
-        except GnevaError as exc:
-            failures.append(_report_failure(path, exc))
-    if pred_sets:
-        report = displacement_metrics(pred_sets, gts, k=args.k)
+            scores.append(scenario_displacement(predictions[sid].waypoints, gt, args.k))
+        except (ValidationError, HorizonMismatch) as exc:
+            raise type(exc)(f"{pred_file[sid]}: scenario {sid!r}: {exc}") from exc
+
+    failures = _for_each_file(_load_scenario_paths(args.pred), load_one)
+    failures += _for_each_file(_load_scenario_paths(args.data), score_one)
+    if scores:
+        report = MetricReport.average(scores, args.k)
         print(report.to_text())
         if args.out:
             Path(args.out).write_text(report.to_json())

@@ -12,6 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -168,17 +169,48 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-_STATE_FIELDS = operator.itemgetter("t", "x", "y", "heading", "vx", "vy")
+_STATE_KEYS = ("t", "x", "y", "heading", "vx", "vy")
+_STATE_FIELDS = operator.itemgetter(*_STATE_KEYS)
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a bool is neither
+_STEP_BOUND = 2.0**53  # below it a float64 holds every integer, so a step index reads exactly
+
+
+def number_table(rows, what: str, columns=None) -> np.ndarray:
+    """Rows of JSON numbers as a float array; a value of any other type, bools included, is refused.
+
+    The message names the first such value as `what`, its row index and, given `columns`, its column's name.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        cells = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row))
+        i, j, v = next(cell for cell in cells if type(cell[2]) not in _NUMBER_TYPES)
+        raise ValueError(f"{what} {i}{f' {columns[j]!r}' if columns else ''} must be a number, got {v!r}")
+    return np.array(rows, dtype=float)
+
+
+def _scalar(doc: dict, key: str, integer: bool = False):
+    """`doc[key]` as a float, or as an int when `integer`; a non-number or a non-integral integer is refused."""
+    value = doc[key]
+    if type(value) not in _NUMBER_TYPES or (integer and type(value) is float and not value.is_integer()):
+        raise ValueError(f"{key!r} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _parse_track(raw) -> AgentTrack:
-    """An agent from its JSON object, each state's six fields looked up in one call."""
+    """An agent from its JSON object: each state's six fields looked up in one call, all states in one table."""
     track_id, kind = str(raw["id"]), str(raw["kind"])
-    steps, rows = [], []
-    for t, x, y, heading, vx, vy in map(_STATE_FIELDS, raw["states"]):
-        steps.append(int(t))
-        rows.append((float(x), float(y), float(heading), float(vx), float(vy)))
-    return AgentTrack(track_id, kind, steps, rows)
+    states = list(map(_STATE_FIELDS, raw["states"]))
+    table = number_table(states, f"agent {track_id!r} state", _STATE_KEYS).reshape(-1, 6)
+    steps = table[:, 0]
+    whole = (steps == np.trunc(steps)) & (np.abs(steps) < _STEP_BOUND)
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValueError(f"agent {track_id!r} state {i} 't' must be an integer within +-2**53, got {states[i][0]!r}")
+    return AgentTrack(track_id, kind, steps.astype(np.int64), np.ascontiguousarray(table[:, 1:]))
+
+
+def _parse_polyline(raw) -> MapPolyline:
+    poly_id, kind = str(raw["id"]), str(raw["kind"])
+    return MapPolyline(poly_id, kind, number_table(raw["points"], f"polyline {poly_id!r} point"))
 
 
 def load_scenario(path) -> Scenario:
@@ -199,15 +231,12 @@ def load_scenario(path) -> Scenario:
             )
         scenario = Scenario(
             scenario_id=str(doc["scenario_id"]),
-            dt=float(doc["dt"]),
-            H=int(doc["H"]),
-            T=int(doc["T"]),
+            dt=_scalar(doc, "dt"),
+            H=_scalar(doc, "H", integer=True),
+            T=_scalar(doc, "T", integer=True),
             target_id=str(doc["target_id"]),
             agents=[_parse_track(a) for a in doc["agents"]],
-            map=[
-                MapPolyline(id=str(p["id"]), kind=str(p["kind"]), points=p["points"])
-                for p in doc["map"]
-            ],
+            map=[_parse_polyline(p) for p in doc["map"]],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,16 +20,21 @@ class MetricReport:
     k: int
     n_scenarios: int
 
+    @classmethod
+    def average(cls, scores, k: int) -> "MetricReport":
+        """The mean of per-scenario `(ade, fde)` pairs from `scenario_displacement`."""
+        ades, fdes = zip(*scores)
+        with np.errstate(over="ignore"):  # a mean beyond float range counts as inf
+            return cls(
+                made_k=float(np.mean(ades)),
+                mfde_k=float(np.mean(fdes)),
+                miss_rate_k=float(np.mean([1.0 if fde > MISS_THRESHOLD_M else 0.0 for fde in fdes])),
+                k=k,
+                n_scenarios=len(scores),
+            )
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "made_k": self.made_k,
-                "mfde_k": self.mfde_k,
-                "miss_rate_k": self.miss_rate_k,
-                "k": self.k,
-                "n_scenarios": self.n_scenarios,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def to_text(self) -> str:
         rows = [
@@ -42,44 +47,36 @@ class MetricReport:
         return "\n".join(f"{a:<{width}}  {b}" for a, b in rows)
 
 
+def scenario_displacement(trajectories, ground_truth, k: int) -> tuple[float, float]:
+    """One scenario's minADE_k and minFDE_k, each minimised independently over the first k trajectories.
+
+    The scenario needs at least k trajectories, each of the ground truth's
+    (T, 2) shape.
+    """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if len(trajectories) < k:
+        raise ValidationError(f"need at least k={k} trajectories, got {len(trajectories)}")
+    gt = np.asarray(ground_truth, dtype=float)
+    for traj in trajectories[:k]:
+        if np.shape(traj) != gt.shape:
+            raise HorizonMismatch(f"prediction horizon {np.shape(traj)} does not match ground truth {gt.shape}")
+    with np.errstate(over="ignore"):  # an error beyond float range counts as inf
+        diff = np.asarray(trajectories[:k], dtype=float) - gt
+        err = np.hypot(diff[..., 0], diff[..., 1])  # (k, T)
+        return float(err.mean(axis=1).min()), float(err[:, -1].min())
+
+
 def displacement_metrics(predictions, ground_truth, k: int) -> MetricReport:
     """mADE_k, mFDE_k and the 2 m miss rate averaged over scenarios.
 
     `predictions` holds, per scenario, at least k trajectories of shape
-    (T, 2); `ground_truth` the matching (T, 2) future. The minima over the
-    first k trajectories are taken independently for ADE and FDE.
+    (T, 2); `ground_truth` the matching (T, 2) future.
     """
     if len(predictions) != len(ground_truth):
-        raise ValidationError(
-            f"{len(predictions)} prediction sets vs {len(ground_truth)} ground truths"
-        )
+        raise ValidationError(f"{len(predictions)} prediction sets vs {len(ground_truth)} ground truths")
     if not predictions:
         raise ValidationError("no scenarios to evaluate")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    ades, fdes, misses = [], [], []
-    with np.errstate(over="ignore"):  # an error beyond float range counts as inf
-        for trajs, gt in zip(predictions, ground_truth):
-            gt = np.asarray(gt, dtype=float)
-            if len(trajs) < k:
-                raise ValidationError(f"need at least k={k} trajectories, got {len(trajs)}")
-            per_ade, per_fde = [], []
-            for traj in list(trajs)[:k]:
-                traj = np.asarray(traj, dtype=float)
-                if traj.shape != gt.shape:
-                    raise HorizonMismatch(
-                        f"prediction horizon {traj.shape} does not match ground truth {gt.shape}"
-                    )
-                err = np.hypot(*(traj - gt).T)
-                per_ade.append(float(err.mean()))
-                per_fde.append(float(err[-1]))
-            ades.append(min(per_ade))
-            fdes.append(min(per_fde))
-            misses.append(1.0 if min(per_fde) > MISS_THRESHOLD_M else 0.0)
-        return MetricReport(
-            made_k=float(np.mean(ades)),
-            mfde_k=float(np.mean(fdes)),
-            miss_rate_k=float(np.mean(misses)),
-            k=k,
-            n_scenarios=len(predictions),
-        )
+    return MetricReport.average(
+        [scenario_displacement(trajs, gt, k) for trajs, gt in zip(predictions, ground_truth)], k
+    )

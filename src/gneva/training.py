@@ -385,10 +385,14 @@ def train_trajectory(
     enc_cfg: EncoderConfig,
 ) -> tuple[ParamTape, TrainHistory]:
     """Train the trajectory head, teacher-forced on ground-truth goals."""
-    contexts = spatial_context_features(dataset, spatial_tape, enc_cfg)
     horizon = dataset[0].T
-    if any(s.T != horizon for s in dataset):
-        raise ValidationError("trajectory training needs a homogeneous prediction horizon")
+    odd = next((s for s in dataset if s.T != horizon), None)
+    if odd is not None:
+        raise ValidationError(
+            f"trajectory training needs one prediction horizon: scenario {odd.scenario_id!r} has T={odd.T}, "
+            f"scenario {dataset[0].scenario_id!r} has T={horizon}"
+        )
+    contexts = spatial_context_features(dataset, spatial_tape, enc_cfg)
     ids = [s.scenario_id for s in dataset]
     goals = np.stack([s.goal() for s in dataset])
     futures = np.stack([s.future_waypoints() for s in dataset])

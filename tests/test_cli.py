@@ -360,6 +360,35 @@ class TestPipeline:
         ]
         assert "no predictions for scenario" in failures[1]["message"]
 
+        # A prediction file with fewer than k trajectories, and one whose waypoints stop a step short:
+        # each costs only its scenario, and its line names the prediction file and the scenario.
+        bad_pred.unlink()
+        predict = ["predict", *models, "--scenario", str(scenes), "--spacing", "1.0", "--out", str(preds)]
+        assert run_command(predict) == 1
+        few, short = preds / f"{good[0].stem}.json", preds / f"{good[1].stem}.json"
+        doc = json.loads(few.read_text())
+        doc["predictions"] = doc["predictions"][:2]
+        few.write_text(json.dumps(doc))
+        doc = json.loads(short.read_text())
+        for prediction in doc["predictions"]:
+            prediction["waypoints"] = prediction["waypoints"][:-1]
+        short.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_command(eval_argv) == 1
+        captured = capsys.readouterr()
+        assert "mADE" in captured.out
+        assert json.loads(report_path.read_text())["n_scenarios"] == 1
+        failures = [json.loads(line) for line in captured.err.splitlines()]
+        assert [(f["file"], f["error"]) for f in failures] == [
+            (str(scenes / good[0].name), "ValidationError"),
+            (str(scenes / good[1].name), "HorizonMismatch"),
+            (str(truncated), "ParseError"),
+        ]
+        assert "need at least k=3 trajectories, got 2" in failures[0]["message"]
+        assert "prediction horizon (29, 2) does not match ground truth (30, 2)" in failures[1]["message"]
+        for failure, pred, scene in zip(failures, (few, short), good):
+            assert str(pred) in failure["message"] and repr(scene.stem) in failure["message"]
+
     def test_second_scenario_file_with_a_seen_id_is_refused_by_predict(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace
         good = sorted(data.glob("*.json"))[:2]
@@ -593,6 +622,97 @@ class TestNumericArguments:
         assert code == 1 and caught == []
         failure = json.loads(capsys.readouterr().err.splitlines()[0])
         assert failure["file"] == str(preds / scenario.name) and "finite" in failure["message"]
+
+
+def _set_state(field, value):
+    return lambda doc: doc["agents"][0]["states"][3].__setitem__(field, value)
+
+
+def _set_first_point(value):
+    return lambda doc: doc["map"][1]["points"][0].__setitem__(1, value)
+
+
+class TestStrictNumbers:
+    """Every value of a scenario or prediction file is a JSON number, and steps and horizons are integers."""
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (_set_state("x", "5"), "agent 'target' state 3 'x' must be a number, got '5'"),
+            (_set_state("x", True), "agent 'target' state 3 'x' must be a number, got True"),
+            (_set_state("heading", False), "agent 'target' state 3 'heading' must be a number, got False"),
+            (_set_state("vy", [1.0]), "agent 'target' state 3 'vy' must be a number, got [1.0]"),
+            (_set_state("t", "4"), "agent 'target' state 3 't' must be a number, got '4'"),
+            (_set_state("t", 12.9), "agent 'target' state 3 't' must be an integer within +-2**53, got 12.9"),
+            (_set_state("t", 2**53),
+             "agent 'target' state 3 't' must be an integer within +-2**53, got 9007199254740992"),
+            (lambda doc: doc.__setitem__("dt", "0.1"), "'dt' must be a number, got '0.1'"),
+            (lambda doc: doc.__setitem__("dt", True), "'dt' must be a number, got True"),
+            (lambda doc: doc.__setitem__("H", 10.7), "'H' must be an integer, got 10.7"),
+            (lambda doc: doc.__setitem__("H", True), "'H' must be an integer, got True"),
+            (lambda doc: doc.__setitem__("T", "30"), "'T' must be an integer, got '30'"),
+            (lambda doc: doc.__setitem__("T", 29.5), "'T' must be an integer, got 29.5"),
+            (_set_first_point("5"), "polyline 'lane0-left' point 0 must be a number, got '5'"),
+            (_set_first_point(True), "polyline 'lane0-left' point 0 must be a number, got True"),
+        ],
+        ids=["x-text", "x-true", "heading-false", "vy-list", "t-text", "t-fraction", "t-2**53", "dt-text",
+             "dt-true", "H-fraction", "H-true", "T-text", "T-fraction", "point-text", "point-true"],
+    )
+    def test_scenario_non_number_exits_1_naming_file_and_field(self, tmp_path, capsys, mutate, named):
+        # Each was read as a number (H=10.7 as 10), or a fractional step misreported as non-increasing.
+        data = tmp_path / "data"
+        assert run_command(["synth", "--kind", "straight", "--n", "1", "--seed", "4", "--out", str(data)]) == 0
+        (path,) = data.glob("*.json")
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, caught = _run_quietly(["mask-map", "--scenario", str(path), "--radius", "5",
+                                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and caught == [] and not (tmp_path / "out.json").exists()
+        assert f"{path}: malformed field: {named}" in err, err
+
+    def test_integral_floats_read_as_the_integers(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_command(["synth", "--kind", "straight", "--n", "1", "--seed", "4", "--out", str(data)]) == 0
+        (path,) = data.glob("*.json")
+        doc = json.loads(path.read_text())
+        doc["H"], doc["T"] = float(doc["H"]), float(doc["T"])
+        for state in doc["agents"][0]["states"]:
+            state["t"] = float(state["t"])
+        floats = tmp_path / "floats.json"
+        floats.write_text(json.dumps(doc))
+        a, b = load_scenario(path), load_scenario(floats)
+        assert (a.H, a.T) == (b.H, b.T) and type(b.H) is int and type(b.T) is int
+        assert np.array_equal(a.agents[0].steps, b.agents[0].steps) and b.agents[0].steps.dtype == np.int64
+        assert a.agents[0].rows.tobytes() == b.agents[0].rows.tobytes()
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda p: p.__setitem__("goal_log_prob", "-3.5"), "prediction 2 'goal_log_prob' must be a number, got '-"),
+            (lambda p: p.__setitem__("goal_log_prob", True), "prediction 2 'goal_log_prob' must be a number, got True"),
+            (lambda p: p["waypoints"][4].__setitem__(0, "1.0"), "prediction 2 waypoint 4 must be a number, got '1.0'"),
+            (lambda p: p["waypoints"][4].__setitem__(1, False), "prediction 2 waypoint 4 must be a number, got False"),
+        ],
+        ids=["log-prob-text", "log-prob-true", "waypoint-text", "waypoint-false"],
+    )
+    def test_prediction_non_number_exits_1_naming_file_and_field(self, workspace, tmp_path, capsys, mutate, named):
+        root, config, data, spatial, traj = workspace
+        scenario = sorted(data.glob("*.json"))[0]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        save_predictions(preds / scenario.name, scenario.stem, Predictions(np.zeros((6, 30, 2)), np.zeros(6)))
+        doc = json.loads((preds / scenario.name).read_text())
+        mutate(doc["predictions"][2])
+        (preds / scenario.name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, caught = _run_quietly(["eval", "--pred", str(preds), "--data", str(scenario)])
+        assert code == 1 and caught == []
+        failures = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert failures[0]["file"] == str(preds / scenario.name) and failures[0]["error"] == "ValidationError"
+        assert named in failures[0]["message"]
 
 
 class TestConfigValues:

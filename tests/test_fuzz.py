@@ -2,9 +2,12 @@
 
 Documents: each example takes one valid scenario, model or prediction
 document and breaks it in one place: a dropped field, a value of the wrong
-type, NaN or Infinity, a huge integer, a non-increasing step index, or
+type, NaN or Infinity, a huge integer, a non-increasing step index, a
+scenario number given as text, a bool or a fractional step or horizon, or
 lists of mismatched lengths. The loaders may accept the result or raise a
-`GnevaError`, and the command that reads it exits 0, 1 or 2.
+`GnevaError`, and the command that reads it exits 0, 1 or 2. A scenario
+number given as text, a bool or a fraction is always a `ParseError` naming
+the file and the field.
 
 Arguments: each example runs one subcommand with one numeric flag, or one
 `--set` config key, set to zero, a negative, nan, inf, a huge number or a
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from gneva.cli import run_command
 from gneva.dataio import load_scenario
 from gneva.encoders import EncoderConfig, load_spatial_model, load_trajectory_model
-from gneva.errors import GnevaError
+from gneva.errors import GnevaError, ParseError
 from gneva.training import TrainConfig
 
 TINY = ["--set", "encoder.hidden=16", "--set", "encoder.n_heads=2", "--set", "encoder.C=2",
@@ -60,12 +63,36 @@ def base(tmp_path_factory):
     return sorted((root / "data").glob("*.json"))[0], spatial, traj, root
 
 
+def numeric_leaves(doc):
+    """(container, key) of every number in a scenario document but its format_version."""
+    leaves = [(doc, key) for key in ("dt", "H", "T")]
+    leaves += [(state, key) for agent in doc["agents"] for state in agent["states"] for key in state]
+    return leaves + [(point, i) for poly in doc["map"] for point in poly["points"] for i in range(len(point))]
+
+
+def break_a_number(draw, doc):
+    """Replace one number of a scenario document by its text or a bool, or a step or horizon by a fraction.
+
+    Returns the key of the value replaced.
+    """
+    parent, key = draw(st.sampled_from(numeric_leaves(doc)))
+    choices = [str(parent[key]), True, False]
+    if key in ("t", "H", "T"):
+        choices.append(parent[key] + draw(st.sampled_from([0.5, -0.25, 1e-9])))
+    parent[key] = draw(st.sampled_from(choices))
+    return key
+
+
 @st.composite
 def mutated(draw, path):
     """The JSON document at `path` with one place broken: a value replaced or dropped, or a scenario's step
-    index repeated."""
+    index repeated or one of its numbers made a string, a bool or a fraction."""
     doc = json.loads(path.read_text())
-    kind = draw(st.sampled_from(["replace", "drop", "repeat-step"] if "agents" in doc else ["replace", "drop"]))
+    kinds = ["replace", "drop", "repeat-step", "non-number"] if "agents" in doc else ["replace", "drop"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "non-number":
+        break_a_number(draw, doc)
+        return doc
     if kind == "repeat-step":
         states = doc["agents"][draw(st.integers(0, len(doc["agents"]) - 1))]["states"]
         i, j = draw(st.integers(0, len(states) - 1)), draw(st.integers(0, len(states) - 1))
@@ -98,6 +125,20 @@ def test_load_scenario_raises_only_gneva_errors(base, tmp_path, data):
         load_scenario(path)
     except GnevaError:
         pass
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=100)
+def test_load_scenario_refuses_every_non_number_naming_the_file_and_field(base, tmp_path, data):
+    doc = json.loads(base[0].read_text())
+    key = break_a_number(data.draw, doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as caught:
+        load_scenario(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: malformed field: ")
+    assert (repr(key) if isinstance(key, str) else "point") in message, message
 
 
 @given(data=st.data())

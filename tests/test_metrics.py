@@ -1,3 +1,7 @@
+import json
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from gneva.dataio import RigidTransform
 from gneva.errors import HorizonMismatch, ValidationError
-from gneva.metrics import displacement_metrics
+from gneva.metrics import MISS_THRESHOLD_M, displacement_metrics, scenario_displacement
 
 
 def straight_gt(t=30):
@@ -95,7 +99,60 @@ class TestDisplacementMetrics:
         gt = straight_gt()
         report = displacement_metrics([[gt + 1.0]], [gt], k=1)
         assert "mADE" in report.to_text()
-        import json
-
         doc = json.loads(report.to_json())
         assert doc["k"] == 1 and doc["n_scenarios"] == 1
+
+    def test_report_json_keys_in_field_order(self):
+        gt = straight_gt()
+        report = displacement_metrics([[gt + 1.0, gt - 3.0]], [gt], k=2)
+        fields = ("made_k", "mfde_k", "miss_rate_k", "k", "n_scenarios")
+        assert report.to_json() == json.dumps({name: getattr(report, name) for name in fields})
+
+
+def reference_metrics(predictions, ground_truth, k):
+    """mADE_k, mFDE_k and miss rate with one error array per trajectory: the reference for `displacement_metrics`."""
+    ades, fdes = [], []
+    for trajs, gt in zip(predictions, ground_truth):
+        per_ade, per_fde = [], []
+        for traj in list(trajs)[:k]:
+            err = np.hypot(*(np.asarray(traj) - gt).T)
+            per_ade.append(float(err.mean()))
+            per_fde.append(float(err[-1]))
+        ades.append(min(per_ade))
+        fdes.append(min(per_fde))
+    misses = [1.0 if fde > MISS_THRESHOLD_M else 0.0 for fde in fdes]
+    return float(np.mean(ades)), float(np.mean(fdes)), float(np.mean(misses))
+
+
+class TestScenarioDisplacement:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_per_trajectory_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            t, n = int(rng.integers(1, 200)), int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))  # often fewer than the trajectories given
+            scale = float(rng.choice([0.3, 3.0, 1e4]))
+            gts = [rng.normal(size=(t, 2)) * scale for _ in range(5)]
+            preds = [[g + rng.normal(size=(t, 2)) * scale for _ in range(n)] for g in gts]
+            if seed % 2:  # the CLI passes each scenario's trajectories as one (n, T, 2) array
+                preds = [np.stack(p) for p in preds]
+            report = displacement_metrics(preds, gts, k)
+            got = (report.made_k, report.mfde_k, report.miss_rate_k)
+            assert np.array(got).tobytes() == np.array(reference_metrics(preds, gts, k)).tobytes()
+
+    def test_errors_beyond_float_range_count_as_inf_without_a_warning(self):
+        gt = straight_gt()
+        far = [gt + np.array([1.7e308, 0.0]), gt - np.array([1.7e308, 0.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = displacement_metrics([far, [gt + 1e308, gt - 1e308]], [gt, gt], k=2)
+        assert (report.made_k, report.mfde_k, report.miss_rate_k) == (math.inf, math.inf, 1.0)
+
+    def test_rule_reads_only_the_first_k(self):
+        gt = straight_gt(10)
+        trajs = [gt + 1.0, gt + 2.0, straight_gt(7)]  # the third is never read at k=2
+        assert scenario_displacement(trajs, gt, 2) == pytest.approx((np.sqrt(2.0), np.sqrt(2.0)), rel=1e-15)
+        with pytest.raises(HorizonMismatch, match=r"\(7, 2\) does not match ground truth \(10, 2\)"):
+            scenario_displacement(trajs, gt, 3)
+        with pytest.raises(ValidationError, match="need at least k=4 trajectories, got 3"):
+            scenario_displacement(trajs, gt, 4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gneva import autodiff as ad
+from gneva import autodiff as ad, training
 from gneva.autodiff import ParamTape, Var, check_gradients
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
@@ -350,6 +350,21 @@ class TestTrainingLoops:
         assert hist.losses[-1] < hist.losses[0]
         # Trained tapes keep their parameters only, not the last step's gradients.
         assert vars(spatial).keys() == vars(traj).keys() == {"params"}
+
+    def test_mixed_horizons_refused_before_the_trunk_naming_the_scenario(self, monkeypatch):
+        scenes = target_frame_scenes("straight", 3, 45) + target_frame_scenes("turn", 2, 45, T=20)
+        cfg = TrainConfig(batch_size=2, warmup_steps=1, max_steps=2, epochs=999)
+
+        def trunk_must_not_run(*args, **kwargs):
+            raise AssertionError("context features computed before the horizon check")
+
+        monkeypatch.setattr(training, "spatial_context_features", trunk_must_not_run)
+        traj = init_trajectory_params(ENC, horizon=30, seed=4)
+        with pytest.raises(ValidationError) as caught:
+            train_trajectory(scenes, init_spatial_params(ENC, seed=4), traj, cfg, ENC)
+        message = str(caught.value)
+        assert f"scenario {scenes[3].scenario_id!r} has T=20" in message
+        assert f"scenario {scenes[0].scenario_id!r} has T=30" in message
 
     def test_dataset_smaller_than_batch_rejected(self):
         scenes = target_frame_scenes("straight", 3, 43)
