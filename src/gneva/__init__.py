@@ -7,6 +7,12 @@ Student-t posterior predictive with non-maximum suppression, and completes
 trajectories to the selected goals.
 """
 
+import os
+
+# One OpenBLAS thread unless the variable is set, before numpy loads: OpenBLAS splits some weight-gradient
+# products across threads, each split rounding differently, so trained bytes would depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .autodiff import ParamTape, check_gradients
 from .dataio import Scenario, SynthConfig, load_scenario, synth_generate, to_target_frame
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params

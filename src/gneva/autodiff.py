@@ -251,9 +251,12 @@ def segment_max(a: Var, starts) -> Var:
     out_val = np.maximum.reduceat(x, starts, axis=0)
 
     def vjp(g):
-        segment = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
-        rows = np.where(x == out_val[segment], np.arange(n)[:, None], n)
-        first = np.minimum.reduceat(rows, starts, axis=0)
+        # Each segment's rows padded to the longest: the first True down a column is its first argmax.
+        lengths = np.diff(starts, append=n)
+        segment = np.repeat(np.arange(starts.size), lengths)
+        at_max = np.zeros((starts.size, lengths.max(), width), dtype=bool)
+        at_max[segment, np.arange(n) - starts[segment]] = x == out_val[segment]
+        first = starts[:, None] + at_max.argmax(axis=1)
         full = np.zeros_like(x)
         full[first, np.arange(width)] = g
         return full

@@ -21,6 +21,7 @@ from .dataio import (
     SynthConfig,
     load_scenario,
     mask_map_by_radius,
+    read_json_object,
     save_scenario,
     synth_generate,
     to_target_frame,
@@ -68,22 +69,15 @@ CONFIG_SECTIONS = {"train": TrainConfig, "encoder": EncoderConfig}
 
 def load_run_config(path: str | None, sets: list[str]) -> dict:
     """Flat dotted-key config from JSON plus --set overrides; a key no section holds is refused."""
-    config: dict = {}
-    if path:
-        try:
-            config = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ValidationError(f"config {path} is not a JSON object")
+    config = read_json_object(path, "config", ValidationError) if path else {}
     for item in sets:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
             config[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            config[key] = raw  # bare strings pass through
+        except (json.JSONDecodeError, RecursionError):
+            config[key] = raw  # bare strings, and values nested past the recursion limit, pass through
     for key in config:
         section, _, name = key.partition(".")
         cls = CONFIG_SECTIONS.get(section)

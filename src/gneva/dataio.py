@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingHorizonState, ParseError, ValidationError, check_config_fields
+from .errors import GnevaError, MissingHorizonState, ParseError, ValidationError, check_config_fields
 
 AGENT_KINDS = ("vehicle", "pedestrian", "cyclist")
 MAP_KINDS = ("lane_center", "lane_boundary", "crosswalk", "stop_line")
@@ -175,15 +175,38 @@ _NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a bool is neither
 _STEP_BOUND = 2.0**53  # below it a float64 holds every integer, so a step index reads exactly
 
 
-def number_table(rows, what: str, columns=None) -> np.ndarray:
+def read_json_object(path, what: str, error: type[GnevaError], version: int | None = None) -> dict:
+    """The JSON object in the `what` file at `path`, whose `format_version` must be `version` when given.
+
+    A file that cannot be read, is not JSON (the message gives the line) or holds another JSON value raises
+    `error`, and another version a `ValidationError`; each names the file.
+    """
+    try:
+        raw = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise error(f"{what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    if version is not None and doc.get("format_version") != version:
+        raise ValidationError(f"{what} {path}: unsupported format_version {doc.get('format_version')!r}")
+    return doc
+
+
+def number_table(rows, where) -> np.ndarray:
     """Rows of JSON numbers as a float array; a value of any other type, bools included, is refused.
 
-    The message names the first such value as `what`, its row index and, given `columns`, its column's name.
+    The message names the first such value as `where(i, j)`, from its row and column indices.
     """
     if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
         cells = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row))
         i, j, v = next(cell for cell in cells if type(cell[2]) not in _NUMBER_TYPES)
-        raise ValueError(f"{what} {i}{f' {columns[j]!r}' if columns else ''} must be a number, got {v!r}")
+        raise ValueError(f"{where(i, j)} must be a number, got {v!r}")
     return np.array(rows, dtype=float)
 
 
@@ -199,7 +222,7 @@ def _parse_track(raw) -> AgentTrack:
     """An agent from its JSON object: each state's six fields looked up in one call, all states in one table."""
     track_id, kind = str(raw["id"]), str(raw["kind"])
     states = list(map(_STATE_FIELDS, raw["states"]))
-    table = number_table(states, f"agent {track_id!r} state", _STATE_KEYS).reshape(-1, 6)
+    table = number_table(states, lambda i, j: f"agent {track_id!r} state {i} {_STATE_KEYS[j]!r}").reshape(-1, 6)
     steps = table[:, 0]
     whole = (steps == np.trunc(steps)) & (np.abs(steps) < _STEP_BOUND)
     if not whole.all():
@@ -210,25 +233,12 @@ def _parse_track(raw) -> AgentTrack:
 
 def _parse_polyline(raw) -> MapPolyline:
     poly_id, kind = str(raw["id"]), str(raw["kind"])
-    return MapPolyline(poly_id, kind, number_table(raw["points"], f"polyline {poly_id!r} point"))
+    return MapPolyline(poly_id, kind, number_table(raw["points"], lambda i, j: f"polyline {poly_id!r} point {i}"))
 
 
 def load_scenario(path) -> Scenario:
+    doc = read_json_object(path, "scenario", ParseError, FORMAT_VERSION)
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: not a JSON object")
-    try:
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported format_version {doc.get('format_version')!r}"
-            )
         scenario = Scenario(
             scenario_id=str(doc["scenario_id"]),
             dt=_scalar(doc, "dt"),
@@ -299,13 +309,8 @@ def target_frame_transform(s: Scenario) -> RigidTransform:
         raise MissingHorizonState(
             f"target {s.target_id!r} has no state at the observation horizon {s.H}"
         )
-    return _pose_frame(*row[:3].tolist())
-
-
-def _pose_frame(x: float, y: float, heading: float) -> RigidTransform:
-    """The transform that puts the pose (x, y, heading) at the origin, heading along +x."""
-    c, sn = math.cos(-heading), math.sin(-heading)
-    return RigidTransform(angle=-heading, tx=-(c * x - sn * y), ty=-(sn * x + c * y))
+    x, y, heading = row[:3].tolist()
+    return RigidTransform(heading, x, y).inverse()
 
 
 def to_target_frame(s: Scenario) -> tuple[Scenario, RigidTransform]:
@@ -537,7 +542,8 @@ def synth_generate(cfg: SynthConfig, kind: str) -> list[Scenario]:
         tracks, polylines = _SYNTH_BUILDERS[kind](cfg, rng)
         # The builder may put step H anywhere: move the scene into the frame of the
         # target's step-H pose (the first track's), then to a random world pose.
-        canonical = _pose_frame(*tracks[0][1][cfg.H - 1, :3].tolist())
+        x, y, heading = tracks[0][1][cfg.H - 1, :3].tolist()
+        canonical = RigidTransform(heading, x, y).inverse()
         world = _random_world_transform(rng)
         agents = [
             AgentTrack(

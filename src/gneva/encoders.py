@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
-from .dataio import AGENT_VECTOR_WIDTH, MAP_VECTOR_WIDTH, VectorizedScene
+from .dataio import AGENT_VECTOR_WIDTH, MAP_VECTOR_WIDTH, VectorizedScene, number_table, read_json_object
 from .errors import NotPositiveDefinite, ShapeMismatch, ValidationError, check_config_fields
 from .mixture import MixturePosterior
 from .special_math import spd_from_cholesky
@@ -379,66 +379,50 @@ def save_model(path, tape: ParamTape, cfg: EncoderConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _load_document(path) -> tuple[dict, EncoderConfig]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot load model {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model {path} is not a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(
-            f"model {path}: unsupported format_version {doc.get('format_version')!r}"
-        )
+def _load_model(path, sizes, template) -> tuple[ParamTape, EncoderConfig]:
+    """The tape `template(cfg, params)` filled with the parameters of the model file at `path`, and its config.
+
+    `sizes(cfg, params)` gives the value counts the config implies for some stored vectors, checked before a
+    template of its size is built. Every parameter must then be a list of JSON numbers, as many as its
+    template holds, each within +-PARAM_BOUND. Each refusal names the file.
+    """
+    doc = read_json_object(path, "model", ValidationError, MODEL_FORMAT_VERSION)
     for key in ("config", "params"):
         if not isinstance(doc.get(key), dict):
             raise ValidationError(f"model {path}: {key!r} must be a JSON object")
+    stored = doc["params"]
     try:
         cfg = EncoderConfig(**doc["config"])
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"model {path}: bad 'config': {exc}") from exc
-    return doc, cfg
 
+    def check_counts(counts: dict[str, int]) -> None:
+        for name, n in counts.items():
+            values = stored.get(name)
+            if not isinstance(values, list) or len(values) != n:
+                found = len(values) if isinstance(values, list) else type(values).__name__
+                raise ValidationError(f"model {path}: its config implies {n} values for {name!r}, found {found}")
 
-def _check_stored_lengths(path, stored: dict, lengths: dict[str, int]) -> None:
-    """Refuse a config its stored vectors contradict, before a template of its size is built."""
-    for name, n in lengths.items():
-        values = stored.get(name)
-        if not isinstance(values, list) or len(values) != n:
-            found = len(values) if isinstance(values, list) else type(values).__name__
-            raise ValidationError(f"model {path}: its config implies {n} values for {name!r}, found {found}")
-
-
-def _restore_into(template: ParamTape, stored: dict, path) -> ParamTape:
-    if set(stored) != set(template.params):
-        missing = set(template.params) - set(stored)
-        extra = set(stored) - set(template.params)
-        raise ValidationError(
-            f"model {path} parameter names mismatch (missing {sorted(missing)[:3]}, "
-            f"unexpected {sorted(extra)[:3]})"
-        )
-    for name, flat in stored.items():
-        expected = template.params[name]
+    check_counts(sizes(cfg, stored))
+    tape = template(cfg, stored)
+    if set(stored) != set(tape.params):
+        missing, extra = sorted(set(tape.params) - set(stored))[:3], sorted(set(stored) - set(tape.params))[:3]
+        raise ValidationError(f"model {path} parameter names mismatch (missing {missing}, unexpected {extra})")
+    check_counts({name: value.size for name, value in tape.params.items()})
+    for name, value in tape.params.items():
         try:
-            values = np.asarray(flat, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"model {path}: parameter {name!r} is not a list of numbers: {exc}") from exc
-        if values.size != expected.size:
-            raise ValidationError(
-                f"model {path}: parameter {name!r} has {values.size} values, "
-                f"expected {expected.size}"
-            )
-        if not np.all(np.abs(values) <= PARAM_BOUND):
+            stored_values = number_table([stored[name]], lambda i, j: f"parameter {name!r} value {j}")
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"model {path}: {exc}") from exc
+        if not np.all(np.abs(stored_values) <= PARAM_BOUND):
             raise ValidationError(f"model {path}: parameter {name!r} has values not within +-{PARAM_BOUND:g}")
-        expected[...] = values.reshape(expected.shape)
-    return template
+        value[...] = stored_values.reshape(value.shape)
+    return tape, cfg
 
 
 def load_spatial_model(path) -> tuple[ParamTape, EncoderConfig]:
-    doc, cfg = _load_document(path)
-    _check_stored_lengths(path, doc["params"], {"ctx_head.l1.b": cfg.hidden, "ctx_head.l2.b": 3 * cfg.C})
-    tape = _restore_into(init_spatial_params(cfg, seed=0), doc["params"], path)
-    return tape, cfg
+    return _load_model(path, lambda cfg, stored: {"ctx_head.l1.b": cfg.hidden, "ctx_head.l2.b": 3 * cfg.C},
+                       lambda cfg, stored: init_spatial_params(cfg, seed=0))
 
 
 def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> ParamTape:
@@ -452,11 +436,13 @@ def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> P
 
 
 def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig, int]:
-    doc, cfg = _load_document(path)
-    out_b = doc["params"].get("traj.m2.l2.b")
-    if not isinstance(out_b, list) or len(out_b) % 2 != 0 or not out_b:
-        raise ValidationError(f"model {path} lacks a valid trajectory output layer")
-    horizon = len(out_b) // 2
-    _check_stored_lengths(path, doc["params"], {"traj.m1.l1.b": cfg.hidden})
-    tape = _restore_into(init_trajectory_params(cfg, horizon, seed=0), doc["params"], path)
-    return tape, cfg, horizon
+    def sizes(cfg, stored):
+        out_b = stored.get("traj.m2.l2.b")
+        if not isinstance(out_b, list) or len(out_b) % 2 != 0 or not out_b:
+            raise ValidationError(f"model {path} lacks a valid trajectory output layer")
+        return {"traj.m1.l1.b": cfg.hidden}
+
+    tape, cfg = _load_model(
+        path, sizes, lambda cfg, stored: init_trajectory_params(cfg, len(stored["traj.m2.l2.b"]) // 2, seed=0)
+    )
+    return tape, cfg, tape.params["traj.m2.l2.b"].size // 2

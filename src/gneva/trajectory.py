@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
-from .dataio import RigidTransform, Scenario, number_table, vectorize
+from .dataio import RigidTransform, Scenario, number_table, read_json_object, vectorize
 from .encoders import EncoderConfig, _as_leaves, _mlp, forward_spatial
 from .errors import ValidationError
 from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
@@ -105,14 +105,15 @@ def save_predictions(path, scenario_id: str, predictions: Predictions) -> None:
 
 
 def load_predictions(path) -> tuple[str, Predictions]:
+    doc = read_json_object(path, "predictions", ValidationError)
     try:
-        doc = json.loads(Path(path).read_text())
         scenario_id = str(doc["scenario_id"])
         preds = doc["predictions"]
-        waypoints = np.array([number_table(p["waypoints"], f"prediction {n} waypoint") for n, p in enumerate(preds)])
-        log_probs = number_table([[p["goal_log_prob"]] for p in preds], "prediction", ["goal_log_prob"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"cannot load predictions from {path}: {exc}") from exc
+        waypoints = np.array([number_table(p["waypoints"], lambda i, j: f"prediction {n} waypoint {i}")
+                              for n, p in enumerate(preds)])
+        log_probs = number_table([[p["goal_log_prob"]] for p in preds], lambda i, j: f"prediction {i} 'goal_log_prob'")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"predictions {path}: malformed field: {exc}") from exc
     if waypoints.ndim != 3 or not len(waypoints) or waypoints.shape[2] != 2:
         raise ValidationError(f"{path}: predictions need waypoints (k, T, 2) with k >= 1, got {waypoints.shape}")
     if not np.isfinite(waypoints).all():

@@ -119,6 +119,30 @@ class TestStructuralOps:
         backward(ad.vsum(out))
         assert x.grad == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
 
+    def test_segment_max_gradient_matches_the_reduceat_formula(self):
+        # The former vjp, written out: each column's first argmax by an integer where and a min-reduceat.
+        def reference(x, starts, g):
+            n, width = x.shape
+            out = np.maximum.reduceat(x, starts, axis=0)
+            segment = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+            rows = np.where(x == out[segment], np.arange(n)[:, None], n)
+            full = np.zeros_like(x)
+            full[np.minimum.reduceat(rows, starts, axis=0), np.arange(width)] = g
+            return full
+
+        rng = np.random.default_rng(23)
+        for case in range(300):
+            lengths = rng.integers(1, 12, size=rng.integers(1, 20))
+            shape = (int(lengths.sum()), int(rng.integers(1, 9)))
+            # Every other case draws small integers, so a segment often holds its max more than once.
+            value = rng.integers(-3, 3, size=shape).astype(float) if case % 2 else rng.normal(size=shape)
+            starts = np.cumsum(np.r_[0, lengths[:-1]])
+            x = leaf(value)
+            out = ad.segment_max(x, starts)
+            g = rng.normal(size=out.value.shape)
+            backward(ad.vsum(ad.mul(out, Var(g))))
+            assert np.array_equal(x.grad, reference(value, starts, g)), case
+
     def test_masked_softmax_gives_masked_entries_no_mass(self):
         x = leaf(np.array([[1.0, 50.0, 2.0], [0.5, 3.0, -1.0]]))
         mask = np.array([True, False, True])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -739,6 +741,13 @@ class TestConfigValues:
         assert code == 1 and caught == [] and not out.exists()
         assert f"config {key} " in err and f"got {shown}" in err
 
+    def test_set_value_nested_too_deep_exits_1_naming_the_key(self, workspace, tmp_path, capsys):
+        # json.loads raised RecursionError through the command, a traceback.
+        deep = "[" * 10_000 + "]" * 10_000
+        code, caught = _run_quietly(["--set", f"train.seed={deep}", "train-spatial", "--data", str(workspace[2]),
+                                     "--out", str(tmp_path / "m.json")])
+        assert code == 1 and caught == [] and "config train.seed must be an integer" in capsys.readouterr().err
+
     def test_bad_config_file_value_exits_1_naming_key_and_value(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace
         bad = tmp_path / "config.json"
@@ -795,12 +804,37 @@ class TestModelFiles:
             ("spatial", "hidden", lambda d: d["config"].__setitem__("hidden", float(d["config"]["hidden"]))),
             ("traj", "hidden", lambda d: d["config"].__setitem__("hidden", float(d["config"]["hidden"]))),
             ("spatial", "C", lambda d: d["config"].__setitem__("C", 10**9)),
+            ("traj", "'traj.m1.l1.w' value 0", lambda d: d["params"]["traj.m1.l1.w"].__setitem__(0, "0.5")),
+            ("traj", "'traj.m1.l1.w' value 1", lambda d: d["params"]["traj.m1.l1.w"].__setitem__(1, True)),
+            ("spatial", "'prior.nu_raw' value 0", lambda d: d["params"]["prior.nu_raw"].__setitem__(0, None)),
         ],
         ids=["string-entry", "object-entry", "string-list", "huge-entry", "n_heads-0", "hidden-negative",
-             "hidden-float", "traj-hidden-float", "C-huge"],
+             "hidden-float", "traj-hidden-float", "C-huge", "number-as-text", "number-as-true", "number-as-null"],
     )
     def test_bad_model_exits_1_naming_file_and_key(self, workspace, tmp_path, capsys, which, key, mutate):
         code, caught, bad = _predict_with_mutated_model(workspace, tmp_path, which, mutate)
         err = capsys.readouterr().err
         assert code == 1 and caught == []
         assert f"model {bad}" in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one core")
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # With OPENBLAS_NUM_THREADS unset, OpenBLAS used every core and split the map encoder's weight-gradient
+    # products (K = the batch's map vectors) across threads, which rounds differently; the package now
+    # pins one thread unless the variable is set.
+    data = tmp_path / "data"
+    assert run_command(["synth", "--kind", "turn", "--n", "48", "--seed", "3", "--out", str(data)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    models = []
+    for threads in (None, "1"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"spatial-{threads}.json"
+        subprocess.run([sys.executable, "-m", "gneva.cli", "--set", "train.batch_size=16", "--set", "train.max_steps=8",
+                        "--set", "train.warmup_steps=2", "train-spatial", "--data", str(data), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        models.append(out.read_bytes())
+    assert models[0] == models[1]

@@ -196,6 +196,34 @@ class TestTargetFrame:
                     assert (bx, by, bvx, bvy) == pytest.approx(ref, rel=0.0, abs=1e-12)
                     assert bheading == heading + tf.angle
 
+    def test_target_frame_is_the_inverse_pose_bit_for_bit(self):
+        # The former formula, written out: rotate by -heading with cos(-heading) and sin(-heading), then
+        # translate by minus the rotated position. libm's cos is even and its sin odd, so it matches
+        # RigidTransform(heading, x, y).inverse() exactly, in the target frame and in the generator.
+        def pose_frame(x, y, heading):
+            c, sn = math.cos(-heading), math.sin(-heading)
+            return RigidTransform(angle=-heading, tx=-(c * x - sn * y), ty=-(sn * x + c * y))
+
+        rng = np.random.default_rng(17)
+        poses = np.column_stack([rng.uniform(-1e4, 1e4, (2000, 2)), rng.uniform(-10.0, 10.0, 2000)])
+        for x, y, heading in poses.tolist() + [[0.0, 0.0, 0.0], [1.0, -2.0, math.pi], [-3.0, 4.0, -math.pi / 2]]:
+            assert RigidTransform(heading, x, y).inverse() == pose_frame(x, y, heading)
+        cfg = SynthConfig(n=6, seed=19)
+        for kind in ("straight", "turn", "merge"):
+            builder_rng = np.random.default_rng(cfg.seed)
+            for scene in synth_generate(cfg, kind):
+                x, y, heading = scene.target().row_at(scene.H)[:3].tolist()
+                assert dataio.target_frame_transform(scene) == pose_frame(x, y, heading)
+                tracks, polylines = dataio._SYNTH_BUILDERS[kind](cfg, builder_rng)
+                canonical = pose_frame(*tracks[0][1][cfg.H - 1, :3].tolist())
+                world = dataio._random_world_transform(builder_rng)
+                assert [a.rows.tolist() for a in scene.agents] == [
+                    world.apply_states(canonical.apply_states(rows)).tolist() for _, rows in tracks
+                ]
+                assert [p.points.tolist() for p in scene.map] == [
+                    world.apply_points(canonical.apply_points(p.points)).tolist() for p in polylines
+                ]
+
     def test_missing_horizon_state(self):
         s = minimal_scenario()
         track = s.agents[0]

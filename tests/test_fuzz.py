@@ -7,7 +7,11 @@ scenario number given as text, a bool or a fractional step or horizon, or
 lists of mismatched lengths. The loaders may accept the result or raise a
 `GnevaError`, and the command that reads it exits 0, 1 or 2. A scenario
 number given as text, a bool or a fraction is always a `ParseError` naming
-the file and the field.
+the file and the field, and a model parameter value given as text, a bool
+or null exits 1 naming the file and the parameter.
+
+Files: a scenario, model, prediction or config file that cannot be read,
+is not JSON, nests too deep or holds a JSON array exits 1 naming the file.
 
 Arguments: each example runs one subcommand with one numeric flag, or one
 `--set` config key, set to zero, a negative, nan, inf, a huge number or a
@@ -83,15 +87,29 @@ def break_a_number(draw, doc):
     return key
 
 
+def break_a_parameter(draw, doc):
+    """Replace one value of a model document's parameters by its text, true, false or null.
+
+    Returns the parameter's name.
+    """
+    name = draw(st.sampled_from(sorted(doc["params"])))
+    values = doc["params"][name]
+    i = draw(st.integers(0, len(values) - 1))
+    values[i] = draw(st.sampled_from([str(values[i]), True, False, None]))
+    return name
+
+
 @st.composite
 def mutated(draw, path):
-    """The JSON document at `path` with one place broken: a value replaced or dropped, or a scenario's step
-    index repeated or one of its numbers made a string, a bool or a fraction."""
+    """The JSON document at `path` with one place broken: a value replaced or dropped, a scenario's step
+    index repeated or one of its numbers made a string, a bool or a fraction, or a model parameter's value
+    made a string, a bool or null."""
     doc = json.loads(path.read_text())
-    kinds = ["replace", "drop", "repeat-step", "non-number"] if "agents" in doc else ["replace", "drop"]
+    kinds = ["replace", "drop"] + (["repeat-step"] if "agents" in doc else [])
+    kinds += ["non-number"] if "agents" in doc or "params" in doc else []
     kind = draw(st.sampled_from(kinds))
     if kind == "non-number":
-        break_a_number(draw, doc)
+        (break_a_number if "agents" in doc else break_a_parameter)(draw, doc)
         return doc
     if kind == "repeat-step":
         states = doc["agents"][draw(st.integers(0, len(doc["agents"]) - 1))]["states"]
@@ -264,6 +282,53 @@ def test_mutated_model_files_exit_with_a_documented_code(base, tmp_path, data, c
     models = {"spatial": str(spatial), "traj": str(traj), which: str(path)}
     run_clean(["predict", "--spatial-model", models["spatial"], "--traj-model", models["traj"], "--scenario",
                str(scenario), "--spacing", "1.0", "--out", str(tmp_path / "out.json")], capsys)
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=60)
+def test_model_non_number_exits_1_naming_the_file_and_parameter(base, tmp_path, data, capsys):
+    # Model files once read "0.5" as 0.5 and true as 1.0, unlike scenario and prediction files.
+    scenario, spatial, traj, _ = base
+    which = data.draw(st.sampled_from(["spatial", "traj"]))
+    doc = json.loads((spatial if which == "spatial" else traj).read_text())
+    name = break_a_parameter(data.draw, doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    models = {"spatial": str(spatial), "traj": str(traj), which: str(path)}
+    err = run_clean(["predict", "--spatial-model", models["spatial"], "--traj-model", models["traj"], "--scenario",
+                     str(scenario), "--spacing", "1.0", "--out", str(tmp_path / "out.json")], capsys, codes=(1,))
+    assert f"model {path}: parameter {name!r} value " in err and "must be a number" in err, err
+
+
+BROKEN_FILES = {
+    "directory": lambda path: path.mkdir(),
+    "not-utf-8": lambda path: path.write_bytes(b'{"scenario_id": "\x80\x81"}'),
+    "not-json": lambda path: path.write_text('{"format_version": 1,\n  not json}'),
+    "json-array": lambda path: path.write_text("[1, 2]"),
+    "nested-too-deep": lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_FILES))
+@pytest.mark.parametrize("kind", ["scenario", "model", "predictions", "config"])
+def test_unreadable_or_non_object_files_exit_1_naming_the_file(base, tmp_path, capsys, kind, broken):
+    scenario, spatial, traj, root = base
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    path = bad / "file.json"
+    BROKEN_FILES[broken](path)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "scenario": ["mask-map", "--scenario", str(path), "--radius", "5", "--out", out],
+        "model": ["predict", "--spatial-model", str(path), "--traj-model", str(traj), "--scenario", str(scenario),
+                  "--out", out],
+        "predictions": ["eval", "--pred", str(bad), "--data", str(root / "data")],
+        "config": ["--config", str(path), "synth", "--kind", "turn", "--n", "1", "--out", out],
+    }[kind]
+    err = run_clean(argv, capsys, codes=(1,))
+    assert str(path) in err, err
+    if broken == "not-json":
+        assert f"{kind} {path}:2: " in err, err
 
 
 @given(data=st.data())
