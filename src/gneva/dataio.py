@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -76,6 +77,10 @@ class Scenario:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if self.H < 1 or self.T < 1:
             raise ValidationError(f"horizons must be >= 1, got H={self.H}, T={self.T}")
+        for what, items in (("agent", self.agents), ("polyline", self.map)):
+            repeated = [i for i, n in Counter(x.id for x in items).items() if n > 1]
+            if repeated:
+                raise ValidationError(f"{what} id {repeated[0]!r} is used more than once")
         target = self.target()
         # Any of the first five missing steps lies within the first len(present) + 5.
         present = set(target.steps.tolist())
@@ -239,7 +244,7 @@ def _parse_polyline(raw) -> MapPolyline:
 def load_scenario(path) -> Scenario:
     doc = read_json_object(path, "scenario", ParseError, FORMAT_VERSION)
     try:
-        scenario = Scenario(
+        return Scenario(
             scenario_id=str(doc["scenario_id"]),
             dt=_scalar(doc, "dt"),
             H=_scalar(doc, "H", integer=True),
@@ -247,10 +252,11 @@ def load_scenario(path) -> Scenario:
             target_id=str(doc["target_id"]),
             agents=[_parse_track(a) for a in doc["agents"]],
             map=[_parse_polyline(p) for p in doc["map"]],
-        )
+        ).validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
-    return scenario.validate()
 
 
 @dataclass(frozen=True)
@@ -352,25 +358,41 @@ def _polyline_vectors(poly: MapPolyline) -> np.ndarray:
     return rows
 
 
-def _nearest_first(vector_sets: list[np.ndarray], cap: int) -> list[np.ndarray]:
-    """Keep at most `cap` sets, nearest to the target-frame origin first."""
-    if len(vector_sets) <= cap:
-        return vector_sets
-    def distance(vs):
-        pts = np.concatenate([vs[:, 0:2], vs[:, 2:4]])
-        return float(np.min(np.hypot(pts[:, 0], pts[:, 1])))
-    order = sorted(range(len(vector_sets)), key=lambda i: distance(vector_sets[i]))
-    keep = sorted(order[:cap])  # preserve original ordering among survivors
-    return [vector_sets[i] for i in keep]
+def segment_distances(vs: np.ndarray) -> np.ndarray:
+    """Exact distance from the target-frame origin to each segment; row i of `vs` opens with its start and end.
+
+    The dot products run as a stack of (1, 2) @ (2, 1) products, which round like one segment's `p0 @ d` (BLAS
+    may fuse its multiply-add), so each distance is that of the segment alone.
+    """
+    p0, d = vs[:, 0:2], vs[:, 2:4] - vs[:, 0:2]
+    denom = (d[:, None, :] @ d[:, :, None]).ravel()
+    t = np.zeros(len(vs))
+    np.divide(-(p0[:, None, :] @ d[:, :, None]).ravel(), denom, out=t, where=denom != 0.0)  # a point: its start
+    nearest = p0 + np.clip(t, 0.0, 1.0)[:, None] * d
+    return np.hypot(nearest[:, 0], nearest[:, 1])
+
+
+def _set_distances(vector_sets: list[np.ndarray]) -> np.ndarray:
+    """Each non-empty vector set's distance to the origin: that of its nearest segment."""
+    starts = np.cumsum([0] + [len(vs) for vs in vector_sets[:-1]])
+    return np.minimum.reduceat(segment_distances(np.concatenate(vector_sets)), starts)
+
+
+def _nearest(distances: np.ndarray, cap: int) -> np.ndarray:
+    """Indices of the `cap` nearest items in their original order; of equal distances the earlier is kept."""
+    return np.sort(np.argsort(distances, kind="stable")[:cap])
+
+
+def _cap_sets(items: list, vector_sets: list[np.ndarray], cap: int) -> list:
+    """The at most `cap` items whose vector sets lie nearest the origin, in their original order."""
+    if len(items) <= cap:
+        return items
+    return [items[i] for i in _nearest(_set_distances(vector_sets), cap)]
 
 
 def _cap_vectors(vs: np.ndarray, cap: int) -> np.ndarray:
-    if len(vs) <= cap:
-        return vs
-    mids = 0.5 * (vs[:, 0:2] + vs[:, 2:4])
-    order = np.argsort(np.hypot(mids[:, 0], mids[:, 1]), kind="stable")
-    keep = np.sort(order[:cap])
-    return vs[keep]
+    """The at most `cap` segments of `vs` nearest the origin, in their original order."""
+    return vs if len(vs) <= cap else vs[_nearest(segment_distances(vs), cap)]
 
 
 def vectorize(s: Scenario, cfg) -> VectorizedScene:
@@ -378,64 +400,39 @@ def vectorize(s: Scenario, cfg) -> VectorizedScene:
 
     Map polylines become (start, end, one-hot kind) rows; agent histories
     over steps 1..H become (start, end, heading, vx, vy, one-hot kind)
-    rows. Counts beyond the config caps are truncated farthest-first.
+    rows. Beyond a cap the farthest map polylines, surrounding agents or
+    vectors of a polyline or track are dropped, by their exact distance to
+    the origin (`segment_distances`; a set's is its nearest segment's).
+    Survivors keep their order, and a tie keeps the earlier.
     """
+    cap = cfg.max_vectors_per_polyline
     map_sets = [_polyline_vectors(p) for p in s.map]
-    map_sets = [_cap_vectors(v, cfg.max_vectors_per_polyline) for v in map_sets]
-    map_sets = _nearest_first(map_sets, cfg.max_polylines)
+    map_sets = [_cap_vectors(v, cap) for v in _cap_sets(map_sets, map_sets, cfg.max_polylines)]
 
-    target_vectors = _cap_vectors(_track_vectors(s.target(), s.H), cfg.max_vectors_per_polyline)
+    target_vectors = _cap_vectors(_track_vectors(s.target(), s.H), cap)
 
-    surrounding = []
-    observed = []
-    others = [a for a in s.agents if a.id != s.target_id]
-    for track in others:
-        vs = _track_vectors(track, s.H)
-        if len(vs) == 0:
-            continue
-        surrounding.append(_cap_vectors(vs, cfg.max_vectors_per_polyline))
-        observed.append(s.H in track.steps)
-    surrounding = surrounding[: cfg.max_polylines]
-    observed = observed[: cfg.max_polylines]
+    # Each surrounding agent with a vector by step H, and whether it has a state at H.
+    others = [(vs, s.H in a.steps) for a in s.agents if a.id != s.target_id and len(vs := _track_vectors(a, s.H))]
+    others = _cap_sets(others, [vs for vs, _ in others], cfg.max_polylines)
     return VectorizedScene(
         map_polylines=map_sets,
         target=target_vectors,
-        surrounding=surrounding,
-        surrounding_observed=np.array(observed, dtype=bool),
+        surrounding=[_cap_vectors(vs, cap) for vs, _ in others],
+        surrounding_observed=np.array([seen for _, seen in others], dtype=bool),
     )
 
 
-def _segment_distance_to_origin(p0: np.ndarray, p1: np.ndarray) -> float:
-    d = p1 - p0
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.hypot(*p0))
-    t = float(np.clip(-(p0 @ d) / denom, 0.0, 1.0))
-    nearest = p0 + t * d
-    return float(np.hypot(*nearest))
-
-
 def mask_map_by_radius(s: Scenario, r: float) -> Scenario:
-    """Drop map polylines with no segment within radius r of the origin.
+    """Drop map polylines whose nearest segment lies beyond radius r of the origin.
 
     Operates on target-frame scenarios (the disc is centered at the step-H
     target pose, which is the origin). r = 0 removes all map polylines;
     r = inf is the identity.
     """
-    if math.isinf(r):
-        kept = list(s.map)
-    elif r <= 0.0:
-        kept = []
-    else:
-        kept = [
-            p
-            for p in s.map
-            if any(
-                _segment_distance_to_origin(p.points[i], p.points[i + 1]) <= r
-                for i in range(len(p.points) - 1)
-            )
-        ]
-    return replace(s, map=kept)
+    if r <= 0.0 or not s.map:
+        return replace(s, map=[])
+    near = _set_distances([_polyline_vectors(p) for p in s.map]) <= r
+    return replace(s, map=[p for p, keep in zip(s.map, near.tolist()) if keep])
 
 
 SYNTH_CAP = 1_000_000  # most scenes, and most steps H + T a scene, of one synth call; as the grid's cell cap

@@ -549,6 +549,52 @@ class TestPipeline:
         assert code == 0
 
 
+class TestScenarioChecks:
+    """A scenario that parses but fails `Scenario.validate` exits 1 naming its file."""
+
+    @pytest.fixture
+    def turn_doc(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_command(["synth", "--kind", "turn", "--n", "1", "--seed", "3", "--out", str(data)]) == 0
+        (path,) = data.glob("*.json")
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("command", ["mask-map", "density"])
+    def test_missing_target_names_the_file(self, workspace, tmp_path, capsys, turn_doc, command):
+        # Without the file name both printed only "error: target_id 'ghost' not present among agents".
+        root, config, data, spatial, traj = workspace
+        path, doc = turn_doc
+        doc["target_id"] = "ghost"
+        ghost = tmp_path / "ghost.json"
+        ghost.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "mask-map": ["mask-map", "--scenario", str(ghost), "--radius", "5", "--out", str(out)],
+            "density": ["density", "--spatial-model", str(spatial), "--scenario", str(ghost), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        code, caught = _run_quietly(argv)
+        assert code == 1 and caught == [] and not out.exists()
+        assert f"{ghost}: target_id 'ghost' not present among agents" in capsys.readouterr().err
+
+    def test_mask_map_refuses_a_repeated_polyline_id(self, tmp_path, capsys, turn_doc):
+        # mask-map filters the world-frame map by the kept ids, so a polyline beyond the radius that shared
+        # an id with one inside it would survive: 4 kept instead of 3.
+        path, doc = turn_doc
+        out = tmp_path / "masked.json"
+        assert run_command(["mask-map", "--scenario", str(path), "--radius", "1", "--out", str(out)]) == 0
+        assert len(load_scenario(out).map) == 3
+        for poly in doc["map"]:
+            if poly["id"] == "approach-left":
+                poly["id"] = "approach-center"
+        path.write_text(json.dumps(doc))
+        out.unlink()
+        capsys.readouterr()
+        code, caught = _run_quietly(["mask-map", "--scenario", str(path), "--radius", "1", "--out", str(out)])
+        assert code == 1 and caught == [] and not out.exists()
+        assert f"{path}: polyline id 'approach-center' is used more than once" in capsys.readouterr().err
+
+
 def _run_quietly(argv):
     """Exit code of a command, and every warning it raised."""
     with warnings.catch_warnings(record=True) as caught:

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gneva import dataio
 from gneva.dataio import (
@@ -15,6 +18,7 @@ from gneva.dataio import (
     load_scenario,
     mask_map_by_radius,
     save_scenario,
+    segment_distances,
     synth_generate,
     to_target_frame,
     vectorize,
@@ -56,8 +60,29 @@ class TestSchema:
         s.target_id = "ghost"
         path = tmp_path / "bad.json"
         save_scenario(s, path)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{path}: target_id 'ghost' not present among agents$"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.map.append(MapPolyline("l0", "stop_line", [[1.0, 1.0], [2.0, 1.0]])),
+             "polyline id 'l0' is used more than once"),
+            (lambda s: s.agents.append(AgentTrack("b", "cyclist", [1, 2], np.zeros((2, 5)))),
+             "agent id 'b' is used more than once"),
+            # A second track carrying the target's id dropped out of `vectorize` with no error.
+            (lambda s: s.agents.append(AgentTrack("a0", "pedestrian", [1, 2], np.ones((2, 5)))),
+             "agent id 'a0' is used more than once"),
+        ],
+        ids=["polyline", "agent", "target"],
+    )
+    def test_repeated_id_is_refused(self, edit, message):
+        s = minimal_scenario()
+        s.agents.append(AgentTrack("b", "vehicle", [1, 2], np.zeros((2, 5))))
+        s.validate()
+        edit(s)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            s.validate()
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -274,7 +299,86 @@ class TestVectorize:
         assert len(vs.target) <= 5
 
 
+    def test_near_agents_listed_last_are_kept_with_their_flags(self):
+        # 65 agents at least 715 m away come first, so keeping the first 64 in file order keeps no near one.
+        s = minimal_scenario()
+        for j in range(65):
+            s.agents.append(AgentTrack(f"far{j}", "vehicle", [9, 10], [(715.0 + j, 0.0, 0.0, 0.0, 0.0)] * 2))
+        near = [(f"near{j}", [8, 9] if j % 2 else [9, 10]) for j in range(5)]
+        for j, (agent_id, steps) in enumerate(near):
+            s.agents.append(AgentTrack(agent_id, "pedestrian", steps, [(0.0, 2.0 + j, 0.0, 0.0, 0.0)] * 2))
+        vs = vectorize(s.validate(), EncoderConfig())
+        assert len(vs.surrounding) == 64
+        assert [v[0, 1] for v in vs.surrounding[-5:]] == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert vs.surrounding_observed[-5:].tolist() == [True, False, True, False, True]
+        assert vs.surrounding_observed[:-5].all()
+
+    def test_stop_line_through_the_origin_outranks_nearer_points(self):
+        # Its points lie 100 m away, so a nearest-point key keeps the two lanes.
+        s = minimal_scenario()
+        s.map = [
+            MapPolyline("lane5", "lane_center", [[0.0, 5.0], [0.0, 20.0]]),
+            MapPolyline("lane8", "lane_center", [[0.0, -8.0], [0.0, -30.0]]),
+            MapPolyline("stop", "stop_line", [[-100.0, 0.0], [100.0, 0.0]]),
+        ]
+        vs = vectorize(s, EncoderConfig(max_polylines=2))
+        assert [v[0, 0:4].tolist() for v in vs.map_polylines] == [[0.0, 5.0, 0.0, 20.0], [-100.0, 0.0, 100.0, 0.0]]
+
+    def test_vector_cap_keeps_the_nearest_segments(self):
+        # Midpoints 28.6, 14.5 and 99.5 m away, segments 28.3, 1.41 and 1 m: a midpoint key keeps the first two.
+        s = minimal_scenario()
+        s.map = [MapPolyline("l0", "lane_center", [[20.0, 20.0], [20.0, 21.0], [-1.0, 1.0], [200.0, 1.0]])]
+        (kept,) = vectorize(s, EncoderConfig(max_vectors_per_polyline=2)).map_polylines
+        assert kept[:, 0:4].tolist() == [[20.0, 21.0, -1.0, 1.0], [-1.0, 1.0, 200.0, 1.0]]
+
+    def test_a_tie_keeps_the_earlier(self):
+        # Three polylines 3 m away, of which a nearest-point key keeps l1, and two agents 5 m away.
+        s = minimal_scenario()
+        s.map = [MapPolyline(f"l{i}", "lane_center", [[3.0, y], [3.0, -y]]) for i, y in enumerate([4.0, 1.0, 2.0])]
+        for agent_id, y in (("b0", -5.0), ("b1", 5.0)):
+            s.agents.append(AgentTrack(agent_id, "vehicle", [1, 2], [(0.0, y, 0.0, 0.0, 0.0)] * 2))
+        vs = vectorize(s, EncoderConfig(max_polylines=1, max_vectors_per_polyline=1))
+        assert [v[0, 1] for v in vs.map_polylines] == [4.0] and [v[0, 1] for v in vs.surrounding] == [-5.0]
+
+
+def reference_distance(p0: np.ndarray, p1: np.ndarray) -> float:
+    """Distance from the origin to one segment: the former per-segment formula, kept as the reference."""
+    d = p1 - p0
+    denom = float(d @ d)
+    if denom == 0.0:
+        return float(np.hypot(*p0))
+    t = float(np.clip(-(p0 @ d) / denom, 0.0, 1.0))
+    nearest = p0 + t * d
+    return float(np.hypot(*nearest))
+
+
+def reference_mask(s: Scenario, r: float) -> list[str]:
+    """Ids of the polylines the former per-segment loop kept."""
+    if math.isinf(r):
+        return [p.id for p in s.map]
+    return [
+        p.id
+        for p in s.map
+        if r > 0.0 and any(reference_distance(a, b) <= r for a, b in zip(p.points[:-1], p.points[1:]))
+    ]
+
+
 class TestMaskMap:
+    @pytest.mark.parametrize("kind", ["turn", "straight", "merge"])
+    def test_matches_the_per_segment_reference(self, kind):
+        scenes = [to_target_frame(s)[0] for s in synth_generate(SynthConfig(n=30, seed=31), kind)]
+        for s in scenes:
+            for r in (0.0, 0.5, 1.0, 1.75, 2.0, 3.0, 5.0, 10.0, 20.0, math.inf):
+                assert [p.id for p in mask_map_by_radius(s, r).map] == reference_mask(s, r), (s.scenario_id, r)
+
+    def test_segment_distances_equal_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        segments = rng.standard_normal((3000, 4)) * rng.choice([1e-3, 1.0, 50.0, 1e6], size=(3000, 1))
+        segments[::7, 2:4] = segments[::7, 0:2]  # points
+        segments[1::7] = np.round(segments[1::7])  # small integers: exact ties and zeros
+        expected = [reference_distance(row[0:2], row[2:4]) for row in segments]
+        assert segment_distances(segments).tolist() == expected
+
     def test_radius_zero_empties_map(self):
         s, _ = to_target_frame(synth_generate(SynthConfig(n=1, seed=9), "turn")[0])
         assert mask_map_by_radius(s, 0.0).map == []
@@ -312,6 +416,51 @@ class TestMaskMap:
             kept1 = {p.id for p in mask_map_by_radius(proj, r1).map}
             kept2 = {p.id for p in mask_map_by_radius(proj, r2).map}
             assert kept1 <= kept2
+
+
+COORDS = st.integers(-6, 6).map(float) | st.floats(-60.0, 60.0)  # small integers give ties and point segments
+
+
+@given(data=st.data())
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+def test_vectorize_under_small_caps_keeps_the_nearest_with_their_flags(data):
+    """Random agents and polylines under caps of 2-3: no error or warning, every cap held, flags aligned."""
+    h = data.draw(st.integers(2, 6))
+
+    def points(n):
+        return data.draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n))
+
+    agents = [AgentTrack("target", "vehicle", np.arange(1, h + 2), [(x, y, 0.0, 1.0, 0.0) for x, y in points(h + 1)])]
+    for j in range(1, data.draw(st.integers(0, 7)) + 1):
+        steps = sorted(data.draw(st.sets(st.integers(1, h + 2), min_size=1, max_size=h + 2)))
+        kind = data.draw(st.sampled_from(dataio.AGENT_KINDS))
+        # The heading column names the agent; no distance reads it.
+        agents.append(AgentTrack(f"a{j}", kind, steps, [(x, y, float(j), 0.0, 0.0) for x, y in points(len(steps))]))
+    polylines = [
+        MapPolyline(f"p{i}", data.draw(st.sampled_from(dataio.MAP_KINDS)), points(data.draw(st.integers(2, 6))))
+        for i in range(data.draw(st.integers(0, 7)))
+    ]
+    s = Scenario("fuzz", 0.1, h, 1, "target", agents, polylines).validate()
+    caps = data.draw(st.tuples(st.integers(2, 3), st.integers(2, 3)))
+    cfg = EncoderConfig(max_polylines=caps[0], max_vectors_per_polyline=caps[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vs = vectorize(s, cfg)
+    assert len(vs.map_polylines) <= cfg.max_polylines and len(vs.surrounding) <= cfg.max_polylines
+    assert all(len(v) <= cfg.max_vectors_per_polyline for v in [vs.target, *vs.map_polylines, *vs.surrounding])
+    assert vs.surrounding_observed.shape == (len(vs.surrounding),)
+    owners = [int(v[0, 4]) for v in vs.surrounding]
+    assert owners == sorted(set(owners))
+    assert vs.surrounding_observed.tolist() == [h in agents[j].steps for j in owners]
+
+    def distance(track):
+        states = track.rows[track.steps <= h]
+        return min(map(reference_distance, states[:-1, 0:2], states[1:, 0:2]), default=math.inf)
+
+    movers = [j for j in range(1, len(agents)) if distance(agents[j]) < math.inf]
+    assert len(owners) == min(len(movers), cfg.max_polylines)
+    dropped = [distance(agents[j]) for j in movers if j not in owners]
+    assert max(map(distance, (agents[j] for j in owners)), default=0.0) <= min(dropped, default=math.inf)
 
 
 class TestSynthGenerate:
