@@ -74,9 +74,6 @@ class Var:
     def __rtruediv__(self, other):
         return div(as_var(other), self)
 
-    def __matmul__(self, other):
-        return matmul(self, as_var(other))
-
     def __neg__(self):
         return neg(self)
 
@@ -153,20 +150,8 @@ def neg(a: Var) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """a @ b over leading batch axes: a (..., n, k) with a shared b (k, m), or batched b (..., k, m).
-
-    A shared 2-D b runs as one (rows, k) @ (k, m) product over every
-    leading axis of a, and its gradient sums over all of them.
-    """
+    """a @ b with numpy's broadcasting over leading batch axes; `linear` is the shared-weight product."""
     av, bv = a.value, b.value
-    if bv.ndim == 2:
-        k, m = bv.shape
-        rows = av.reshape(-1, k)
-        return _result(
-            (rows @ bv).reshape(av.shape[:-1] + (m,)),
-            (a, lambda g: (g.reshape(-1, m) @ bv.T).reshape(av.shape)),
-            (b, lambda g: rows.T @ g.reshape(-1, m)),
-        )
     return _result(
         av @ bv,
         (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
@@ -224,19 +209,16 @@ def take_rows(a: Var, indices) -> Var:
     return _result(a.value[indices], (a, vjp))
 
 
-def vsum(a: Var, axis=None, keepdims: bool = False) -> Var:
+def vsum(a: Var, axis=None) -> Var:
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.value.shape)
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.value.shape)
 
-    return _result(a.value.sum(axis=axis, keepdims=keepdims), (a, vjp))
+    return _result(a.value.sum(axis=axis), (a, vjp))
 
 
-def vmean(a: Var, axis=None, keepdims: bool = False) -> Var:
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+def vmean(a: Var) -> Var:
+    """Mean over all entries."""
+    return vsum(a) * (1.0 / a.value.size)
 
 
 def segment_max(a: Var, starts) -> Var:
@@ -326,23 +308,24 @@ def digamma(a: Var) -> Var:
     return _result(special_math.digamma(a.value), (a, lambda g: g * special_math.trigamma(a.value)))
 
 
-def linear(x: Var, w: Var, b: Var) -> Var:
-    """x @ w + b as one node: x (..., k), a shared w (k, m) and b (m,).
+def linear(x: Var, w: Var, b: Var | None = None) -> Var:
+    """x @ w (+ b) as one node: x (..., k), a shared w (k, m) and an optional b (m,).
 
-    Rounds exactly like `add(matmul(x, w), b)`: one (rows, k) @ (k, m)
-    product over every leading axis of x, the bias added in place.
+    One (rows, k) @ (k, m) product over every leading axis of x, the bias
+    added in place; the gradient of w sums over all of them.
     """
     xv, wv = x.value, w.value
     k, m = wv.shape
     rows = xv.reshape(-1, k)
     value = rows @ wv
-    value += b.value
-    return _result(
-        value.reshape(xv.shape[:-1] + (m,)),
+    edges = [
         (x, lambda g: (g.reshape(-1, m) @ wv.T).reshape(xv.shape)),
         (w, lambda g: rows.T @ g.reshape(-1, m)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
-    )
+    ]
+    if b is not None:
+        value += b.value
+        edges.append((b, lambda g: _unbroadcast(g, b.value.shape)))
+    return _result(value.reshape(xv.shape[:-1] + (m,)), *edges)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:

@@ -59,8 +59,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
-# Errors in the inputs exit 1; every other GnevaError is a numerical failure and exits 2.
-INPUT_ERRORS = (ValidationError, ParseError, MissingHorizonState, HorizonMismatch, RegionTooLarge)
+# Errors in the inputs, and a path that cannot be read or written (OSError), exit 1;
+# every other GnevaError is a numerical failure and exits 2.
+INPUT_ERRORS = (ValidationError, ParseError, MissingHorizonState, HorizonMismatch, RegionTooLarge, OSError)
 
 
 # The config's sections: every key is `section.field` of one of these dataclasses.
@@ -154,12 +155,12 @@ def _save_trained(args, tape, history, enc_cfg, n_scenes: int) -> int:
 
 
 def _for_each_file(paths, step) -> list[int]:
-    """Run `step` on each path; a `GnevaError` costs only its file: one JSON line on stderr, its exit code kept."""
+    """Run `step` on each path; a `GnevaError` or `OSError` costs only its file: a JSON line on stderr, an exit code."""
     failures = []
     for path in paths:
         try:
             step(path)
-        except GnevaError as exc:
+        except (GnevaError, OSError) as exc:
             failure = {"file": str(path), "error": type(exc).__name__, "message": str(exc)}
             print(json.dumps(failure), file=sys.stderr)
             failures.append(EXIT_VALIDATION if isinstance(exc, INPUT_ERRORS) else EXIT_NUMERICAL)
@@ -176,7 +177,14 @@ def _claim_scenario_id(first_file: dict, scenario_id: str, path) -> None:
 def cmd_predict(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
-    traj_tape, _, horizon = load_trajectory_model(args.traj_model)
+    traj_tape, traj_cfg, horizon = load_trajectory_model(args.traj_model)
+    differ = [f.name for f in fields(EncoderConfig) if getattr(enc_cfg, f.name) != getattr(traj_cfg, f.name)]
+    if differ:
+        key = differ[0]
+        raise ValidationError(
+            f"models do not pair: {args.spatial_model} has encoder.{key}={getattr(enc_cfg, key)!r}, "
+            f"{args.traj_model} has encoder.{key}={getattr(traj_cfg, key)!r}"
+        )
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
     paths = _load_scenario_paths(args.scenario)
     out = Path(args.out)

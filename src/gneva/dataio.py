@@ -361,13 +361,13 @@ def _polyline_vectors(poly: MapPolyline) -> np.ndarray:
 def segment_distances(vs: np.ndarray) -> np.ndarray:
     """Exact distance from the target-frame origin to each segment; row i of `vs` opens with its start and end.
 
-    The dot products run as a stack of (1, 2) @ (2, 1) products, which round like one segment's `p0 @ d` (BLAS
-    may fuse its multiply-add), so each distance is that of the segment alone.
+    The dot products are written out elementwise, `x*dx + y*dy`, so no BLAS fuses their multiply-add and a
+    cap or mask decision at a near-tie does not depend on the BLAS build or the CPU.
     """
     p0, d = vs[:, 0:2], vs[:, 2:4] - vs[:, 0:2]
-    denom = (d[:, None, :] @ d[:, :, None]).ravel()
+    denom = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     t = np.zeros(len(vs))
-    np.divide(-(p0[:, None, :] @ d[:, :, None]).ravel(), denom, out=t, where=denom != 0.0)  # a point: its start
+    np.divide(-(p0[:, 0] * d[:, 0] + p0[:, 1] * d[:, 1]), denom, out=t, where=denom != 0.0)  # a point: its start
     nearest = p0 + np.clip(t, 0.0, 1.0)[:, None] * d
     return np.hypot(nearest[:, 0], nearest[:, 1])
 
@@ -403,13 +403,17 @@ def vectorize(s: Scenario, cfg) -> VectorizedScene:
     rows. Beyond a cap the farthest map polylines, surrounding agents or
     vectors of a polyline or track are dropped, by their exact distance to
     the origin (`segment_distances`; a set's is its nearest segment's).
-    Survivors keep their order, and a tie keeps the earlier.
+    Survivors keep their order, and a tie keeps the earlier. A target with
+    fewer than two states by step H has no history and is refused.
     """
     cap = cfg.max_vectors_per_polyline
     map_sets = [_polyline_vectors(p) for p in s.map]
     map_sets = [_cap_vectors(v, cap) for v in _cap_sets(map_sets, map_sets, cfg.max_polylines)]
 
     target_vectors = _cap_vectors(_track_vectors(s.target(), s.H), cap)
+    if not len(target_vectors):
+        raise ValidationError(f"scenario {s.scenario_id!r}: target {s.target_id!r} has fewer than two states "
+                              f"by step H={s.H}; its history needs at least two")
 
     # Each surrounding agent with a vector by step H, and whether it has a state at H.
     others = [(vs, s.H in a.steps) for a in s.agents if a.id != s.target_id and len(vs := _track_vectors(a, s.H))]

@@ -130,9 +130,7 @@ def sample_normal_wishart(q, rng: np.random.Generator, size: int):
 
 
 def _entries(x: Var) -> list[Var]:
-    """Entries of the last axis: (..., C) nodes of a (..., C, k) node, (1,) nodes of a (k,) node."""
-    if x.value.ndim == 1:
-        return [ad.narrow(x, 0, j, 1) for j in range(x.value.shape[0])]
+    """Entries of the last axis: (..., C) nodes of a (..., C, k) node."""
     return [ad.reshape(ad.narrow(x, -1, j, 1), x.value.shape[:-1]) for j in range(x.value.shape[-1])]
 
 
@@ -147,8 +145,8 @@ class NormalWishartArrays:
 
     eta (C, 2), beta (C,), chol (C, 3) with the rows (l11, l21, l22) of
     each V's lower Cholesky factor, and nu (C,); a batch of B mixtures has
-    shapes (B, C, 2), (B, C), (B, C, 3), (B, C). A shared prior has shapes
-    (2,), (1,), (3,), (1,) and broadcasts. Nodes from
+    shapes (B, C, 2), (B, C), (B, C, 3), (B, C). The shared prior is one
+    component, (1, 2), (1,), (1, 3), (1,), and broadcasts. Nodes from
     `MixturePosterior.arrays` are constants, which record no graph. A
     Wishart alone has no eta or beta.
     """

@@ -224,7 +224,7 @@ def multi_head_attention(x: Var, leaves, prefix: str, cfg: EncoderConfig, key_ma
     split = x.value.shape[:-1] + (cfg.n_heads, d_k)
 
     def heads(proj: str) -> Var:  # (..., N, hidden) -> (..., n_heads, N, d_k)
-        return ad.swapaxes(ad.reshape(ad.matmul(x, leaves[f"{prefix}.{proj}"]), split), -3, -2)
+        return ad.swapaxes(ad.reshape(ad.linear(x, leaves[f"{prefix}.{proj}"]), split), -3, -2)
 
     q, k, v = heads("wq"), heads("wk"), heads("wv")
     scale = 1.0 / math.sqrt(d_k)
@@ -297,10 +297,10 @@ class SpatialForward:
     beta: Var  # (B, C)
     chol: Var  # (B, C, 3) Cholesky rows of V_c
     nu: Var  # (B, C)
-    prior_eta: Var  # (2,)
-    prior_beta: Var  # scalar, shape (1,)
-    prior_chol: Var  # (3,)
-    prior_nu: Var  # scalar, shape (1,)
+    prior_eta: Var  # (1, 2): the shared prior, a one-component batch
+    prior_beta: Var  # (1,)
+    prior_chol: Var  # (1, 3)
+    prior_nu: Var  # (1,)
     context_feature: Var  # (B, hidden): context + interaction target rows
     weights_logits: Var  # (B, C) pre-softmax proxy logits
     weights: Var  # (B, C) z-proxy simplex
@@ -320,11 +320,11 @@ class SpatialForward:
 
 
 def prior_vars(leaves) -> tuple[Var, Var, Var, Var]:
-    """Constrained prior parameters (eta, beta, chol, nu) from raw leaves."""
+    """Constrained shared prior (eta (1, 2), beta (1,), chol (1, 3), nu (1,)) from raw leaves: one component."""
     beta = ad.softplus(leaves["prior.beta_raw"]) + MIN_POSITIVE
-    chol = _cholesky_head(leaves["prior.chol_raw"])
+    chol = _cholesky_head(ad.reshape(leaves["prior.chol_raw"], (1, 3)))
     nu = ad.softplus(leaves["prior.nu_raw"]) + NU_FLOOR
-    return leaves["prior.eta"], beta, chol, nu
+    return ad.reshape(leaves["prior.eta"], (1, 2)), beta, chol, nu
 
 
 def forward_spatial(

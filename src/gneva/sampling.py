@@ -168,14 +168,13 @@ class Region:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValidationError("region must have positive extent")
 
-    def inflate(self, margin: float) -> "Region":
-        return Region(
-            self.x_min - margin, self.y_min - margin, self.x_max + margin, self.y_max + margin
-        )
+
+REGION_MARGIN = 10.0  # meters the candidate box extends past the scene's points
+CELL_CAP = 1_000_000  # most grid cells one candidate pool may hold
 
 
-def scene_region(s: Scenario, margin: float = 10.0) -> Region:
-    """Bounding box of all map points inflated by `margin` meters.
+def scene_region(s: Scenario) -> Region:
+    """Bounding box of all map points inflated by `REGION_MARGIN` meters.
 
     Falls back to the box of agent states when the map is empty (for
     example after masking with radius zero) so the pipeline still runs.
@@ -186,9 +185,10 @@ def scene_region(s: Scenario, margin: float = 10.0) -> Region:
     allpts = np.concatenate(points, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
-    # Degenerate boxes (single lane along an axis) still need area.
-    pad = 1e-6 + 0.0
-    return Region(lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad).inflate(margin)
+    # Degenerate boxes (single lane along an axis) still need area: 1e-6 m before the margin.
+    lo = lo - 1e-6 - REGION_MARGIN
+    hi = hi + 1e-6 + REGION_MARGIN
+    return Region(lo[0], lo[1], hi[0], hi[1])
 
 
 def generate_candidates(
@@ -196,7 +196,6 @@ def generate_candidates(
     weights,
     region: Region,
     spacing: float,
-    cell_cap: int = 1_000_000,
 ) -> CandidatePool:
     """Regular grid over the region scored by the predictive log density.
 
@@ -207,8 +206,8 @@ def generate_candidates(
     with np.errstate(over="ignore"):  # counted in floats: beyond float range is inf cells, and refused
         nx = np.floor((region.x_max - region.x_min) / spacing + 1e-9) + 1
         ny = np.floor((region.y_max - region.y_min) / spacing + 1e-9) + 1
-    if not nx * ny <= cell_cap:
-        raise RegionTooLarge(f"grid of {nx:.0f}x{ny:.0f} cells exceeds the cap of {cell_cap}")
+    if not nx * ny <= CELL_CAP:
+        raise RegionTooLarge(f"grid of {nx:.0f}x{ny:.0f} cells exceeds the cap of {CELL_CAP}")
     xs = region.x_min + spacing * np.arange(nx)
     ys = region.y_min + spacing * np.arange(ny)
     pts = np.empty((len(xs), len(ys), 2))

@@ -178,47 +178,23 @@ def huber(residual: Var, delta: float = 1.0) -> Var:
 
 @dataclass
 class TrainHistory:
-    """Per-step records: loss and the global gradient norm; spatial runs also
-    log the ELBO and CE means, each component's mean responsibility, the mean
-    entropy of q(z) and each component's spread of eta across the batch."""
+    """One flat row per step: step, lr, loss, elbo, ce, grad_norm, then the
+    loop's own columns (spatial runs: usage_c, q_entropy, eta_spread_c).
+    A column a loop does not log (a trajectory run's elbo and ce) is None."""
 
     rows: list[dict] = field(default_factory=list)
-
-    def add(self, step: int, lr: float, loss: float, elbo=None, ce=None, grad_norm=None, usage=None,
-            q_entropy=None, eta_spread=None):
-        self.rows.append(
-            {"step": step, "lr": lr, "loss": loss, "elbo": elbo, "ce": ce, "grad_norm": grad_norm,
-             "usage": usage, "q_entropy": q_entropy, "eta_spread": eta_spread}
-        )
 
     @property
     def losses(self) -> list[float]:
         return [r["loss"] for r in self.rows]
 
     def write_csv(self, path) -> None:
-        """Columns step..grad_norm; spatial runs add usage_c, q_entropy and eta_spread_c."""
-        n = max((len(r["usage"]) for r in self.rows if r["usage"] is not None), default=0)
-        scalars = ["lr", "loss", "elbo", "ce", "grad_norm"]
-
-        def fmt(x):
-            return "" if x is None else f"{x:.10g}"
-
-        def per_component(values):
-            return [fmt(v) for v in ([None] * n if values is None else values)]
-
-        header = ["step"] + scalars
-        if n:
-            header += [f"usage_{c}" for c in range(n)] + ["q_entropy"]
-            header += [f"eta_spread_{c}" for c in range(n)]
+        """The rows under a header of their keys; None is written as an empty field."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in self.rows:
-                row = [r["step"]] + [fmt(r[key]) for key in scalars]
-                if n:
-                    row += per_component(r["usage"]) + [fmt(r["q_entropy"])]
-                    row += per_component(r["eta_spread"])
-                writer.writerow(row)
+            writer.writerow(self.rows[0])
+            for step, *values in (r.values() for r in self.rows):
+                writer.writerow([step] + ["" if v is None else f"{v:.10g}" for v in values])
 
 
 def batch_diagnostics(resp: np.ndarray, eta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -259,7 +235,8 @@ def _fit(tape: ParamTape, n_scenes: int, cfg: TrainConfig, step_loss) -> TrainHi
 
     `step_loss(batch, leaves, step)` runs the forward of the scene indices
     `batch` on the tape's leaves and returns the scalar batch loss and the
-    step's extra history columns. A run that diverges raises NonFiniteLoss:
+    step's extra history columns by name, elbo and ce among them if it logs
+    them. A run that diverges raises NonFiniteLoss:
     `step_loss` checks each loss, and the trained parameters are checked at
     the end, so numpy's overflow warnings on the way there are silenced.
     """
@@ -276,7 +253,8 @@ def _fit(tape: ParamTape, n_scenes: int, cfg: TrainConfig, step_loss) -> TrainHi
             lr = lr_schedule(step, total_steps, cfg)
             norm = grad_norm(grads)
             adamw_step(tape, grads, opt, lr, cfg)
-            history.add(step, lr, float(batch_loss.value), grad_norm=norm, **columns)
+            history.rows.append({"step": step, "lr": lr, "loss": float(batch_loss.value), "elbo": None, "ce": None,
+                                 "grad_norm": norm, **columns})
     for name, param in tape.params.items():
         if not np.isfinite(param).all():
             raise NonFiniteLoss(f"training diverged: parameter {name!r} is not finite after the last step")
@@ -345,8 +323,11 @@ def train_spatial(
         _check_finite(terms.loss.value, [ids[i] for i in batch], f"spatial loss at step {step}")
         q_entropy, eta_spread = batch_diagnostics(terms.responsibilities, fw.eta.value)
         usage = terms.responsibilities.mean(axis=0)
-        return ad.vmean(terms.loss), dict(elbo=float(terms.elbo.mean()), ce=float(terms.cross_entropy.mean()),
-                                          usage=usage, q_entropy=q_entropy, eta_spread=eta_spread)
+        return ad.vmean(terms.loss), {
+            "elbo": float(terms.elbo.mean()), "ce": float(terms.cross_entropy.mean()),
+            **{f"usage_{c}": u for c, u in enumerate(usage)}, "q_entropy": q_entropy,
+            **{f"eta_spread_{c}": e for c, e in enumerate(eta_spread)},
+        }
 
     return tape, _fit(tape, len(dataset), cfg, step_loss)
 

@@ -17,33 +17,27 @@ from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
 
 
 def trajectory_forward(
-    context_feature: Var, goal, params, cfg: EncoderConfig, horizon: int
+    context_feature: Var, goals, params, cfg: EncoderConfig, horizon: int
 ) -> Var:
-    """Waypoints from [context; goal] through two MLPs; endpoint pinned to goal.
+    """Waypoints (B, T, 2) from [context; goal] through two MLPs; each endpoint pinned to its goal.
 
-    Contexts (B, hidden) and goals (B, 2) give waypoints (B, T, 2); one goal
-    (2,) with a context (hidden,) or (1, hidden) gives (T, 2). A `ParamTape`
-    runs on constants, so inference records no graph.
+    Takes contexts (B, hidden) and goals (B, 2). A `ParamTape` runs on
+    constants, so inference records no graph.
     """
     leaves = _as_leaves(params)
-    goal = np.asarray(goal, dtype=float)
-    goals = goal.reshape(-1, 2)
-    feature = context_feature
-    if feature.value.ndim == 1:
-        feature = ad.reshape(feature, (1, -1))
-    x = ad.concat([feature, Var(goals)], axis=1)
+    goals = np.asarray(goals, dtype=float)
+    x = ad.concat([context_feature, Var(goals)], axis=1)
     h = _mlp(leaves, "traj.m1", x)
     out = ad.reshape(_mlp(leaves, "traj.m2", h), (len(goals), horizon, 2))
     # Hard endpoint constraint: the last waypoint is the conditioning goal.
-    out = ad.concat([ad.narrow(out, 1, 0, horizon - 1), Var(goals[:, None, :])], axis=1)
-    return out if goal.ndim == 2 else ad.reshape(out, (horizon, 2))
+    return ad.concat([ad.narrow(out, 1, 0, horizon - 1), Var(goals[:, None, :])], axis=1)
 
 
 def complete_trajectory(
-    context_feature: np.ndarray, goal, tape: ParamTape, cfg: EncoderConfig, horizon: int
+    context_feature: np.ndarray, goals, tape: ParamTape, cfg: EncoderConfig, horizon: int
 ) -> np.ndarray:
-    """Inference-time completion in the target frame: (T, 2) for one goal, (B, T, 2) for goals (B, 2)."""
-    node = trajectory_forward(Var(np.asarray(context_feature, dtype=float)), goal, tape, cfg, horizon)
+    """Inference-time completion in the target frame: contexts (B, hidden) and goals (B, 2) give (B, T, 2)."""
+    node = trajectory_forward(Var(np.asarray(context_feature, dtype=float)), goals, tape, cfg, horizon)
     return node.value.copy()
 
 

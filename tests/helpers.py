@@ -65,7 +65,7 @@ def emitted_components(fw):
         return np.stack([l11 * l11, l11 * l21, l21 * l21 + l22 * l22], axis=-1)
 
     mix = MixturePosterior(fw.eta.value, fw.beta.value, v_of(fw.chol.value), fw.nu.value)
-    prior = nw(fw.prior_eta.value, fw.prior_beta.value[0], v_of(fw.prior_chol.value), fw.prior_nu.value[0])
+    prior = MixturePosterior(fw.prior_eta.value, fw.prior_beta.value, v_of(fw.prior_chol.value), fw.prior_nu.value)
     return mix, prior
 
 

@@ -263,11 +263,13 @@ class TestKernelsBitForBit:
         x = kernel_input(rng, shape)
         w, b = rng.normal(size=(shape[-1], 7)), rng.normal(size=7)
         g = rng.normal(size=shape[:-1] + (7,))
-        value, grads = tape_grads(ad.linear, x, w, b, g=g)
-        ref_value, ref_grads = tape_grads(lambda *v: ad.add(ad.matmul(v[0], v[1]), v[2]), x, w, b, g=g)
-        assert same_bits(value, ref_value)
-        for got, want in zip(grads, ref_grads):
-            assert same_bits(got, want)
+        value, (gx, gw, gb) = tape_grads(ad.linear, x, w, b, g=g)
+
+        rows, g_rows = x.reshape(-1, shape[-1]), g.reshape(-1, 7)
+        assert same_bits(value, (rows @ w + b).reshape(g.shape))
+        assert same_bits(gx, (g_rows @ w.T).reshape(shape))
+        assert same_bits(gw, rows.T @ g_rows)
+        assert same_bits(gb, lead_sum(g, b.shape))
 
     def test_linear_is_one_node(self, shape):
         rng = np.random.default_rng(23)

@@ -10,7 +10,7 @@ import pytest
 
 from gneva.cli import load_run_config, run_command
 from gneva.dataio import load_scenario, to_target_frame, vectorize
-from gneva.encoders import forward_spatial, load_spatial_model
+from gneva.encoders import EncoderConfig, forward_spatial, init_trajectory_params, load_spatial_model, save_model
 from gneva.errors import ValidationError
 from gneva.sampling import generate_candidates, scene_region
 from gneva.trajectory import Predictions, save_predictions
@@ -862,6 +862,82 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert code == 1 and caught == []
         assert f"model {bad}" in err and key in err and "Traceback" not in err
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("key, value", [("hidden", 16), ("C", 4)])
+    def test_mismatched_model_pair_exits_1_before_any_scenario(self, workspace, tmp_path, capsys, key, value):
+        root, config, data, spatial, traj = workspace
+        cfg = EncoderConfig(**{**json.loads(traj.read_text())["config"], key: value})
+        other = tmp_path / "other-traj.json"
+        save_model(other, init_trajectory_params(cfg, horizon=30), cfg)
+        code = run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(other),
+                            "--scenario", str(tmp_path / "not-read"), "--out", str(tmp_path / "preds")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert str(spatial) in err and str(other) in err and f"encoder.{key}=" in err
+        assert not (tmp_path / "preds").exists()
+
+    def test_one_state_target_exits_1_naming_scenario_target_and_h(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        scenes = tmp_path / "h1"
+        assert run_command(["synth", "--kind", "turn", "--n", "2", "--seed", "6", "--H", "1", "--out", str(scenes)]) == 0
+        path = sorted(scenes.glob("*.json"))[0]
+        doc = json.loads(path.read_text())
+        named = f"scenario {doc['scenario_id']!r}: target {doc['target_id']!r}"
+        models = ["--spatial-model", str(spatial)]
+        commands = {
+            "predict": ["predict", *models, "--traj-model", str(traj), "--scenario", str(path),
+                        "--out", str(tmp_path / "p.json")],
+            "density": ["density", *models, "--scenario", str(path), "--out", str(tmp_path / "d.csv")],
+            "train-spatial": ["--config", str(config), "train-spatial", "--data", str(scenes),
+                              "--out", str(tmp_path / "m.json")],
+        }
+        capsys.readouterr()
+        for name, argv in commands.items():
+            assert run_command(argv) == 1, name
+            err = capsys.readouterr().err
+            assert named in err and "H=1" in err, (name, err)
+        # Scoring reads no history, so eval of the scene still works.
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        save_predictions(preds / path.name, doc["scenario_id"], Predictions(np.zeros((6, 30, 2)), np.zeros(6)))
+        assert run_command(["eval", "--pred", str(preds), "--data", str(path)]) == 0
+
+    def test_unwritable_output_path_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        existing, missing = tmp_path / "a-file", tmp_path / "no-dir"
+        existing.write_text("")
+        commands = [
+            (["predict", "--spatial-model", str(spatial), "--traj-model", str(traj), "--scenario", str(data),
+              "--out", str(existing)], existing),
+            (["synth", "--kind", "turn", "--n", "1", "--out", str(existing)], existing),
+            (["density", "--spatial-model", str(spatial), "--scenario", str(sorted(data.glob("*.json"))[0]),
+              "--out", str(missing / "d.csv")], missing / "d.csv"),
+            (["--config", str(config), "train-spatial", "--data", str(data), "--out", str(missing / "m.json")],
+             missing / "m.json"),
+        ]
+        for argv, named in commands:
+            assert run_command(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(named) in err, (argv, err)
+
+    def test_unwritable_prediction_file_costs_only_its_scenario(self, workspace, tmp_path, capsys):
+        root, config, data, spatial, traj = workspace
+        scenes, out = tmp_path / "scenes", tmp_path / "preds"
+        scenes.mkdir()
+        files = sorted(data.glob("*.json"))[:3]
+        for f in files:
+            (scenes / f.name).write_bytes(f.read_bytes())
+        blocked = out / files[1].name  # a directory where the prediction file goes
+        blocked.mkdir(parents=True)
+        code = run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+                            "--scenario", str(scenes), "--spacing", "1.0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "predicted 2 of 3" in captured.out
+        assert sorted(p.name for p in out.glob("*.json") if p.is_file()) == [files[0].name, files[2].name]
+        (failure,) = [json.loads(line) for line in captured.err.splitlines()]
+        assert failure["file"] == str(scenes / files[1].name) and str(blocked) in failure["message"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one core")

@@ -344,10 +344,10 @@ class TestVectorize:
 def reference_distance(p0: np.ndarray, p1: np.ndarray) -> float:
     """Distance from the origin to one segment: the former per-segment formula, kept as the reference."""
     d = p1 - p0
-    denom = float(d @ d)
+    denom = float(d[0] * d[0] + d[1] * d[1])
     if denom == 0.0:
         return float(np.hypot(*p0))
-    t = float(np.clip(-(p0 @ d) / denom, 0.0, 1.0))
+    t = float(np.clip(-(p0[0] * d[0] + p0[1] * d[1]) / denom, 0.0, 1.0))
     nearest = p0 + t * d
     return float(np.hypot(*nearest))
 

@@ -86,6 +86,23 @@ def test_benchmark_stages_call_every_wrapped_name(counted, tmp_path):
     assert np.isfinite(world.goal_log_probs).all()
 
 
+def test_one_scene_forms_the_benchmark_calls():
+    # perfbench/run.py (`emitted`, `gradient_spot_check`) runs forward_spatial on one VectorizedScene and
+    # spatial_scene_loss on its goal (2,), reshaping each loss to (1,).
+    scene = dataio.to_target_frame(dataio.synth_generate(dataio.SynthConfig(n=1, seed=4), "turn")[0])[0]
+    tape, vs = encoders.init_spatial_params(ENC, seed=3), dataio.vectorize(scene, ENC)
+    fw = encoders.forward_spatial(vs, tape, ENC)
+    assert (fw.eta.shape, fw.chol.shape, fw.weights.shape) == ((ENC.C, 2), (ENC.C, 3), (ENC.C,))
+    assert fw.mixture().n_components == ENC.C
+    terms = training.spatial_scene_loss(scene.goal(), fw, 1.0)
+    assert terms.loss.value.size == 1 and terms.responsibilities.shape == (ENC.C,)
+    leaves = tape.leaves()
+    loss = training.spatial_scene_loss(scene.goal(), encoders.forward_spatial(vs, leaves, ENC), 1.0,
+                                       q_target=terms.responsibilities).loss
+    training.backward(loss)
+    assert leaves["prior.eta"].grad.shape == (2,)
+
+
 @pytest.fixture
 def bench_run(monkeypatch):
     """`perfbench/run.py` imported as a module; the environment variables its import sets are put back."""

@@ -393,10 +393,11 @@ class TestTrainingLoops:
         spatial, hist = train_spatial(scenes, init_spatial_params(ENC, seed=5), cfg, ENC)
         for row in hist.rows:
             assert row["grad_norm"] > 0.0
-            assert row["usage"].shape == (ENC.C,)
-            assert row["usage"].sum() == pytest.approx(1.0, abs=1e-12)  # mean of simplex rows
+            usage = [row[f"usage_{c}"] for c in range(ENC.C)]
+            assert sum(usage) == pytest.approx(1.0, abs=1e-12)  # mean of simplex rows
             assert 0.0 <= row["q_entropy"] <= math.log(ENC.C) + 1e-12
-            assert row["eta_spread"].shape == (ENC.C,) and np.all(row["eta_spread"] >= 0.0)
+            assert all(row[f"eta_spread_{c}"] >= 0.0 for c in range(ENC.C))
+            assert f"usage_{ENC.C}" not in row and f"eta_spread_{ENC.C}" not in row
         traj = init_trajectory_params(ENC, horizon=scenes[0].T, seed=5)
         _, traj_hist = train_trajectory(scenes, spatial, traj, cfg, ENC)
         path = tmp_path / "traj.csv"
@@ -474,9 +475,11 @@ class TestOneStepLoop:
             fw = forward_spatial([vectors[i] for i in batch], leaves, enc)
             terms = spatial_scene_loss(goals[batch], fw, cfg.lambda_z)
             q_entropy, eta_spread = batch_diagnostics(terms.responsibilities, fw.eta.value)
+            usage = terms.responsibilities.mean(axis=0)
             return ad.vmean(terms.loss), {
                 "elbo": float(terms.elbo.mean()), "ce": float(terms.cross_entropy.mean()),
-                "usage": terms.responsibilities.mean(axis=0), "q_entropy": q_entropy, "eta_spread": eta_spread,
+                **{f"usage_{c}": usage[c] for c in range(enc.C)}, "q_entropy": q_entropy,
+                **{f"eta_spread_{c}": eta_spread[c] for c in range(enc.C)},
             }
 
         same_history(history.rows, reference_loop(ref, len(scenes), cfg, step_loss))

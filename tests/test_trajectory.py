@@ -41,15 +41,15 @@ class TestCompleteTrajectory:
         rng = np.random.default_rng(0)
         ctx = rng.normal(size=(1, ENC.hidden))
         goal = np.array([12.0, -3.0])
-        wp = complete_trajectory(ctx, goal, traj, ENC, horizon=30)
-        assert wp.shape == (30, 2)
-        assert np.array_equal(wp[-1], goal)
+        wp = complete_trajectory(ctx, goal[None], traj, ENC, horizon=30)
+        assert wp.shape == (1, 30, 2)
+        assert np.array_equal(wp[0, -1], goal)
 
     def test_deterministic(self, tapes):
         _, traj, _ = tapes
         ctx = np.ones((1, ENC.hidden))
-        a = complete_trajectory(ctx, [5.0, 1.0], traj, ENC, horizon=30)
-        b = complete_trajectory(ctx, [5.0, 1.0], traj, ENC, horizon=30)
+        a = complete_trajectory(ctx, [[5.0, 1.0]], traj, ENC, horizon=30)
+        b = complete_trajectory(ctx, [[5.0, 1.0]], traj, ENC, horizon=30)
         assert np.array_equal(a, b)
 
 
@@ -102,8 +102,8 @@ class TestPredictTopk:
         for s in synth_generate(SynthConfig(n=5, seed=55), "straight"):
             held, _ = to_target_frame(s)
             fw = forward_spatial(vectorize(held, ENC), spatial, ENC)
-            wp = complete_trajectory(fw.context_feature.value, held.goal(), traj, ENC, held.T)
-            worst = max(worst, float(np.abs(wp[:, 1]).max()))
+            wp = complete_trajectory(fw.context_feature.value, held.goal()[None], traj, ENC, held.T)
+            worst = max(worst, float(np.abs(wp[0, :, 1]).max()))
         assert worst < 0.5
 
 
