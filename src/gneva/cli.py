@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -129,6 +130,7 @@ def cmd_synth(args, config) -> int:
 
 
 def cmd_train_spatial(args, config) -> int:
+    _check_writable(args.out, _history_path(args))
     enc_cfg = _dataclass_from_config(EncoderConfig, "encoder", config)
     train_cfg = _dataclass_from_config(TrainConfig, "train", config)
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
@@ -138,6 +140,7 @@ def cmd_train_spatial(args, config) -> int:
 
 
 def cmd_train_traj(args, config) -> int:
+    _check_writable(args.out, _history_path(args))
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
     train_cfg = _dataclass_from_config(TrainConfig, "train", config)
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
@@ -146,10 +149,25 @@ def cmd_train_traj(args, config) -> int:
     return _save_trained(args, traj_tape, history, enc_cfg, len(scenes))
 
 
+def _history_path(args) -> str:
+    """--history, by default next to the model."""
+    return args.history or str(args.out) + ".history.csv"
+
+
+def _check_writable(*paths) -> None:
+    """Open each path for appending, so one that cannot be written fails before any work; a new file is removed."""
+    for path in paths:
+        existed = os.path.lexists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _save_trained(args, tape, history, enc_cfg, n_scenes: int) -> int:
-    """Write the model to --out and its loss history to --history (default: next to the model)."""
+    """Write the model to --out and its loss history to --history."""
     save_model(args.out, tape, enc_cfg)
-    history.write_csv(args.history or (str(args.out) + ".history.csv"))
+    history.write_csv(_history_path(args))
     print(f"trained on {n_scenes} scenes; final loss {history.losses[-1]:.4f}")
     return EXIT_OK
 

@@ -1,8 +1,8 @@
 """Normal-Wishart conjugate family over a 2-D Gaussian's mean and precision.
 
-Provides densities, Bartlett sampling, the expected sufficient statistics
-that appear in the variational objective, the two closed-form KL
-divergences, and the Student-t posterior predictive. All distributions are
+Provides the Wishart density, Bartlett sampling, the expected sufficient
+statistics that appear in the variational objective, the two closed-form
+KL divergences, and the Student-t posterior predictive. All distributions are
 over R^2 (D = 2 throughout). A single Normal-Wishart is a one-component
 `mixture.MixturePosterior`; a 2x2 symmetric matrix is held as its entries
 (a11, a12, a22).
@@ -49,19 +49,6 @@ def _log_det(a11, a12, a22):
     """log det of 2x2 SPD matrices from their Cholesky factors."""
     l11, _, l22 = spd_cholesky(a11, a12, a22)
     return 2.0 * (np.log(l11) + np.log(l22))
-
-
-def normal_wishart_log_density(mu, lam, q) -> np.ndarray:
-    """log N(mu | eta, (beta Lambda)^-1) + log W(Lambda | V, nu) at n points (mu, Lambda).
-
-    mu (n, 2), lam (n, 3) and q a one-component `MixturePosterior`.
-    """
-    eta, beta, chol, nu = one_component(q, "normal_wishart_log_density")
-    wishart = wishart_log_density(lam, chol, nu)
-    p11, p12, p22 = np.reshape(lam, (-1, 3)).T * beta
-    dx, dy = (np.reshape(mu, (-1, 2)) - eta).T
-    quad = p11 * dx * dx + 2.0 * p12 * dx * dy + p22 * dy * dy
-    return 0.5 * _log_det(p11, p12, p22) - LOG_2PI - 0.5 * quad + wishart
 
 
 def wishart_log_density(lam, chol, nu) -> np.ndarray:
@@ -147,13 +134,12 @@ class NormalWishartArrays:
     each V's lower Cholesky factor, and nu (C,); a batch of B mixtures has
     shapes (B, C, 2), (B, C), (B, C, 3), (B, C). The shared prior is one
     component, (1, 2), (1,), (1, 3), (1,), and broadcasts. Nodes from
-    `MixturePosterior.arrays` are constants, which record no graph. A
-    Wishart alone has no eta or beta.
+    `MixturePosterior.arrays` are constants, which record no graph.
     """
 
-    def __init__(self, eta: Var | None, beta: Var | None, chol: Var, nu: Var):
+    def __init__(self, eta: Var, beta: Var, chol: Var, nu: Var):
         self.eta, self.beta, self.chol, self.nu = eta, beta, chol, nu
-        self.eta_xy = None if eta is None else _entries(eta)
+        self.eta_xy = _entries(eta)
         l11, l21, l22 = _entries(chol)
         self.v = (ad.square(l11), ad.mul(l11, l21), ad.square(l21) + ad.square(l22))
         self.det_v = ad.square(ad.mul(l11, l22))

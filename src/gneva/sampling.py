@@ -82,76 +82,29 @@ def circle_iou(p1, p2, r: float) -> float:
     return float(circle_iou_from_distance(np.array([d]), r)[0])
 
 
-_NMS_BLOCK = 256  # candidates per block of the lazy scan in `_greedy_scan`
-# Candidates per wanted goal in the head that `nms_select` sorts first. Each
-# candidate ranked above the k-th goal is one of the first k - 1 goals or
-# lies within 2 radii of one; at the CLI defaults (0.5 m spacing, 2 m
-# radius) such a disc holds 193 cells, so the head holds the k-th goal
-# unless it ties with the cut.
-_NMS_HEAD_PER_GOAL = 256
-
-
-def _clear_of(points: np.ndarray, goals: np.ndarray, cfg: NmsConfig) -> np.ndarray:
-    """True for each point (n, 2) whose circle IoU with every goal (m, 2) is at most the threshold."""
-    diff = points[:, None, :] - goals[None, :, :]
-    iou = circle_iou_from_distance(np.hypot(diff[..., 0], diff[..., 1]), cfg.radius)
-    return (iou <= cfg.iou_threshold).all(axis=1)
-
-
-def _greedy_scan(
-    order: np.ndarray, locations: np.ndarray, cfg: NmsConfig, limit: int, selected: list[int]
-) -> None:
-    """Extend `selected` greedily from candidates in `order`, up to `limit` selections.
-
-    The order is scanned lazily in blocks of `_NMS_BLOCK`: a block is tested
-    only against the goals selected so far, then selected from in order, so
-    a scan that reaches the limit never touches the rest.
-    """
-    for start in range(0, len(order), _NMS_BLOCK):
-        block = order[start : start + _NMS_BLOCK]
-        if selected:
-            block = block[_clear_of(locations[block], locations[selected], cfg)]
-        while block.size:
-            best, block = block[0], block[1:]
-            selected.append(best)
-            if len(selected) >= limit:
-                return
-            block = block[_clear_of(locations[block], locations[best][None], cfg)]
-
-
 def nms_select(pool: CandidatePool, cfg: NmsConfig, k: int | None = None) -> np.ndarray:
     """Greedy suppression, most probable first, stopping after k selections.
 
     Returns the selected pool indices in selection order. With k None it
-    runs until the pool is empty. A candidate is suppressed when its circle
-    IoU with an already selected candidate strictly exceeds the threshold.
-    Goals come in non-increasing log density, ties in pool order.
-
-    With k set, the pool is sorted in two parts: first the head, every
-    candidate strictly more probable than the one at rank
-    `_NMS_HEAD_PER_GOAL * k`, and only if the head yields fewer than k
-    goals, the rest. Each part is sorted stably, so the two together are
-    the whole pool's stable order, and the scan selects what one scan of
-    the whole sorted pool would.
+    runs until no candidate is left. Each pass keeps the most probable live
+    candidate (the first of equals, so ties go in pool order) and drops
+    every candidate whose circle IoU with it strictly exceeds the threshold.
     """
     if len(pool) == 0:
         raise EmptyCandidatePool("no candidates to select from")
-    neg = -pool.log_probs
-    limit = len(neg) if k is None else k
-    head_size = _NMS_HEAD_PER_GOAL * limit
-    if head_size < len(neg):
-        head = neg < np.partition(neg, head_size)[head_size]
-        parts = (head, ~head)
-    else:
-        parts = (np.ones(len(neg), dtype=bool),)
-    selected: list[int] = []
-    for part in parts:
-        if len(selected) >= limit:
+    live = pool.log_probs.copy()
+    x, y = pool.locations.T.copy()  # contiguous rows: each pass reads both in full
+    reach = 2.0 * cfg.radius  # beyond it on either axis the discs are apart: IoU 0
+    selected = []
+    for _ in range(len(live) if k is None else k):
+        best = int(np.argmax(live))
+        if live[best] == -math.inf:
             break
-        members = np.flatnonzero(part)
-        # Stable sort keeps input order among equal probabilities.
-        order = members[np.argsort(neg[members], kind="stable")]
-        _greedy_scan(order, pool.locations, cfg, limit, selected)
+        selected.append(best)
+        live[best] = -math.inf  # at threshold 1 its IoU with itself, 1, does not exceed it
+        near = np.flatnonzero((np.abs(x - x[best]) < reach) & (np.abs(y - y[best]) < reach))
+        iou = circle_iou_from_distance(np.hypot(x[near] - x[best], y[near] - y[best]), cfg.radius)
+        live[near[iou > cfg.iou_threshold]] = -math.inf
     return np.array(selected, dtype=np.intp)
 
 
@@ -176,12 +129,13 @@ CELL_CAP = 1_000_000  # most grid cells one candidate pool may hold
 def scene_region(s: Scenario) -> Region:
     """Bounding box of all map points inflated by `REGION_MARGIN` meters.
 
-    Falls back to the box of agent states when the map is empty (for
-    example after masking with radius zero) so the pipeline still runs.
+    Falls back to the box of agent states observed by step H when the map
+    is empty (for example after masking with radius zero) so the pipeline
+    still runs; the future states are ground truth and take no part.
     """
     points = [p.points for p in s.map]
     if not points:
-        points = [track.rows[:, :2] for track in s.agents if len(track.rows)]
+        points = [track.rows[track.steps <= s.H, :2] for track in s.agents]
     allpts = np.concatenate(points, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)

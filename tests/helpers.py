@@ -114,15 +114,6 @@ def wishart_logpdf_formula(lams, v, nu: float):
     )
 
 
-def normal_logpdf_given_precision(mus, eta, beta, lams):
-    """Vectorized log N(mu | eta, (beta Lambda)^-1)."""
-    d = 2
-    dev = mus - eta
-    _, logdet_lam = np.linalg.slogdet(lams)
-    quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
-    return 0.5 * (d * np.log(beta) + logdet_lam) - 0.5 * d * np.log(2 * np.pi) - 0.5 * beta * quad
-
-
 def gaussian_logpdf(xs, mean, cov):
     return stats.multivariate_normal.logpdf(xs, mean=mean, cov=cov)
 

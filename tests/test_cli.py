@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gneva import cli
 from gneva.cli import load_run_config, run_command
 from gneva.dataio import load_scenario, to_target_frame, vectorize
 from gneva.encoders import EncoderConfig, forward_spatial, init_trajectory_params, load_spatial_model, save_model
-from gneva.errors import ValidationError
+from gneva.errors import NonFiniteLoss, ValidationError
 from gneva.sampling import generate_candidates, scene_region
 from gneva.trajectory import Predictions, save_predictions
 
@@ -921,6 +922,30 @@ class TestInputRefusals:
             assert run_command(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(named) in err, (argv, err)
+
+    @pytest.mark.parametrize("command, trainer", [("train-spatial", "train_spatial"), ("train-traj", "train_trajectory")])
+    @pytest.mark.parametrize("blocked", ["--out", "--history"])
+    def test_unwritable_model_or_history_exits_1_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch, command, trainer, blocked
+    ):
+        root, config, data, spatial, traj = workspace
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            raise NonFiniteLoss("stopped by the test")
+
+        monkeypatch.setattr(cli, trainer, record)
+        outputs = {"--out": tmp_path / "m.json", "--history": tmp_path / "h.csv"}
+        outputs[blocked] = tmp_path / "no-dir" / outputs[blocked].name
+        argv = ["--config", str(config), command, "--data", str(data)]
+        argv += ["--spatial-model", str(spatial)] if command == "train-traj" else []
+        argv += [arg for flag, path in outputs.items() for arg in (flag, str(path))]
+        code = run_command(argv)
+        err = capsys.readouterr().err
+        assert calls == [] and code == 1
+        assert err.startswith("error: ") and str(outputs[blocked]) in err, err
+        assert list(tmp_path.iterdir()) == []  # neither the model nor the history
 
     def test_unwritable_prediction_file_costs_only_its_scenario(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace

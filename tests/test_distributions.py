@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from gneva.distributions import (
-    normal_wishart_log_density,
     predictive_student_t,
     sample_normal_wishart,
     student_t_log_density_table,
@@ -18,7 +17,6 @@ from helpers import (
     grid_quadrature_mass,
     matrix,
     mc_mean_and_se,
-    normal_logpdf_given_precision,
     nw,
     psi_d,
     random_nw,
@@ -87,18 +85,6 @@ class TestNormalWishartDensity:
         ref = wishart_logpdf_formula(np.eye(2)[None], w.v[0], w.nu[0])[0]
         assert val == pytest.approx(float(ref), rel=1e-12)
 
-    def test_matches_independent_formula_on_random_params(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            p = random_nw(rng)
-            lam = random_spd(rng)
-            mu = rng.normal(size=2)
-            mine = normal_wishart_log_density([mu], [lam], p)[0]
-            ref = wishart_logpdf_formula(matrix(lam)[None], p.v[0], p.nu[0])[
-                0
-            ] + normal_logpdf_given_precision(mu[None], p.eta[0], p.beta[0], matrix(lam)[None])[0]
-            assert mine == pytest.approx(float(ref), rel=1e-11, abs=1e-11)
-
     def test_matches_scipy_wishart(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -110,67 +96,15 @@ class TestNormalWishartDensity:
             ref = stats.wishart.logpdf(matrix(lam), df=nu, scale=matrix(v))
             assert mine == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
 
-    def test_normal_part_at_mode(self):
-        # At mu = eta the quadratic form vanishes.
-        p = nw([1.0, -2.0], 2.5, IDENTITY, 4.0)
-        lam = (3.0, 0.5, 2.0)
-        total = normal_wishart_log_density(p.eta, [lam], p)[0]
-        wishart_only = wishart_log_density([lam], p.chol[0], p.nu[0])[0]
-        normal_at_mode = total - wishart_only
-        log_det_beta_lam = np.linalg.slogdet(p.beta[0] * matrix(lam))[1]
-        assert normal_at_mode == pytest.approx(0.5 * log_det_beta_lam - math.log(2 * math.pi), abs=1e-12)
-
-    def test_normal_part_matches_scipy(self):
-        # The joint minus its Wishart factor is log N(mu | eta, (beta Lambda)^-1).
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            p = random_nw(rng)
-            lam = random_spd(rng)
-            mu = rng.normal(size=2)
-            normal = normal_wishart_log_density([mu], [lam], p)[0] - wishart_log_density([lam], p.chol[0], p.nu[0])[0]
-            cov = np.linalg.inv(p.beta[0] * matrix(lam))
-            ref = stats.multivariate_normal.logpdf(mu, mean=p.eta[0], cov=cov)
-            assert normal == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
-
-    def test_box_mass_mc_vs_quadrature(self):
-        # MC quadrature of the joint density over a 5-d box around the mode
-        # against a deterministic grid on the same box.
-        p = nw([0.5, -0.5], 2.0, (0.5, 0.1, 0.6), 5.0)
-        mean_lam = p.nu[0] * p.v[0]
-        lo = np.concatenate([p.eta[0] - 0.4, mean_lam - 0.5])
-        hi = np.concatenate([p.eta[0] + 0.4, mean_lam + 0.5])
-        volume = float(np.prod(hi - lo))
-
-        def density_many(points):
-            return np.exp(normal_wishart_log_density(points[:, :2], points[:, 2:], p))
-
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(lo, hi, size=(40_000, 5))
-        vals = density_many(pts)
-        mc_mean, mc_se = mc_mean_and_se(vals)
-        mc_mass = volume * mc_mean
-
-        grid_1d = [np.linspace(lo[k], hi[k], 9) + (hi[k] - lo[k]) / 18 for k in range(5)]
-        grid_1d = [g[:-1] + 0 for g in grid_1d]  # cell centers, 8 per axis
-        mesh = np.stack([g.ravel() for g in np.meshgrid(*grid_1d, indexing="ij")], axis=1)
-        cell_volume = volume / 8**5
-        grid_mass = density_many(mesh).sum() * cell_volume
-
-        assert abs(mc_mass - grid_mass) < 3 * volume * mc_se + 0.02 * grid_mass
-
     @pytest.mark.parametrize("lam", [(1.0, 2.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (math.nan, 0.0, 1.0)])
     def test_refuses_a_precision_that_is_not_positive_definite(self, lam):
         p = nw([0.0, 0.0], 1.0, IDENTITY, 4.0)
         lams = [IDENTITY, lam]
         with pytest.raises(NotPositiveDefinite, match="^precision 1: "):
-            normal_wishart_log_density([[0.0, 0.0], [0.0, 0.0]], lams, p)
-        with pytest.raises(NotPositiveDefinite, match="^precision 1: "):
             wishart_log_density(lams, p.chol[0], p.nu[0])
 
     def test_refuses_a_posterior_with_two_components(self):
         q = stack([nw([0.0, 0.0], 1.0, IDENTITY, 4.0)] * 2)
-        with pytest.raises(ValidationError, match="one-component"):
-            normal_wishart_log_density([[0.0, 0.0]], [IDENTITY], q)
         with pytest.raises(ValidationError, match="one-component"):
             sample_normal_wishart(q, np.random.default_rng(0), 1)
 

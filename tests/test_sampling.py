@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gneva.errors import EmptyCandidatePool, RegionTooLarge, ValidationError
-from gneva import sampling
 from gneva.sampling import (
     CandidatePool,
     NmsConfig,
@@ -172,8 +171,8 @@ class TestNmsSelect:
 def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int]:
     """Greedy suppression over one stable sort of the whole pool, one candidate at a time.
 
-    The reference for the head-first sort in `nms_select`; it shares only
-    the IoU geometry, which `TestCircleIou` checks on its own.
+    The reference for `nms_select` on large pools; it shares only the IoU
+    geometry, which `TestCircleIou` checks on its own.
     """
     selected: list[int] = []
     for i in np.argsort(-pool.log_probs, kind="stable"):
@@ -187,7 +186,7 @@ def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int
 
 
 class TestHeadFirstSort:
-    """`nms_select` sorts the head of a large pool first; it must select what one full sort would."""
+    """Large pools with many ties, some past 256 candidates per goal: `nms_select` selects what one full sort would."""
 
     def grid_pool(self, rng, n_side, levels):
         xs, ys = np.meshgrid(np.arange(n_side) * 0.5, np.arange(n_side) * 0.5, indexing="ij")
@@ -201,18 +200,19 @@ class TestHeadFirstSort:
     def test_exact_ties_match_full_sort(self, k, levels):
         rng = np.random.default_rng(100 + 7 * k + levels)
         pool = self.grid_pool(rng, 60, levels)
-        assert len(pool) > sampling._NMS_HEAD_PER_GOAL * k
+        assert len(pool) > 256 * k
         for cfg in (NmsConfig(radius=2.0), NmsConfig(radius=1.0, iou_threshold=0.25)):
             chosen = nms_select(pool, cfg, k)
             assert len(chosen) == k
             assert chosen.tolist() == full_sort_selection(pool, cfg, k)
 
     def test_head_that_runs_out_falls_back_to_the_rest(self):
-        # The head's candidates all sit within one suppression disc, so it
-        # yields one goal; the others come from the rest of the pool.
+        # The 256 k + 10 most probable candidates all sit within one
+        # suppression disc, so they yield one goal; the others come from the
+        # less probable ones far away.
         k = 3
         rng = np.random.default_rng(101)
-        head = sampling._NMS_HEAD_PER_GOAL * k
+        head = 256 * k
         near = rng.uniform(-0.5, 0.5, size=(head + 10, 2))
         far = rng.uniform(20.0, 60.0, size=(500, 2))
         log_probs = np.concatenate([rng.uniform(0.0, 1.0, len(near)), rng.uniform(-3.0, -1.0, len(far))])
@@ -228,6 +228,25 @@ class TestHeadFirstSort:
         pool = self.grid_pool(rng, 40, 5)
         cfg = NmsConfig(radius=1.5, iou_threshold=0.1)
         assert nms_select(pool, cfg).tolist() == full_sort_selection(pool, cfg)
+
+    def test_threshold_one_keeps_every_candidate_once(self):
+        # No IoU exceeds 1, so each goal must be dropped from the pool by being selected.
+        rng = np.random.default_rng(103)
+        pool = self.grid_pool(rng, 20, 3)
+        cfg = NmsConfig(radius=2.0, iou_threshold=1.0)
+        for k in (1, 6, None):
+            assert nms_select(pool, cfg, k).tolist() == full_sort_selection(pool, cfg, k), k
+        assert sorted(nms_select(pool, cfg).tolist()) == list(range(len(pool)))
+
+    def test_duplicate_locations_match_full_sort(self):
+        # Each location three times, at IoU 1 with one another.
+        rng = np.random.default_rng(104)
+        locations = np.repeat(rng.integers(0, 12, size=(60, 2)) * 0.5, 3, axis=0)
+        rng.shuffle(locations)
+        pool = CandidatePool(locations, rng.integers(0, 4, size=len(locations)) * -0.5)
+        for cfg in (NmsConfig(radius=1.0), NmsConfig(radius=1.0, iou_threshold=0.5), NmsConfig(iou_threshold=1.0)):
+            for k in (1, 6, None):
+                assert nms_select(pool, cfg, k).tolist() == full_sort_selection(pool, cfg, k), (cfg, k)
 
 
 def small_mixture(rng, c=2):

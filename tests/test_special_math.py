@@ -91,8 +91,8 @@ class TestMultivariateGamma:
 
 
 def _psi2(nu) -> Var:
-    """psi_2(nu/2) of one Wishart W(I, nu), as the Normal-Wishart closed forms compute it."""
-    return NormalWishartArrays(None, None, Var(np.array([[1.0, 0.0, 1.0]])), nu).psi2
+    """psi_2(nu/2) of one Wishart W(I, nu), as the Normal-Wishart closed forms compute it; eta and beta take no part."""
+    return NormalWishartArrays(Var(np.zeros((1, 2))), Var(np.ones(1)), Var(np.array([[1.0, 0.0, 1.0]])), nu).psi2
 
 
 class TestMultivariateDigamma:

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gneva.cli import emit_density_grid
-from gneva.dataio import SynthConfig, synth_generate, to_target_frame
+from gneva.dataio import AgentTrack, SynthConfig, mask_map_by_radius, synth_generate, to_target_frame
 from gneva.encoders import EncoderConfig, init_spatial_params, init_trajectory_params
 from gneva.mixture import MixturePosterior
-from gneva.sampling import NmsConfig, circle_iou
+from gneva.sampling import NmsConfig, circle_iou, scene_region
 from gneva.trajectory import (
     Predictions,
     complete_trajectory,
@@ -90,6 +92,23 @@ class TestPredictTopk:
             best = min(float(np.hypot(*(wp - gt).T).mean()) for wp in out.waypoints)
             worst_best = max(worst_best, best)
         assert worst_best < 5.0
+
+    def test_map_less_scene_ignores_the_future(self, tapes):
+        # With no map the candidate box is the agents' states; the ones after
+        # step H are the ground truth and must move neither it nor the goals.
+        spatial, traj, _ = tapes
+        held = to_target_frame(synth_generate(SynthConfig(n=1, seed=3), "straight")[0])[0]
+        held = mask_map_by_radius(held, 0.0)
+        shift = np.array([0.0, -37.3, 0.0, 0.0, 0.0])
+        moved = replace(held, agents=[
+            AgentTrack(t.id, t.kind, t.steps, t.rows + np.outer(t.steps > held.H, shift)) for t in held.agents
+        ])
+        assert not np.array_equal(moved.future_waypoints(), held.future_waypoints())
+        assert scene_region(moved) == scene_region(held)
+        a = predict_topk(held, spatial, traj, NmsConfig(), ENC)
+        b = predict_topk(moved, spatial, traj, NmsConfig(), ENC)
+        assert np.array_equal(a.waypoints, b.waypoints)
+        assert np.array_equal(a.goal_log_probs, b.goal_log_probs)
 
     def test_teacher_forced_completion_stays_on_line(self, tapes):
         # With the ground-truth goal supplied, intermediate waypoints of a
