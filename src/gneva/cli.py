@@ -192,6 +192,13 @@ def _claim_scenario_id(first_file: dict, scenario_id: str, path) -> None:
     first_file[scenario_id] = path
 
 
+def _prediction_file(out: Path, scenario_id: str) -> Path:
+    """`out / <id>.json`; an id that is empty, `.` or `..`, or holds `/` or NUL, names no file in `out`."""
+    if scenario_id in ("", ".", "..") or "/" in scenario_id or "\0" in scenario_id:
+        raise ValidationError(f"scenario id {scenario_id!r} is not a file name")
+    return out / f"{scenario_id}.json"
+
+
 def cmd_predict(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
@@ -214,12 +221,13 @@ def cmd_predict(args, config) -> int:
     def predict_one(path) -> None:
         scenario = load_scenario(path)
         sid = scenario.scenario_id
+        out_path = out if one_file else _prediction_file(out, sid)
         _claim_scenario_id(first_file, sid, path)
         if scenario.T != horizon:
             raise HorizonMismatch(f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps")
         projected, transform = to_target_frame(scenario)
         topk = predict_topk(projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing)
-        save_predictions(out if one_file else out / f"{sid}.json", sid, predictions_to_world(topk, transform))
+        save_predictions(out_path, sid, predictions_to_world(topk, transform))
 
     failures = _for_each_file(paths, predict_one)
     print(f"predicted {len(paths) - len(failures)} of {len(paths)} scenario(s)")

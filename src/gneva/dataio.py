@@ -259,6 +259,12 @@ def load_scenario(path) -> Scenario:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
 
 
+def _turn(angle: float, x, y):
+    """(x, y) rotated by `angle` about the origin: x·c − y·s and x·s + y·c, elementwise."""
+    c, s = math.cos(angle), math.sin(angle)
+    return c * x - s * y, s * x + c * y
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation by `angle` about the origin followed by translation."""
@@ -267,34 +273,22 @@ class RigidTransform:
     tx: float
     ty: float
 
-    def _rotation(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, -s], [s, c]])
-
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self._rotation().T + np.array([self.tx, self.ty])
+        """Points `(..., 2)` of any leading shape moved; each lands on the same bits alone or in any batch."""
+        pts = np.asarray(pts, dtype=float)
+        out = np.empty(pts.shape)
+        x, y = _turn(self.angle, pts[..., 0], pts[..., 1])
+        out[..., 0], out[..., 1] = x + self.tx, y + self.ty
+        return out
 
     def inverse(self) -> "RigidTransform":
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return RigidTransform(
-            angle=-self.angle,
-            tx=-(c * self.tx + s * self.ty),
-            ty=-(-s * self.tx + c * self.ty),
-        )
+        tx, ty = _turn(-self.angle, self.tx, self.ty)
+        return RigidTransform(angle=-self.angle, tx=-tx, ty=-ty)
 
     def apply_states(self, rows: np.ndarray) -> np.ndarray:
-        """(n, 5) state rows (x, y, heading, vx, vy) moved; headings turn by `angle`.
-
-        Positions and velocities are rotated as one stack of (1, 2) @ (2, 2)
-        products, which round like rotating each state alone, so the result
-        does not depend on how many states there are.
-        """
-        moved = rows[:, _POS_VEL].reshape(-1, 2, 1, 2) @ self._rotation().T
-        moved[:, 0, 0] += (self.tx, self.ty)
-        out = np.empty_like(rows)
-        out[:, _POS_VEL] = moved.reshape(-1, 4)
-        out[:, 2] = rows[:, 2] + self.angle
-        return out
+        """(n, 5) rows (x, y, heading, vx, vy): positions moved as points, velocities turned, headings plus `angle`."""
+        vx, vy = _turn(self.angle, rows[:, 3], rows[:, 4])
+        return np.column_stack([self.apply_points(rows[:, :2]), rows[:, 2] + self.angle, vx, vy])
 
     def apply_scenario(self, s: Scenario) -> Scenario:
         """The scenario with every state and polyline moved; headings turn by `angle`."""
@@ -303,9 +297,6 @@ class RigidTransform:
             MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
         ]
         return replace(s, agents=agents, map=polylines)
-
-
-_POS_VEL = [0, 1, 3, 4]  # the x, y, vx, vy columns of a state row
 
 
 def target_frame_transform(s: Scenario) -> RigidTransform:

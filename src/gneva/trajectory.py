@@ -80,7 +80,7 @@ def predict_topk(
 
 
 def predictions_to_world(predictions: Predictions, transform: RigidTransform) -> Predictions:
-    """Map target-frame predictions back through the stored projection, all in one product."""
+    """Map target-frame predictions back through the stored projection."""
     world = transform.inverse().apply_points(predictions.waypoints)
     return Predictions(world, predictions.goal_log_probs)
 

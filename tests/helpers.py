@@ -87,30 +87,51 @@ def sample_wishart_scipy(v, nu: float, rng, n: int):
     return ca @ np.swapaxes(ca, -1, -2)
 
 
+def det2(m):
+    """Determinants of 2x2 matrices `(..., 2, 2)`, written out."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def quad2(dev, m):
+    """dev^T M dev for vectors `(..., 2)` and symmetric 2x2 matrices `(..., 2, 2)`, written out."""
+    x, y = dev[..., 0], dev[..., 1]
+    return m[..., 0, 0] * x * x + 2.0 * m[..., 0, 1] * x * y + m[..., 1, 1] * y * y
+
+
 def sample_nw_scipy(p, rng, n: int):
-    """(mus (n,2), lams (n,2,2)) draws from a one-component posterior via scipy + explicit chol."""
+    """(mus (n,2), lams (n,2,2)) draws from a one-component posterior via scipy + explicit chol.
+
+    mu = eta + L z with L L^T = (beta Lambda)^-1: the inverse's entries and
+    their Cholesky factor written out for 2x2.
+    """
     lams = sample_wishart_scipy(p.v[0], p.nu[0], rng, n)
-    covs = np.linalg.inv(lams) / p.beta[0]
-    chols = np.linalg.cholesky(covs)
+    scale = 1.0 / (p.beta[0] * det2(lams))
+    c11, c21, c22 = lams[:, 1, 1] * scale, -lams[:, 1, 0] * scale, lams[:, 0, 0] * scale
+    l11 = np.sqrt(c11)
+    l21 = c21 / l11
+    l22 = np.sqrt(c22 - l21 * l21)
     z = rng.standard_normal((n, 2))
-    mus = p.eta[0] + np.einsum("nij,nj->ni", chols, z)
+    mus = p.eta[0] + np.column_stack([l11 * z[:, 0], l21 * z[:, 0] + l22 * z[:, 1]])
     return mus, lams
 
 
 def wishart_logpdf_formula(lams, v, nu: float):
-    """Vectorized Wishart log density from the displayed formula; v holds V's entries."""
+    """Vectorized Wishart log density from the displayed formula; v holds V's entries.
+
+    tr(V^-1 Lambda) = (v22 l11 - v12 (l12 + l21) + v11 l22) / det V.
+    """
     d = 2
-    sign, logdet_lam = np.linalg.slogdet(lams)
-    assert np.all(sign > 0)
-    v_inv = np.linalg.inv(matrix(v))
-    tr = np.einsum("ij,nji->n", v_inv, lams)
-    _, logdet_v = np.linalg.slogdet(matrix(v))
+    det_lam = det2(lams)
+    assert np.all(det_lam > 0)
+    v11, v12, v22 = v
+    det_v = det2(matrix(v))
+    tr = (v22 * lams[:, 0, 0] - v12 * (lams[:, 0, 1] + lams[:, 1, 0]) + v11 * lams[:, 1, 1]) / det_v
     return (
-        0.5 * (nu - d - 1) * logdet_lam
+        0.5 * (nu - d - 1) * np.log(det_lam)
         - 0.5 * tr
         - 0.5 * nu * d * np.log(2.0)
         - multigammaln(0.5 * nu, d)
-        - 0.5 * nu * logdet_v
+        - 0.5 * nu * np.log(det_v)
     )
 
 
@@ -198,7 +219,7 @@ def gaussian_kl_given_precision(eta_q, beta_q, eta_p, beta_p, lams):
     """KL(N(eta_q,(beta_q L)^-1) || N(eta_p,(beta_p L)^-1)) per precision sample."""
     d = 2
     dev = eta_q - eta_p
-    quad = np.einsum("i,nij,j->n", dev, lams, dev)
+    quad = quad2(dev, lams)
     ratio = beta_p / beta_q
     return 0.5 * (d * ratio - d + beta_p * quad + d * np.log(1.0 / ratio))
 

@@ -33,6 +33,7 @@ from gneva.sampling import CandidatePool, NmsConfig, circle_iou, generate_candid
 from gneva.trajectory import predict_topk
 from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_spatial, train_trajectory
 
+import helpers
 from helpers import (
     exact_conjugate_posterior,
     gaussian_kl_given_precision,
@@ -52,53 +53,60 @@ def report(criterion: str, detail: str):
     print(f"[PASS] {criterion}: {detail}")
 
 
+def criterion1_worst_sigmas(n_pairs: int) -> dict:
+    """The worst |closed form - MC mean| / SE over the first `n_pairs` seeded pairs, per quantity.
+
+    The MC side's 2x2 determinants and quadratic forms come from `helpers.det2`
+    and `helpers.quad2`, looked up at each call.
+    """
+    rng = np.random.default_rng(1001)
+    worst = {"kl_mean": 0.0, "kl_wishart": 0.0, "e_stats": 0.0, "evidence": 0.0}
+    for _ in range(n_pairs):
+        q, p = random_nw(rng), random_nw(rng)
+        qa, pa = q.arrays(), p.arrays()
+        lams = sample_wishart_scipy(q.v[0], q.nu[0], rng, MC_SAMPLES)
+        kls = gaussian_kl_given_precision(q.eta[0], q.beta[0], p.eta[0], p.beta[0], lams)
+        se = kls.std(ddof=1) / math.sqrt(MC_SAMPLES)
+        worst["kl_mean"] = max(worst["kl_mean"], abs(qa.kl_mean_given_precision(pa).value[0] - kls.mean()) / se)
+
+        diffs = wishart_logpdf_formula(lams, q.v[0], q.nu[0]) - wishart_logpdf_formula(lams, p.v[0], p.nu[0])
+        se = diffs.std(ddof=1) / math.sqrt(MC_SAMPLES)
+        worst["kl_wishart"] = max(worst["kl_wishart"], abs(qa.kl_wishart(pa).value[0] - diffs.mean()) / se)
+
+        g = rng.normal(size=2)
+        mus, lams = sample_nw_scipy(q, rng, MC_SAMPLES)
+        e_log_det, e_mahalanobis = qa.expected_log_det().value[0], qa.expected_mahalanobis(g).value[0]
+        logdets = np.log(helpers.det2(lams))
+        se_ld = logdets.std(ddof=1) / math.sqrt(MC_SAMPLES)
+        quad = helpers.quad2(g - mus, lams)
+        se_q = quad.std(ddof=1) / math.sqrt(MC_SAMPLES)
+        worst["e_stats"] = max(
+            worst["e_stats"],
+            abs(e_log_det - logdets.mean()) / se_ld,
+            abs(e_mahalanobis - quad.mean()) / se_q,
+        )
+
+        log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
+        log_mean, se_rel = stable_log_mean_exp(log_dens)
+        worst["evidence"] = max(worst["evidence"], abs(mx.prior_log_evidence(g, q, [1.0]) - log_mean) / se_rel)
+    return worst
+
+
 class TestCriterion1ClosedFormVsMonteCarlo:
     def test_closed_forms_within_3_se(self):
-        rng = np.random.default_rng(1001)
-        worst = {"kl_mean": 0.0, "kl_wishart": 0.0, "e_stats": 0.0, "evidence": 0.0}
-        for _ in range(20):
-            q, p = random_nw(rng), random_nw(rng)
-            qa, pa = q.arrays(), p.arrays()
-            lams = sample_wishart_scipy(q.v[0], q.nu[0], rng, MC_SAMPLES)
-            kls = gaussian_kl_given_precision(q.eta[0], q.beta[0], p.eta[0], p.beta[0], lams)
-            se = kls.std(ddof=1) / math.sqrt(MC_SAMPLES)
-            worst["kl_mean"] = max(
-                worst["kl_mean"], abs(qa.kl_mean_given_precision(pa).value[0] - kls.mean()) / se
-            )
-
-            diffs = wishart_logpdf_formula(lams, q.v[0], q.nu[0]) - wishart_logpdf_formula(
-                lams, p.v[0], p.nu[0]
-            )
-            se = diffs.std(ddof=1) / math.sqrt(MC_SAMPLES)
-            worst["kl_wishart"] = max(
-                worst["kl_wishart"], abs(qa.kl_wishart(pa).value[0] - diffs.mean()) / se
-            )
-
-            g = rng.normal(size=2)
-            mus, lams = sample_nw_scipy(q, rng, MC_SAMPLES)
-            e_log_det, e_mahalanobis = qa.expected_log_det().value[0], qa.expected_mahalanobis(g).value[0]
-            _, logdets = np.linalg.slogdet(lams)
-            se_ld = logdets.std(ddof=1) / math.sqrt(MC_SAMPLES)
-            dev = g - mus
-            quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
-            se_q = quad.std(ddof=1) / math.sqrt(MC_SAMPLES)
-            worst["e_stats"] = max(
-                worst["e_stats"],
-                abs(e_log_det - logdets.mean()) / se_ld,
-                abs(e_mahalanobis - quad.mean()) / se_q,
-            )
-
-            log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
-            log_mean, se_rel = stable_log_mean_exp(log_dens)
-            worst["evidence"] = max(
-                worst["evidence"], abs(mx.prior_log_evidence(g, q, [1.0]) - log_mean) / se_rel
-            )
+        worst = criterion1_worst_sigmas(20)
         assert all(v < 3.0 for v in worst.values()), worst
         report(
             "criterion 1 (closed form vs MC)",
             "20 pairs each within 3 SE of 1e6-sample estimates; worst sigmas "
             + ", ".join(f"{k}={v:.2f}" for k, v in worst.items()),
         )
+
+    def test_a_flipped_sign_in_the_mc_closed_forms_fails_the_check(self, monkeypatch):
+        # Negative control: the 2x2 determinant with its minus sign flipped, on the first pair alone.
+        monkeypatch.setattr(helpers, "det2", lambda m: m[..., 0, 0] * m[..., 1, 1] + m[..., 0, 1] * m[..., 1, 0])
+        worst = criterion1_worst_sigmas(1)
+        assert not all(v < 3.0 for v in worst.values()), worst
 
 
 class TestCriterion2ElboBound:

@@ -420,6 +420,29 @@ class TestPipeline:
         for path in (tmp_path / "alone").glob("*.json"):
             assert (out / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "nul\u0000byte"], ids=["parent-dir", "nul"])
+    def test_scenario_id_that_is_no_file_name_costs_only_its_file(self, workspace, tmp_path, capsys, scenario_id):
+        root, config, data, spatial, traj = workspace
+        good = sorted(data.glob("*.json"))[:2]
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "a.json").write_bytes(good[0].read_bytes())
+        doc = json.loads(good[1].read_text())
+        doc["scenario_id"] = scenario_id
+        bad = scenes / "b.json"
+        bad.write_text(json.dumps(doc))
+        (scenes / "c.json").write_bytes(good[1].read_bytes())
+        out = tmp_path / "preds"
+        code = run_command(["predict", "--spatial-model", str(spatial), "--traj-model", str(traj),
+                            "--scenario", str(scenes), "--spacing", "1.0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "predicted 2 of 3" in captured.out
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in good)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds", "scenes"]
+        (failure,) = [json.loads(line) for line in captured.err.splitlines()]
+        assert (failure["file"], failure["error"]) == (str(bad), "ValidationError")
+        assert repr(scenario_id) in failure["message"]
+
     def test_second_file_with_a_seen_id_is_refused_by_eval(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace
         scenes = tmp_path / "scenes"

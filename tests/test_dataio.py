@@ -218,8 +218,42 @@ class TestTargetFrame:
                         c * vx - sn * vy,
                         sn * vx + c * vy,
                     )
-                    assert (bx, by, bvx, bvy) == pytest.approx(ref, rel=0.0, abs=1e-12)
+                    assert (bx, by, bvx, bvy) == ref
                     assert bheading == heading + tf.angle
+
+    def test_points_land_on_the_same_bits_alone_or_in_any_batch(self):
+        # (k, T, 2) points, as predictions hold them: the whole array, every slice and every point alone
+        # give the scalar formula's bits.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            pts = rng.uniform(-500.0, 500.0, (6, 30, 2))
+            tx, ty = rng.uniform(-300.0, 300.0, 2).tolist()
+            tf = RigidTransform(float(rng.uniform(0.0, 2 * math.pi)), tx, ty)
+            c, sn = math.cos(tf.angle), math.sin(tf.angle)
+            moved = tf.apply_points(pts)
+            assert moved.shape == pts.shape
+            ref = [[[c * x - sn * y + tx, sn * x + c * y + ty] for x, y in row] for row in pts.tolist()]
+            assert moved.tolist() == ref
+            assert tf.apply_points(pts.reshape(-1, 2)).tolist() == moved.reshape(-1, 2).tolist()
+            for i in range(len(pts)):
+                assert tf.apply_points(pts[i]).tolist() == moved[i].tolist()
+                for j in range(pts.shape[1]):
+                    assert tf.apply_points(pts[i, j]).tolist() == moved[i, j].tolist()
+            a, b = sorted(rng.integers(0, pts.shape[1], 2).tolist())
+            assert tf.apply_points(pts[:, a : b + 1]).tolist() == moved[:, a : b + 1].tolist()
+            assert tf.apply_points(pts[1::2, ::3]).tolist() == moved[1::2, ::3].tolist()
+
+    def test_a_map_point_and_a_state_at_one_position_land_on_the_same_bits(self):
+        rng = np.random.default_rng(29)
+        for s in synth_generate(SynthConfig(n=4, seed=31), "turn"):
+            # A polyline through every agent position, in the file's own order.
+            s.map.append(MapPolyline("through", "lane_center", np.concatenate([a.rows[:, :2] for a in s.agents])))
+            projected, _ = to_target_frame(s)
+            states = np.concatenate([a.rows[:, :2] for a in projected.agents])
+            assert projected.map[-1].points.tolist() == states.tolist()
+            rows = np.column_stack([rng.uniform(-1e3, 1e3, (500, 2)), rng.uniform(-4.0, 4.0, (500, 3))])
+            tf = dataio.target_frame_transform(s)
+            assert tf.apply_states(rows)[:, :2].tolist() == tf.apply_points(rows[:, :2]).tolist()
 
     def test_target_frame_is_the_inverse_pose_bit_for_bit(self):
         # The former formula, written out: rotate by -heading with cos(-heading) and sin(-heading), then
