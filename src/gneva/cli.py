@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,14 @@ def _dataclass_from_config(cls, prefix: str, config: dict):
         raise ValidationError(f"config {prefix}.{exc}") from exc
 
 
+def _check_encoder_keys(config: dict, enc_cfg: EncoderConfig, model_path) -> None:
+    """Refuse an `encoder.<field>` key whose value is not the one the model at `model_path` holds: its file fixes the encoder."""
+    held = {f"encoder.{name}": value for name, value in asdict(enc_cfg).items()}
+    for key, value in config.items():
+        if key in held and (type(value) is not type(held[key]) or value != held[key]):
+            raise ValidationError(f"config {key}={value!r} contradicts model {model_path}, which has {key}={held[key]!r}")
+
+
 def _load_scenario_paths(path: str) -> list[Path]:
     p = Path(path)
     if p.is_dir():
@@ -142,6 +150,7 @@ def cmd_train_spatial(args, config) -> int:
 def cmd_train_traj(args, config) -> int:
     _check_writable(args.out, _history_path(args))
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
+    _check_encoder_keys(config, enc_cfg, args.spatial_model)
     train_cfg = _dataclass_from_config(TrainConfig, "train", config)
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
     traj_tape = init_trajectory_params(enc_cfg, horizon=scenes[0].T, seed=train_cfg.seed)
@@ -210,6 +219,7 @@ def cmd_predict(args, config) -> int:
             f"models do not pair: {args.spatial_model} has encoder.{key}={getattr(enc_cfg, key)!r}, "
             f"{args.traj_model} has encoder.{key}={getattr(traj_cfg, key)!r}"
         )
+    _check_encoder_keys(config, enc_cfg, args.spatial_model)
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
     paths = _load_scenario_paths(args.scenario)
     out = Path(args.out)
@@ -285,6 +295,7 @@ def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path)
 def cmd_density(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
+    _check_encoder_keys(config, enc_cfg, args.spatial_model)
     scenario = load_scenario(args.scenario)
     n_cells = emit_density_grid(spatial_tape, enc_cfg, scenario, args.spacing, args.out)
     print(f"wrote {n_cells} grid cells to {args.out}")

@@ -291,11 +291,15 @@ class RigidTransform:
         return np.column_stack([self.apply_points(rows[:, :2]), rows[:, 2] + self.angle, vx, vy])
 
     def apply_scenario(self, s: Scenario) -> Scenario:
-        """The scenario with every state and polyline moved; headings turn by `angle`."""
-        agents = [AgentTrack(a.id, a.kind, a.steps, self.apply_states(a.rows)) for a in s.agents]
-        polylines = [
-            MapPolyline(id=p.id, kind=p.kind, points=self.apply_points(p.points)) for p in s.map
-        ]
+        """Every state and polyline moved to the bits `apply_states` and `apply_points` give: all positions in one call."""
+        states = np.concatenate([a.rows for a in s.agents] + [np.empty((0, 5))])
+        points = self.apply_points(np.concatenate([states[:, :2]] + [p.points for p in s.map]))
+        vx, vy = _turn(self.angle, states[:, 3], states[:, 4])
+        rows = np.column_stack([points[: len(states)], states[:, 2] + self.angle, vx, vy])
+        track_rows = np.split(rows, np.cumsum([len(a.rows) for a in s.agents[:-1]], dtype=int))
+        map_points = np.split(points[len(states) :], np.cumsum([len(p.points) for p in s.map[:-1]], dtype=int))
+        agents = [AgentTrack(a.id, a.kind, a.steps, r) for a, r in zip(s.agents, track_rows)]
+        polylines = [MapPolyline(id=p.id, kind=p.kind, points=q) for p, q in zip(s.map, map_points)]
         return replace(s, agents=agents, map=polylines)
 
 

@@ -280,7 +280,7 @@ def spatial_trunk(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig)
     return ctx, inter, ad.add(ctx, inter)
 
 
-def z_proxy_logits(context_feature: Var, params, cfg: EncoderConfig) -> Var:
+def z_proxy_logits(context_feature: Var, params) -> Var:
     """Pre-softmax assignment logits of the proxy head: (..., hidden) -> (..., C)."""
     return _mlp(_as_leaves(params), "zproxy", context_feature)
 
@@ -297,13 +297,10 @@ class SpatialForward:
     beta: Var  # (B, C)
     chol: Var  # (B, C, 3) Cholesky rows of V_c
     nu: Var  # (B, C)
-    prior_eta: Var  # (1, 2): the shared prior, a one-component batch
-    prior_beta: Var  # (1,)
-    prior_chol: Var  # (1, 3)
-    prior_nu: Var  # (1,)
     context_feature: Var  # (B, hidden): context + interaction target rows
     weights_logits: Var  # (B, C) pre-softmax proxy logits
     weights: Var  # (B, C) z-proxy simplex
+    leaves: Mapping[str, Var]  # the leaves the pass ran on; the loss builds the shared prior from them
 
     def mixture(self, scenario_id: str | None = None) -> MixturePosterior:
         """The uniform-weight mixture posterior of a one-scene forward, with V_c = L_c L_c^T.
@@ -330,7 +327,7 @@ def prior_vars(leaves) -> tuple[Var, Var, Var, Var]:
 def forward_spatial(
     scenes: VectorizedScene | Sequence[VectorizedScene], params, cfg: EncoderConfig
 ) -> SpatialForward:
-    """Full spatial pass over a batch of scenes: the trunk, then its heads, the proxy and the prior.
+    """Full spatial pass over a batch of scenes: the trunk, then its heads and the proxy.
 
     The context head emits eta and beta per component from the context
     target row, the interaction head the Cholesky rows of V and nu from the
@@ -349,24 +346,20 @@ def forward_spatial(
         ad.softplus(ad.narrow(ctx, -1, 2 * cfg.C, cfg.C)) + MIN_POSITIVE,
         _cholesky_head(ad.reshape(ad.narrow(inter, -1, 0, 3 * cfg.C), batch + (cfg.C, 3))),
         ad.softplus(ad.narrow(inter, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR,
-        z_proxy_logits(combined, leaves, cfg),
+        z_proxy_logits(combined, leaves),
     )
     if single:
         per_scene = tuple(ad.reshape(x, x.value.shape[1:]) for x in per_scene)
     eta, beta, chol, nu, logits = per_scene
-    p_eta, p_beta, p_chol, p_nu = prior_vars(leaves)
     return SpatialForward(
         eta=eta,
         beta=beta,
         chol=chol,
         nu=nu,
-        prior_eta=p_eta,
-        prior_beta=p_beta,
-        prior_chol=p_chol,
-        prior_nu=p_nu,
         context_feature=combined,
         weights_logits=logits,
         weights=ad.softmax(logits, axis=-1),
+        leaves=leaves,
     )
 
 
@@ -435,6 +428,11 @@ def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> P
     return tape
 
 
+def trajectory_horizon(params) -> int:
+    """T of a trajectory head, given as a tape or its leaves: its output layer is 2·T wide."""
+    return _as_leaves(params)["traj.m2.l2.b"].value.size // 2
+
+
 def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig, int]:
     def sizes(cfg, stored):
         out_b = stored.get("traj.m2.l2.b")
@@ -445,4 +443,4 @@ def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig, int]:
     tape, cfg = _load_model(
         path, sizes, lambda cfg, stored: init_trajectory_params(cfg, len(stored["traj.m2.l2.b"]) // 2, seed=0)
     )
-    return tape, cfg, tape.params["traj.m2.l2.b"].size // 2
+    return tape, cfg, trajectory_horizon(tape)

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import ParamTape, Var, backward
 from .dataio import Scenario, vectorize
 from .distributions import NormalWishartArrays
-from .encoders import EncoderConfig, SpatialForward, forward_spatial, spatial_trunk
+from .encoders import EncoderConfig, SpatialForward, forward_spatial, prior_vars, spatial_trunk, trajectory_horizon
 from .errors import NonFiniteLoss, ValidationError, check_config_fields
 from .mixture import elbo_terms
 from .trajectory import trajectory_forward
@@ -138,14 +138,15 @@ def spatial_scene_loss(
 ) -> SceneLossTerms:
     """-ELBO + lambda_z * CE per scene, built on the gradient tape.
 
-    `goal` is (B, 2) for a batched forward and (2,) for one scene. The ELBO
+    `goal` is (B, 2) for a batched forward and (2,) for one scene. The
+    shared prior is built here, from the leaves the forward ran on. The ELBO
     uses the optimal softmax responsibilities; the cross-entropy trains the
     proxy head against those responsibilities as a constant target (pass
     `q_target` to pin the constant explicitly, e.g. when cross-checking
     gradients against finite differences of this loss).
     """
     q = NormalWishartArrays(fw.eta, fw.beta, fw.chol, fw.nu)
-    prior = NormalWishartArrays(fw.prior_eta, fw.prior_beta, fw.prior_chol, fw.prior_nu)
+    prior = NormalWishartArrays(*prior_vars(fw.leaves))
     c = fw.eta.value.shape[-2]
     log_uniform = np.full(c, -math.log(c))  # mixing coefficients and their prior
     elbo, resp = elbo_terms(goal, q, prior, log_uniform, log_uniform)
@@ -365,7 +366,7 @@ def train_trajectory(
     cfg: TrainConfig,
     enc_cfg: EncoderConfig,
 ) -> tuple[ParamTape, TrainHistory]:
-    """Train the trajectory head, teacher-forced on ground-truth goals."""
+    """Train the trajectory head, teacher-forced on ground-truth goals; the scenes' T must be the head's."""
     horizon = dataset[0].T
     odd = next((s for s in dataset if s.T != horizon), None)
     if odd is not None:
@@ -373,13 +374,16 @@ def train_trajectory(
             f"trajectory training needs one prediction horizon: scenario {odd.scenario_id!r} has T={odd.T}, "
             f"scenario {dataset[0].scenario_id!r} has T={horizon}"
         )
+    head = trajectory_horizon(traj_tape)
+    if head != horizon:
+        raise ValidationError(f"the trajectory head predicts T={head} steps, its training scenes have T={horizon}")
     contexts = spatial_context_features(dataset, spatial_tape, enc_cfg)
     ids = [s.scenario_id for s in dataset]
     goals = np.stack([s.goal() for s in dataset])
     futures = np.stack([s.future_waypoints() for s in dataset])
 
     def step_loss(batch, leaves, step):
-        pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves, enc_cfg, horizon)
+        pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves)
         residual = ad.sub(pred, Var(futures[batch]))
         _check_finite(residual.value, [ids[i] for i in batch], f"trajectory loss at step {step}")
         return huber(residual, delta=1.0), {}

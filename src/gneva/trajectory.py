@@ -11,20 +11,19 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import RigidTransform, Scenario, number_table, read_json_object, vectorize
-from .encoders import EncoderConfig, _as_leaves, _mlp, forward_spatial
+from .encoders import EncoderConfig, _as_leaves, _mlp, forward_spatial, trajectory_horizon
 from .errors import ValidationError
 from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
 
 
-def trajectory_forward(
-    context_feature: Var, goals, params, cfg: EncoderConfig, horizon: int
-) -> Var:
+def trajectory_forward(context_feature: Var, goals, params) -> Var:
     """Waypoints (B, T, 2) from [context; goal] through two MLPs; each endpoint pinned to its goal.
 
-    Takes contexts (B, hidden) and goals (B, 2). A `ParamTape` runs on
-    constants, so inference records no graph.
+    Takes contexts (B, hidden) and goals (B, 2); the head fixes T. A
+    `ParamTape` runs on constants, so inference records no graph.
     """
     leaves = _as_leaves(params)
+    horizon = trajectory_horizon(leaves)
     goals = np.asarray(goals, dtype=float)
     x = ad.concat([context_feature, Var(goals)], axis=1)
     h = _mlp(leaves, "traj.m1", x)
@@ -33,11 +32,9 @@ def trajectory_forward(
     return ad.concat([ad.narrow(out, 1, 0, horizon - 1), Var(goals[:, None, :])], axis=1)
 
 
-def complete_trajectory(
-    context_feature: np.ndarray, goals, tape: ParamTape, cfg: EncoderConfig, horizon: int
-) -> np.ndarray:
+def complete_trajectory(context_feature: np.ndarray, goals, tape: ParamTape) -> np.ndarray:
     """Inference-time completion in the target frame: contexts (B, hidden) and goals (B, 2) give (B, T, 2)."""
-    node = trajectory_forward(Var(np.asarray(context_feature, dtype=float)), goals, tape, cfg, horizon)
+    node = trajectory_forward(Var(np.asarray(context_feature, dtype=float)), goals, tape)
     return node.value.copy()
 
 
@@ -75,7 +72,7 @@ def predict_topk(
     selected = nms_select(candidates, nms_cfg, nms_cfg.k)
     contexts = np.repeat(fw.context_feature.value, len(selected), axis=0)
     goals = candidates.locations[selected]
-    waypoints = complete_trajectory(contexts, goals, traj_tape, enc_cfg, scenario.T)
+    waypoints = complete_trajectory(contexts, goals, traj_tape)
     return Predictions(waypoints, candidates.log_probs[selected])
 
 

@@ -14,6 +14,7 @@ import scipy.linalg
 from scipy import stats
 from scipy.special import gammaln, logsumexp, multigammaln, psi
 
+from gneva.encoders import prior_vars
 from gneva.mixture import MixturePosterior
 
 
@@ -55,7 +56,7 @@ def random_nw(rng, loc_scale=2.0):
 
 
 def emitted_components(fw):
-    """A one-scene forward's mixture posterior and its shared prior as a one-component posterior.
+    """A one-scene forward's mixture posterior, and the shared prior of the leaves it ran on as a one-component posterior.
 
     V = L L^T from each Cholesky row (l11, l21, l22), written out here.
     """
@@ -65,7 +66,8 @@ def emitted_components(fw):
         return np.stack([l11 * l11, l11 * l21, l21 * l21 + l22 * l22], axis=-1)
 
     mix = MixturePosterior(fw.eta.value, fw.beta.value, v_of(fw.chol.value), fw.nu.value)
-    prior = MixturePosterior(fw.prior_eta.value, fw.prior_beta.value, v_of(fw.prior_chol.value), fw.prior_nu.value)
+    eta0, beta0, chol0, nu0 = (x.value for x in prior_vars(fw.leaves))
+    prior = MixturePosterior(eta0, beta0, v_of(chol0), nu0)
     return mix, prior
 
 

@@ -902,6 +902,40 @@ class TestInputRefusals:
         assert str(spatial) in err and str(other) in err and f"encoder.{key}=" in err
         assert not (tmp_path / "preds").exists()
 
+    @staticmethod
+    def model_command(workspace, command: str, out: Path) -> list[str]:
+        root, config, data, spatial, traj = workspace
+        scene = sorted(data.glob("*.json"))[0]
+        return {
+            "train-traj": ["train-traj", "--data", str(data), "--spatial-model", str(spatial), "--out", str(out)],
+            "predict": ["predict", "--spatial-model", str(spatial), "--traj-model", str(traj), "--scenario", str(scene),
+                        "--spacing", "2.0", "--out", str(out)],
+            "density": ["density", "--spatial-model", str(spatial), "--scenario", str(scene), "--spacing", "2.0",
+                        "--out", str(out)],
+        }[command]
+
+    @pytest.mark.parametrize("command, key, value, held", [
+        ("train-traj", "hidden", 64, 32), ("predict", "L_c", 2, 3), ("density", "C", 6, 3),
+    ])
+    def test_encoder_key_contradicting_the_model_exits_1_naming_both(
+        self, workspace, tmp_path, capsys, command, key, value, held
+    ):
+        config, spatial = workspace[1], workspace[3]
+        out = tmp_path / "out.json"
+        code = run_command(["--config", str(config), "--set", f"encoder.{key}={value}",
+                            *self.model_command(workspace, command, out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert f"encoder.{key}={value}" in err and f"encoder.{key}={held}" in err and str(spatial) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "density"])
+    def test_encoder_keys_equal_to_the_model_pass(self, workspace, tmp_path, command):
+        out = tmp_path / "out.json"
+        code = run_command(["--config", str(workspace[1]), "--set", "encoder.L_c=3",
+                            *self.model_command(workspace, command, out)])
+        assert code == 0 and out.exists()
+
     def test_one_state_target_exits_1_naming_scenario_target_and_h(self, workspace, tmp_path, capsys):
         root, config, data, spatial, traj = workspace
         scenes = tmp_path / "h1"

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestTargetFrame:
             assert d1 == pytest.approx(d0, abs=1e-9)
 
     def test_array_projection_matches_per_state_reference(self):
-        # Each state rotated on its own with scalar arithmetic, as the reference.
+        # Each state and map point moved on its own with scalar arithmetic, as the reference.
         rng = np.random.default_rng(7)
         scenes = [
             s for kind in ("straight", "turn", "merge") for s in synth_generate(SynthConfig(n=3, seed=8), kind)
@@ -204,11 +205,15 @@ class TestTargetFrame:
             AgentTrack(id="none", kind="cyclist", steps=[], rows=[]),
             AgentTrack(id="one", kind="pedestrian", steps=short.agents[0].steps[:1], rows=short.agents[0].rows[:1]),
         ]
-        for s in scenes + [short]:
+        mapless = replace(short, map=[])
+        for s in scenes + [short, mapless]:
             tx, ty = rng.uniform(-300.0, 300.0, 2).tolist()
             tf = RigidTransform(float(rng.uniform(0.0, 2 * math.pi)), tx, ty)
             c, sn = math.cos(tf.angle), math.sin(tf.angle)
             moved = tf.apply_scenario(s)
+            for p, q in zip(s.map, moved.map, strict=True):
+                assert (q.id, q.kind) == (p.id, p.kind)
+                assert q.points.tolist() == [[c * x - sn * y + tx, sn * x + c * y + ty] for x, y in p.points.tolist()]
             for a, b in zip(s.agents, moved.agents, strict=True):
                 assert (b.id, b.kind, b.steps.tolist()) == (a.id, a.kind, a.steps.tolist())
                 for (x, y, heading, vx, vy), (bx, by, bheading, bvx, bvy) in zip(a.rows.tolist(), b.rows.tolist()):

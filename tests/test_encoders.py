@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gneva import autodiff as ad
+from gneva import autodiff as ad, training
 from gneva.autodiff import Var, check_gradients
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
@@ -18,13 +18,14 @@ from gneva.encoders import (
     init_trajectory_params,
     load_spatial_model,
     load_trajectory_model,
+    prior_vars,
     save_model,
     self_attention_block,
     spatial_trunk,
     z_proxy_logits,
 )
 from gneva.errors import ShapeMismatch, ValidationError
-from gneva.training import spatial_context_features
+from gneva.training import spatial_context_features, spatial_scene_loss
 
 from helpers import emitted_components
 
@@ -229,15 +230,15 @@ class TestInteractionAttention:
         assert np.all(out.nu.value > 3.0)
 
 
-def z_proxy_weights(feature: Var, params, cfg: EncoderConfig) -> Var:
+def z_proxy_weights(feature: Var, params) -> Var:
     """The proxy weights as `forward_spatial` forms them: a softmax of the proxy logits."""
-    return ad.softmax(z_proxy_logits(feature, params, cfg), axis=-1)
+    return ad.softmax(z_proxy_logits(feature, params), axis=-1)
 
 
 class TestZProxy:
     def test_sums_to_one(self, tape):
         feat = Var(np.random.default_rng(11).normal(size=CFG.hidden))
-        w = z_proxy_weights(feat, tape, CFG)
+        w = z_proxy_weights(feat, tape)
         assert w.value.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_weights_uniform(self):
@@ -245,7 +246,7 @@ class TestZProxy:
         for name in t.params:
             if name.startswith("zproxy"):
                 t.params[name][...] = 0.0
-        w = z_proxy_weights(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t, CFG)
+        w = z_proxy_weights(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t)
         assert w.value == pytest.approx(np.full(CFG.C, 1.0 / CFG.C), abs=1e-12)
 
     def test_gradient(self):
@@ -255,7 +256,7 @@ class TestZProxy:
         target = np.random.default_rng(16).dirichlet(np.ones(4))
 
         def loss(leaves):
-            w = z_proxy_weights(Var(feat), leaves, small)
+            w = z_proxy_weights(Var(feat), leaves)
             return -ad.vsum(ad.mul(Var(target), ad.vlog(w)))
 
         report = check_gradients(t, loss, tolerance=1e-4, n_samples=200, seed=17)
@@ -418,6 +419,25 @@ class TestForwardSpatial:
                 outputs = {name: getattr(fw, name) for name in self.REFERENCE_OUTPUTS}
             ad.backward(weighted_sum(outputs, seed=20))
             grads.append(ad.leaf_gradients(leaves))
+        for name in t.params:
+            assert grads[0][name].tobytes() == grads[1][name].tobytes(), name
+
+    def test_loss_gradients_equal_a_forward_that_builds_the_prior_byte_for_byte(self, monkeypatch):
+        small = EncoderConfig(hidden=32, n_heads=2, C=3, L_c=2, L_i=2)
+        t = init_spatial_params(small, seed=19)
+        projected = [to_target_frame(s)[0] for s in synth_generate(SynthConfig(n=3, seed=21), "merge")]
+        batch, goals = [vectorize(p, small) for p in projected], np.stack([p.goal() for p in projected])
+        grads = []
+        for reference in (False, True):
+            leaves = t.leaves()
+            fw = forward_spatial(batch, leaves, small)
+            if reference:  # the prior built with the forward, as one that returned it would, then read by the loss
+                built = prior_vars(leaves)
+                monkeypatch.setattr(training, "prior_vars", lambda _: built, raising=False)
+            ad.backward(ad.vmean(spatial_scene_loss(goals, fw, 1.0).loss))
+            grads.append(ad.leaf_gradients(leaves))
+            monkeypatch.undo()
+        assert all(grads[0][name].any() for name in t.params if name.startswith("prior."))
         for name in t.params:
             assert grads[0][name].tobytes() == grads[1][name].tobytes(), name
 

@@ -103,9 +103,7 @@ def emitted_component(draw):
 
 def emitted(eta, beta, chol, nu) -> SpatialForward:
     """A one-scene forward holding only the mixture heads' outputs."""
-    none = dict.fromkeys(
-        ["prior_eta", "prior_beta", "prior_chol", "prior_nu", "context_feature", "weights_logits", "weights"]
-    )
+    none = dict.fromkeys(["context_feature", "weights_logits", "weights", "leaves"])
     return SpatialForward(eta=Var(eta), beta=Var(beta), chol=Var(chol), nu=Var(nu), **none)
 
 

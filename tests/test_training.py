@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gneva import autodiff as ad, training
+from gneva import autodiff as ad, encoders, training
 from gneva.autodiff import ParamTape, Var, check_gradients
+from gneva.cli import emit_density_grid
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
     EncoderConfig,
@@ -16,6 +17,7 @@ from gneva.encoders import (
     save_model,
 )
 from gneva.errors import ValidationError
+from gneva.sampling import NmsConfig
 from gneva.training import (
     OptimizerState,
     TrainConfig,
@@ -30,7 +32,7 @@ from gneva.training import (
     train_spatial,
     train_trajectory,
 )
-from gneva.trajectory import trajectory_forward
+from gneva.trajectory import predict_topk, trajectory_forward
 
 from helpers import elbo_oracle, emitted_components
 
@@ -221,6 +223,29 @@ class TestSpatialSceneLoss:
         ref = elbo_oracle(s.goal(), comps, np.log(uniform), prior, uniform)
         assert terms.elbo == pytest.approx(ref, abs=1e-9)
 
+    def test_prior_is_built_by_the_loss_alone(self, monkeypatch, tmp_path):
+        enc = EncoderConfig(hidden=16, n_heads=2, C=3)
+        spatial, traj = init_spatial_params(enc, seed=5), init_trajectory_params(enc, horizon=30, seed=5)
+        original, calls = encoders.prior_vars, []
+
+        def counted(leaves):
+            calls.append(leaves)
+            return original(leaves)
+
+        for module in (encoders, training):
+            monkeypatch.setattr(module, "prior_vars", counted, raising=False)
+        scenes = synth_generate(SynthConfig(n=2, seed=6), "turn")
+        projected = [to_target_frame(s)[0] for s in scenes]
+        predict_topk(projected[0], spatial, traj, NmsConfig(), enc)
+        emit_density_grid(spatial, enc, scenes[0], 0.5, tmp_path / "density.csv")
+        assert calls == []
+        vectors, goals = [vectorize(p, enc) for p in projected], np.stack([p.goal() for p in projected])
+        for fw, goal in ((forward_spatial(vectors, spatial.leaves(), enc), goals),
+                         (forward_spatial(vectors[0], spatial, enc), goals[0])):
+            del calls[:]
+            spatial_scene_loss(goal, fw, 1.0)
+            assert len(calls) == 1 and calls[0] is fw.leaves
+
     def test_ce_of_uniform_vs_uniform_is_log_c(self):
         tape = init_spatial_params(ENC, seed=4)
         for name in tape.params:
@@ -366,6 +391,13 @@ class TestTrainingLoops:
         assert f"scenario {scenes[3].scenario_id!r} has T=20" in message
         assert f"scenario {scenes[0].scenario_id!r} has T=30" in message
 
+    def test_head_of_another_horizon_refused_naming_both(self):
+        scenes = target_frame_scenes("straight", 4, 45)
+        cfg = TrainConfig(batch_size=2, warmup_steps=1, max_steps=2, epochs=999)
+        traj = init_trajectory_params(ENC, horizon=20, seed=4)
+        with pytest.raises(ValidationError, match=r"predicts T=20 steps.* have T=30"):
+            train_trajectory(scenes, init_spatial_params(ENC, seed=4), traj, cfg, ENC)
+
     def test_dataset_smaller_than_batch_rejected(self):
         scenes = target_frame_scenes("straight", 3, 43)
         cfg = TrainConfig(batch_size=64, warmup_steps=5, max_steps=20, epochs=999)
@@ -498,7 +530,7 @@ class TestOneStepLoop:
         futures = np.stack([s.future_waypoints() for s in scenes])
 
         def step_loss(batch, leaves):
-            pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves, enc, horizon)
+            pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves)
             return huber(ad.sub(pred, Var(futures[batch])), delta=1.0), {}
 
         same_history(history.rows, reference_loop(ref, len(scenes), cfg, step_loss))

@@ -43,15 +43,23 @@ class TestCompleteTrajectory:
         rng = np.random.default_rng(0)
         ctx = rng.normal(size=(1, ENC.hidden))
         goal = np.array([12.0, -3.0])
-        wp = complete_trajectory(ctx, goal[None], traj, ENC, horizon=30)
+        wp = complete_trajectory(ctx, goal[None], traj)
         assert wp.shape == (1, 30, 2)
         assert np.array_equal(wp[0, -1], goal)
+
+    @pytest.mark.parametrize("horizon", [1, 30])
+    def test_horizon_is_the_heads(self, horizon):
+        head = init_trajectory_params(ENC, horizon=horizon, seed=2)
+        goals = np.array([[4.0, 1.0], [-2.0, 7.5]])
+        wp = complete_trajectory(np.ones((2, ENC.hidden)), goals, head)
+        assert wp.shape == (2, horizon, 2)
+        assert np.array_equal(wp[:, -1], goals)
 
     def test_deterministic(self, tapes):
         _, traj, _ = tapes
         ctx = np.ones((1, ENC.hidden))
-        a = complete_trajectory(ctx, [[5.0, 1.0]], traj, ENC, horizon=30)
-        b = complete_trajectory(ctx, [[5.0, 1.0]], traj, ENC, horizon=30)
+        a = complete_trajectory(ctx, [[5.0, 1.0]], traj)
+        b = complete_trajectory(ctx, [[5.0, 1.0]], traj)
         assert np.array_equal(a, b)
 
 
@@ -121,7 +129,7 @@ class TestPredictTopk:
         for s in synth_generate(SynthConfig(n=5, seed=55), "straight"):
             held, _ = to_target_frame(s)
             fw = forward_spatial(vectorize(held, ENC), spatial, ENC)
-            wp = complete_trajectory(fw.context_feature.value, held.goal()[None], traj, ENC, held.T)
+            wp = complete_trajectory(fw.context_feature.value, held.goal()[None], traj)
             worst = max(worst, float(np.abs(wp[0, :, 1]).max()))
         assert worst < 0.5
 
