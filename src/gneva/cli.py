@@ -211,7 +211,7 @@ def _prediction_file(out: Path, scenario_id: str) -> Path:
 def cmd_predict(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
-    traj_tape, traj_cfg, horizon = load_trajectory_model(args.traj_model)
+    traj_tape, traj_cfg = load_trajectory_model(args.traj_model)
     differ = [f.name for f in fields(EncoderConfig) if getattr(enc_cfg, f.name) != getattr(traj_cfg, f.name)]
     if differ:
         key = differ[0]
@@ -233,8 +233,6 @@ def cmd_predict(args, config) -> int:
         sid = scenario.scenario_id
         out_path = out if one_file else _prediction_file(out, sid)
         _claim_scenario_id(first_file, sid, path)
-        if scenario.T != horizon:
-            raise HorizonMismatch(f"scenario {sid!r} has T={scenario.T}, the trajectory model predicts {horizon} steps")
         projected, transform = to_target_frame(scenario)
         topk = predict_topk(projected, spatial_tape, traj_tape, nms_cfg, enc_cfg, spacing=args.spacing)
         save_predictions(out_path, sid, predictions_to_world(topk, transform))

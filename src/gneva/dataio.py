@@ -13,7 +13,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +259,11 @@ def load_scenario(path) -> Scenario:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
 
 
+def _split_like(whole: np.ndarray, parts) -> list[np.ndarray]:
+    """`whole` cut back into consecutive pieces as long as `parts`, in order."""
+    return [whole[end - len(p) : end] for end, p in zip(accumulate(len(p) for p in parts), parts)]
+
+
 def _turn(angle: float, x, y):
     """(x, y) rotated by `angle` about the origin: x·c − y·s and x·s + y·c, elementwise."""
     c, s = math.cos(angle), math.sin(angle)
@@ -291,14 +296,12 @@ class RigidTransform:
         return np.column_stack([self.apply_points(rows[:, :2]), rows[:, 2] + self.angle, vx, vy])
 
     def apply_scenario(self, s: Scenario) -> Scenario:
-        """Every state and polyline moved to the bits `apply_states` and `apply_points` give: all positions in one call."""
-        states = np.concatenate([a.rows for a in s.agents] + [np.empty((0, 5))])
-        points = self.apply_points(np.concatenate([states[:, :2]] + [p.points for p in s.map]))
-        vx, vy = _turn(self.angle, states[:, 3], states[:, 4])
-        rows = np.column_stack([points[: len(states)], states[:, 2] + self.angle, vx, vy])
-        track_rows = np.split(rows, np.cumsum([len(a.rows) for a in s.agents[:-1]], dtype=int))
-        map_points = np.split(points[len(states) :], np.cumsum([len(p.points) for p in s.map[:-1]], dtype=int))
+        """Every state and polyline moved; headings turn by `angle`. All tracks go in one call, all polylines in another."""
+        rows = self.apply_states(np.concatenate([a.rows for a in s.agents] + [np.empty((0, 5))]))
+        points = self.apply_points(np.concatenate([p.points for p in s.map] + [np.empty((0, 2))]))
+        track_rows = _split_like(rows, [a.rows for a in s.agents])
         agents = [AgentTrack(a.id, a.kind, a.steps, r) for a, r in zip(s.agents, track_rows)]
+        map_points = _split_like(points, [p.points for p in s.map])
         polylines = [MapPolyline(id=p.id, kind=p.kind, points=q) for p, q in zip(s.map, map_points)]
         return replace(s, agents=agents, map=polylines)
 

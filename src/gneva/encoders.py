@@ -429,18 +429,16 @@ def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> P
 
 
 def trajectory_horizon(params) -> int:
-    """T of a trajectory head, given as a tape or its leaves: its output layer is 2·T wide."""
-    return _as_leaves(params)["traj.m2.l2.b"].value.size // 2
+    """T of a trajectory head, given as a tape, its leaves or a model file's stored lists: its output layer is 2·T wide."""
+    out_b = _as_leaves(params)["traj.m2.l2.b"]
+    return len(out_b.value if isinstance(out_b, Var) else out_b) // 2
 
 
-def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig, int]:
+def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig]:
     def sizes(cfg, stored):
         out_b = stored.get("traj.m2.l2.b")
         if not isinstance(out_b, list) or len(out_b) % 2 != 0 or not out_b:
             raise ValidationError(f"model {path} lacks a valid trajectory output layer")
         return {"traj.m1.l1.b": cfg.hidden}
 
-    tape, cfg = _load_model(
-        path, sizes, lambda cfg, stored: init_trajectory_params(cfg, len(stored["traj.m2.l2.b"]) // 2, seed=0)
-    )
-    return tape, cfg, trajectory_horizon(tape)
+    return _load_model(path, sizes, lambda cfg, stored: init_trajectory_params(cfg, trajectory_horizon(stored), seed=0))

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import ParamTape, Var
 from .dataio import RigidTransform, Scenario, number_table, read_json_object, vectorize
 from .encoders import EncoderConfig, _as_leaves, _mlp, forward_spatial, trajectory_horizon
-from .errors import ValidationError
+from .errors import HorizonMismatch, ValidationError
 from .sampling import NmsConfig, generate_candidates, nms_select, scene_region
 
 
@@ -62,7 +62,13 @@ def predict_topk(
     Encoders emit the mixture posterior and proxy weights, a scored grid of
     candidates is suppressed by NMS until it has k goals, and those are
     completed into trajectories, in NMS order: non-increasing goal log density.
+    A head whose T is not the scenario's is refused.
     """
+    horizon = trajectory_horizon(traj_tape)
+    if scenario.T != horizon:
+        raise HorizonMismatch(
+            f"scenario {scenario.scenario_id!r} has T={scenario.T}, the trajectory model predicts {horizon} steps"
+        )
     vs = vectorize(scenario, enc_cfg)
     fw = forward_spatial(vs, spatial_tape, enc_cfg)
     mix = fw.mixture(scenario.scenario_id)

@@ -22,6 +22,7 @@ from gneva.encoders import (
     save_model,
     self_attention_block,
     spatial_trunk,
+    trajectory_horizon,
     z_proxy_logits,
 )
 from gneva.errors import ShapeMismatch, ValidationError
@@ -504,7 +505,7 @@ class TestSerialization:
         t = init_trajectory_params(CFG, horizon=30, seed=18)
         path = tmp_path / "traj.json"
         save_model(path, t, CFG)
-        loaded, cfg, horizon = load_trajectory_model(path)
-        assert horizon == 30
+        loaded, cfg = load_trajectory_model(path)
+        assert trajectory_horizon(loaded) == 30
         for name, value in t.params.items():
             assert np.array_equal(loaded.params[name], value)

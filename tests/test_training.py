@@ -543,7 +543,7 @@ class TestOneStepLoop:
         save_model(tmp_path / "spatial.json", spatial, enc)
         save_model(tmp_path / "traj.json", traj, enc)
         loaded_spatial, _ = load_spatial_model(tmp_path / "spatial.json")
-        loaded_traj, _, _ = load_trajectory_model(tmp_path / "traj.json")
+        loaded_traj, _ = load_trajectory_model(tmp_path / "traj.json")
         for tape in (spatial, traj, spatial.copy(), traj.copy(), loaded_spatial, loaded_traj):
             assert vars(tape).keys() == {"params"}
 

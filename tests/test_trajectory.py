@@ -6,6 +6,7 @@ import pytest
 from gneva.cli import emit_density_grid
 from gneva.dataio import AgentTrack, SynthConfig, mask_map_by_radius, synth_generate, to_target_frame
 from gneva.encoders import EncoderConfig, init_spatial_params, init_trajectory_params
+from gneva.errors import HorizonMismatch
 from gneva.mixture import MixturePosterior
 from gneva.sampling import NmsConfig, circle_iou, scene_region
 from gneva.trajectory import (
@@ -78,6 +79,12 @@ class TestPredictTopk:
             for j in range(i + 1, len(out)):
                 assert circle_iou(goals[i], goals[j], cfg.radius) <= cfg.iou_threshold
                 assert np.linalg.norm(goals[i] - goals[j]) >= 2 * cfg.radius
+
+    def test_head_of_another_horizon_is_refused(self, tapes):
+        spatial, _, scenes = tapes
+        head = init_trajectory_params(ENC, horizon=scenes[0].T - 1, seed=2)
+        with pytest.raises(HorizonMismatch, match=f"has T={scenes[0].T}, the trajectory model predicts {scenes[0].T - 1} steps"):
+            predict_topk(scenes[0], spatial, head, NmsConfig(), ENC)
 
     def test_deterministic(self, tapes):
         spatial, traj, _ = tapes
