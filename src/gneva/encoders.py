@@ -69,59 +69,58 @@ def softplus_inverse(y: float) -> float:
     return math.log(math.expm1(y))
 
 
-def _uniform_init(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def _mlp_layout(name: str, fan_in: int, hidden: int, fan_out: int) -> dict[str, tuple[int, ...]]:
+    return {f"{name}.l1.w": (fan_in, hidden), f"{name}.l1.b": (hidden,), f"{name}.ln.g": (hidden,),
+            f"{name}.ln.b": (hidden,), f"{name}.l2.w": (hidden, fan_out), f"{name}.l2.b": (fan_out,)}
 
 
-def _add_linear(tape: ParamTape, rng, name: str, fan_in: int, fan_out: int) -> None:
-    tape.add_param(f"{name}.w", _uniform_init(rng, fan_in, fan_out))
-    tape.add_param(f"{name}.b", np.zeros(fan_out))
+def spatial_layout(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every spatial-model parameter, in the order they are drawn, saved and loaded."""
+    h = cfg.hidden
+    layout = {**_mlp_layout("map_enc", MAP_VECTOR_WIDTH, h, h), **_mlp_layout("agent_enc", AGENT_VECTOR_WIDTH, h, h)}
+    for block in [f"ctx.block{i}" for i in range(cfg.L_c)] + [f"inter.block{i}" for i in range(cfg.L_i)]:
+        layout.update({f"{block}.wq": (h, h), f"{block}.wk": (h, h), f"{block}.wv": (h, h),
+                       f"{block}.ln.g": (h,), f"{block}.ln.b": (h,)})
+    return {
+        **layout,
+        **_mlp_layout("ctx_head", h, h, 3 * cfg.C),  # C x (eta_x, eta_y) + C x beta_raw
+        **_mlp_layout("inter_head", h, h, 4 * cfg.C),  # C x chol raw triple + C x nu_raw
+        **_mlp_layout("zproxy", h, h, cfg.C),
+        "prior.eta": (2,), "prior.beta_raw": (1,), "prior.chol_raw": (3,), "prior.nu_raw": (1,),
+    }
 
 
-def _add_mlp(tape: ParamTape, rng, name: str, fan_in: int, hidden: int, fan_out: int) -> None:
-    _add_linear(tape, rng, f"{name}.l1", fan_in, hidden)
-    tape.add_param(f"{name}.ln.g", np.ones(hidden))
-    tape.add_param(f"{name}.ln.b", np.zeros(hidden))
-    _add_linear(tape, rng, f"{name}.l2", hidden, fan_out)
+def trajectory_layout(cfg: EncoderConfig, horizon: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the trajectory head's parameters: two MLPs from [context; goal] to T waypoints."""
+    h = cfg.hidden
+    return {**_mlp_layout("traj.m1", h + 2, h, h), **_mlp_layout("traj.m2", h, h, 2 * horizon)}
 
 
-def _add_attention_block(tape: ParamTape, rng, name: str, hidden: int) -> None:
-    for proj in ("wq", "wk", "wv"):
-        tape.add_param(f"{name}.{proj}", _uniform_init(rng, hidden, hidden))
-    tape.add_param(f"{name}.ln.g", np.ones(hidden))
-    tape.add_param(f"{name}.ln.b", np.zeros(hidden))
+def _init_params(layout: Mapping[str, tuple[int, ...]], seed: int) -> ParamTape:
+    """Each weight uniform within +-1/sqrt(fan_in), drawn in layout order; LayerNorm gains ones; other vectors zeros."""
+    tape = ParamTape()
+    rng = np.random.default_rng(seed)
+    for name, shape in layout.items():
+        if len(shape) == 2:
+            bound = 1.0 / math.sqrt(shape[0])
+            tape.add_param(name, rng.uniform(-bound, bound, size=shape))
+        else:
+            tape.add_param(name, np.ones(shape) if name.endswith(".ln.g") else np.zeros(shape))
+    return tape
 
 
 def init_spatial_params(cfg: EncoderConfig, seed: int = 0) -> ParamTape:
     """Fresh spatial-model tape: encoders, attention stacks, heads, prior."""
-    tape = ParamTape()
-    rng = np.random.default_rng(seed)
-    h = cfg.hidden
-    _add_mlp(tape, rng, "map_enc", MAP_VECTOR_WIDTH, h, h)
-    _add_mlp(tape, rng, "agent_enc", AGENT_VECTOR_WIDTH, h, h)
-    for i in range(cfg.L_c):
-        _add_attention_block(tape, rng, f"ctx.block{i}", h)
-    for i in range(cfg.L_i):
-        _add_attention_block(tape, rng, f"inter.block{i}", h)
-    _add_mlp(tape, rng, "ctx_head", h, h, 3 * cfg.C)  # C x (eta_x, eta_y) + C x beta_raw
-    _add_mlp(tape, rng, "inter_head", h, h, 4 * cfg.C)  # C x chol raw triple + C x nu_raw
-    _add_mlp(tape, rng, "zproxy", h, h, cfg.C)
+    tape = _init_params(spatial_layout(cfg), seed)
     # Trainable shared prior; initialized to eta0=0, beta0=0.01, V0=0.1 I, nu0=4.
     # beta0 weighs the prior as beta0 goals: the loss is stationary in a
     # component mean at (r g + beta0 eta0) / (r + beta0), with r the
     # component's mean responsibility. r is about 1/2 when the history does
     # not reveal the branch, so beta0 = 1 would pull each mean two thirds
     # of the way to eta0; a vague beta0 leaves the means at the goals.
-    sqrt_scale = math.sqrt(0.1)
-    tape.add_param("prior.eta", np.zeros(2))
-    tape.add_param("prior.beta_raw", np.array([softplus_inverse(0.01 - MIN_POSITIVE)]))
-    tape.add_param(
-        "prior.chol_raw",
-        np.array([softplus_inverse(sqrt_scale - MIN_POSITIVE), 0.0,
-                  softplus_inverse(sqrt_scale - MIN_POSITIVE)]),
-    )
-    tape.add_param("prior.nu_raw", np.array([softplus_inverse(4.0 - NU_FLOOR)]))
+    tape.params["prior.beta_raw"][:] = softplus_inverse(0.01 - MIN_POSITIVE)
+    tape.params["prior.chol_raw"][[0, 2]] = softplus_inverse(math.sqrt(0.1) - MIN_POSITIVE)
+    tape.params["prior.nu_raw"][:] = softplus_inverse(4.0 - NU_FLOOR)
     return tape
 
 
@@ -372,12 +371,12 @@ def save_model(path, tape: ParamTape, cfg: EncoderConfig) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _load_model(path, sizes, template) -> tuple[ParamTape, EncoderConfig]:
-    """The tape `template(cfg, params)` filled with the parameters of the model file at `path`, and its config.
+def _load_model(path, layout_of) -> tuple[ParamTape, EncoderConfig]:
+    """The parameters of the model file at `path`, laid out as `layout_of(cfg, params)` says, and its config.
 
-    `sizes(cfg, params)` gives the value counts the config implies for some stored vectors, checked before a
-    template of its size is built. Every parameter must then be a list of JSON numbers, as many as its
-    template holds, each within +-PARAM_BOUND. Each refusal names the file.
+    The stored names must be the layout's, and each stored count its shape's, all checked before any
+    parameter array is allocated. Every parameter must then be a list of JSON numbers, each within
+    +-PARAM_BOUND. Each refusal names the file.
     """
     doc = read_json_object(path, "model", ValidationError, MODEL_FORMAT_VERSION)
     for key in ("config", "params"):
@@ -388,57 +387,46 @@ def _load_model(path, sizes, template) -> tuple[ParamTape, EncoderConfig]:
         cfg = EncoderConfig(**doc["config"])
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"model {path}: bad 'config': {exc}") from exc
-
-    def check_counts(counts: dict[str, int]) -> None:
-        for name, n in counts.items():
-            values = stored.get(name)
-            if not isinstance(values, list) or len(values) != n:
-                found = len(values) if isinstance(values, list) else type(values).__name__
-                raise ValidationError(f"model {path}: its config implies {n} values for {name!r}, found {found}")
-
-    check_counts(sizes(cfg, stored))
-    tape = template(cfg, stored)
-    if set(stored) != set(tape.params):
-        missing, extra = sorted(set(tape.params) - set(stored))[:3], sorted(set(stored) - set(tape.params))[:3]
+    layout = layout_of(cfg, stored)
+    if set(stored) != set(layout):
+        missing, extra = sorted(set(layout) - set(stored))[:3], sorted(set(stored) - set(layout))[:3]
         raise ValidationError(f"model {path} parameter names mismatch (missing {missing}, unexpected {extra})")
-    check_counts({name: value.size for name, value in tape.params.items()})
-    for name, value in tape.params.items():
+    for name, shape in layout.items():
+        values, n = stored[name], math.prod(shape)
+        if not isinstance(values, list) or len(values) != n:
+            found = len(values) if isinstance(values, list) else type(values).__name__
+            raise ValidationError(f"model {path}: its config implies {n} values for {name!r}, found {found}")
+    tape = ParamTape()
+    for name, shape in layout.items():
         try:
-            stored_values = number_table([stored[name]], lambda i, j: f"parameter {name!r} value {j}")
+            value = number_table([stored[name]], lambda i, j: f"parameter {name!r} value {j}")
         except (ValueError, OverflowError) as exc:
             raise ValidationError(f"model {path}: {exc}") from exc
-        if not np.all(np.abs(stored_values) <= PARAM_BOUND):
+        if not np.all(np.abs(value) <= PARAM_BOUND):
             raise ValidationError(f"model {path}: parameter {name!r} has values not within +-{PARAM_BOUND:g}")
-        value[...] = stored_values.reshape(value.shape)
+        tape.add_param(name, value.reshape(shape))
     return tape, cfg
 
 
 def load_spatial_model(path) -> tuple[ParamTape, EncoderConfig]:
-    return _load_model(path, lambda cfg, stored: {"ctx_head.l1.b": cfg.hidden, "ctx_head.l2.b": 3 * cfg.C},
-                       lambda cfg, stored: init_spatial_params(cfg, seed=0))
+    return _load_model(path, lambda cfg, stored: spatial_layout(cfg))
 
 
 def init_trajectory_params(cfg: EncoderConfig, horizon: int, seed: int = 0) -> ParamTape:
     """Trajectory-completion tape: two MLPs from [context; goal] to T waypoints."""
-    tape = ParamTape()
-    rng = np.random.default_rng(seed)
-    h = cfg.hidden
-    _add_mlp(tape, rng, "traj.m1", h + 2, h, h)
-    _add_mlp(tape, rng, "traj.m2", h, h, 2 * horizon)
-    return tape
+    return _init_params(trajectory_layout(cfg, horizon), seed)
 
 
 def trajectory_horizon(params) -> int:
-    """T of a trajectory head, given as a tape, its leaves or a model file's stored lists: its output layer is 2·T wide."""
-    out_b = _as_leaves(params)["traj.m2.l2.b"]
-    return len(out_b.value if isinstance(out_b, Var) else out_b) // 2
+    """T of a trajectory head, given as a tape or its leaves: its output layer is 2·T wide."""
+    return len(_as_leaves(params)["traj.m2.l2.b"].value) // 2
 
 
 def load_trajectory_model(path) -> tuple[ParamTape, EncoderConfig]:
-    def sizes(cfg, stored):
+    def layout_of(cfg, stored):
         out_b = stored.get("traj.m2.l2.b")
         if not isinstance(out_b, list) or len(out_b) % 2 != 0 or not out_b:
             raise ValidationError(f"model {path} lacks a valid trajectory output layer")
-        return {"traj.m1.l1.b": cfg.hidden}
+        return trajectory_layout(cfg, len(out_b) // 2)
 
-    return _load_model(path, sizes, lambda cfg, stored: init_trajectory_params(cfg, trajectory_horizon(stored), seed=0))
+    return _load_model(path, layout_of)

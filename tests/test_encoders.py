@@ -1,15 +1,18 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from gneva import autodiff as ad, training
-from gneva.autodiff import Var, check_gradients
+from gneva.autodiff import ParamTape, Var, check_gradients
+from gneva.cli import run_command
 from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
     MIN_POSITIVE,
     NU_FLOOR,
+    SIZE_CAPS,
     EncoderConfig,
     _mlp,
     encode_polylines,
@@ -497,9 +500,62 @@ class TestSerialization:
 
         monkeypatch.setattr("gneva.encoders.init_spatial_params", no_template)
         monkeypatch.setattr("gneva.encoders.init_trajectory_params", no_template)
-        stored = "'ctx_head.l2.b', found 9" if which == "spatial" else "'traj.m1.l1.b', found 16"
+        stored = "'ctx_head.l2.w', found 144" if which == "spatial" else "'traj.m1.l1.w', found 288"
         with pytest.raises(ValidationError, match=stored):
             (load_spatial_model if which == "spatial" else load_trajectory_model)(path)
+
+    @pytest.mark.parametrize(
+        "which, claim",
+        [("spatial", {"hidden": 1024}), ("spatial", {"L_c": 16}), ("spatial", {"L_i": 16}), ("spatial", {"C": 1024}),
+         ("spatial", SIZE_CAPS), ("traj", 200_000)],
+        ids=["hidden", "L_c", "L_i", "C", "all-caps", "traj-wide-output"],
+    )
+    def test_sizes_the_file_does_not_hold_are_refused_before_any_parameter_array(
+        self, tmp_path, monkeypatch, capsys, which, claim
+    ):
+        """A small file claiming a large model is refused before a parameter array of the claimed size exists.
+
+        The spatial files hold a 16-wide model with two heads' biases sized to the claimed config; the trajectory
+        file holds weights for T=30 under a 200,000-wide output bias.
+        """
+        cfg = EncoderConfig(hidden=16, n_heads=2, C=3)
+        models = {"spatial": tmp_path / "spatial.json", "traj": tmp_path / "traj.json"}
+        save_model(models["spatial"], init_spatial_params(cfg), cfg)
+        save_model(models["traj"], init_trajectory_params(cfg, horizon=30), cfg)
+        crafted = models[which]
+        doc = json.loads(crafted.read_text())
+        if which == "spatial":
+            doc["config"].update(claim)
+            claimed = EncoderConfig(**doc["config"])
+            doc["params"]["ctx_head.l1.b"] = [0.0] * claimed.hidden
+            doc["params"]["ctx_head.l2.b"] = [0.0] * (3 * claimed.C)
+        else:
+            doc["params"]["traj.m2.l2.b"] = [0.0] * claim
+        crafted.write_text(json.dumps(doc))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a parameter array was allocated")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ParamTape, "add_param", no_allocation)
+            with pytest.raises(ValidationError, match=re.escape(f"model {crafted}")):
+                (load_spatial_model if which == "spatial" else load_trajectory_model)(crafted)
+
+        scenes = tmp_path / "scenes"
+        assert run_command(["synth", "--kind", "turn", "--n", "1", "--seed", "3", "--out", str(scenes)]) == 0
+        capsys.readouterr()
+        scenario = str(next(scenes.glob("*.json")))
+        commands = {
+            "predict": ["predict", "--spatial-model", str(models["spatial"]), "--traj-model", str(models["traj"]),
+                        "--scenario", scenario, "--out", str(tmp_path / "pred.json")],
+            "density": ["density", "--spatial-model", str(models["spatial"]), "--scenario", scenario,
+                        "--out", str(tmp_path / "density.csv")],
+        }
+        for command in ["predict", "density"] if which == "spatial" else ["predict"]:
+            assert run_command(commands[command]) == 1, command
+            err = capsys.readouterr().err
+            assert f"model {crafted}" in err and "Traceback" not in err, command
+        assert not (tmp_path / "pred.json").exists() and not (tmp_path / "density.csv").exists()
 
     def test_trajectory_round_trip(self, tmp_path):
         t = init_trajectory_params(CFG, horizon=30, seed=18)
@@ -509,3 +565,58 @@ class TestSerialization:
         assert trajectory_horizon(loaded) == 30
         for name, value in t.params.items():
             assert np.array_equal(loaded.params[name], value)
+
+
+def reference_init(cfg: EncoderConfig, seed: int, horizon: int | None = None) -> dict[str, np.ndarray]:
+    """The initial spatial parameters, or the trajectory head's when `horizon` is given, written out in draw order.
+
+    Every weight is drawn from one generator, uniform within +-1/sqrt(fan_in): each MLP draws its first layer
+    then its second, each attention block its query, key and value projections. LayerNorm gains are ones and the
+    other vectors zeros, except the shared prior's (eta0 = 0, beta0 = 0.01, V0 = 0.1 I, nu0 = 4 through the
+    constraint layers' inverses).
+    """
+    rng = np.random.default_rng(seed)
+    params = {}
+
+    def mlp(name, fan_in, hidden, fan_out):
+        params[f"{name}.l1.w"] = rng.uniform(-1 / math.sqrt(fan_in), 1 / math.sqrt(fan_in), size=(fan_in, hidden))
+        params[f"{name}.l1.b"] = np.zeros(hidden)
+        params[f"{name}.ln.g"] = np.ones(hidden)
+        params[f"{name}.ln.b"] = np.zeros(hidden)
+        params[f"{name}.l2.w"] = rng.uniform(-1 / math.sqrt(hidden), 1 / math.sqrt(hidden), size=(hidden, fan_out))
+        params[f"{name}.l2.b"] = np.zeros(fan_out)
+
+    h = cfg.hidden
+    if horizon is not None:
+        mlp("traj.m1", h + 2, h, h)
+        mlp("traj.m2", h, h, 2 * horizon)
+        return params
+    mlp("map_enc", 8, h, h)
+    mlp("agent_enc", 10, h, h)
+    for block in [f"ctx.block{i}" for i in range(cfg.L_c)] + [f"inter.block{i}" for i in range(cfg.L_i)]:
+        for proj in ("wq", "wk", "wv"):
+            params[f"{block}.{proj}"] = rng.uniform(-1 / math.sqrt(h), 1 / math.sqrt(h), size=(h, h))
+        params[f"{block}.ln.g"] = np.ones(h)
+        params[f"{block}.ln.b"] = np.zeros(h)
+    mlp("ctx_head", h, h, 3 * cfg.C)
+    mlp("inter_head", h, h, 4 * cfg.C)
+    mlp("zproxy", h, h, cfg.C)
+    diag = math.log(math.expm1(math.sqrt(0.1) - 1e-3))
+    params["prior.eta"] = np.zeros(2)
+    params["prior.beta_raw"] = np.array([math.log(math.expm1(0.01 - 1e-3))])
+    params["prior.chol_raw"] = np.array([diag, 0.0, diag])
+    params["prior.nu_raw"] = np.array([math.log(math.expm1(4.0 - (3.0 + 1e-3)))])
+    return params
+
+
+class TestInitialization:
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), EncoderConfig(L_c=2, L_i=2)], ids=["default", "L_c2-L_i2"])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_init_matches_the_written_out_draw_order(self, cfg, seed):
+        for tape, ref in [
+            (init_spatial_params(cfg, seed=seed), reference_init(cfg, seed)),
+            (init_trajectory_params(cfg, horizon=30, seed=seed), reference_init(cfg, seed, horizon=30)),
+        ]:
+            assert list(tape.params) == list(ref)
+            for name, value in ref.items():
+                assert tape.params[name].dtype == np.float64 and np.array_equal(tape.params[name], value), name
