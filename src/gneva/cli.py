@@ -96,12 +96,16 @@ def _dataclass_from_config(cls, prefix: str, config: dict):
         raise ValidationError(f"config {prefix}.{exc}") from exc
 
 
-def _check_encoder_keys(config: dict, enc_cfg: EncoderConfig, model_path) -> None:
-    """Refuse an `encoder.<field>` key whose value is not the one the model at `model_path` holds: its file fixes the encoder."""
-    held = {f"encoder.{name}": value for name, value in asdict(enc_cfg).items()}
-    for key, value in config.items():
+def _encoder_keys(enc_cfg: EncoderConfig) -> dict:
+    return {f"encoder.{name}": value for name, value in asdict(enc_cfg).items()}
+
+
+def _check_encoder_keys(keys: dict, source: str, enc_cfg: EncoderConfig, model_path) -> None:
+    """Refuse an `encoder.<field>` key of `source` whose value is not the one the model at `model_path` holds: its file fixes the encoder."""
+    held = _encoder_keys(enc_cfg)
+    for key, value in keys.items():
         if key in held and (type(value) is not type(held[key]) or value != held[key]):
-            raise ValidationError(f"config {key}={value!r} contradicts model {model_path}, which has {key}={held[key]!r}")
+            raise ValidationError(f"{source} {key}={value!r} contradicts model {model_path}, which has {key}={held[key]!r}")
 
 
 def _load_scenario_paths(path: str) -> list[Path]:
@@ -150,7 +154,7 @@ def cmd_train_spatial(args, config) -> int:
 def cmd_train_traj(args, config) -> int:
     _check_writable(args.out, _history_path(args))
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
-    _check_encoder_keys(config, enc_cfg, args.spatial_model)
+    _check_encoder_keys(config, "config", enc_cfg, args.spatial_model)
     train_cfg = _dataclass_from_config(TrainConfig, "train", config)
     scenes = [to_target_frame(load_scenario(f))[0] for f in _load_scenario_paths(args.data)]
     traj_tape = init_trajectory_params(enc_cfg, horizon=scenes[0].T, seed=train_cfg.seed)
@@ -212,14 +216,8 @@ def cmd_predict(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
     traj_tape, traj_cfg = load_trajectory_model(args.traj_model)
-    differ = [f.name for f in fields(EncoderConfig) if getattr(enc_cfg, f.name) != getattr(traj_cfg, f.name)]
-    if differ:
-        key = differ[0]
-        raise ValidationError(
-            f"models do not pair: {args.spatial_model} has encoder.{key}={getattr(enc_cfg, key)!r}, "
-            f"{args.traj_model} has encoder.{key}={getattr(traj_cfg, key)!r}"
-        )
-    _check_encoder_keys(config, enc_cfg, args.spatial_model)
+    _check_encoder_keys(_encoder_keys(traj_cfg), f"trajectory model {args.traj_model}", enc_cfg, args.spatial_model)
+    _check_encoder_keys(config, "config", enc_cfg, args.spatial_model)
     nms_cfg = NmsConfig(radius=args.radius, iou_threshold=args.iou, k=args.k)
     paths = _load_scenario_paths(args.scenario)
     out = Path(args.out)
@@ -293,7 +291,7 @@ def emit_density_grid(spatial_tape, enc_cfg, scenario, spacing: float, out_path)
 def cmd_density(args, config) -> int:
     _check_spacing(args.spacing)
     spatial_tape, enc_cfg = load_spatial_model(args.spatial_model)
-    _check_encoder_keys(config, enc_cfg, args.spatial_model)
+    _check_encoder_keys(config, "config", enc_cfg, args.spatial_model)
     scenario = load_scenario(args.scenario)
     n_cells = emit_density_grid(spatial_tape, enc_cfg, scenario, args.spacing, args.out)
     print(f"wrote {n_cells} grid cells to {args.out}")

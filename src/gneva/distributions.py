@@ -45,12 +45,6 @@ def one_component(q, what: str):
     return q.eta[0], q.beta[0], q.chol[0], q.nu[0]
 
 
-def _log_det(a11, a12, a22):
-    """log det of 2x2 SPD matrices from their Cholesky factors."""
-    l11, _, l22 = spd_cholesky(a11, a12, a22)
-    return 2.0 * (np.log(l11) + np.log(l22))
-
-
 def wishart_log_density(lam, chol, nu) -> np.ndarray:
     """log W(Lambda | V, nu) at precisions lam (n, 3), with V's factor chol (3,) = (l11, l21, l22).
 
@@ -64,7 +58,7 @@ def wishart_log_density(lam, chol, nu) -> np.ndarray:
     det_v = (chol[0] * chol[2]) ** 2
     trace = (lam11 * v22 - 2.0 * lam12 * v12 + lam22 * v11) / det_v  # trace(V^-1 Lambda)
     return (
-        0.5 * (nu - D - 1) * _log_det(lam11, lam12, lam22)
+        0.5 * (nu - D - 1) * np.log(lam11 * lam22 - lam12 * lam12)
         - 0.5 * trace
         - 0.5 * nu * D * LOG_2
         - log_multivariate_gamma(0.5 * nu, D)
@@ -75,8 +69,8 @@ def wishart_log_density(lam, chol, nu) -> np.ndarray:
 def sample_wishart_bartlett(chol, nu, rng: np.random.Generator, size: int):
     """Draw `size` precision matrices from W(V, nu) by Bartlett decomposition.
 
-    chol (3,) = (l11, l21, l22) is V's lower factor L. Returns arrays
-    (lam11, lam12, lam22) of shape (size,). The factor is
+    chol (3,) = (l11, l21, l22) is V's lower factor L. Returns the draws'
+    entries (lam11, lam12, lam22) as one (size, 3) array. The factor is
     A = [[sqrt(chi2_nu), 0], [n, sqrt(chi2_(nu-1))]] and Lambda = L A A^T L^T.
     """
     a, b, c = chol  # L = [[a, 0], [b, c]]
@@ -87,20 +81,19 @@ def sample_wishart_bartlett(chol, nu, rng: np.random.Generator, size: int):
     m11 = a * s1
     m21 = b * s1 + c * u
     m22 = c * s2
-    lam11 = m11 * m11
-    lam12 = m11 * m21
-    lam22 = m21 * m21 + m22 * m22
-    return lam11, lam12, lam22
+    return np.stack([m11 * m11, m11 * m21, m21 * m21 + m22 * m22], axis=1)
 
 
 def sample_normal_wishart(q, rng: np.random.Generator, size: int):
     """Sample `size` (mu, Lambda) pairs from a one-component `MixturePosterior` q.
 
-    Returns mus of shape (size, 2) and lams of shape (size, 2, 2). Draws are
-    deterministic for a given generator state.
+    Returns mus of shape (size, 2) and lams of shape (size, 3), each row a
+    precision's entries (lam11, lam12, lam22) as `sample_wishart_bartlett`
+    draws them. Draws are deterministic for a given generator state.
     """
     eta, beta, chol, nu = one_component(q, "sample_normal_wishart")
-    lam11, lam12, lam22 = sample_wishart_bartlett(chol, nu, rng, size)
+    lams = sample_wishart_bartlett(chol, nu, rng, size)
+    lam11, lam12, lam22 = lams.T
     # mu | Lambda ~ N(eta, (beta Lambda)^-1): Sigma = Lambda^-1 / beta.
     det = lam11 * lam22 - lam12 * lam12
     s11 = lam22 / (det * beta)
@@ -109,10 +102,6 @@ def sample_normal_wishart(q, rng: np.random.Generator, size: int):
     t11, t21, t22 = spd_cholesky(s11, s12, s22)
     z = rng.standard_normal((size, 2))
     mus = np.stack([eta[0] + t11 * z[:, 0], eta[1] + t21 * z[:, 0] + t22 * z[:, 1]], axis=1)
-    lams = np.empty((size, 2, 2))
-    lams[:, 0, 0] = lam11
-    lams[:, 0, 1] = lams[:, 1, 0] = lam12
-    lams[:, 1, 1] = lam22
     return mus, lams
 
 

@@ -64,18 +64,43 @@ def _random_nw(rng) -> mx.MixturePosterior:
     return _nw(rng.normal(scale=2.0, size=2), rng.uniform(0.3, 5.0), _random_spd(rng), rng.uniform(3.5, 12.0))
 
 
+def _sigmas(closed: float, draws: np.ndarray, log_mean: bool = False) -> float:
+    """How many MC standard errors `closed` lies from the mean of `draws`.
+
+    With `log_mean`, `closed` is log E[exp(draw)]: the estimate is the log of
+    the mean of exp(draws), shifted by their max, and its standard error is
+    the relative one of that mean (delta method).
+    """
+    shift = draws.max() if log_mean else 0.0
+    w = np.exp(draws - shift) if log_mean else draws
+    se = w.std(ddof=1) / math.sqrt(len(w))
+    if log_mean:
+        return abs(closed - (shift + math.log(w.mean()))) / (se / w.mean())
+    return abs(closed - w.mean()) / se
+
+
+def _quad_form(lams: np.ndarray, dx, dy) -> np.ndarray:
+    """(dx, dy)^T Lambda (dx, dy) for each draw; lams (n, 3) holds Lambda's entries (l11, l12, l22)."""
+    return lams[:, 0] * dx**2 + 2 * lams[:, 1] * dx * dy + lams[:, 2] * dy**2
+
+
+def _gaussian_log_density(g, mus: np.ndarray, lams: np.ndarray):
+    """log N(g | mu, Lambda^-1) of each draw (mu, Lambda), with log det Lambda and the quadratic form."""
+    log_dets = np.log(lams[:, 0] * lams[:, 2] - lams[:, 1] ** 2)
+    quad = _quad_form(lams, g[0] - mus[:, 0], g[1] - mus[:, 1])
+    return 0.5 * log_dets - math.log(2 * math.pi) - 0.5 * quad, log_dets, quad
+
+
 def check_kl_mean_vs_mc(n_pairs: int, n_samples: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_pairs):
         q, p = _random_nw(rng), _random_nw(rng)
-        lam11, lam12, lam22 = sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples)
+        lams = sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples)
         dev = q.eta[0] - p.eta[0]
-        quad = lam11 * dev[0] ** 2 + 2 * lam12 * dev[0] * dev[1] + lam22 * dev[1] ** 2
+        quad = _quad_form(lams, dev[0], dev[1])
         ratio = p.beta[0] / q.beta[0]
         kls = 0.5 * (2 * ratio - 2 + p.beta[0] * quad + 2 * math.log(1.0 / ratio))
-        se = kls.std(ddof=1) / math.sqrt(n_samples)
-        closed = q.arrays().kl_mean_given_precision(p.arrays()).value[0]
-        sigmas = abs(closed - kls.mean()) / se
+        sigmas = _sigmas(q.arrays().kl_mean_given_precision(p.arrays()).value[0], kls)
         worst = max(worst, sigmas)
         if sigmas > 3.0:
             return False, f"closed form {sigmas:.1f} MC standard errors from estimate"
@@ -88,10 +113,9 @@ def check_kl_wishart_vs_mc(n_pairs: int, n_samples: int, rng) -> tuple[bool, str
         # Wisharts alone: the mean's eta and beta take no part.
         q = _nw([0.0, 0.0], 1.0, _random_spd(rng), rng.uniform(3.5, 10.0))
         p = _nw([0.0, 0.0], 1.0, _random_spd(rng), rng.uniform(3.5, 10.0))
-        lams = np.stack(sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples), axis=1)
+        lams = sample_wishart_bartlett(q.chol[0], q.nu[0], rng, n_samples)
         diffs = wishart_log_density(lams, q.chol[0], q.nu[0]) - wishart_log_density(lams, p.chol[0], p.nu[0])
-        se = diffs.std(ddof=1) / math.sqrt(n_samples)
-        sigmas = abs(q.arrays().kl_wishart(p.arrays()).value[0] - diffs.mean()) / se
+        sigmas = _sigmas(q.arrays().kl_wishart(p.arrays()).value[0], diffs)
         worst = max(worst, sigmas)
         if sigmas > 3.0:
             return False, f"closed form {sigmas:.1f} MC standard errors from estimate"
@@ -105,15 +129,10 @@ def check_expectations_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, s
         g = rng.normal(size=2)
         mus, lams = sample_normal_wishart(q, rng, size=n_samples)
         qa = q.arrays()
-        e_log_det, e_mahalanobis = qa.expected_log_det().value[0], qa.expected_mahalanobis(g).value[0]
-        _, logdets = np.linalg.slogdet(lams)
-        se_ld = logdets.std(ddof=1) / math.sqrt(n_samples)
-        dev = g - mus
-        quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
-        se_q = quad.std(ddof=1) / math.sqrt(n_samples)
+        _, log_dets, quad = _gaussian_log_density(g, mus, lams)
         sig = max(
-            abs(e_log_det - logdets.mean()) / se_ld,
-            abs(e_mahalanobis - quad.mean()) / se_q,
+            _sigmas(qa.expected_log_det().value[0], log_dets),
+            _sigmas(qa.expected_mahalanobis(g).value[0], quad),
         )
         worst = max(worst, sig)
         if sig > 3.0:
@@ -127,15 +146,8 @@ def check_prior_evidence_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool,
         prior = _random_nw(rng)
         g = prior.eta[0] + rng.normal(size=2)
         mus, lams = sample_normal_wishart(prior, rng, size=n_samples)
-        dev = g - mus
-        quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
-        _, logdets = np.linalg.slogdet(lams)
-        log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
-        shift = log_dens.max()
-        w = np.exp(log_dens - shift)
-        log_mean = shift + math.log(w.mean())
-        se_rel = w.std(ddof=1) / math.sqrt(n_samples) / w.mean()
-        sig = abs(mx.prior_log_evidence(g, prior, [1.0]) - log_mean) / se_rel
+        log_dens, _, _ = _gaussian_log_density(g, mus, lams)
+        sig = _sigmas(mx.prior_log_evidence(g, prior, [1.0]), log_dens, log_mean=True)
         worst = max(worst, sig)
         if sig > 3.0:
             return False, f"log evidence {sig:.1f} MC standard errors from estimate"
@@ -163,10 +175,7 @@ def check_z_posterior_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, st
         log_w = mix.log_pi.copy()
         for c, comp in enumerate(comps):
             mus, lams = sample_normal_wishart(comp, rng, size=n_samples)
-            dev = g - mus
-            quad = np.einsum("ni,nij,nj->n", dev, lams, dev)
-            _, logdets = np.linalg.slogdet(lams)
-            log_w[c] += (0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad).mean()
+            log_w[c] += _gaussian_log_density(g, mus, lams)[0].mean()
         oracle = np.exp(log_w - log_w.max())
         oracle /= oracle.sum()
         if oracle.min() < 0.05:
@@ -361,14 +370,11 @@ def check_gradients_full_loss(n_params: int) -> tuple[bool, str]:
 def check_sampler_moments(n_samples: int, rng) -> tuple[bool, str]:
     p = _random_nw(rng)
     mus, lams = sample_normal_wishart(p, rng, size=n_samples)
-    target = p.nu[0] * _matrix(p.v[0])
-    worst = 0.0
-    for idx in [(0, 0), (0, 1), (1, 1)]:
-        se = lams[:, idx[0], idx[1]].std(ddof=1) / math.sqrt(n_samples)
-        worst = max(worst, abs(lams[:, idx[0], idx[1]].mean() - target[idx]) / se)
-    for k in range(2):
-        se = mus[:, k].std(ddof=1) / math.sqrt(n_samples)
-        worst = max(worst, abs(mus[:, k].mean() - p.eta[0, k]) / se)
+    target = p.nu[0] * p.v[0]  # E[Lambda] = nu V, entry by entry
+    worst = max(
+        *(_sigmas(target[j], lams[:, j]) for j in range(3)),
+        *(_sigmas(p.eta[0, k], mus[:, k]) for k in range(2)),
+    )
     return worst < 3.5, f"precision/mean moments within {worst:.2f} SE of targets"
 
 
@@ -395,12 +401,12 @@ def run_all(fast: bool = False, log: Callable[[str], None] = print) -> list[Chec
     ]
     results = []
     for name, fn in checks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=elapsed))
         status = "PASS" if passed else "FAIL"
         log(f"[{status}] {name}: {detail} ({elapsed:.1f}s)")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gneva import cli
+from gneva import cli, verify
 from gneva.cli import load_run_config, run_command
 from gneva.dataio import load_scenario, to_target_frame, vectorize
 from gneva.encoders import EncoderConfig, forward_spatial, init_trajectory_params, load_spatial_model, save_model
@@ -118,10 +118,32 @@ class TestExitCodes:
         )
 
 
+VERIFY_SUITES = (
+    "kl-mean-vs-mc", "kl-wishart-vs-mc", "expected-stats-vs-mc", "prior-evidence-vs-mc", "z-posterior-vs-mc",
+    "elbo-bound", "nms-brute-force", "circle-iou-mc-area", "predictive-normalization", "schedule-endpoints",
+    "metrics-offsets", "sampler-moments", "gradient-check",
+)
+
+
 class TestVerify:
     def test_fast_suites_all_pass(self, capsys):
         assert run_command(["verify", "--fast"]) == 0
-        assert "13/13 oracle suites passed" in capsys.readouterr().out
+        *suites, summary = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in suites] == [f"[PASS] {name}" for name in VERIFY_SUITES]
+        assert summary == "13/13 oracle suites passed"
+
+    def test_a_wrong_cross_term_in_the_mc_quadratic_form_fails(self, monkeypatch, capsys):
+        # Negative control: the MC side's quadratic form with the sign of its cross term flipped.
+        def wrong_sign(lams, dx, dy):
+            return lams[:, 0] * dx**2 - 2 * lams[:, 1] * dx * dy + lams[:, 2] * dy**2
+
+        monkeypatch.setattr(verify, "_quad_form", wrong_sign)
+        for check in (verify.check_expectations_vs_mc, verify.check_prior_evidence_vs_mc):
+            passed, detail = check(5, 100_000, np.random.default_rng(20240718))  # the --fast sizes
+            assert not passed, detail
+        assert run_command(["verify", "--fast"]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] expected-stats-vs-mc: " in out and "[FAIL] prior-evidence-vs-mc: " in out
 
 
 class TestSynth:

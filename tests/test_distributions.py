@@ -7,6 +7,7 @@ from scipy import stats
 from gneva.distributions import (
     predictive_student_t,
     sample_normal_wishart,
+    sample_wishart_bartlett,
     student_t_log_density_table,
     wishart_log_density,
 )
@@ -116,10 +117,19 @@ class TestSampling:
         p = nw([1.0, 2.0], 2.0, (0.8, 0.2, 0.5), 6.0)
         rng = np.random.default_rng(11)
         _, lams = sample_normal_wishart(p, rng, size=1_000_000)
-        target = p.nu[0] * matrix(p.v[0])
-        for idx in [(0, 0), (0, 1), (1, 1)]:
-            mean, se = mc_mean_and_se(lams[:, idx[0], idx[1]])
-            assert abs(mean - target[idx]) < 3 * se
+        assert lams.shape == (1_000_000, 3)
+        for j in range(3):  # the entries (lam11, lam12, lam22) against nu (v11, v12, v22)
+            mean, se = mc_mean_and_se(lams[:, j])
+            assert abs(mean - p.nu[0] * p.v[0, j]) < 3 * se
+
+    def test_normal_wishart_precisions_are_the_bartlett_draws(self):
+        p = nw([0.3, -0.2], 1.7, (0.9, -0.25, 0.6), 5.5)
+        _, lams = sample_normal_wishart(p, np.random.default_rng(14), 50)
+        bartlett = sample_wishart_bartlett(p.chol[0], p.nu[0], np.random.default_rng(14), 50)
+        assert lams.tobytes() == bartlett.tobytes()
+        densities = wishart_log_density(lams, p.chol[0], p.nu[0])
+        ref = [stats.wishart.logpdf(matrix(lam), df=p.nu[0], scale=matrix(p.v[0])) for lam in lams]
+        assert densities == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_mean_mu_is_eta(self):
         p = nw([-1.5, 0.7], 1.3, (0.6, 0.0, 0.9), 5.0)
