@@ -436,9 +436,6 @@ class ParamTape:
         """Constant nodes viewing the current parameter values; a forward on them records no graph."""
         return {name: Var(value) for name, value in self.params.items()}
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def copy(self) -> "ParamTape":
         out = ParamTape()
         for name, value in self.params.items():

@@ -131,7 +131,7 @@ class Scenario:
         return row[:2].copy()
 
     def future_waypoints(self) -> np.ndarray:
-        """Target positions at steps H+1 .. H+T; ground truth for evaluation."""
+        """Target positions at steps H+1 .. H+T, by bisection in the steps `validate` keeps increasing; ground truth."""
         target = self.target()
         if self.T > len(target.steps):  # refused before a huge T allocates the wanted steps
             raise ValidationError(
@@ -139,12 +139,12 @@ class Scenario:
                 f"only {len(target.steps)} states"
             )
         want = np.arange(self.H + 1, self.H + self.T + 1)
-        hits = target.steps[:, None] == want
-        found = hits.any(axis=0)
+        at = np.minimum(np.searchsorted(target.steps, want), len(target.steps) - 1)
+        found = target.steps[at] == want
         if not found.all():
             t = want[np.argmin(found)]
             raise ValidationError(f"scenario {self.scenario_id!r} missing future step {t}")
-        return target.rows[hits.argmax(axis=0), :2]
+        return target.rows[at, :2]
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -169,9 +169,8 @@ def _check_scene(scene: VectorizedScene) -> None:
         )
 
 
-def encode_polylines(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig) -> EncodedScenes:
+def encode_polylines(scenes: Sequence[VectorizedScene], leaves, cfg: EncoderConfig) -> EncodedScenes:
     """Per-vector MLP over every vector of the batch, then a max-pool per polyline."""
-    leaves = _as_leaves(params)
     if not scenes:
         raise ShapeMismatch("need at least one scene")
     for scene in scenes:
@@ -213,11 +212,12 @@ def _encode_group(leaves, enc_name: str, vector_sets, cfg: EncoderConfig) -> Var
     return ad.segment_max(features, np.cumsum([0] + lengths[:-1]))
 
 
-def multi_head_attention(x: Var, leaves, prefix: str, cfg: EncoderConfig, key_mask=None) -> Var:
-    """Scaled dot-product attention with a row-wise softmax, all heads in one batched product.
+def self_attention_block(x: Var, leaves, cfg: EncoderConfig, prefix: str, key_mask) -> Var:
+    """LayerNorm(X + ReLU(MHA(X))), the block's parameters named `{prefix}.*`.
 
-    x is (..., N, hidden); `key_mask` (..., N) marks the tokens that may be
-    attended to (all when None), so masked tokens have no influence.
+    Scaled dot-product attention with a row-wise softmax, all heads in one
+    batched product. x is (..., N, hidden); `key_mask` (..., N) marks the
+    tokens that may be attended to, so masked tokens have no influence.
     """
     d_k = cfg.hidden // cfg.n_heads
     split = x.value.shape[:-1] + (cfg.n_heads, d_k)
@@ -227,20 +227,10 @@ def multi_head_attention(x: Var, leaves, prefix: str, cfg: EncoderConfig, key_ma
 
     q, k, v = heads("wq"), heads("wk"), heads("wv")
     scale = 1.0 / math.sqrt(d_k)
-    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[..., None, None, :]
+    mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
     scores = ad.softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale, axis=-1, mask=mask)
-    return ad.reshape(ad.swapaxes(ad.matmul(scores, v), -3, -2), x.value.shape)
-
-
-def self_attention_block(
-    x: Var, params, cfg: EncoderConfig, prefix: str = "ctx.block0", key_mask=None
-) -> Var:
-    """LayerNorm(X + ReLU(MHA(X)))."""
-    leaves = _as_leaves(params)
-    attended = ad.relu(multi_head_attention(x, leaves, prefix, cfg, key_mask))
-    return ad.layer_norm(
-        ad.add(x, attended), leaves[f"{prefix}.ln.g"], leaves[f"{prefix}.ln.b"]
-    )
+    attended = ad.relu(ad.reshape(ad.swapaxes(ad.matmul(scores, v), -3, -2), x.value.shape))
+    return ad.layer_norm(ad.add(x, attended), leaves[f"{prefix}.ln.g"], leaves[f"{prefix}.ln.b"])
 
 
 def _attention_stack(x: Var, key_mask, prefix: str, n_blocks: int, slot: int, leaves, cfg: EncoderConfig) -> Var:
@@ -259,7 +249,7 @@ def _cholesky_head(raw: Var) -> Var:
     return ad.concat([l11, l21, l22], axis=-1)
 
 
-def spatial_trunk(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig) -> tuple[Var, Var, Var]:
+def spatial_trunk(scenes: Sequence[VectorizedScene], leaves, cfg: EncoderConfig) -> tuple[Var, Var, Var]:
     """Context and interaction target rows (B, hidden) of a batch of scenes, and their sum.
 
     The context stack attends over [map; target; surrounding] with padding
@@ -269,7 +259,6 @@ def spatial_trunk(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig)
     its row. The sum is the context feature the heads and trajectory
     completion read.
     """
-    leaves = _as_leaves(params)
     enc = encode_polylines(scenes, leaves, cfg)
     ctx = _attention_stack(enc.tokens, enc.valid, "ctx.block", cfg.L_c, enc.n_map, leaves, cfg)
     agents = ad.narrow(enc.tokens, -2, enc.n_map, enc.tokens.value.shape[-2] - enc.n_map)
@@ -277,11 +266,6 @@ def spatial_trunk(scenes: Sequence[VectorizedScene], params, cfg: EncoderConfig)
     key_mask = np.concatenate([target, enc.observed], axis=-1)
     inter = _attention_stack(agents, key_mask, "inter.block", cfg.L_i, 0, leaves, cfg)
     return ctx, inter, ad.add(ctx, inter)
-
-
-def z_proxy_logits(context_feature: Var, params) -> Var:
-    """Pre-softmax assignment logits of the proxy head: (..., hidden) -> (..., C)."""
-    return _mlp(_as_leaves(params), "zproxy", context_feature)
 
 
 @dataclass
@@ -345,7 +329,7 @@ def forward_spatial(
         ad.softplus(ad.narrow(ctx, -1, 2 * cfg.C, cfg.C)) + MIN_POSITIVE,
         _cholesky_head(ad.reshape(ad.narrow(inter, -1, 0, 3 * cfg.C), batch + (cfg.C, 3))),
         ad.softplus(ad.narrow(inter, -1, 3 * cfg.C, cfg.C)) + NU_FLOOR,
-        z_proxy_logits(combined, leaves),
+        _mlp(leaves, "zproxy", combined),
     )
     if single:
         per_scene = tuple(ad.reshape(x, x.value.shape[1:]) for x in per_scene)

@@ -82,10 +82,10 @@ def circle_iou(p1, p2, r: float) -> float:
     return float(circle_iou_from_distance(np.array([d]), r)[0])
 
 
-def nms_select(pool: CandidatePool, cfg: NmsConfig, k: int | None = None) -> np.ndarray:
-    """Greedy suppression, most probable first, stopping after k selections.
+def nms_select(pool: CandidatePool, cfg: NmsConfig) -> np.ndarray:
+    """Greedy suppression, most probable first, stopping after `cfg.k` selections.
 
-    Returns the selected pool indices in selection order. With k None it
+    Returns the selected pool indices in selection order; `k=len(pool)`
     runs until no candidate is left. Each pass keeps the most probable live
     candidate (the first of equals, so ties go in pool order) and drops
     every candidate whose circle IoU with it strictly exceeds the threshold.
@@ -96,7 +96,7 @@ def nms_select(pool: CandidatePool, cfg: NmsConfig, k: int | None = None) -> np.
     x, y = pool.locations.T.copy()  # contiguous rows: each pass reads both in full
     reach = 2.0 * cfg.radius  # beyond it on either axis the discs are apart: IoU 0
     selected = []
-    for _ in range(len(live) if k is None else k):
+    for _ in range(cfg.k):
         best = int(np.argmax(live))
         if live[best] == -math.inf:
             break

@@ -164,17 +164,10 @@ def spatial_scene_loss(
     )
 
 
-def huber(residual: Var, delta: float = 1.0) -> Var:
-    """Elementwise Huber penalty, averaged over all entries."""
-    r = residual.value
-    quadratic = np.abs(r) <= delta
-    abs_r = ad.relu(residual) + ad.relu(-residual)
-    quad_part = 0.5 * ad.square(residual)
-    lin_part = delta * (abs_r - 0.5 * delta)
-    mixed = ad.mul(quad_part, Var(quadratic.astype(float))) + ad.mul(
-        lin_part, Var((~quadratic).astype(float))
-    )
-    return ad.vmean(mixed)
+def huber(residual: Var) -> Var:
+    """Mean Huber penalty at threshold 1: c r - c^2 / 2 with c = clip(r, -1, 1) a constant, so its gradient is c."""
+    c = np.clip(residual.value, -1.0, 1.0)
+    return ad.vmean(ad.mul(residual, Var(c)) - Var(0.5 * c * c))
 
 
 @dataclass
@@ -354,7 +347,7 @@ def spatial_context_features(
     """
     vectors = [vectorize(s, enc_cfg) for s in dataset]
     return np.concatenate([
-        spatial_trunk(vectors[i : i + _CONTEXT_CHUNK], spatial_tape, enc_cfg)[-1].value
+        spatial_trunk(vectors[i : i + _CONTEXT_CHUNK], spatial_tape.constants(), enc_cfg)[-1].value
         for i in range(0, len(vectors), _CONTEXT_CHUNK)
     ])
 
@@ -386,6 +379,6 @@ def train_trajectory(
         pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves)
         residual = ad.sub(pred, Var(futures[batch]))
         _check_finite(residual.value, [ids[i] for i in batch], f"trajectory loss at step {step}")
-        return huber(residual, delta=1.0), {}
+        return huber(residual), {}
 
     return traj_tape, _fit(traj_tape, len(dataset), cfg, step_loss)

@@ -75,7 +75,7 @@ def predict_topk(
     weights = fw.weights.value
     region = scene_region(scenario)
     candidates = generate_candidates(mix, weights, region, spacing)
-    selected = nms_select(candidates, nms_cfg, nms_cfg.k)
+    selected = nms_select(candidates, nms_cfg)
     contexts = np.repeat(fw.context_feature.value, len(selected), axis=0)
     goals = candidates.locations[selected]
     waypoints = complete_trajectory(contexts, goals, traj_tape)

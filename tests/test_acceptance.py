@@ -196,6 +196,7 @@ class TestCriterion4NmsEquivalence:
             cfg = NmsConfig(
                 radius=float(rng.uniform(0.5, 4.0)),
                 iou_threshold=float(rng.choice([0.0, 0.25, 0.5])),
+                k=n,
             )
             fast = nms_select(pool, cfg)
             slow = brute_force_selection(

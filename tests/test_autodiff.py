@@ -385,5 +385,5 @@ class TestCheckGradients:
             return ad.vsum(ad.mul(out, out))
 
         report = check_gradients(tape, loss, tolerance=1e-6, n_samples=300)
-        assert report.n_checked == tape.n_params()
+        assert report.n_checked == sum(p.size for p in tape.params.values())
         assert report.passed, report.failures[:3]

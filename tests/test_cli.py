@@ -137,13 +137,25 @@ class TestVerify:
         def wrong_sign(lams, dx, dy):
             return lams[:, 0] * dx**2 - 2 * lams[:, 1] * dx * dy + lams[:, 2] * dy**2
 
+        def without_timing(lines):
+            return {line.split(":")[0].split("] ")[1]: line.rsplit(" (", 1)[0] for line in lines}
+
+        unpatched = []
+        verify.run_all(fast=True, log=unpatched.append)
         monkeypatch.setattr(verify, "_quad_form", wrong_sign)
         for check in (verify.check_expectations_vs_mc, verify.check_prior_evidence_vs_mc):
             passed, detail = check(5, 100_000, np.random.default_rng(20240718))  # the --fast sizes
             assert not passed, detail
         assert run_command(["verify", "--fast"]) == 2
-        out = capsys.readouterr().out
-        assert "[FAIL] expected-stats-vs-mc: " in out and "[FAIL] prior-evidence-vs-mc: " in out
+        *patched, _ = capsys.readouterr().out.splitlines()
+        assert "[FAIL] expected-stats-vs-mc: " in patched[2] and "[FAIL] prior-evidence-vs-mc: " in patched[3]
+        # Each suite draws from its own generator: the suites that never reach the
+        # quadratic form print what they print without the patch.
+        reaching = {"kl-mean-vs-mc", "expected-stats-vs-mc", "prior-evidence-vs-mc", "z-posterior-vs-mc"}
+        before, after = without_timing(unpatched), without_timing(patched)
+        assert before.keys() == after.keys() == set(VERIFY_SUITES)
+        for name in set(VERIFY_SUITES) - reaching:
+            assert after[name] == before[name], name
 
 
 class TestSynth:

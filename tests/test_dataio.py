@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -158,6 +159,56 @@ class TestSchema:
         s.T = 10**12
         with pytest.raises(ValidationError, match="'s0' has T=1000000000000.*only 40 states"):
             s.future_waypoints()
+
+    def test_future_waypoints_of_a_long_track_take_memory_linear_in_its_length(self):
+        # A 20,000-state target with T = 19,990: an (n, T) table of step matches would take 400 MB.
+        s = minimal_scenario(h=10, t=19_990)
+        s.validate()
+        tracemalloc.start()
+        try:
+            out = s.future_waypoints()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (19_990, 2) and out[:, 0].tolist() == list(range(11, 20_001))
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @staticmethod
+    def first_match_future(s: Scenario):
+        """Each future step's row by a first-match scan of the target track, or the first step with no row."""
+        target = next(a for a in s.agents if a.id == s.target_id)
+        rows = []
+        for t in range(s.H + 1, s.H + s.T + 1):
+            for step, row in zip(target.steps.tolist(), target.rows.tolist()):
+                if step == t:
+                    rows.append(row[:2])
+                    break
+            else:
+                return t
+        return np.array(rows)
+
+    def test_future_waypoints_match_a_first_match_scan_on_tracks_with_gaps(self):
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for _ in range(300):
+            h, t = int(rng.integers(1, 6)), int(rng.integers(1, 25))
+            later = np.arange(h + 1, h + t + 6)
+            kept = later[rng.random(len(later)) >= rng.choice([0.0, 0.05, 0.3])]
+            steps = np.concatenate([np.arange(1, h + 1), kept])
+            s = minimal_scenario(h=h, t=t)
+            s.agents[0] = AgentTrack(id="a0", kind="vehicle", steps=steps, rows=rng.normal(size=(len(steps), 5)))
+            s.validate()
+            want = self.first_match_future(s)
+            if isinstance(want, int):
+                outcomes.add("missing")
+                message = f"missing future step {want}$" if t <= len(steps) else f"only {len(steps)} states$"
+                with pytest.raises(ValidationError, match=message):
+                    s.future_waypoints()
+            else:
+                outcomes.add("found")
+                got = s.future_waypoints()
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert outcomes == {"missing", "found"}
 
 
 class TestTargetFrame:

@@ -26,7 +26,6 @@ from gneva.encoders import (
     self_attention_block,
     spatial_trunk,
     trajectory_horizon,
-    z_proxy_logits,
 )
 from gneva.errors import ShapeMismatch, ValidationError
 from gneva.training import spatial_context_features, spatial_scene_loss
@@ -79,7 +78,7 @@ class TestConfig:
 
 class TestEncodePolylines:
     def test_shapes(self, tape, scene):
-        enc = encode_polylines([scene], tape, CFG)
+        enc = encode_polylines([scene], tape.constants(), CFG)
         n_map, n_surr = len(scene.map_polylines), len(scene.surrounding)
         assert enc.n_map == n_map
         assert enc.tokens.value.shape == (1, n_map + 1 + n_surr, CFG.hidden)
@@ -95,7 +94,7 @@ class TestEncodePolylines:
         proj, _ = to_target_frame(s)
         vs = vectorize(proj, CFG)
         assert len(vs.surrounding) == 0
-        enc = encode_polylines([vs], tape, CFG)
+        enc = encode_polylines([vs], tape.constants(), CFG)
         assert split_tokens(enc)[2].shape == (0, CFG.hidden)
         assert enc.observed.shape == (1, 0)
 
@@ -105,7 +104,7 @@ class TestEncodePolylines:
         doubled = dataclasses.replace(
             scene, map_polylines=scene.map_polylines + [scene.map_polylines[0]]
         )
-        m = split_tokens(encode_polylines([doubled], tape, CFG))[0]
+        m = split_tokens(encode_polylines([doubled], tape.constants(), CFG))[0]
         assert np.allclose(m[0], m[-1])
 
     def test_vector_permutation_invariance(self, tape, scene):
@@ -117,8 +116,8 @@ class TestEncodePolylines:
             scene,
             map_polylines=[scene.map_polylines[0][perm]] + scene.map_polylines[1:],
         )
-        a = encode_polylines([scene], tape, CFG)
-        b = encode_polylines([shuffled], tape, CFG)
+        a = encode_polylines([scene], tape.constants(), CFG)
+        b = encode_polylines([shuffled], tape.constants(), CFG)
         assert np.allclose(a.tokens.value, b.tokens.value, atol=1e-12)
 
     def test_wrong_width_rejected(self, tape, scene):
@@ -126,11 +125,11 @@ class TestEncodePolylines:
 
         bad = dataclasses.replace(scene, map_polylines=[np.zeros((3, 5))])
         with pytest.raises(ShapeMismatch):
-            encode_polylines([scene, bad], tape, CFG)
+            encode_polylines([scene, bad], tape.constants(), CFG)
 
     def test_padding_slots_are_zero_and_invalid(self, tape, scene):
         straight = vectorize(to_target_frame(synth_generate(SynthConfig(n=1, seed=22), "straight")[0])[0], CFG)
-        enc = encode_polylines([straight, scene], tape, CFG)
+        enc = encode_polylines([straight, scene], tape.constants(), CFG)
         n_map, n_surr = len(scene.map_polylines), len(scene.surrounding)
         assert enc.tokens.value.shape == (2, enc.n_map + 1 + n_surr, CFG.hidden)
         assert enc.n_map == max(n_map, len(straight.map_polylines))
@@ -140,10 +139,15 @@ class TestEncodePolylines:
         assert not enc.observed[0].any()
 
 
+def all_keys(x: np.ndarray) -> np.ndarray:
+    """A key mask that lets every token of x (..., N, hidden) be attended to."""
+    return np.ones(x.shape[:-1], dtype=bool)
+
+
 class TestSelfAttentionBlock:
     def test_single_row_layer_norm_stats(self, tape):
-        x = Var(np.random.default_rng(1).normal(size=(1, CFG.hidden)))
-        out = self_attention_block(x, tape, CFG, "ctx.block0").value
+        x = np.random.default_rng(1).normal(size=(1, CFG.hidden))
+        out = self_attention_block(Var(x), tape.constants(), CFG, "ctx.block0", all_keys(x)).value
         assert out.mean() == pytest.approx(0.0, abs=1e-9)
         assert out.std() == pytest.approx(1.0, abs=1e-3)
 
@@ -152,7 +156,7 @@ class TestSelfAttentionBlock:
         for name in ("ctx.block0.wq", "ctx.block0.wk", "ctx.block0.wv"):
             t.params[name][...] = 0.0
         x_val = np.random.default_rng(2).normal(size=(4, CFG.hidden))
-        out = self_attention_block(Var(x_val), t, CFG, "ctx.block0").value
+        out = self_attention_block(Var(x_val), t.constants(), CFG, "ctx.block0", all_keys(x_val)).value
         g = t.params["ctx.block0.ln.g"]
         b = t.params["ctx.block0.ln.b"]
         mu = x_val.mean(axis=1, keepdims=True)
@@ -167,7 +171,7 @@ class TestSelfAttentionBlock:
         w = np.random.default_rng(6).normal(size=(3, 64))
 
         def loss(leaves):
-            out = self_attention_block(Var(x), leaves, small, "ctx.block0")
+            out = self_attention_block(Var(x), leaves, small, "ctx.block0", all_keys(x))
             return ad.vsum(ad.mul(out, Var(w)))
 
         report = check_gradients(t, loss, tolerance=1e-4, n_samples=200, seed=7)
@@ -180,7 +184,7 @@ class TestContextAttention:
         assert out.eta.value.shape == (1, CFG.C, 2)
         assert out.beta.value.shape == (1, CFG.C)
         assert np.all(out.beta.value > 0.0)
-        ctx_row, _, _ = spatial_trunk([scene], tape, CFG)
+        ctx_row, _, _ = spatial_trunk([scene], tape.constants(), CFG)
         assert ctx_row.value.shape == (1, CFG.hidden)
 
     def test_beta_positive_for_adversarial_tape(self, scene):
@@ -192,8 +196,8 @@ class TestContextAttention:
         assert np.all(out.beta.value > 0.0)
 
     def test_deterministic(self, tape, scene):
-        a = spatial_trunk([scene], tape, CFG)
-        b = spatial_trunk([scene], tape, CFG)
+        a = spatial_trunk([scene], tape.constants(), CFG)
+        b = spatial_trunk([scene], tape.constants(), CFG)
         for row_a, row_b in zip(a, b):
             assert np.array_equal(row_a.value, row_b.value)
         etas = [forward_spatial([scene], tape, CFG).eta.value for _ in range(2)]
@@ -207,8 +211,8 @@ class TestInteractionAttention:
         assert len(scene.surrounding) >= 1
         masked = dataclasses.replace(scene, surrounding_observed=np.zeros(len(scene.surrounding), bool))
         poisoned = dataclasses.replace(masked, surrounding=[vs + 1000.0 for vs in masked.surrounding])
-        base_ctx, base_inter, _ = spatial_trunk([masked], tape, CFG)
-        alt_ctx, alt_inter, _ = spatial_trunk([poisoned], tape, CFG)
+        base_ctx, base_inter, _ = spatial_trunk([masked], tape.constants(), CFG)
+        alt_ctx, alt_inter, _ = spatial_trunk([poisoned], tape.constants(), CFG)
         assert not np.array_equal(base_ctx.value, alt_ctx.value)  # the context stack sees every agent
         assert np.array_equal(base_inter.value, alt_inter.value)
         base = forward_spatial([masked], tape, CFG)
@@ -234,15 +238,15 @@ class TestInteractionAttention:
         assert np.all(out.nu.value > 3.0)
 
 
-def z_proxy_weights(feature: Var, params) -> Var:
-    """The proxy weights as `forward_spatial` forms them: a softmax of the proxy logits."""
-    return ad.softmax(z_proxy_logits(feature, params), axis=-1)
+def z_proxy_weights(feature: Var, leaves) -> Var:
+    """The proxy weights as `forward_spatial` forms them: a softmax of the proxy head's logits."""
+    return ad.softmax(_mlp(leaves, "zproxy", feature), axis=-1)
 
 
 class TestZProxy:
     def test_sums_to_one(self, tape):
         feat = Var(np.random.default_rng(11).normal(size=CFG.hidden))
-        w = z_proxy_weights(feat, tape)
+        w = z_proxy_weights(feat, tape.constants())
         assert w.value.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_weights_uniform(self):
@@ -250,7 +254,7 @@ class TestZProxy:
         for name in t.params:
             if name.startswith("zproxy"):
                 t.params[name][...] = 0.0
-        w = z_proxy_weights(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t)
+        w = z_proxy_weights(Var(np.random.default_rng(13).normal(size=CFG.hidden)), t.constants())
         assert w.value == pytest.approx(np.full(CFG.C, 1.0 / CFG.C), abs=1e-12)
 
     def test_gradient(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ class TestNmsSelect:
             cfg = NmsConfig(
                 radius=float(rng.uniform(0.5, 4.0)),
                 iou_threshold=float(rng.choice([0.0, 0.1, 0.25, 0.5])),
+                k=len(pool),
             )
             fast = nms_select(pool, cfg)
             slow = brute_force_goal_selection(
@@ -125,7 +127,7 @@ class TestNmsSelect:
             assert fast.tolist() == slow
             for k in range(1, 9):
                 # Stopped at k: the brute force's first k.
-                assert nms_select(pool, cfg, k).tolist() == slow[:k]
+                assert nms_select(pool, replace(cfg, k=k)).tolist() == slow[:k]
 
     def test_first_selected_is_global_argmax(self):
         rng = np.random.default_rng(2)
@@ -135,7 +137,7 @@ class TestNmsSelect:
 
     def test_pairwise_iou_bound_holds(self):
         rng = np.random.default_rng(3)
-        cfg = NmsConfig(radius=1.5, iou_threshold=0.2)
+        cfg = NmsConfig(radius=1.5, iou_threshold=0.2, k=200)
         pool = random_pool(rng, 200, 8)
         goals = pool.locations[nms_select(pool, cfg)]
         for i in range(len(goals)):
@@ -144,7 +146,7 @@ class TestNmsSelect:
 
     def test_zero_threshold_implies_min_distance(self):
         rng = np.random.default_rng(4)
-        cfg = NmsConfig(radius=2.0, iou_threshold=0.0)
+        cfg = NmsConfig(radius=2.0, iou_threshold=0.0, k=300)
         pool = random_pool(rng, 300, 10)
         locs = pool.locations[nms_select(pool, cfg)]
         for i in range(len(locs)):
@@ -154,12 +156,12 @@ class TestNmsSelect:
     def test_appending_weaker_candidate_preserves_prefix(self):
         rng = np.random.default_rng(5)
         pool = random_pool(rng, 30, 10)
-        base = nms_select(pool, NmsConfig())
+        base = nms_select(pool, NmsConfig(k=len(pool)))
         weakest = pool.log_probs.min() - 1.0
         extended = CandidatePool(
             np.vstack([pool.locations, rng.uniform(-10, 10, 2)]), np.append(pool.log_probs, weakest)
         )
-        out = nms_select(extended, NmsConfig())
+        out = nms_select(extended, NmsConfig(k=len(extended)))
         assert out[: len(base)].tolist() == base.tolist()
 
     def test_tie_broken_by_input_order(self):
@@ -168,15 +170,15 @@ class TestNmsSelect:
         assert pool.locations[out[0], 0] == 0.0
 
 
-def full_sort_selection(pool: CandidatePool, cfg: NmsConfig, k=None) -> list[int]:
-    """Greedy suppression over one stable sort of the whole pool, one candidate at a time.
+def full_sort_selection(pool: CandidatePool, cfg: NmsConfig) -> list[int]:
+    """Greedy suppression over one stable sort of the whole pool, one candidate at a time, up to `cfg.k` goals.
 
     The reference for `nms_select` on large pools; it shares only the IoU
     geometry, which `TestCircleIou` checks on its own.
     """
     selected: list[int] = []
     for i in np.argsort(-pool.log_probs, kind="stable"):
-        if k is not None and len(selected) == k:
+        if len(selected) == cfg.k:
             break
         diff = pool.locations[selected] - pool.locations[i]
         iou = circle_iou_from_distance(np.hypot(diff[:, 0], diff[:, 1]), cfg.radius)
@@ -201,10 +203,10 @@ class TestHeadFirstSort:
         rng = np.random.default_rng(100 + 7 * k + levels)
         pool = self.grid_pool(rng, 60, levels)
         assert len(pool) > 256 * k
-        for cfg in (NmsConfig(radius=2.0), NmsConfig(radius=1.0, iou_threshold=0.25)):
-            chosen = nms_select(pool, cfg, k)
+        for cfg in (NmsConfig(radius=2.0, k=k), NmsConfig(radius=1.0, iou_threshold=0.25, k=k)):
+            chosen = nms_select(pool, cfg)
             assert len(chosen) == k
-            assert chosen.tolist() == full_sort_selection(pool, cfg, k)
+            assert chosen.tolist() == full_sort_selection(pool, cfg)
 
     def test_head_that_runs_out_falls_back_to_the_rest(self):
         # The 256 k + 10 most probable candidates all sit within one
@@ -217,25 +219,25 @@ class TestHeadFirstSort:
         far = rng.uniform(20.0, 60.0, size=(500, 2))
         log_probs = np.concatenate([rng.uniform(0.0, 1.0, len(near)), rng.uniform(-3.0, -1.0, len(far))])
         pool = CandidatePool(np.concatenate([near, far]), log_probs)
-        cfg = NmsConfig(radius=2.0)
+        cfg = NmsConfig(radius=2.0, k=k)
         assert len(full_sort_selection(CandidatePool(near, log_probs[: len(near)]), cfg)) == 1
-        chosen = nms_select(pool, cfg, k)
+        chosen = nms_select(pool, cfg)
         assert len(chosen) == k
-        assert chosen.tolist() == full_sort_selection(pool, cfg, k)
+        assert chosen.tolist() == full_sort_selection(pool, cfg)
 
     def test_unbounded_run_matches_full_sort(self):
         rng = np.random.default_rng(102)
         pool = self.grid_pool(rng, 40, 5)
-        cfg = NmsConfig(radius=1.5, iou_threshold=0.1)
+        cfg = NmsConfig(radius=1.5, iou_threshold=0.1, k=len(pool))
         assert nms_select(pool, cfg).tolist() == full_sort_selection(pool, cfg)
 
     def test_threshold_one_keeps_every_candidate_once(self):
         # No IoU exceeds 1, so each goal must be dropped from the pool by being selected.
         rng = np.random.default_rng(103)
         pool = self.grid_pool(rng, 20, 3)
-        cfg = NmsConfig(radius=2.0, iou_threshold=1.0)
-        for k in (1, 6, None):
-            assert nms_select(pool, cfg, k).tolist() == full_sort_selection(pool, cfg, k), k
+        for k in (1, 6, len(pool)):
+            cfg = NmsConfig(radius=2.0, iou_threshold=1.0, k=k)
+            assert nms_select(pool, cfg).tolist() == full_sort_selection(pool, cfg), k
         assert sorted(nms_select(pool, cfg).tolist()) == list(range(len(pool)))
 
     def test_duplicate_locations_match_full_sort(self):
@@ -244,9 +246,10 @@ class TestHeadFirstSort:
         locations = np.repeat(rng.integers(0, 12, size=(60, 2)) * 0.5, 3, axis=0)
         rng.shuffle(locations)
         pool = CandidatePool(locations, rng.integers(0, 4, size=len(locations)) * -0.5)
-        for cfg in (NmsConfig(radius=1.0), NmsConfig(radius=1.0, iou_threshold=0.5), NmsConfig(iou_threshold=1.0)):
-            for k in (1, 6, None):
-                assert nms_select(pool, cfg, k).tolist() == full_sort_selection(pool, cfg, k), (cfg, k)
+        for base in (NmsConfig(radius=1.0), NmsConfig(radius=1.0, iou_threshold=0.5), NmsConfig(iou_threshold=1.0)):
+            for k in (1, 6, len(pool)):
+                cfg = replace(base, k=k)
+                assert nms_select(pool, cfg).tolist() == full_sort_selection(pool, cfg), cfg
 
 
 def small_mixture(rng, c=2):
@@ -280,11 +283,11 @@ class TestCandidatePool:
     def test_stopped_selection_is_prefix_of_full_run(self):
         mix = small_mixture(np.random.default_rng(12))
         pool = generate_candidates(mix, [0.6, 0.4], Region(-15.0, -15.0, 15.0, 15.0), spacing=0.5)
-        cfg = NmsConfig(radius=2.0, iou_threshold=0.0)
+        cfg = NmsConfig(radius=2.0, iou_threshold=0.0, k=len(pool))
         full = nms_select(pool, cfg)
         assert len(full) > 8
         for k in range(1, 9):
-            stopped = nms_select(pool, cfg, k)
+            stopped = nms_select(pool, replace(cfg, k=k))
             assert len(stopped) == k
             assert stopped.tolist() == full[:k].tolist()
 

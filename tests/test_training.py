@@ -210,6 +210,36 @@ class TestHuber:
         report = check_gradients(tape, loss, tolerance=1e-6, n_samples=4)
         assert report.passed
 
+    @staticmethod
+    def reference(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mean Huber penalty at threshold 1 and its gradient, written piecewise."""
+        inside = np.abs(r) <= 1.0
+        value = np.where(inside, 0.5 * r * r, np.abs(r) - 0.5).sum() * (1.0 / r.size)
+        grad = np.where(inside, r, np.sign(r)) * (1.0 / r.size)
+        return value, grad
+
+    def assert_matches_reference(self, r: np.ndarray) -> None:
+        residual = ad.leaf(r)
+        loss = huber(residual)
+        ad.backward(loss)
+        value, grad = self.reference(r)
+        assert loss.value.tobytes() == value.tobytes(), r
+        assert residual.grad.shape == r.shape and residual.grad.tobytes() == grad.tobytes(), r
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e3, -1e3])
+    def test_value_and_gradient_bytes_match_the_piecewise_formula(self, r):
+        self.assert_matches_reference(np.array([r]))
+
+    def test_value_and_gradient_bytes_match_on_random_arrays(self):
+        rng = np.random.default_rng(31)
+        edges = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e3, -1e3])
+        self.assert_matches_reference(edges)
+        for scale in (1e-3, 0.3, 1.0, 3.0, 1e3):
+            for shape in ((7,), (16, 30, 2)):
+                r = rng.normal(scale=scale, size=shape)
+                r.flat[: len(edges)] = edges  # the kink and zero inside every array
+                self.assert_matches_reference(r)
+
 
 class TestSpatialSceneLoss:
     def test_elbo_matches_float_path(self):
@@ -531,7 +561,7 @@ class TestOneStepLoop:
 
         def step_loss(batch, leaves):
             pred = trajectory_forward(Var(contexts[batch]), goals[batch], leaves)
-            return huber(ad.sub(pred, Var(futures[batch])), delta=1.0), {}
+            return huber(ad.sub(pred, Var(futures[batch]))), {}
 
         same_history(history.rows, reference_loop(ref, len(scenes), cfg, step_loss))
         for name, value in ref.params.items():
