@@ -44,6 +44,13 @@ SIZE_CAPS = {"hidden": 1024, "L_c": 16, "L_i": 16, "C": 1024}
 # on such weights can overflow, while training moves a parameter by at most
 # about the learning rate per step.
 PARAM_BOUND = 1e9
+# Rows per tile of a frozen polyline encoder pass: a tile's 128-wide float64
+# intermediates (512 KiB each) stay in a 2 MiB L2 from one op of the MLP to the
+# next, where a 16-scene chunk's 2,000 rows (2 MB each) spill. The context pass
+# over such a chunk (2-core host, OpenBLAS at one thread, medians of 30) took
+# 11.5 ms untiled, 8.8 ms at 1,024 rows, 7.9-8.1 ms at 384-768 and 8.6 ms at
+# 128, where each tile's fixed cost per op outweighs the cache.
+_TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -201,15 +208,46 @@ def encode_polylines(scenes: Sequence[VectorizedScene], leaves, cfg: EncoderConf
     return EncodedScenes(ad.take_rows(pooled, slots), slots != pad, observed, n_map)
 
 
+def _tile_starts(lengths: list[int]) -> list[int]:
+    """First vector set of each tile: whole sets, at most `_TILE_ROWS` rows unless one set is longer, never one row.
+
+    A tile of one row would take BLAS's one-row product, whose bits differ
+    from the same row's inside a product of two or more rows, so it stays
+    open for the next set, and a last tile of one row joins the one before.
+    """
+    starts, rows = [0], 0
+    for i, n in enumerate(lengths):
+        if rows > 1 and rows + n > _TILE_ROWS:
+            starts.append(i)
+            rows = 0
+        rows += n
+    if rows == 1 and len(starts) > 1:
+        starts.pop()
+    return starts
+
+
 def _encode_group(leaves, enc_name: str, vector_sets, cfg: EncoderConfig) -> Var:
-    """One pooled row per vector set: one MLP pass over all their vectors, one segment max."""
+    """One pooled row per vector set: the MLP over their vectors, then a segment max, per tile.
+
+    Leaves that record no graph run in tiles of `_TILE_ROWS` rows; a
+    recorded graph runs as one tile, so its nodes and weight gradients do
+    not depend on the tiling. The pooled rows are the same bytes either way.
+    """
     if not vector_sets:
         return Var(np.empty((0, cfg.hidden)))
     lengths = [len(vs) for vs in vector_sets]
     if min(lengths) == 0:
         raise ShapeMismatch("a polyline has no vectors")
-    features = _mlp(leaves, enc_name, Var(np.concatenate(vector_sets, axis=0)))
-    return ad.segment_max(features, np.cumsum([0] + lengths[:-1]))
+    recorded = any(v.needs_grad for name, v in leaves.items() if name.startswith(f"{enc_name}."))
+    starts = [0] if recorded else _tile_starts(lengths)
+    pooled = [
+        ad.segment_max(
+            _mlp(leaves, enc_name, Var(np.concatenate(vector_sets[a:b], axis=0))),
+            np.cumsum([0] + lengths[a : b - 1]),
+        )
+        for a, b in zip(starts, starts[1:] + [len(vector_sets)])
+    ]
+    return pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
 
 
 def self_attention_block(x: Var, leaves, cfg: EncoderConfig, prefix: str, key_mask) -> Var:

@@ -333,7 +333,10 @@ def _check_finite(values: np.ndarray, scenario_ids: list[str], what: str) -> Non
         raise NonFiniteLoss(f"non-finite {what}", scenario_id=scenario_ids[int(np.argmin(finite))])
 
 
-_CONTEXT_CHUNK = 16  # scenes per batched forward: as fast as larger chunks, a fraction of the memory
+# Scenes per batched forward. A scene's context differs in the last bits with
+# the scenes it is padded and batched with, so the chunk stays fixed; the
+# polyline encoder's memory is bounded by its tiles, the attention's by this.
+_CONTEXT_CHUNK = 16
 
 
 def spatial_context_features(
@@ -341,9 +344,10 @@ def spatial_context_features(
 ) -> np.ndarray:
     """Frozen-tape context features (n, hidden) for trajectory training: the trunk's summed rows.
 
-    One batched trunk pass per `_CONTEXT_CHUNK` scenes: a single pass over
-    500 scenes would hold the intermediates of 40k map vectors at once
-    (over 200 MiB).
+    One batched trunk pass per `_CONTEXT_CHUNK` scenes, on constants, so the
+    polyline encoders run in tiles of whole polylines (`encoders._TILE_ROWS`)
+    and their intermediates stay a few MiB whatever the chunk holds. The
+    chunk fixes each scene's padding and batch companions, and so its bits.
     """
     vectors = [vectorize(s, enc_cfg) for s in dataset]
     return np.concatenate([

@@ -141,12 +141,14 @@ def check_expectations_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, s
 
 
 def check_prior_evidence_vs_mc(n_cases: int, n_samples: int, rng) -> tuple[bool, str]:
+    """The evidence as a mean over precision draws alone: given Lambda, g ~ N(eta, (1 + 1/beta) Lambda^-1)."""
     worst = 0.0
     for _ in range(n_cases):
         prior = _random_nw(rng)
         g = prior.eta[0] + rng.normal(size=2)
-        mus, lams = sample_normal_wishart(prior, rng, size=n_samples)
-        log_dens, _, _ = _gaussian_log_density(g, mus, lams)
+        lams = sample_wishart_bartlett(prior.chol[0], prior.nu[0], rng, n_samples)
+        beta = prior.beta[0]
+        log_dens, _, _ = _gaussian_log_density(g, prior.eta, lams * (beta / (beta + 1.0)))
         sig = _sigmas(mx.prior_log_evidence(g, prior, [1.0]), log_dens, log_mean=True)
         worst = max(worst, sig)
         if sig > 3.0:

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from gneva import autodiff as ad, training
+from gneva import autodiff as ad, encoders, training
 from gneva.autodiff import ParamTape, Var, check_gradients
 from gneva.cli import run_command
-from gneva.dataio import SynthConfig, synth_generate, to_target_frame, vectorize
+from gneva.dataio import MAP_VECTOR_WIDTH, SynthConfig, synth_generate, to_target_frame, vectorize
 from gneva.encoders import (
     MIN_POSITIVE,
     NU_FLOOR,
@@ -450,14 +450,99 @@ class TestForwardSpatial:
             assert grads[0][name].tobytes() == grads[1][name].tobytes(), name
 
     def test_context_features_are_the_trunk_sum_byte_for_byte(self, tape):
-        projected = [
-            to_target_frame(s)[0]
-            for kind, seed in (("merge", 21), ("straight", 22), ("turn", 23))
-            for s in synth_generate(SynthConfig(n=1, seed=seed), kind)
-        ]
+        projected = three_kinds()
         got = spatial_context_features(projected, tape, CFG)
         want = forward_spatial([vectorize(p, CFG) for p in projected], tape, CFG).context_feature.value
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def one_pass_group(leaves, enc_name, vector_sets, cfg):
+    """A polyline group as one MLP pass over all its vectors and one segment max."""
+    if not vector_sets:
+        return Var(np.empty((0, cfg.hidden)))
+    starts = np.cumsum([0] + [len(vs) for vs in vector_sets[:-1]])
+    return ad.segment_max(_mlp(leaves, enc_name, Var(np.concatenate(vector_sets, axis=0))), starts)
+
+
+def graph_size(root: Var) -> int:
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+    return len(seen)
+
+
+def three_kinds():
+    return [
+        to_target_frame(s)[0]
+        for kind, seed in (("merge", 21), ("straight", 22), ("turn", 23))
+        for s in synth_generate(SynthConfig(n=1, seed=seed), kind)
+    ]
+
+
+class TestPolylineTiles:
+    TILE = 24  # several tiles from three scenes' 430 map vectors
+
+    @pytest.mark.parametrize(
+        "lengths, starts",
+        [
+            ([3, 5, 2, 6, 7, 1, 4, 4], [0, 2, 4, 6]),  # several tiles
+            ([4, 4, 8], [0, 2]),  # the group ends exactly on a tile boundary
+            ([5, 3, 1], [0]),  # a last tile of one row joins the one before
+            ([8, 1], [0]),
+            ([1, 9, 2], [0, 2]),  # a tile of one row stays open for the next set
+            ([12, 3], [0, 1]),  # a set longer than a tile is a tile of its own
+            ([1], [0]),  # a group of one row is one tile, as it was before tiling
+        ],
+    )
+    def test_tiles_hold_whole_sets_and_never_one_row_and_pool_the_one_pass_bytes(
+        self, tape, monkeypatch, lengths, starts
+    ):
+        monkeypatch.setattr(encoders, "_TILE_ROWS", 8)
+        assert encoders._tile_starts(lengths) == starts
+        rows = np.add.reduceat(lengths, starts)
+        assert rows.sum() == sum(lengths) and (rows >= 2).all() or lengths == [1]
+        rng = np.random.default_rng(len(lengths))
+        sets = [rng.normal(size=(n, MAP_VECTOR_WIDTH)) for n in lengths]
+        leaves = tape.constants()
+        got = encoders._encode_group(leaves, "map_enc", sets, CFG).value
+        want = one_pass_group(leaves, "map_enc", sets, CFG).value
+        assert got.shape == (len(lengths), CFG.hidden) and got.tobytes() == want.tobytes()
+
+    def test_frozen_forwards_give_the_one_pass_bytes(self, tape, monkeypatch):
+        projected = three_kinds()
+        batch = [vectorize(p, CFG) for p in projected]
+        monkeypatch.setattr(encoders, "_TILE_ROWS", self.TILE)
+        assert len(encoders._tile_starts([len(vs) for s in batch for vs in s.map_polylines])) > 3
+        assert len(encoders._tile_starts([len(vs) for s in batch for vs in (s.target, *s.surrounding)])) > 1
+        contexts = spatial_context_features(projected, tape, CFG)
+        fw = forward_spatial(batch, tape, CFG)
+        one = forward_spatial(batch[0], tape, CFG)
+        monkeypatch.setattr(encoders, "_encode_group", one_pass_group)
+        assert contexts.tobytes() == spatial_context_features(projected, tape, CFG).tobytes()
+        ref, ref_one = forward_spatial(batch, tape, CFG), forward_spatial(batch[0], tape, CFG)
+        for name in TestForwardSpatial.REFERENCE_OUTPUTS:
+            assert getattr(fw, name).value.tobytes() == getattr(ref, name).value.tobytes(), name
+            assert getattr(one, name).value.tobytes() == getattr(ref_one, name).value.tobytes(), name
+
+    def test_a_recorded_forward_is_one_tile_with_the_one_pass_graph_and_gradients(self, tape, monkeypatch):
+        projected = three_kinds()
+        goals, batch = np.stack([p.goal() for p in projected]), [vectorize(p, CFG) for p in projected]
+        monkeypatch.setattr(encoders, "_TILE_ROWS", self.TILE)
+        runs = []
+        for encode_group in (encoders._encode_group, one_pass_group):
+            monkeypatch.setattr(encoders, "_encode_group", encode_group)
+            leaves = tape.leaves()
+            loss = ad.vmean(spatial_scene_loss(goals, forward_spatial(batch, leaves, CFG), 1.0).loss)
+            size = graph_size(loss)
+            ad.backward(loss)
+            runs.append((size, ad.leaf_gradients(leaves)))
+        (size, grads), (ref_size, ref_grads) = runs
+        assert size == ref_size
+        for name in tape.params:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestSerialization:
