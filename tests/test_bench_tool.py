@@ -1,6 +1,5 @@
 """`tools/bench.py`'s parent/change table, on hand-made run results."""
 
-import json
 import sys
 from pathlib import Path
 
@@ -67,29 +66,15 @@ def test_a_quality_mismatch_and_a_failed_run_are_flagged():
     ]
 
 
-def test_an_odd_pair_count_is_refused_and_an_even_one_alternates():
+def test_an_odd_pair_count_is_refused_and_each_seed_runs_in_both_orders():
     for n in (0, 1, 3, 9):
         with pytest.raises(ValueError, match="even number of pairs"):
-            bench.abba_order(n)
-    order = bench.abba_order(4)
-    assert order == [("parent", "change"), ("change", "parent")] * 2
-    assert sum(first == "parent" for first, _ in order) == 2
+            bench.abba_order(n, [1])
+    assert bench.abba_order(4, [3]) == [(3, ("parent", "change")), (3, ("change", "parent"))] * 2
+    # An even seed list too: each ABBA block shares a seed, so no seed is tied to one run order.
+    schedule = bench.abba_order(8, [3, 11])
+    assert [seed for seed, _ in schedule] == [3, 3, 11, 11, 3, 3, 11, 11]
+    for seed in (3, 11):
+        assert {first for s, (first, _) in schedule if s == seed} == {"parent", "change"}
     with pytest.raises(SystemExit):
         bench.main(["pairs", "--parent", str(ROOT), "--change", str(ROOT), "--workload", "predict", "--pairs", "3"])
-
-
-def test_the_table_rebuilds_from_a_runs_file(tmp_path, capsys):
-    records = [
-        {"pair": 0, "tree": "parent", "result": run(100.0, 6.0)},
-        {"pair": 0, "tree": "change", "result": run(105.0, 6.0)},
-        {"pair": 1, "tree": "change", "result": run(106.0, 6.0)},
-        {"pair": 1, "tree": "parent", "result": run(101.0, 6.0)},
-        {"pair": 2, "tree": "parent", "result": run(99.0, 6.0)},  # an unfinished pair is left out
-    ]
-    runs = tmp_path / "runs.jsonl"
-    runs.write_text("".join(json.dumps(r) + "\n" for r in records))
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
-    assert [(p["metrics"]["traj_steps_per_s"]["value"], c["metrics"]["traj_steps_per_s"]["value"])
-            for p, c in bench.read_pairs(runs)] == [(100.0, 105.0), (101.0, 106.0)]
-    assert bench.main(["table", "--runs", str(runs), "--benchmark", str(tmp_path / "BENCHMARK.json")]) == 0
-    assert "2 pairs" in capsys.readouterr().out

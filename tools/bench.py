@@ -2,26 +2,25 @@
 
     python tools/bench.py pairs --parent PARENT --change CHANGE --workload predict --pairs 10 \\
         --seeds 3 11 13 --runs runs.jsonl
-    python tools/bench.py table --runs runs.jsonl --benchmark BENCHMARK.json
 
-`pairs` runs `python3 perfbench/run.py --workload W --seed S --seconds T` from
-a fresh copy of each tree (copied without `.git`, caches and `.bench_out`
-into `--work`, and deleted after its run), with `OPENBLAS_NUM_THREADS=1`,
-one run at a time. Pair i runs at seed `seeds[i % len(seeds)]`, in ABBA
-order: the parent first in even pairs, the change first in odd ones. The
-tree that runs first in a pair reads faster, so an odd pair count, which
-lets one tree run first more often, is refused; an odd number of seeds
-runs each seed in both orders. Each run's last stdout line
-(its JSON result) is appended to `--runs` as soon as it ends, so `table`
-can rebuild the table from a partial or a merged record.
+`pairs` runs `python3 perfbench/run.py --workload W --seed S --seconds T`,
+T being the parent's `BENCHMARK.json` `run_seconds`, from a fresh copy of
+each tree (copied without `.git`, caches and `.bench_out`, and deleted
+after its run), with `OPENBLAS_NUM_THREADS=1`, one run at a time. Pairs
+run in ABBA blocks: the parent first in even pairs, the change first in
+odd ones, and both pairs of block i // 2 at seed `seeds[(i // 2) %
+len(seeds)]`, so every seed runs in both orders. The tree that runs first
+in a pair reads faster, so an odd pair count, which lets one tree run
+first more often, is refused. `--runs` keeps each run's JSON result (its
+last stdout line), appended as soon as the run ends.
 
-The table, per end-to-end metric of the parent's `BENCHMARK.json` (or
-`--benchmark`): the parent's median and quartiles, the change's median,
-the ratio of the medians, every pair's change/parent ratio, the pairs the
-change won, and whether the medians differ by more than the parent's
-interquartile range. Flagged below it: a change median past the metric's
-bound in its worse direction, a pair whose `made6_m` or `mfde6_m` differ,
-and every run that is not `correct` or has failed operations.
+The table, per end-to-end metric of the parent's `BENCHMARK.json`: the
+parent's median and quartiles, the change's median, the ratio of the
+medians, every pair's change/parent ratio, the pairs the change won, and
+whether the medians differ by more than the parent's interquartile range.
+Flagged below it: a change median past the metric's bound in its worse
+direction, a pair whose `made6_m` or `mfde6_m` differ, and every run that
+is not `correct` or has failed operations.
 """
 
 from __future__ import annotations
@@ -41,12 +40,14 @@ QUALITY = ("made6_m", "mfde6_m")
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".bench_out", ".pytest_cache", ".hypothesis")
 
 
-def abba_order(n_pairs: int) -> list[tuple[str, str]]:
-    """The run order of each pair: the parent first in even pairs, the change first in odd ones."""
+def abba_order(n_pairs: int, seeds: list[int]) -> list[tuple[int, tuple[str, str]]]:
+    """(seed, run order) of each pair: the parent first in even pairs, the change first in odd ones,
+    and both pairs of an ABBA block at one seed."""
     if n_pairs < 2 or n_pairs % 2:
         raise ValueError(f"need an even number of pairs, at least 2, got {n_pairs}: "
                          "with an odd count one tree runs first more often, and the first run reads faster")
-    return [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(n_pairs)]
+    return [(seeds[(i // 2) % len(seeds)], ("parent", "change") if i % 2 == 0 else ("change", "parent"))
+            for i in range(n_pairs)]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -152,16 +153,6 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float, work: Path) -
         shutil.rmtree(copy, ignore_errors=True)
 
 
-def read_pairs(path: Path) -> list[tuple[dict, dict]]:
-    """The complete (parent, change) pairs of a runs file, in pair order."""
-    runs: dict[int, dict[str, dict]] = {}
-    for line in path.read_text().splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            runs.setdefault(rec["pair"], {})[rec["tree"]] = rec["result"]
-    return [(r["parent"], r["change"]) for _, r in sorted(runs.items()) if {"parent", "change"} <= r.keys()]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -170,46 +161,36 @@ def main(argv=None) -> int:
     pairs.add_argument("--change", required=True, type=Path, help="the change's tree")
     pairs.add_argument("--workload", required=True, help="a perfbench workload, e.g. train or predict")
     pairs.add_argument("--pairs", required=True, type=int, help="an even number of pairs")
-    pairs.add_argument("--seeds", type=int, nargs="+", default=[1], help="pair i runs at seeds[i %% len(seeds)]")
-    pairs.add_argument("--seconds", type=float, default=45.0)
+    pairs.add_argument("--seeds", type=int, nargs="+", default=[1],
+                       help="pairs 2k and 2k+1 run at seeds[k %% len(seeds)]")
     pairs.add_argument("--runs", type=Path, help="append each run's result here, one JSON line per run")
     pairs.add_argument("--work", type=Path, help="where the fresh copies go (default: a temporary directory)")
-    table = sub.add_parser("table", help="print the table of a runs file")
-    table.add_argument("--runs", required=True, type=Path)
-    table.add_argument("--benchmark", required=True, type=Path, help="the BENCHMARK.json whose bounds apply")
     args = parser.parse_args(argv)
 
-    if args.command == "table":
-        done = read_pairs(args.runs)
-        spec = json.loads(args.benchmark.read_text())["end_to_end"]
-        print(format_table(*compare(done, spec), len(done)))
-        return 0
     try:
-        order = abba_order(args.pairs)
+        order = abba_order(args.pairs, args.seeds)
     except ValueError as exc:
         parser.error(str(exc))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} holds no perfbench/run.py")
-    spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-    work = args.work or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    work.mkdir(parents=True, exist_ok=True)
-    done = []
-    for i, first_second in enumerate(order):
-        seed = args.seeds[i % len(args.seeds)]
-        result = {}
-        for position, tree in enumerate(first_second):
-            result[tree] = run_tree(trees[tree], args.workload, seed, args.seconds, work)
-            rec = {"pair": i, "tree": tree, "position": position, "workload": args.workload, "seed": seed,
-                   "result": result[tree]}
-            if args.runs:
-                with open(args.runs, "a") as fh:
-                    fh.write(json.dumps(rec) + "\n")
-            summary = ", ".join(f"{k} {v['value']:.6g}" for k, v in result[tree]["metrics"].items())
-            print(f"pair {i} seed {seed} {tree}: {summary or result[tree].get('error')}", flush=True)
-        done.append((result["parent"], result["change"]))
-    print(format_table(*compare(done, spec), len(done)))
+    benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as default_work:
+        work = args.work or Path(default_work)
+        work.mkdir(parents=True, exist_ok=True)
+        done = []
+        for i, (seed, first_second) in enumerate(order):
+            result = {}
+            for tree in first_second:
+                result[tree] = run_tree(trees[tree], args.workload, seed, benchmark["run_seconds"], work)
+                if args.runs:
+                    with open(args.runs, "a") as fh:
+                        fh.write(json.dumps({"pair": i, "tree": tree, "result": result[tree]}) + "\n")
+                summary = ", ".join(f"{k} {v['value']:.6g}" for k, v in result[tree]["metrics"].items())
+                print(f"pair {i} seed {seed} {tree}: {summary or result[tree].get('error')}", flush=True)
+            done.append((result["parent"], result["change"]))
+    print(format_table(*compare(done, benchmark["end_to_end"]), len(done)))
     return 0
 
 
