@@ -296,7 +296,7 @@ def softmax(a: Var, axis: int = -1, mask=None) -> Var:
 
 def logsumexp(a: Var) -> Var:
     """log sum exp along the last axis, kept as a length-1 axis; the vjp is the softmax of `a`."""
-    out = np.asarray(special_math.log_sum_exp(a.value, axis=-1))[..., None]
+    out = special_math.log_sum_exp(a.value, axis=-1)[..., None]
     return _result(out, (a, lambda g: g * np.exp(a.value - out)))
 
 

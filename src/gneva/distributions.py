@@ -30,7 +30,6 @@ from .special_math import (
     LOG_PI,
     check_family,
     log_gamma,
-    log_multivariate_gamma,
     spd_cholesky,
     spd_from_cholesky,
 )
@@ -61,7 +60,7 @@ def wishart_log_density(lam, chol, nu) -> np.ndarray:
         0.5 * (nu - D - 1) * np.log(lam11 * lam22 - lam12 * lam12)
         - 0.5 * trace
         - 0.5 * nu * D * LOG_2
-        - log_multivariate_gamma(0.5 * nu, D)
+        - ((0.5 * LOG_PI + log_gamma(0.5 * nu)) + log_gamma(0.5 * nu - 0.5))  # log Gamma_2(nu / 2)
         - nu * (np.log(chol[0]) + np.log(chol[2]))
     )
 

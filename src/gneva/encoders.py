@@ -9,10 +9,10 @@ mean-posterior parameters (eta, beta) per component from the context row,
 the precision-posterior parameters (V via a Cholesky head, nu) from the
 interaction row, and mixture weights from their sum by a proxy head.
 All forwards run on the gradient tape, once per batch of scenes:
-the per-vector MLPs see every vector of the batch at once, and attention
-runs on the scenes' tokens padded to a common length, with padding masked
-out of the keys. Constraint layers keep every emitted parameter inside the
-distribution family for any tape values.
+the per-vector MLPs run over the batch's vectors in L2-sized tiles of whole
+polylines, and attention runs on the scenes' tokens padded to a common
+length, with padding masked out of the keys. Constraint layers keep every
+emitted parameter inside the distribution family for any tape values.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ SIZE_CAPS = {"hidden": 1024, "L_c": 16, "L_i": 16, "C": 1024}
 # on such weights can overflow, while training moves a parameter by at most
 # about the learning rate per step.
 PARAM_BOUND = 1e9
-# Rows per tile of a frozen polyline encoder pass: a tile's 128-wide float64
+# Rows per tile of a polyline encoder pass: a tile's 128-wide float64
 # intermediates (512 KiB each) stay in a 2 MiB L2 from one op of the MLP to the
 # next, where a 16-scene chunk's 2,000 rows (2 MB each) spill. The context pass
 # over such a chunk (2-core host, OpenBLAS at one thread, medians of 30) took
@@ -229,17 +229,16 @@ def _tile_starts(lengths: list[int]) -> list[int]:
 def _encode_group(leaves, enc_name: str, vector_sets, cfg: EncoderConfig) -> Var:
     """One pooled row per vector set: the MLP over their vectors, then a segment max, per tile.
 
-    Leaves that record no graph run in tiles of `_TILE_ROWS` rows; a
-    recorded graph runs as one tile, so its nodes and weight gradients do
-    not depend on the tiling. The pooled rows are the same bytes either way.
+    The pooled rows are the bytes of one pass over every vector, whatever the
+    tiling; a recorded graph's weight gradients sum one product per tile, so
+    they depend on `_TILE_ROWS` in the last bits.
     """
     if not vector_sets:
         return Var(np.empty((0, cfg.hidden)))
     lengths = [len(vs) for vs in vector_sets]
     if min(lengths) == 0:
         raise ShapeMismatch("a polyline has no vectors")
-    recorded = any(v.needs_grad for name, v in leaves.items() if name.startswith(f"{enc_name}."))
-    starts = [0] if recorded else _tile_starts(lengths)
+    starts = _tile_starts(lengths)
     pooled = [
         ad.segment_max(
             _mlp(leaves, enc_name, Var(np.concatenate(vector_sets[a:b], axis=0))),

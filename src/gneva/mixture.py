@@ -136,7 +136,7 @@ def predictive_log_densities(points, mix: MixturePosterior, weights, ys=None) ->
     return log_sum_exp(logs, axis=0)
 
 
-def prior_log_evidence(g, prior: MixturePosterior, prior_pi) -> float:
+def prior_log_evidence(g, prior: MixturePosterior) -> float:
     """Exact log p(g) under the generative model with a shared one-component prior.
 
     Marginalizing (mu, Lambda) per component yields the prior predictive
@@ -144,7 +144,6 @@ def prior_log_evidence(g, prior: MixturePosterior, prior_pi) -> float:
     collapses to a single prior-predictive density.
     """
     one_component(prior, "prior_log_evidence")
-    _check_weights(prior_pi, np.size(prior_pi))
     loc, shape, df = predictive_student_t(prior.eta, prior.beta, prior.chol, prior.nu)
     return float(student_t_log_density_table(np.reshape(g, (1, 2)), loc, shape, df)[0, 0])
 

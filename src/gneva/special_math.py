@@ -5,7 +5,8 @@ Everything here is self-contained: log-gamma uses the Lanczos approximation
 asymptotic regime, all accurate to ~1e-13. Matrices are fixed-size 2x2,
 held as their entries (a11, a12, a22); the closed-form Cholesky replaces
 general linear algebra.
-The special functions take floats or arrays, with the same arithmetic.
+The special functions take floats or arrays, with the same arithmetic, and
+return numpy values of the argument's shape.
 `check_family` holds the Normal-Wishart parameter rules once, over arrays.
 """
 
@@ -57,11 +58,6 @@ _TRIGAMMA_SERIES = (
 )
 
 
-def _result(values: np.ndarray):
-    """A float for a scalar argument, the array otherwise."""
-    return float(values) if values.ndim == 0 else values
-
-
 def log_gamma(x):
     """log |Gamma(x)| for real x (a float or an array), poles excluded."""
     x = np.asarray(x, dtype=float)
@@ -78,7 +74,7 @@ def log_gamma(x):
     out = np.asarray(0.5 * LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(acc))
     if reflect.any():
         out[reflect] = LOG_PI - np.log(np.abs(np.sin(math.pi * x[reflect]))) - out[reflect]
-    return _result(out)
+    return out
 
 
 def _shift_up(x: np.ndarray, term) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +102,7 @@ def digamma(x):
         raise DomainError(f"digamma requires x > 0, got {x}")
     x, acc = _shift_up(x, lambda v: -1.0 / v)
     inv2 = 1.0 / (x * x)
-    return _result(acc + np.log(x) - 0.5 / x - _series(inv2, inv2, _DIGAMMA_SERIES))
+    return acc + np.log(x) - 0.5 / x - _series(inv2, inv2, _DIGAMMA_SERIES)
 
 
 def trigamma(x):
@@ -117,19 +113,7 @@ def trigamma(x):
     x, acc = _shift_up(x, lambda v: 1.0 / (v * v))
     inv = 1.0 / x
     inv2 = inv * inv
-    return _result(acc + inv + 0.5 * inv2 + _series(inv * inv2, inv2, _TRIGAMMA_SERIES))
-
-
-def log_multivariate_gamma(a: float, d: int) -> float:
-    """log Gamma_d(a) = d(d-1)/4 * log pi + sum_j log Gamma(a + (1-j)/2)."""
-    if d < 1:
-        raise DomainError(f"log_multivariate_gamma requires a positive dimension, got {d}")
-    if a <= 0.5 * (d - 1):
-        raise DomainError(f"log_multivariate_gamma requires a > (d-1)/2 = {0.5 * (d - 1)}, got {a}")
-    out = 0.25 * d * (d - 1) * LOG_PI
-    for j in range(1, d + 1):
-        out += log_gamma(a + 0.5 * (1 - j))
-    return out
+    return acc + inv + 0.5 * inv2 + _series(inv * inv2, inv2, _TRIGAMMA_SERIES)
 
 
 def log_sum_exp(values, axis=None):
@@ -142,7 +126,7 @@ def log_sum_exp(values, axis=None):
     shifted = values - m
     np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        return _result(np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis))
+        return np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis)
 
 
 # Relative tolerances of the positive-definiteness guard; values below these

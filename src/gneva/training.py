@@ -344,9 +344,9 @@ def spatial_context_features(
 ) -> np.ndarray:
     """Frozen-tape context features (n, hidden) for trajectory training: the trunk's summed rows.
 
-    One batched trunk pass per `_CONTEXT_CHUNK` scenes, on constants, so the
-    polyline encoders run in tiles of whole polylines (`encoders._TILE_ROWS`)
-    and their intermediates stay a few MiB whatever the chunk holds. The
+    One batched trunk pass per `_CONTEXT_CHUNK` scenes, on constants. The
+    polyline encoders run in tiles of whole polylines (`encoders._TILE_ROWS`),
+    so their intermediates stay a few MiB whatever the chunk holds. The
     chunk fixes each scene's padding and batch companions, and so its bits.
     """
     vectors = [vectorize(s, enc_cfg) for s in dataset]

@@ -78,3 +78,36 @@ def test_an_odd_pair_count_is_refused_and_each_seed_runs_in_both_orders():
         assert {first for s, (first, _) in schedule if s == seed} == {"parent", "change"}
     with pytest.raises(SystemExit):
         bench.main(["pairs", "--parent", str(ROOT), "--change", str(ROOT), "--workload", "predict", "--pairs", "3"])
+
+
+def test_a_record_summarizes_clean_runs_and_flags_the_others():
+    spec = SPEC + [{"name": "peak_rss_mib", "better": "lower", "bound": 0.15}]
+    runs = [{"workload": "predict", "seed": s, "result": run(t, 6.0)} for s, t in ((3, 100.0), (11, 120.0), (3, 110.0))]
+    runs[1]["result"]["metrics"]["peak_rss_mib"] = {"value": 250.0, "unit": "MiB"}
+    runs += [{"workload": "predict", "seed": 11, "result": run(900.0, 1.0, correct=False)},
+             {"workload": "train", "seed": 3, "result": run(50.0, 7.0, failed=1)},
+             {"workload": "train", "seed": 11, "result": {"correct": False, "failed": None, "metrics": {},
+                                                          "error": "exit 1: boom"}}]
+    workloads, flags = bench.summarize(runs, spec)
+    predict = workloads["predict"]
+    # The incorrect run's 900 steps/s is listed but not averaged in.
+    assert predict["metrics"]["traj_steps_per_s"] == {"median": 110.0, "q1": 105.0, "q3": 115.0, "unit": "-",
+                                                      "better": "higher", "runs": 3}
+    assert predict["metrics"]["peak_rss_mib"]["runs"] == 1 and "retained" in predict["metrics"]["peak_rss_mib"]["note"]
+    assert [(r["seed"], r["correct"], r["failed"]) for r in predict["runs"]] == [
+        (3, True, 0), (11, True, 0), (3, True, 0), (11, False, 0)]
+    assert workloads["train"]["metrics"] == {}
+    assert workloads["train"]["runs"][1] == {"seed": 11, "correct": False, "failed": None, "error": "exit 1: boom"}
+    assert flags == [
+        "RUN predict seed 11: correct False, failed 0, left out",
+        "RUN train seed 3: correct True, failed 1, left out",
+        "RUN train seed 11: correct False, failed None, left out, exit 1: boom",
+        *[f"train {s['name']}: no clean run reports it" for s in spec],
+    ]
+
+
+def test_record_refuses_a_tree_without_the_benchmark(tmp_path):
+    with pytest.raises(SystemExit):
+        bench.main(["record", "--tree", str(tmp_path), "--runs", "1", "--out", str(tmp_path / "b.json")])
+    assert bench.git_state(tmp_path) == {"commit": None, "tree_differs_from_commit": None}
+    assert set(bench.machine()) == {"cores", "python", "numpy", "blas", "OPENBLAS_NUM_THREADS"}

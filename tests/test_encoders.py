@@ -506,10 +506,10 @@ class TestPolylineTiles:
         assert rows.sum() == sum(lengths) and (rows >= 2).all() or lengths == [1]
         rng = np.random.default_rng(len(lengths))
         sets = [rng.normal(size=(n, MAP_VECTOR_WIDTH)) for n in lengths]
-        leaves = tape.constants()
-        got = encoders._encode_group(leaves, "map_enc", sets, CFG).value
-        want = one_pass_group(leaves, "map_enc", sets, CFG).value
-        assert got.shape == (len(lengths), CFG.hidden) and got.tobytes() == want.tobytes()
+        for leaves in (tape.constants(), tape.leaves()):  # frozen and recorded tiles alike
+            got = encoders._encode_group(leaves, "map_enc", sets, CFG).value
+            want = one_pass_group(leaves, "map_enc", sets, CFG).value
+            assert got.shape == (len(lengths), CFG.hidden) and got.tobytes() == want.tobytes()
 
     def test_frozen_forwards_give_the_one_pass_bytes(self, tape, monkeypatch):
         projected = three_kinds()
@@ -527,7 +527,9 @@ class TestPolylineTiles:
             assert getattr(fw, name).value.tobytes() == getattr(ref, name).value.tobytes(), name
             assert getattr(one, name).value.tobytes() == getattr(ref_one, name).value.tobytes(), name
 
-    def test_a_recorded_forward_is_one_tile_with_the_one_pass_graph_and_gradients(self, tape, monkeypatch):
+    def test_a_recorded_forward_tiles_with_the_one_pass_outputs_and_loss_and_near_gradients(self, tape, monkeypatch):
+        """Training tiles too: more nodes than one pass, the same forward and loss bytes, and weight
+        gradients that differ only in how the per-tile products are summed."""
         projected = three_kinds()
         goals, batch = np.stack([p.goal() for p in projected]), [vectorize(p, CFG) for p in projected]
         monkeypatch.setattr(encoders, "_TILE_ROWS", self.TILE)
@@ -535,14 +537,19 @@ class TestPolylineTiles:
         for encode_group in (encoders._encode_group, one_pass_group):
             monkeypatch.setattr(encoders, "_encode_group", encode_group)
             leaves = tape.leaves()
-            loss = ad.vmean(spatial_scene_loss(goals, forward_spatial(batch, leaves, CFG), 1.0).loss)
+            fw = forward_spatial(batch, leaves, CFG)
+            loss = ad.vmean(spatial_scene_loss(goals, fw, 1.0).loss)
             size = graph_size(loss)
             ad.backward(loss)
-            runs.append((size, ad.leaf_gradients(leaves)))
-        (size, grads), (ref_size, ref_grads) = runs
-        assert size == ref_size
+            runs.append((fw, loss, size, ad.leaf_gradients(leaves)))
+        (fw, loss, size, grads), (ref_fw, ref_loss, ref_size, ref_grads) = runs
+        assert size > ref_size
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        for name in TestForwardSpatial.REFERENCE_OUTPUTS:
+            assert getattr(fw, name).value.tobytes() == getattr(ref_fw, name).value.tobytes(), name
         for name in tape.params:
-            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+            scale = np.abs(ref_grads[name]).max()
+            assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-13 * scale, name
 
 
 class TestSerialization:

@@ -242,7 +242,7 @@ class TestElbo:
             prior = random_nw(rng)
             g = rng.normal(scale=2.0, size=2)
             pi = np.full(c, 1.0 / c)
-            assert elbo(g, mix, prior, pi) <= prior_log_evidence(g, prior, pi) + 1e-9
+            assert elbo(g, mix, prior, pi) <= prior_log_evidence(g, prior) + 1e-9
 
     def test_tight_at_exact_single_component_posterior(self):
         rng = np.random.default_rng(5)
@@ -251,7 +251,7 @@ class TestElbo:
             g = rng.normal(scale=2.0, size=2)
             post = exact_conjugate_posterior(g, prior)
             lhs = elbo(g, post, prior, [1.0])
-            rhs = prior_log_evidence(g, prior, [1.0])
+            rhs = prior_log_evidence(g, prior)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_zero_prior_weight_on_an_empty_component(self):
@@ -280,7 +280,7 @@ class TestElbo:
         with pytest.raises(ValidationError, match="elbo takes a one-component posterior, got 2 components"):
             elbo(g, mix, prior, [0.5, 0.5])
         with pytest.raises(ValidationError, match="prior_log_evidence takes a one-component posterior"):
-            prior_log_evidence(g, prior, [0.5, 0.5])
+            prior_log_evidence(g, prior)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -363,24 +363,21 @@ class TestPredictive:
 
 
 class TestPriorLogEvidence:
-    def test_uniform_pi_cancels(self):
+    def test_is_the_prior_predictive_density(self):
         rng = np.random.default_rng(12)
         prior = random_nw(rng)
         g = rng.normal(size=2)
-        for c in (1, 3, 6):
-            pi = np.full(c, 1.0 / c)
-            assert prior_log_evidence(g, prior, pi) == pytest.approx(predictive_log_density(g, prior), rel=1e-12)
+        assert prior_log_evidence(g, prior) == pytest.approx(predictive_log_density(g, prior), rel=1e-12)
 
     def test_unimodal_in_mahalanobis_radius(self):
         rng = np.random.default_rng(13)
         prior = random_nw(rng)
-        pi = np.full(2, 0.5)
-        at_eta = prior_log_evidence(prior.eta[0], prior, pi)
+        at_eta = prior_log_evidence(prior.eta[0], prior)
         for r in (0.5, 1.0, 2.0, 5.0):
             vals = []
             for angle in np.linspace(0, 2 * math.pi, 12, endpoint=False):
                 x = prior.eta[0] + r * np.array([math.cos(angle), math.sin(angle)])
-                vals.append(prior_log_evidence(x, prior, pi))
+                vals.append(prior_log_evidence(x, prior))
             assert max(vals) < at_eta
 
     def test_against_mc_marginalization(self):
@@ -393,4 +390,4 @@ class TestPriorLogEvidence:
         logdets = np.log(det2(lams))
         log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
         log_mean, se_rel = stable_log_mean_exp(log_dens)
-        assert abs(prior_log_evidence(g, prior, [1.0]) - log_mean) < 3 * se_rel
+        assert abs(prior_log_evidence(g, prior) - log_mean) < 3 * se_rel

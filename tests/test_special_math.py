@@ -11,7 +11,6 @@ from gneva.special_math import (
     check_family,
     digamma,
     log_gamma,
-    log_multivariate_gamma,
     log_sum_exp,
     spd_cholesky,
     trigamma,
@@ -55,41 +54,6 @@ class TestScalarSpecials:
                 fn(np.array([[1.5, 0.0]]))
 
 
-class TestMultivariateGamma:
-    def test_d1_reduces_to_log_gamma(self):
-        assert log_multivariate_gamma(1.5, 1) == pytest.approx(math.log(math.sqrt(math.pi) / 2), abs=1e-12)
-        assert log_multivariate_gamma(1.5, 1) == pytest.approx(-0.1208, abs=5e-5)
-
-    def test_d2_product_formula(self):
-        # Gamma_2(1.5) = sqrt(pi) * Gamma(1.5) * Gamma(1.0) = pi / 2.
-        assert log_multivariate_gamma(1.5, 2) == pytest.approx(math.log(math.pi / 2), abs=1e-12)
-        assert log_multivariate_gamma(1.5, 2) == pytest.approx(0.4516, abs=5e-5)
-
-    def test_direct_product_oracle(self):
-        # Direct evaluation of the product formula with scipy's gamma routine.
-        expected = 0.5 * math.log(math.pi) + float(sp.gammaln(10.0) + sp.gammaln(9.5))
-        assert log_multivariate_gamma(10.0, 2) == pytest.approx(expected, rel=1e-13)
-
-    def test_matches_scipy_multigammaln(self):
-        rng = np.random.default_rng(0)
-        for a in rng.uniform(1.0, 20.0, size=50):
-            assert log_multivariate_gamma(float(a), 2) == pytest.approx(
-                float(sp.multigammaln(a, 2)), rel=1e-12
-            )
-
-    def test_dimension_recursion(self):
-        # log Gamma_2(a) - log Gamma_1(a) = (1/2) log pi + log Gamma(a - 1/2).
-        rng = np.random.default_rng(1)
-        for a in rng.uniform(1.0, 20.0, size=50):
-            lhs = log_multivariate_gamma(float(a), 2) - log_multivariate_gamma(float(a), 1)
-            rhs = 0.5 * math.log(math.pi) + log_gamma(float(a) - 0.5)
-            assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            log_multivariate_gamma(0.5, 2)
-
-
 def _psi2(nu) -> Var:
     """psi_2(nu/2) of one Wishart W(I, nu), as the Normal-Wishart closed forms compute it; eta and beta take no part."""
     return NormalWishartArrays(Var(np.zeros((1, 2))), Var(np.ones(1)), Var(np.array([[1.0, 0.0, 1.0]])), nu).psi2
@@ -111,7 +75,7 @@ class TestMultivariateDigamma:
     @pytest.mark.parametrize("a", [1.1, 2.0, 5.0, 17.5])
     def test_is_derivative_of_log_mv_gamma(self, a):
         h = 1e-5
-        fd = (log_multivariate_gamma(a + h, 2) - log_multivariate_gamma(a - h, 2)) / (2 * h)
+        fd = (sp.multigammaln(a + h, 2) - sp.multigammaln(a - h, 2)) / (2 * h)
         assert float(_psi2(Var(np.array([2 * a]))).value[0]) == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("a", [1.1, 2.0, 5.0, 17.5])

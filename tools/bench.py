@@ -1,7 +1,8 @@
-"""Compare two source trees on the benchmark: alternated pairs of `perfbench/run.py` runs, one table.
+"""Run the benchmark on source trees: alternated parent/change pairs with one table, or one tree's BENCH record.
 
     python tools/bench.py pairs --parent PARENT --change CHANGE --workload predict --pairs 10 \\
         --seeds 3 11 13 --runs runs.jsonl
+    python tools/bench.py record --tree . --runs 5 --seeds 3 11 13 --out BENCH_27.json
 
 `pairs` runs `python3 perfbench/run.py --workload W --seed S --seconds T`,
 T being the parent's `BENCHMARK.json` `run_seconds`, from a fresh copy of
@@ -21,6 +22,16 @@ whether the medians differ by more than the parent's interquartile range.
 Flagged below it: a change median past the metric's bound in its worse
 direction, a pair whose `made6_m` or `mfde6_m` differ, and every run that
 is not `correct` or has failed operations.
+
+`record` runs every workload of the tree's `BENCHMARK.json` `--runs` times
+the same way, one fresh copy per run, run i at seed `seeds[i % len(seeds)]`
+and the workloads alternated within each i. It writes one JSON document:
+per workload, each end-to-end metric's median and quartiles with its unit
+and the number of runs behind them, and every run's seed, `correct` and
+`failed`; the machine (cores, Python, numpy, BLAS,
+`OPENBLAS_NUM_THREADS`); the tree's git commit and whether the tree differs
+from it. A run that is not `correct` or has failed operations is listed and
+flagged, and left out of the medians.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -38,6 +50,12 @@ from pathlib import Path
 
 QUALITY = ("made6_m", "mfde6_m")
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".bench_out", ".pytest_cache", ".hypothesis")
+RUN_ENV = {"OPENBLAS_NUM_THREADS": "1"}
+# What a record says about a metric beside its figures. perfbench/run.py keeps
+# every round's tape until it exits, so its peak grows with the rounds that fit
+# in a run (ROADMAP item 0); drop the note once it keeps only the last round.
+METRIC_NOTES = {"peak_rss_mib": "measured with every round's tape retained, so it grows with the rounds "
+                                "that fit in a run"}
 
 
 def abba_order(n_pairs: int, seeds: list[int]) -> list[tuple[int, tuple[str, str]]]:
@@ -77,6 +95,10 @@ class MetricRow:
         return self.change_median / self.parent_median if self.parent_median else float("nan")
 
 
+def clean(run: dict) -> bool:
+    return bool(run.get("correct")) and run.get("failed") == 0
+
+
 def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> tuple[list[MetricRow], list[str]]:
     """Rows and flags for (parent, change) run results as `perfbench/run.py` prints them."""
     rows, flags = [], []
@@ -109,7 +131,7 @@ def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> tuple[lis
             if a is not None and b is not None and a["value"] != b["value"]:
                 flags.append(f"DIFFERS pair {i}: {name} {a['value']!r} (parent) against {b['value']!r} (change)")
         for tree, run in (("parent", p), ("change", c)):
-            if not run.get("correct") or run.get("failed"):
+            if not clean(run):
                 flags.append(f"RUN pair {i} {tree}: correct {run.get('correct')}, failed {run.get('failed')}"
                              + (f", {run['error']}" if run.get("error") else ""))
     return rows, flags
@@ -139,7 +161,7 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float, work: Path) -
         shutil.copytree(tree, copy, ignore=SKIP, dirs_exist_ok=True)
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", str(seconds)]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env = {**os.environ, **RUN_ENV}
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
         lines = proc.stdout.strip().splitlines()
         if proc.returncode == 0 and lines:
@@ -151,6 +173,71 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float, work: Path) -
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
     finally:
         shutil.rmtree(copy, ignore_errors=True)
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[dict, list[str]]:
+    """Per workload, its runs and each end-to-end metric's median and quartiles over its clean runs; and flags.
+
+    `runs` holds {"workload", "seed", "result"} records, the result as `perfbench/run.py` prints it. A run
+    that is not `correct` or has failed operations is kept in the list, flagged, and left out of the figures.
+    """
+    workloads, flags = {}, []
+    for rec in runs:
+        result = rec["result"]
+        entry = {"seed": rec["seed"], "correct": result.get("correct"), "failed": result.get("failed")}
+        if result.get("error"):
+            entry["error"] = result["error"]
+        workloads.setdefault(rec["workload"], {"runs": [], "metrics": {}})["runs"].append(entry)
+        if not clean(result):
+            flags.append(f"RUN {rec['workload']} seed {rec['seed']}: correct {entry['correct']}, "
+                         f"failed {entry['failed']}, left out" + (f", {entry['error']}" if "error" in entry else ""))
+    for workload, out in workloads.items():
+        good = [r["result"] for r in runs if r["workload"] == workload and clean(r["result"])]
+        for spec in end_to_end:
+            values = [r["metrics"][spec["name"]] for r in good if spec["name"] in r.get("metrics", {})]
+            if not values:
+                flags.append(f"{workload} {spec['name']}: no clean run reports it")
+                continue
+            q1, med, q3 = quartiles([v["value"] for v in values])
+            out["metrics"][spec["name"]] = {"median": med, "q1": q1, "q3": q3, "unit": values[0]["unit"],
+                                            "better": spec["better"], "runs": len(values)}
+            if spec["name"] in METRIC_NOTES:
+                out["metrics"][spec["name"]]["note"] = METRIC_NOTES[spec["name"]]
+    return workloads, flags
+
+
+def machine() -> dict:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", **RUN_ENV}
+
+
+def git_state(tree: Path) -> dict:
+    """The tree's checked-out commit and whether its files differ from it; nulls outside a git checkout."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if commit else None
+    return {"commit": commit, "tree_differs_from_commit": None if status is None else bool(status)}
+
+
+def record(tree: Path, n_runs: int, seeds: list[int], work: Path) -> dict:
+    benchmark = json.loads((tree / "BENCHMARK.json").read_text())
+    runs = []
+    for i in range(n_runs):
+        seed = seeds[i % len(seeds)]
+        for spec in benchmark["workloads"]:
+            result = run_tree(tree, spec["name"], seed, benchmark["run_seconds"], work)
+            runs.append({"workload": spec["name"], "seed": seed, "result": result})
+            summary = ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items())
+            print(f"run {i} {spec['name']} seed {seed}: {summary or result.get('error')}", flush=True)
+    workloads, flags = summarize(runs, benchmark["end_to_end"])
+    return {"run_seconds": benchmark["run_seconds"], **git_state(tree), "machine": machine(),
+            "workloads": workloads, "flags": flags}
 
 
 def main(argv=None) -> int:
@@ -165,8 +252,23 @@ def main(argv=None) -> int:
                        help="pairs 2k and 2k+1 run at seeds[k %% len(seeds)]")
     pairs.add_argument("--runs", type=Path, help="append each run's result here, one JSON line per run")
     pairs.add_argument("--work", type=Path, help="where the fresh copies go (default: a temporary directory)")
+    rec = sub.add_parser("record", help="run every workload of one tree, then write its BENCH record")
+    rec.add_argument("--tree", required=True, type=Path, help="the tree (holds BENCHMARK.json, perfbench/, src/)")
+    rec.add_argument("--runs", required=True, type=int, help="runs per workload")
+    rec.add_argument("--seeds", type=int, nargs="+", default=[1], help="run i runs at seeds[i %% len(seeds)]")
+    rec.add_argument("--out", required=True, type=Path, help="the JSON record to write, e.g. BENCH_27.json")
+    rec.add_argument("--work", type=Path, help="where the fresh copies go (default: a temporary directory)")
     args = parser.parse_args(argv)
 
+    if args.command == "record":
+        tree = args.tree.resolve()
+        if args.runs < 1 or not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"need --runs >= 1 and a tree holding perfbench/run.py, got {args.runs} and {tree}")
+        with tempfile.TemporaryDirectory(prefix="bench-record-") as default_work:
+            doc = record(tree, args.runs, args.seeds, args.work or Path(default_work))
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        print("\n".join(f"- {f}" for f in doc["flags"]) or "- no flags: every run correct with no failed operations")
+        return 0
     try:
         order = abba_order(args.pairs, args.seeds)
     except ValueError as exc:
