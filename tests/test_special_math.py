@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from gneva.autodiff import Var, backward, leaf
-from gneva.distributions import NormalWishartArrays
+from gneva.distributions import NormalWishartArrays, wishart_log_density
 from gneva.errors import DomainError, NotPositiveDefinite
 from gneva.special_math import (
     check_family,
@@ -52,6 +52,47 @@ class TestScalarSpecials:
         for fn in (digamma, trigamma):
             with pytest.raises(DomainError):
                 fn(np.array([[1.5, 0.0]]))
+
+
+def _log_gamma2(a: float) -> float:
+    """log Gamma_2(a), read off the Wishart density that computes it: log W(I | I, 2a) = -1 - 2a log 2 - log Gamma_2(a)."""
+    identity = np.array([1.0, 0.0, 1.0])
+    return -(float(wishart_log_density(identity, identity, 2.0 * a)[0]) + 1.0 + 2.0 * a * math.log(2.0))
+
+
+class TestMultivariateGamma:
+    def test_d1_reduces_to_log_gamma(self):
+        # Gamma_1 is Gamma itself.
+        assert log_gamma(1.5) == pytest.approx(math.log(math.sqrt(math.pi) / 2), abs=1e-12)
+        assert log_gamma(1.5) == pytest.approx(-0.1208, abs=5e-5)
+
+    def test_d2_product_formula(self):
+        # Gamma_2(1.5) = sqrt(pi) * Gamma(1.5) * Gamma(1.0) = pi / 2.
+        assert _log_gamma2(1.5) == pytest.approx(math.log(math.pi / 2), abs=1e-12)
+        assert _log_gamma2(1.5) == pytest.approx(0.4516, abs=5e-5)
+
+    def test_direct_product_oracle(self):
+        # Direct evaluation of the product formula with scipy's gamma routine.
+        expected = 0.5 * math.log(math.pi) + float(sp.gammaln(10.0) + sp.gammaln(9.5))
+        assert _log_gamma2(10.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_matches_scipy_multigammaln(self):
+        rng = np.random.default_rng(0)
+        for a in rng.uniform(1.0, 20.0, size=50):
+            assert _log_gamma2(float(a)) == pytest.approx(float(sp.multigammaln(a, 2)), rel=1e-12)
+
+    def test_dimension_recursion(self):
+        # log Gamma_2(a) - log Gamma_1(a) = (1/2) log pi + log Gamma(a - 1/2).
+        rng = np.random.default_rng(1)
+        for a in rng.uniform(1.0, 20.0, size=50):
+            lhs = _log_gamma2(float(a)) - log_gamma(float(a))
+            rhs = 0.5 * math.log(math.pi) + log_gamma(float(a) - 0.5)
+            assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+    def test_domain_error(self):
+        # Gamma_2(a) has a pole at a = 1/2, where its factor Gamma(a - 1/2) does.
+        with pytest.raises(DomainError):
+            _log_gamma2(0.5)
 
 
 def _psi2(nu) -> Var:
