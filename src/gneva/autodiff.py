@@ -29,6 +29,8 @@ import numpy as np
 from . import special_math
 from .errors import ShapeMismatch
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in `layer_norm`
+
 
 class Var:
     """Array-valued node of the gradient graph."""
@@ -274,19 +276,19 @@ def square(a: Var) -> Var:
     return mul(a, a)
 
 
-def softmax(a: Var, axis: int = -1, mask=None) -> Var:
-    """Softmax along `axis`; where a boolean `mask` (broadcast to `a`) is False the probability is 0.
+def softmax(a: Var, mask=None) -> Var:
+    """Softmax along the last axis; where a boolean `mask` (broadcast to `a`) is False the probability is 0.
 
     Every softmax slice needs at least one unmasked entry.
     """
     x = a.value if mask is None else np.where(mask, a.value, -np.inf)
-    y = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=None if mask is None else x)
+    y = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=None if mask is None else x)
     np.exp(y, out=y)
-    y /= np.add.reduce(y, axis=axis, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
 
     def vjp(g):
         out = g * y
-        inner = np.add.reduce(out, axis=axis, keepdims=True)
+        inner = np.add.reduce(out, axis=-1, keepdims=True)
         np.subtract(g, inner, out=out)
         out *= y
         return out
@@ -335,7 +337,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x: Var, gain: Var, offset: Var, eps: float = 1e-5) -> Var:
+def layer_norm(x: Var, gain: Var, offset: Var) -> Var:
     """Normalize the last axis to zero mean and unit variance, then affine.
 
     Fused into one node: the closed-form vjp is much cheaper than the
@@ -346,7 +348,7 @@ def layer_norm(x: Var, gain: Var, offset: Var, eps: float = 1e-5) -> Var:
     xhat = x.value - _row_mean(x.value)
     value = xhat * xhat
     inv_sigma = _row_mean(value)
-    inv_sigma += eps
+    inv_sigma += LAYER_NORM_EPS
     np.sqrt(inv_sigma, out=inv_sigma)
     np.divide(1.0, inv_sigma, out=inv_sigma)
     xhat *= inv_sigma

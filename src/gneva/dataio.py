@@ -498,16 +498,16 @@ def _offset_polyline(points: np.ndarray, offset: float) -> np.ndarray:
     return out + offset * normals
 
 
-def _lane_polylines(center: np.ndarray, lane_id: str, half_width: float = 1.75):
+def _lane_polylines(center: np.ndarray, lane_id: str):
     return [
         MapPolyline(id=f"{lane_id}-center", kind="lane_center", points=center),
         MapPolyline(
-            id=f"{lane_id}-left", kind="lane_boundary", points=_offset_polyline(center, half_width)
+            id=f"{lane_id}-left", kind="lane_boundary", points=_offset_polyline(center, 1.75)
         ),
         MapPolyline(
             id=f"{lane_id}-right",
             kind="lane_boundary",
-            points=_offset_polyline(center, -half_width),
+            points=_offset_polyline(center, -1.75),
         ),
     ]
 
@@ -520,8 +520,8 @@ def _random_world_transform(rng) -> RigidTransform:
     )
 
 
-def _arc_points(radius: float, sign: float, max_angle: float, n: int = 24) -> np.ndarray:
-    phis = np.linspace(0.0, max_angle, n)
+def _arc_points(radius: float, sign: float, max_angle: float) -> np.ndarray:
+    phis = np.linspace(0.0, max_angle, 24)
     return np.stack([radius * np.sin(phis), sign * radius * (1.0 - np.cos(phis))], axis=1)
 
 

@@ -265,7 +265,7 @@ def self_attention_block(x: Var, leaves, cfg: EncoderConfig, prefix: str, key_ma
     q, k, v = heads("wq"), heads("wk"), heads("wv")
     scale = 1.0 / math.sqrt(d_k)
     mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
-    scores = ad.softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale, axis=-1, mask=mask)
+    scores = ad.softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale, mask=mask)
     attended = ad.relu(ad.reshape(ad.swapaxes(ad.matmul(scores, v), -3, -2), x.value.shape))
     return ad.layer_norm(ad.add(x, attended), leaves[f"{prefix}.ln.g"], leaves[f"{prefix}.ln.b"])
 
@@ -378,7 +378,7 @@ def forward_spatial(
         nu=nu,
         context_feature=combined,
         weights_logits=logits,
-        weights=ad.softmax(logits, axis=-1),
+        weights=ad.softmax(logits),
         leaves=leaves,
     )
 

@@ -54,9 +54,9 @@ def _matrix(v) -> np.ndarray:
     return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
-def _random_spd(rng, scale=1.0) -> tuple[float, float, float]:
-    a = rng.normal(scale=scale, size=(2, 2))
-    m = a.T @ a + 0.05 * scale**2 * np.eye(2)
+def _random_spd(rng) -> tuple[float, float, float]:
+    a = rng.normal(size=(2, 2))
+    m = a.T @ a + 0.05 * np.eye(2)
     return m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]
 
 
@@ -277,15 +277,15 @@ def check_circle_iou_geometry(n_mc: int, rng) -> tuple[bool, str]:
     return err < 1e-3, f"r=1,d=1 lens formula vs {n_mc:.0e}-point MC area: err {err:.2e}"
 
 
-def random_predictive_mixture(rng, c: int = 3) -> mx.MixturePosterior:
-    """Random mixture whose component predictives have comparable scales.
+def _random_predictive_mixture(rng) -> mx.MixturePosterior:
+    """Random three-component mixture whose component predictives have comparable scales.
 
     The 200x200 grid of the normalization check must both span 40
     scale-lengths and resolve the narrowest peak, which bounds the
     admissible spread of scales across components.
     """
     comps = []
-    for _ in range(c):
+    for _ in range(3):
         off = rng.uniform(-0.2, 0.2)
         v = (rng.uniform(0.7, 1.4), off, rng.uniform(0.7, 1.4))
         comps.append(
@@ -297,7 +297,7 @@ def random_predictive_mixture(rng, c: int = 3) -> mx.MixturePosterior:
 def check_predictive_normalization(n_mixtures: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_mixtures):
-        mix = random_predictive_mixture(rng)
+        mix = _random_predictive_mixture(rng)
         w = rng.dirichlet(np.ones(3))
         _, shape, _ = predictive_student_t(mix.eta, mix.beta, mix.chol, mix.nu)
         half = 40.0 * math.sqrt(shape[:, [0, 2]].max()) + 3.0  # 40 scale-lengths of the widest

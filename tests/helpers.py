@@ -252,6 +252,29 @@ def stable_log_mean_exp(log_vals):
     return m + np.log(mean), float(se_rel)
 
 
+# The greedy suppression procedure transcribed literally (Python lists, pairwise
+# loops, its own lens geometry): the selected indices in order, which `nms_select`
+# must match exactly.
+def brute_force_selection(locations, log_probs, radius, threshold):
+    pool = sorted(range(len(log_probs)), key=lambda i: (-log_probs[i], i))
+    out = []
+    while pool:
+        best = pool.pop(0)
+        out.append(best)
+        keep = []
+        for j in pool:
+            d = math.dist(tuple(locations[best]), tuple(locations[j]))
+            if d < 2 * radius:
+                area = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(
+                    4 * radius**2 - d * d
+                )
+                if area / (2 * math.pi * radius**2 - area) > threshold:
+                    continue
+            keep.append(j)
+        pool = keep
+    return out
+
+
 def drive_path_reference(points, start_s, speeds, dt):
     """(t, x, y, heading, vx, vy) per step of a march along a polyline, one state at a time.
 

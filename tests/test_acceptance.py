@@ -35,6 +35,7 @@ from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_s
 
 import helpers
 from helpers import (
+    brute_force_selection,
     exact_conjugate_posterior,
     gaussian_kl_given_precision,
     nw,
@@ -161,26 +162,6 @@ class TestCriterion3GradientCorrectness:
             "criterion 3 (gradient correctness)",
             f"{result.n_checked} sampled params, max rel err {result.max_rel_error:.2e} < 1e-4",
         )
-
-
-def brute_force_selection(locations, log_probs, radius, threshold):
-    pool = sorted(range(len(log_probs)), key=lambda i: (-log_probs[i], i))
-    out = []
-    while pool:
-        best = pool.pop(0)
-        out.append(best)
-        keep = []
-        for j in pool:
-            d = math.dist(tuple(locations[best]), tuple(locations[j]))
-            if d < 2 * radius:
-                area = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(
-                    4 * radius**2 - d * d
-                )
-                if area / (2 * math.pi * radius**2 - area) > threshold:
-                    continue
-            keep.append(j)
-        pool = keep
-    return out
 
 
 class TestCriterion4NmsEquivalence:

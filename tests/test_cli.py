@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -125,14 +127,24 @@ VERIFY_SUITES = (
 )
 
 
+@pytest.fixture(scope="module")
+def fast_verify():
+    """One unpatched `gneva verify --fast` run: its exit code and stdout lines."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["verify", "--fast"])
+    return code, out.getvalue().splitlines()
+
+
 class TestVerify:
-    def test_fast_suites_all_pass(self, capsys):
-        assert run_command(["verify", "--fast"]) == 0
-        *suites, summary = capsys.readouterr().out.splitlines()
+    def test_fast_suites_all_pass(self, fast_verify):
+        code, lines = fast_verify
+        assert code == 0
+        *suites, summary = lines
         assert [line.split(":")[0] for line in suites] == [f"[PASS] {name}" for name in VERIFY_SUITES]
         assert summary == "13/13 oracle suites passed"
 
-    def test_a_wrong_cross_term_in_the_mc_quadratic_form_fails(self, monkeypatch, capsys):
+    def test_a_wrong_cross_term_in_the_mc_quadratic_form_fails(self, fast_verify, monkeypatch, capsys):
         # Negative control: the MC side's quadratic form with the sign of its cross term flipped.
         def wrong_sign(lams, dx, dy):
             return lams[:, 0] * dx**2 - 2 * lams[:, 1] * dx * dy + lams[:, 2] * dy**2
@@ -140,8 +152,7 @@ class TestVerify:
         def without_timing(lines):
             return {line.split(":")[0].split("] ")[1]: line.rsplit(" (", 1)[0] for line in lines}
 
-        unpatched = []
-        verify.run_all(fast=True, log=unpatched.append)
+        *unpatched, _ = fast_verify[1]
         monkeypatch.setattr(verify, "_quad_form", wrong_sign)
         for check in (verify.check_expectations_vs_mc, verify.check_prior_evidence_vs_mc):
             passed, detail = check(5, 100_000, np.random.default_rng(20240718))  # the --fast sizes

@@ -240,7 +240,7 @@ class TestInteractionAttention:
 
 def z_proxy_weights(feature: Var, leaves) -> Var:
     """The proxy weights as `forward_spatial` forms them: a softmax of the proxy head's logits."""
-    return ad.softmax(_mlp(leaves, "zproxy", feature), axis=-1)
+    return ad.softmax(_mlp(leaves, "zproxy", feature))
 
 
 class TestZProxy:

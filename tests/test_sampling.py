@@ -17,37 +17,7 @@ from gneva.sampling import (
     nms_select,
 )
 
-from helpers import nw, stack
-
-
-def brute_force_goal_selection(locations, log_probs, radius, threshold):
-    """Literal transcription of the greedy suppression procedure; the selected indices in order.
-
-    Kept deliberately naive (python lists, pairwise loops, its own lens
-    geometry) as the reference the fast implementation must match exactly.
-    """
-    pool = sorted(
-        range(len(log_probs)), key=lambda i: (-log_probs[i], i)
-    )
-    selected = []
-    pool = list(pool)
-    while pool:
-        best = pool.pop(0)
-        selected.append(best)
-        survivors = []
-        for j in pool:
-            d = math.dist(tuple(locations[best]), tuple(locations[j]))
-            if d >= 2 * radius:
-                iou = 0.0
-            else:
-                area = 2 * radius**2 * math.acos(d / (2 * radius)) - 0.5 * d * math.sqrt(
-                    4 * radius**2 - d * d
-                )
-                iou = area / (2 * math.pi * radius**2 - area)
-            if iou <= threshold:
-                survivors.append(j)
-        pool = survivors
-    return selected
+from helpers import brute_force_selection, nw, stack
 
 
 def random_pool(rng, n, half_width):
@@ -70,16 +40,6 @@ class TestCircleIou:
         value = circle_iou([0.0, 0.0], [1.0, 0.0], r=1.0)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.2430, abs=1e-3)
-
-    def test_monte_carlo_area_oracle(self):
-        # 10^7 uniform points over the bounding box of the two discs.
-        rng = np.random.default_rng(0)
-        r, d = 1.0, 1.0
-        pts = rng.uniform([-r, -r], [d + r, r], size=(10_000_000, 2))
-        in_a = np.hypot(pts[:, 0], pts[:, 1]) <= r
-        in_b = np.hypot(pts[:, 0] - d, pts[:, 1]) <= r
-        iou_mc = np.count_nonzero(in_a & in_b) / np.count_nonzero(in_a | in_b)
-        assert circle_iou([0.0, 0.0], [d, 0.0], r) == pytest.approx(iou_mc, abs=1e-3)
 
     @given(
         d=st.floats(0.0, 10.0, allow_nan=False),
@@ -121,7 +81,7 @@ class TestNmsSelect:
                 k=len(pool),
             )
             fast = nms_select(pool, cfg)
-            slow = brute_force_goal_selection(
+            slow = brute_force_selection(
                 pool.locations.tolist(), pool.log_probs.tolist(), cfg.radius, cfg.iou_threshold
             )
             assert fast.tolist() == slow
@@ -187,8 +147,8 @@ def full_sort_selection(pool: CandidatePool, cfg: NmsConfig) -> list[int]:
     return selected
 
 
-class TestHeadFirstSort:
-    """Large pools with many ties, some past 256 candidates per goal: `nms_select` selects what one full sort would."""
+class TestTieHeavyLargePools:
+    """Pools of over 256 candidates per goal, most of them tied: `nms_select` selects what one full sort would."""
 
     def grid_pool(self, rng, n_side, levels):
         xs, ys = np.meshgrid(np.arange(n_side) * 0.5, np.arange(n_side) * 0.5, indexing="ij")
@@ -208,7 +168,7 @@ class TestHeadFirstSort:
             assert len(chosen) == k
             assert chosen.tolist() == full_sort_selection(pool, cfg)
 
-    def test_head_that_runs_out_falls_back_to_the_rest(self):
+    def test_one_crowded_disc_then_far_candidates_match_full_sort(self):
         # The 256 k + 10 most probable candidates all sit within one
         # suppression disc, so they yield one goal; the others come from the
         # less probable ones far away.
