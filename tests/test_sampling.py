@@ -148,7 +148,7 @@ def full_sort_selection(pool: CandidatePool, cfg: NmsConfig) -> list[int]:
 
 
 class TestTieHeavyLargePools:
-    """Pools of over 256 candidates per goal, most of them tied: `nms_select` selects what one full sort would."""
+    """Tie-heavy pools, some of over 256 candidates per goal: `nms_select` selects what one full sort would."""
 
     def grid_pool(self, rng, n_side, levels):
         xs, ys = np.meshgrid(np.arange(n_side) * 0.5, np.arange(n_side) * 0.5, indexing="ij")
