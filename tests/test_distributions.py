@@ -14,13 +14,17 @@ from gneva.distributions import (
 from gneva.errors import DegreesOfFreedomTooSmall, NotPositiveDefinite, ValidationError
 
 from helpers import (
+    det2,
+    gaussian_kl_given_precision,
     grid_quadrature_mass,
     matrix,
     mc_mean_and_se,
     nw,
     psi_d,
+    quad2,
     random_nw,
     random_spd,
+    sample_nw_scipy,
     sample_wishart_scipy,
     stack,
     student_t_logpdf_scipy,
@@ -188,6 +192,24 @@ class TestExpectations:
         assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
         assert vals[-1] == pytest.approx(0.0, abs=1e-5)
 
+    def test_against_mc(self):
+        rng = np.random.default_rng(21)
+        q = random_nw(rng)
+        g = rng.normal(size=2)
+        mus, lams = sample_nw_scipy(q, rng, 1_000_000)
+        e_log_det, e_mahalanobis = expected_log_det_and_mahalanobis(g, q)
+
+        dets = det2(lams)
+        assert np.all(dets > 0)
+        logdets = np.log(dets)
+        mean_ld, se_ld = mc_mean_and_se(logdets)
+        assert abs(e_log_det - mean_ld) < 3 * se_ld
+
+        dev = g - mus
+        quad = quad2(dev, lams)
+        mean_q, se_q = mc_mean_and_se(quad)
+        assert abs(e_mahalanobis - mean_q) < 3 * se_q
+
 
 class TestKlMeanGivenPrecision:
     def test_zero_at_equality(self):
@@ -199,6 +221,15 @@ class TestKlMeanGivenPrecision:
         q = random_nw(rng)
         p = nw(q.eta[0], q.beta[0], random_spd(rng), rng.uniform(3.5, 9.0))
         assert kl_of_means(q, p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_against_mc(self):
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            q, p = random_nw(rng), random_nw(rng)
+            lams = sample_wishart_scipy(q.v[0], q.nu[0], rng, 1_000_000)
+            kls = gaussian_kl_given_precision(q.eta[0], q.beta[0], p.eta[0], p.beta[0], lams)
+            mean, se = mc_mean_and_se(kls)
+            assert abs(kl_of_means(q, p) - mean) < 3 * se
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(34)
@@ -217,6 +248,16 @@ class TestKlWishart:
         p = wishart(v, 6.0)
         val = kl_of_wisharts(q, p)
         assert 0.0 < val < 1e-5
+
+    def test_against_mc(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            q = wishart(random_spd(rng), rng.uniform(3.5, 10.0))
+            p = wishart(random_spd(rng), rng.uniform(3.5, 10.0))
+            lams = sample_wishart_scipy(q.v[0], q.nu[0], rng, 1_000_000)
+            diffs = wishart_logpdf_formula(lams, q.v[0], q.nu[0]) - wishart_logpdf_formula(lams, p.v[0], p.nu[0])
+            mean, se = mc_mean_and_se(diffs)
+            assert abs(kl_of_wisharts(q, p) - mean) < 3 * se
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(44)

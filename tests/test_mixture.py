@@ -22,12 +22,14 @@ from helpers import (
     det2,
     elbo_oracle,
     entries,
+    exact_conjugate_posterior,
     grid_quadrature_mass,
     nw,
     quad2,
     random_nw,
     random_spd,
     sample_nw_scipy,
+    stable_log_mean_exp,
     stack,
     student_t_mixture_logpdf_scipy,
 )
@@ -232,6 +234,26 @@ class TestElbo:
                 expected = elbo_oracle(g, mix, mix.log_pi, prior, prior_pi)
                 assert elbo(g, mix, prior, prior_pi) == pytest.approx(expected, rel=1e-9)
 
+    def test_bounded_by_log_evidence(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            c = rng.integers(1, 5)
+            mix = random_mixture(rng, c=int(c))
+            prior = random_nw(rng)
+            g = rng.normal(scale=2.0, size=2)
+            pi = np.full(c, 1.0 / c)
+            assert elbo(g, mix, prior, pi) <= prior_log_evidence(g, prior) + 1e-9
+
+    def test_tight_at_exact_single_component_posterior(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            prior = random_nw(rng)
+            g = rng.normal(scale=2.0, size=2)
+            post = exact_conjugate_posterior(g, prior)
+            lhs = elbo(g, post, prior, [1.0])
+            rhs = prior_log_evidence(g, prior)
+            assert lhs == pytest.approx(rhs, abs=1e-8)
+
     def test_zero_prior_weight_on_an_empty_component(self):
         # The far component's responsibility underflows to exactly 0, so
         # its zero prior weight adds 0 log(0 / 0) = 0 to KL(q(z) || pi).
@@ -357,3 +379,15 @@ class TestPriorLogEvidence:
                 x = prior.eta[0] + r * np.array([math.cos(angle), math.sin(angle)])
                 vals.append(prior_log_evidence(x, prior))
             assert max(vals) < at_eta
+
+    def test_against_mc_marginalization(self):
+        rng = np.random.default_rng(14)
+        prior = random_nw(rng)
+        g = prior.eta[0] + rng.normal(size=2)
+        mus, lams = sample_nw_scipy(prior, rng, 1_000_000)
+        dev = g - mus
+        quad = quad2(dev, lams)
+        logdets = np.log(det2(lams))
+        log_dens = 0.5 * logdets - math.log(2 * math.pi) - 0.5 * quad
+        log_mean, se_rel = stable_log_mean_exp(log_dens)
+        assert abs(prior_log_evidence(g, prior) - log_mean) < 3 * se_rel

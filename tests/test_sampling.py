@@ -41,6 +41,16 @@ class TestCircleIou:
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.2430, abs=1e-3)
 
+    def test_monte_carlo_area_oracle(self):
+        # 10^7 uniform points over the bounding box of the two discs.
+        rng = np.random.default_rng(0)
+        r, d = 1.0, 1.0
+        pts = rng.uniform([-r, -r], [d + r, r], size=(10_000_000, 2))
+        in_a = np.hypot(pts[:, 0], pts[:, 1]) <= r
+        in_b = np.hypot(pts[:, 0] - d, pts[:, 1]) <= r
+        iou_mc = np.count_nonzero(in_a & in_b) / np.count_nonzero(in_a | in_b)
+        assert circle_iou([0.0, 0.0], [d, 0.0], r) == pytest.approx(iou_mc, abs=1e-3)
+
     @given(
         d=st.floats(0.0, 10.0, allow_nan=False),
         r=st.floats(0.1, 5.0, allow_nan=False),

@@ -71,6 +71,12 @@ class TestTrainConfig:
 
 
 class TestLrSchedule:
+    def test_endpoints(self):
+        cfg = TrainConfig()
+        assert lr_schedule(0, 5000, cfg) == 0.0
+        assert lr_schedule(1000, 5000, cfg) == 1e-3
+        assert abs(lr_schedule(5000, 5000, cfg) - 3e-7) < 1e-12
+
     def test_continuous_at_warmup(self):
         cfg = TrainConfig()
         left = lr_schedule(cfg.warmup_steps, 4000, cfg)
@@ -302,6 +308,21 @@ class TestSpatialSceneLoss:
                 assert np.allclose(g2[name], g1[name], atol=1e-14)
             if name.startswith("zproxy"):
                 assert np.allclose(g2[name], 2.0 * g1[name], rtol=1e-10)
+
+    def test_full_loss_gradient_check(self):
+        tape = init_spatial_params(ENC, seed=7)
+        s = target_frame_scenes("turn", 1, 4, H=5, T=5, dt=0.05)[0]
+        vs = vectorize(s, ENC)
+        goal = s.goal()
+        q0 = spatial_scene_loss(goal, forward_spatial(vs, tape, ENC), 1.0).responsibilities
+
+        def loss_fn(leaves):
+            fw = forward_spatial(vs, leaves, ENC)
+            return spatial_scene_loss(goal, fw, 1.0, q_target=q0).loss
+
+        report = check_gradients(tape, loss_fn, tolerance=1e-4, n_samples=250, seed=3)
+        assert report.n_checked >= 200
+        assert report.passed, report.failures[:3]
 
 
 class TestBatchedLoss:
