@@ -184,7 +184,7 @@ def read_json_object(path, what: str, error: type[GnevaError], version: int | No
     """The JSON object in the `what` file at `path`, whose `format_version` must be `version` when given.
 
     A file that cannot be read, is not JSON (the message gives the line) or holds another JSON value raises
-    `error`, and another version a `ValidationError`; each names the file.
+    `error`, and another version, a bool included, a `ValidationError`; each names the file.
     """
     try:
         raw = Path(path).read_text()
@@ -198,8 +198,9 @@ def read_json_object(path, what: str, error: type[GnevaError], version: int | No
         raise error(f"{what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what} {path} is not a JSON object")
-    if version is not None and doc.get("format_version") != version:
-        raise ValidationError(f"{what} {path}: unsupported format_version {doc.get('format_version')!r}")
+    found = doc.get("format_version")
+    if version is not None and (isinstance(found, bool) or found != version):
+        raise ValidationError(f"{what} {path}: unsupported format_version {found!r}")
     return doc
 
 

@@ -51,10 +51,6 @@ class HorizonMismatch(GnevaError):
 class NonFiniteLoss(GnevaError):
     """Training produced a NaN or infinite loss."""
 
-    def __init__(self, message: str, scenario_id: str | None = None):
-        super().__init__(message)
-        self.scenario_id = scenario_id
-
 
 def check_config_fields(cfg) -> None:
     """Refuse a config dataclass field of the wrong kind, naming the field and its value.

@@ -1,4 +1,4 @@
-"""Special functions, 2x2 SPD linear algebra and the family's parameter rules.
+"""Special functions and 2x2 SPD linear algebra.
 
 Everything here is self-contained: log-gamma uses the Lanczos approximation
 (g=7, 9 coefficients) and digamma/trigamma use recurrence shifts into the
@@ -7,18 +7,15 @@ held as their entries (a11, a12, a22); the closed-form Cholesky replaces
 general linear algebra.
 The special functions take floats or arrays, with the same arithmetic, and
 return numpy values of the argument's shape.
-`check_family` holds the Normal-Wishart parameter rules once, over arrays.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite, ValidationError
+from .errors import DomainError
 
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
@@ -127,50 +124,6 @@ def log_sum_exp(values, axis=None):
     np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
         return np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis)
-
-
-# Relative tolerances of the positive-definiteness guard; values below these
-# would make the downstream Cholesky numerically useless.
-_PD_ABS_TOL = 1e-12
-_PD_REL_TOL = 1e-12
-
-
-def check_family(label=lambda i: "", v=None, eta=None, beta=None, nu=None) -> None:
-    """The rules of the Normal-Wishart family's parameters, over n parameter sets.
-
-    v (n, 3) holds symmetric 2x2 matrices as (a11, a12, a22), whose entries
-    must be finite and pass the leading-minor test (else NotPositiveDefinite);
-    eta (n, 2) must be finite, beta (n,) finite and positive, and nu (n,)
-    finite and above D - 1 = 1 (else ValidationError). Each argument left out
-    goes unchecked. The lowest failing index raises the error of its first
-    broken rule, in that order, with `label(index)` before the message.
-    """
-    rules = []
-    if v is not None:
-        a11, a12, a22 = v.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = a11 * a22 - a12 * a12
-            minors_fail = (a11 <= _PD_ABS_TOL) | (det <= _PD_REL_TOL * a11 * a22)
-        rules += [
-            (~np.isfinite(v).all(axis=1), NotPositiveDefinite,
-             lambda i: f"non-finite entries: {a11[i]}, {a12[i]}, {a22[i]}"),
-            (minors_fail, NotPositiveDefinite,
-             lambda i: f"leading minors {a11[i]:.3e}, {det[i]:.3e} fail the positivity test"),
-        ]
-    if eta is not None:
-        rules.append((~np.isfinite(eta).all(axis=1), ValidationError,
-                      lambda i: f"eta must be finite, got {eta[i]}"))
-    if beta is not None:
-        rules.append((~((beta > 0.0) & np.isfinite(beta)), ValidationError,
-                      lambda i: f"beta must be positive, got {beta[i]}"))
-    if nu is not None:
-        rules.append((~((nu > 1.0) & np.isfinite(nu)), ValidationError,
-                      lambda i: f"nu must exceed D-1=1, got {nu[i]}"))
-    broken = reduce(operator.or_, [bad for bad, _, _ in rules])
-    if broken.any():
-        i = int(np.argmax(broken))
-        _, error, message = next(rule for rule in rules if rule[0][i])
-        raise error(label(i) + message(i))
 
 
 def spd_from_cholesky(l11, l21, l22):

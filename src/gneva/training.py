@@ -22,10 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamTape, Var, backward
 from .dataio import Scenario, vectorize
-from .distributions import NormalWishartArrays
 from .encoders import EncoderConfig, SpatialForward, forward_spatial, prior_vars, spatial_trunk, trajectory_horizon
 from .errors import NonFiniteLoss, ValidationError, check_config_fields
-from .mixture import elbo_terms
+from .mixture import NormalWishartArrays, elbo_terms
 from .trajectory import trajectory_forward
 
 
@@ -330,7 +329,7 @@ def _check_finite(values: np.ndarray, scenario_ids: list[str], what: str) -> Non
     """Raise NonFiniteLoss naming the first scene whose row of `values` is not finite."""
     finite = np.isfinite(values.reshape(len(scenario_ids), -1)).all(axis=1)
     if not finite.all():
-        raise NonFiniteLoss(f"non-finite {what}", scenario_id=scenario_ids[int(np.argmin(finite))])
+        raise NonFiniteLoss(f"non-finite {what} in scenario {scenario_ids[int(np.argmin(finite))]!r}")
 
 
 # Scenes per batched forward. A scene's context differs in the last bits with

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from . import mixture as mx
 from .autodiff import check_gradients
 from .dataio import SynthConfig, synth_generate, to_target_frame, vectorize
-from .distributions import (
+from .mixture import (
     predictive_student_t,
     sample_normal_wishart,
     sample_wishart_bartlett,
@@ -381,7 +380,7 @@ def check_sampler_moments(n_samples: int, rng) -> tuple[bool, str]:
     return worst < 3.5, f"precision/mean moments within {worst:.2f} SE of targets"
 
 
-def run_all(fast: bool = False, log: Callable[[str], None] = print) -> list[CheckResult]:
+def run_all(fast: bool = False) -> list[CheckResult]:
     """Run every oracle suite, each on its own generator seeded from its name; one PASS/FAIL line per check."""
     n = 100_000 if fast else 1_000_000
     pairs = 5 if fast else 20
@@ -411,5 +410,5 @@ def run_all(fast: bool = False, log: Callable[[str], None] = print) -> list[Chec
         elapsed = time.perf_counter() - t0
         results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=elapsed))
         status = "PASS" if passed else "FAIL"
-        log(f"[{status}] {name}: {detail} ({elapsed:.1f}s)")
+        print(f"[{status}] {name}: {detail} ({elapsed:.1f}s)")
     return results

@@ -21,7 +21,6 @@ from gneva.dataio import (
     to_target_frame,
     vectorize,
 )
-from gneva.distributions import predictive_student_t, student_t_log_density_table
 from gneva.encoders import (
     EncoderConfig,
     forward_spatial,
@@ -29,6 +28,7 @@ from gneva.encoders import (
     init_trajectory_params,
 )
 from gneva.metrics import displacement_metrics
+from gneva.mixture import predictive_student_t, student_t_log_density_table
 from gneva.sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select, scene_region
 from gneva.trajectory import predict_topk
 from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_spatial, train_trajectory

@@ -36,12 +36,31 @@ def test_medians_quartiles_ratios_and_wins():
     assert (r.parent_q1, r.parent_median, r.parent_q3) == (107.5, 115.0, 122.5)
     assert r.change_median == 117.5
     assert r.ratios == pytest.approx([1.1, 1.1, 0.95, 1.1])
-    assert r.wins == 3 and not r.past_bound and not r.past_iqr  # a gap of 2.5 within an IQR of 15
+    assert r.wins == 3 and not r.past_bound and not r.claimable  # a gap of 2.5 within an IQR of 15
     assert rows["predict_scene_ms_p50"].wins == 0  # equal is not a win
     assert flags == []
     table = bench.format_table(*bench.compare([(run(100.0, 6.0), run(110.0, 6.0))] * 2, SPEC), 2)
-    assert "| traj_steps_per_s | higher | 0.25 | 100 [100, 100] | 110 | 1.100 | 1.100, 1.100 | 2/2 | yes |" in table
+    assert "| traj_steps_per_s | higher | 0.25 | 100 [100, 100] | 110 | 1.100 | 1.100, 1.100 | 2/2 | no |" in table
+    assert "| wins | gain claimable |" in table
     assert "no flags" in table
+
+
+def test_a_gain_is_claimable_only_from_ten_pairs_with_nine_wins_past_the_parent_iqr():
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0, 104.0]  # IQR 2
+
+    def row(change):
+        return rows_by_name([(run(p, 6.0), run(c, 6.0)) for p, c in zip(parent, change)])[0]["traj_steps_per_s"]
+
+    six = row([p + 10.0 for p in parent[:6]])  # all 6 won, a gap of 10 past the IQR
+    assert six.wins == 6 and six.change_median - six.parent_median > six.parent_q3 - six.parent_q1
+    assert not six.claimable
+    nine = row([p + 10.0 for p in parent[:9]] + [parent[9] - 1.0])
+    assert nine.wins == 9 and nine.claimable
+    eight = row([p + 10.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]])
+    assert eight.wins == 8 and eight.change_median - eight.parent_median > 2.0 and not eight.claimable
+    # Nine wins of ten in the worse direction, or a gap within the IQR, claim nothing.
+    assert not row([p - 10.0 for p in parent[:9]] + [parent[9] + 1.0]).claimable
+    assert not row([p + 0.5 for p in parent[:9]] + [parent[9] - 1.0]).claimable
 
 
 def test_a_median_past_its_bound_in_the_worse_direction_is_flagged():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -25,7 +26,7 @@ from gneva.dataio import (
     to_target_frame,
     vectorize,
 )
-from gneva.encoders import EncoderConfig
+from gneva.encoders import EncoderConfig, init_spatial_params, load_spatial_model, save_model
 from gneva.errors import MissingHorizonState, ParseError, ValidationError
 from helpers import drive_path_reference, scenario_json_reference
 
@@ -101,6 +102,25 @@ class TestSchema:
         path.write_text(json.dumps(doc))
         with pytest.raises((ParseError, ValidationError)):
             load_scenario(path)
+
+    @pytest.mark.parametrize("kind", ["scenario", "model"])
+    def test_boolean_format_version_refused_and_a_float_one_read(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "scenario":
+            save_scenario(minimal_scenario(), path)
+            load = load_scenario
+        else:
+            enc = EncoderConfig(hidden=16, n_heads=2, C=2)
+            save_model(path, init_spatial_params(enc, seed=1), enc)
+            load = load_spatial_model
+        doc = json.loads(path.read_text())
+        doc["format_version"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{kind} {re.escape(str(path))}: unsupported format_version True$"):
+            load(path)
+        doc["format_version"] = 1.0
+        path.write_text(json.dumps(doc))
+        load(path)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gneva.distributions import (
+from gneva.mixture import (
     predictive_student_t,
     sample_normal_wishart,
     sample_wishart_bartlett,

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gneva.autodiff import Var
-from gneva.distributions import predictive_student_t, student_t_log_density_table
 from gneva.encoders import SpatialForward
 from gneva.errors import DegreesOfFreedomTooSmall, NotPositiveDefinite, ValidationError
 from gneva.mixture import (
     MixturePosterior,
     elbo,
     predictive_log_densities,
+    predictive_student_t,
     prior_log_evidence,
+    student_t_log_density_table,
     z_posterior,
 )
 from gneva.special_math import spd_from_cholesky

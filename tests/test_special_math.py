@@ -5,10 +5,9 @@ import pytest
 from scipy import special as sp
 
 from gneva.autodiff import Var, backward, leaf
-from gneva.distributions import NormalWishartArrays, wishart_log_density
 from gneva.errors import DomainError, NotPositiveDefinite
+from gneva.mixture import NormalWishartArrays, check_family, wishart_log_density
 from gneva.special_math import (
-    check_family,
     digamma,
     log_gamma,
     log_sum_exp,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gneva.encoders import (
     load_trajectory_model,
     save_model,
 )
-from gneva.errors import ValidationError
+from gneva.errors import NonFiniteLoss, ValidationError
 from gneva.sampling import NmsConfig
 from gneva.training import (
     OptimizerState,
@@ -427,6 +428,14 @@ class TestTrainingLoops:
         traj = init_trajectory_params(ENC, horizon=20, seed=4)
         with pytest.raises(ValidationError, match=r"predicts T=20 steps.* have T=30"):
             train_trajectory(scenes, init_spatial_params(ENC, seed=4), traj, cfg, ENC)
+
+    def test_divergence_names_a_scenario_of_the_batch(self):
+        scenes = target_frame_scenes("straight", 4, 46)  # one batch holds every scene
+        cfg = TrainConfig(batch_size=4, warmup_steps=1, max_steps=4, peak_lr=1e308, epochs=999)
+        with pytest.raises(NonFiniteLoss) as caught:
+            train_spatial(scenes, init_spatial_params(ENC, seed=4), cfg, ENC)
+        named = re.fullmatch(r"non-finite spatial loss at step \d+ in scenario '(.+)'", str(caught.value))
+        assert named and named.group(1) in {s.scenario_id for s in scenes}
 
     def test_dataset_smaller_than_batch_rejected(self):
         scenes = target_frame_scenes("straight", 3, 43)

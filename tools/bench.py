@@ -18,7 +18,9 @@ last stdout line), appended as soon as the run ends.
 The table, per end-to-end metric of the parent's `BENCHMARK.json`: the
 parent's median and quartiles, the change's median, the ratio of the
 medians, every pair's change/parent ratio, the pairs the change won, and
-whether the medians differ by more than the parent's interquartile range.
+whether a gain can be claimed: only with at least 10 pairs, the change
+winning at least 9 of every 10, and the medians differing in the better
+direction by more than the parent's interquartile range.
 Flagged below it: a change median past the metric's bound in its worse
 direction, a pair whose `made6_m` or `mfde6_m` differ, and every run that
 is not `correct` or has failed operations.
@@ -49,6 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 QUALITY = ("made6_m", "mfde6_m")
+# The claim rule: at least CLAIM_PAIRS pairs, and the change wins at least
+# CLAIM_WINS of every CLAIM_PAIRS of them.
+CLAIM_PAIRS = 10
+CLAIM_WINS = 9
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".bench_out", ".pytest_cache", ".hypothesis")
 RUN_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 # What a record says about a metric beside its figures. perfbench/run.py keeps
@@ -88,7 +94,7 @@ class MetricRow:
     ratios: list[float]  # change / parent, per pair
     wins: int  # pairs where the change is strictly better
     past_bound: bool  # the change's median is worse than the parent's by more than `bound`
-    past_iqr: bool  # the medians differ by more than the parent's interquartile range
+    claimable: bool  # the claim rule holds and the medians differ in the better direction by more than the parent's IQR
 
     @property
     def ratio(self) -> float:
@@ -112,14 +118,16 @@ def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> tuple[lis
         parent, change = [p for p, _ in both], [c for _, c in both]
         q1, p_med, q3 = quartiles(parent)
         c_med = statistics.median(change)
+        wins = sum((c > p) if higher else (c < p) for p, c in both)
         limit = p_med * (1 - spec["bound"]) if higher else p_med * (1 + spec["bound"])
         row = MetricRow(
             name=name, better=spec["better"], bound=spec["bound"],
             parent_q1=q1, parent_median=p_med, parent_q3=q3, change_median=c_med,
             ratios=[c / p if p else float("nan") for p, c in both],
-            wins=sum((c > p) if higher else (c < p) for p, c in both),
+            wins=wins,
             past_bound=c_med < limit if higher else c_med > limit,
-            past_iqr=abs(c_med - p_med) > q3 - q1,
+            claimable=(len(both) >= CLAIM_PAIRS and CLAIM_PAIRS * wins >= CLAIM_WINS * len(both)
+                       and (c_med - p_med if higher else p_med - c_med) > q3 - q1),
         )
         rows.append(row)
         if row.past_bound:
@@ -141,13 +149,13 @@ def format_table(rows: list[MetricRow], flags: list[str], n_pairs: int) -> str:
     lines = [f"{n_pairs} pairs; ratios are change / parent, per pair in run order; "
              "a win is a pair where the change is better",
              "| metric | better | bound | parent median [q1, q3] | change median | ratio | per-pair ratios | wins "
-             "| gap > parent IQR |",
+             "| gain claimable |",
              "|---|---|---|---|---|---|---|---|---|"]
     for r in rows:
         lines.append(
             f"| {r.name} | {r.better} | {r.bound:g} | {r.parent_median:.6g} [{r.parent_q1:.6g}, {r.parent_q3:.6g}] "
             f"| {r.change_median:.6g} | {r.ratio:.3f} | {', '.join(f'{x:.3f}' for x in r.ratios)} "
-            f"| {r.wins}/{len(r.ratios)} | {'yes' if r.past_iqr else 'no'} |"
+            f"| {r.wins}/{len(r.ratios)} | {'yes' if r.claimable else 'no'} |"
         )
     lines += [f"- {f}" for f in flags] or ["- no flags: every median within its bound, quality equal in every "
                                           "pair, every run correct with no failed operations"]
