@@ -16,10 +16,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .autodiff import ParamTape, check_gradients
 from .dataio import Scenario, SynthConfig, load_scenario, synth_generate, to_target_frame
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params, init_trajectory_params
-from .metrics import MetricReport, displacement_metrics
 from .mixture import MixturePosterior, elbo, z_posterior
 from .sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select
-from .trajectory import Predictions, complete_trajectory, predict_topk
+from .trajectory import MetricReport, Predictions, complete_trajectory, displacement_metrics, predict_topk
 from .training import TrainConfig, train_spatial, train_trajectory
 
 __version__ = "0.1.0"

@@ -45,13 +45,14 @@ from .errors import (
     RegionTooLarge,
     ValidationError,
 )
-from .metrics import MetricReport, scenario_displacement
 from .sampling import NmsConfig, generate_candidates, scene_region
 from .trajectory import (
+    MetricReport,
     load_predictions,
     predict_topk,
     predictions_to_world,
     save_predictions,
+    scenario_displacement,
 )
 from .training import TrainConfig, train_spatial, train_trajectory
 from . import verify as verify_suites

@@ -540,20 +540,11 @@ def synth_generate(cfg: SynthConfig, kind: str) -> list[Scenario]:
     scenarios = []
     for i in range(cfg.n):
         tracks, polylines = _SYNTH_BUILDERS[kind](cfg, rng)
+        agents = [AgentTrack(track_id, "vehicle", np.arange(1, len(rows) + 1), rows) for track_id, rows in tracks]
+        built = Scenario(f"{kind}-{cfg.seed}-{i:04d}", cfg.dt, cfg.H, cfg.T, tracks[0][0], agents, polylines)
         # The builder may put step H anywhere: move the scene into the frame of the
         # target's step-H pose (the first track's), then to a random world pose.
-        x, y, heading = tracks[0][1][cfg.H - 1, :3].tolist()
-        canonical = RigidTransform(heading, x, y).inverse()
-        world = _random_world_transform(rng)
-        agents = [
-            AgentTrack(
-                track_id, "vehicle", np.arange(1, len(rows) + 1), world.apply_states(canonical.apply_states(rows))
-            )
-            for track_id, rows in tracks
-        ]
-        polylines = [replace(p, points=world.apply_points(canonical.apply_points(p.points))) for p in polylines]
-        scenario_id = f"{kind}-{cfg.seed}-{i:04d}"
-        scenarios.append(Scenario(scenario_id, cfg.dt, cfg.H, cfg.T, tracks[0][0], agents, polylines).validate())
+        scenarios.append(_random_world_transform(rng).apply_scenario(to_target_frame(built)[0]).validate())
     return scenarios
 
 

@@ -25,9 +25,9 @@ from .mixture import (
     wishart_log_density,
 )
 from .encoders import EncoderConfig, forward_spatial, init_spatial_params
-from .metrics import displacement_metrics
 from .sampling import CandidatePool, NmsConfig, circle_iou, nms_select
 from .training import TrainConfig, lr_schedule, spatial_scene_loss
+from .trajectory import displacement_metrics
 
 
 @dataclass

@@ -27,10 +27,9 @@ from gneva.encoders import (
     init_spatial_params,
     init_trajectory_params,
 )
-from gneva.metrics import displacement_metrics
 from gneva.mixture import predictive_student_t, student_t_log_density_table
 from gneva.sampling import CandidatePool, NmsConfig, circle_iou, generate_candidates, nms_select, scene_region
-from gneva.trajectory import predict_topk
+from gneva.trajectory import displacement_metrics, predict_topk
 from gneva.training import TrainConfig, lr_schedule, spatial_scene_loss, train_spatial, train_trajectory
 
 import helpers

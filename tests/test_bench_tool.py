@@ -130,3 +130,9 @@ def test_record_refuses_a_tree_without_the_benchmark(tmp_path):
         bench.main(["record", "--tree", str(tmp_path), "--runs", "1", "--out", str(tmp_path / "b.json")])
     assert bench.git_state(tmp_path) == {"commit": None, "tree_differs_from_commit": None}
     assert set(bench.machine()) == {"cores", "python", "numpy", "blas", "OPENBLAS_NUM_THREADS"}
+
+
+def test_machine_counts_the_cores_runs_may_use(monkeypatch):
+    # perfbench/run.py sizes its pool by the affinity mask, not by the host's core count.
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {3})
+    assert bench.machine()["cores"] == 1

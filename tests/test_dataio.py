@@ -332,9 +332,10 @@ class TestTargetFrame:
             assert tf.apply_states(rows)[:, :2].tolist() == tf.apply_points(rows[:, :2]).tolist()
 
     def test_target_frame_is_the_inverse_pose_bit_for_bit(self):
-        # The former formula, written out: rotate by -heading with cos(-heading) and sin(-heading), then
+        # The pose formula written out: rotate by -heading with cos(-heading) and sin(-heading), then
         # translate by minus the rotated position. libm's cos is even and its sin odd, so it matches
-        # RigidTransform(heading, x, y).inverse() exactly, in the target frame and in the generator.
+        # RigidTransform(heading, x, y).inverse() exactly. The generator moves its scenes with
+        # to_target_frame, so for its frames this is the one oracle that shares no code with it.
         def pose_frame(x, y, heading):
             c, sn = math.cos(-heading), math.sin(-heading)
             return RigidTransform(angle=-heading, tx=-(c * x - sn * y), ty=-(sn * x + c * y))
@@ -636,8 +637,9 @@ class TestSynthGenerate:
 
     @pytest.mark.parametrize("kind", ["straight", "turn", "merge"])
     def test_array_frames_match_scenario_transforms(self, kind):
-        # Each scene built as objects and moved with to_target_frame, then apply_scenario,
-        # from the same random draws: the generator's array route must give the same floats.
+        # Each scene rebuilt from the same random draws, the builder's and then the world pose's, and
+        # moved with to_target_frame, then apply_scenario: the generator must give the same steps and
+        # floats, so it keeps the order of its draws and moves scenes by the loaded scenes' projection.
         cfg = SynthConfig(n=4, seed=11)
         rng = np.random.default_rng(cfg.seed)
         for i, scene in enumerate(synth_generate(cfg, kind)):

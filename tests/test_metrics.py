@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gneva.dataio import RigidTransform
 from gneva.errors import HorizonMismatch, ValidationError
-from gneva.metrics import MISS_THRESHOLD_M, displacement_metrics, scenario_displacement
+from gneva.trajectory import MISS_THRESHOLD_M, displacement_metrics, scenario_displacement
 
 
 def straight_gt(t=30):

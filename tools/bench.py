@@ -30,10 +30,11 @@ the same way, one fresh copy per run, run i at seed `seeds[i % len(seeds)]`
 and the workloads alternated within each i. It writes one JSON document:
 per workload, each end-to-end metric's median and quartiles with its unit
 and the number of runs behind them, and every run's seed, `correct` and
-`failed`; the machine (cores, Python, numpy, BLAS,
-`OPENBLAS_NUM_THREADS`); the tree's git commit and whether the tree differs
-from it. A run that is not `correct` or has failed operations is listed and
-flagged, and left out of the medians.
+`failed`; the machine (the cores its runs may use, by the affinity mask
+perfbench/run.py counts, Python, numpy, BLAS, `OPENBLAS_NUM_THREADS`); the
+tree's git commit and whether the tree differs from it. A run that is not
+`correct` or has failed operations is listed and flagged, and left out of
+the medians.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def machine() -> dict:
     import numpy as np
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
+    return {"cores": len(os.sched_getaffinity(0)), "python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}", **RUN_ENV}
 
 
